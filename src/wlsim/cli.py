@@ -26,7 +26,6 @@ from typing import Sequence
 from .errors import (
     FILE_NOT_FOUND,
     INVALID_SCHEMA,
-    CodedError,
     LimitError,
     ValidationError,
 )
@@ -39,7 +38,7 @@ from .graphs import (
     load_graph,
 )
 from .refine import DEFAULT_MAX_ITERATIONS, distinguish, refine_to_stable, run_to_dict
-from .simulate import DEFAULT_TEMPERATURE, simulate_and_compare
+from .simulate import DEFAULT_TEMPERATURE, ROUNDING_SLACK_LIMIT, simulate_and_compare
 from .spectral import (
     EncoderParams,
     arithmetic_epsilon,
@@ -97,15 +96,6 @@ def _read_graph(path: str) -> Graph:
     return load_graph(text)
 
 
-def _engine_variant(name: str) -> str:
-    if name not in VARIANT_NAMES:
-        raise ValidationError(
-            INVALID_SCHEMA,
-            f"unknown variant {name!r}, expected one of {', '.join(sorted(VARIANT_NAMES))}",
-        )
-    return VARIANT_NAMES[name]
-
-
 def _resolve_s(k: int, s: int | None) -> int:
     return k if s is None else s
 
@@ -135,7 +125,7 @@ def _parse_bench_spec(spec: str) -> tuple[str, int, int]:
 
 def cmd_refine(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    variant = _engine_variant(args.variant)
+    variant = VARIANT_NAMES[args.variant]
     s = _resolve_s(args.k, args.s)
     run = refine_to_stable(graph, args.k, s, variant, max_iterations=args.max_iter)
     _emit(run_to_dict(run, variant), args.out)
@@ -154,7 +144,7 @@ def _distinguish_inputs(args: argparse.Namespace) -> tuple[Graph, Graph]:
 
 def cmd_distinguish(args: argparse.Namespace) -> int:
     g1, g2 = _distinguish_inputs(args)
-    variant = _engine_variant(args.variant)
+    variant = VARIANT_NAMES[args.variant]
     s = _resolve_s(args.k, args.s)
     res = distinguish(g1, g2, variant, args.k, s, max_iterations=args.max_iter)
     _emit({"distinguished": res.distinguished, "at_iteration": res.at_iteration})
@@ -236,13 +226,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    variant = _engine_variant(args.variant)
+    variant = VARIANT_NAMES[args.variant]
     s = _resolve_s(args.k, args.s)
     report = simulate_and_compare(
         graph, args.k, s, variant, t_layers=args.layers, b=args.b
     )
     doc = report.to_dict()
-    doc["pass"] = bool(report.all_equal and report.max_attention_error <= args.tol)
+    doc["pass"] = bool(
+        report.all_equal
+        and report.max_attention_error <= args.tol
+        and report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+    )
     _emit(doc)
     return 0 if doc["pass"] else 1
 
@@ -321,28 +315,24 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="seed for every derived randomness")
-    shared.add_argument(
-        "--b", type=float, default=DEFAULT_TEMPERATURE, help="attention inverse temperature"
-    )
-    shared.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for every derived randomness")
 
     parser = _Parser(prog="wlsim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     variant_choices = tuple(sorted(VARIANT_NAMES))
 
-    p = sub.add_parser("refine", parents=[shared], help="run refinement to its stable partition")
+    p = sub.add_parser("refine", help="run refinement to its stable partition")
     p.add_argument("--graph", required=True, help="path to a graph JSON file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=None, help="distinct-node bound, defaults to k")
+    p.add_argument("--s", type=int, default=None, help="component bound, defaults to k")
     p.add_argument("--variant", required=True, choices=variant_choices)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--out", default=None, help="write the run to this file instead of stdout")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("distinguish", parents=[shared], help="compare two graphs by refinement")
+    p = sub.add_parser("distinguish", help="compare two graphs by refinement")
     p.add_argument("--g1", default=None, help="path to the first graph")
     p.add_argument("--g2", default=None, help="path to the second graph")
     p.add_argument("--pair", default=None, choices=BUILTIN_PAIR_NAMES, help="use a builtin pair")
@@ -352,7 +342,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("bench", parents=[shared], help="verdict table over the builtin pairs")
+    p = sub.add_parser("bench", parents=[seeded], help="verdict table over the builtin pairs")
     p.add_argument("--suite", default="builtin", choices=("builtin",))
     p.add_argument(
         "--variants",
@@ -363,9 +353,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser(
-        "simulate", parents=[shared], help="replay refinement with attention layers and compare"
-    )
+    p = sub.add_parser("simulate", help="replay refinement with attention layers and compare")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=None)
@@ -373,9 +361,13 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--layers", type=int, default=None, help="rounds to replay, defaults to the stable count"
     )
+    p.add_argument(
+        "--b", type=float, default=DEFAULT_TEMPERATURE, help="attention inverse temperature"
+    )
+    p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pe", parents=[shared], help="positional encodings for a graph")
+    p = sub.add_parser("pe", parents=[seeded], help="positional encodings for a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", default="lpe", choices=("lpe", "spe"))
     p.add_argument("--dim", type=int, default=8)
@@ -387,14 +379,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "verify-identifying",
-        parents=[shared],
         help="check that spectral scores point at nodes and neighborhoods",
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--normalized", action="store_true")
     p.set_defaults(func=cmd_verify_identifying)
 
-    p = sub.add_parser("tokens", parents=[shared], help="tokenize a graph")
+    p = sub.add_parser("tokens", parents=[seeded], help="tokenize a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=None)
@@ -406,7 +397,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges-atp", action="store_true", help="build atomic types from edge vectors")
     p.set_defaults(func=cmd_tokens)
 
-    p = sub.add_parser("pair", parents=[shared], help="print a builtin graph pair")
+    p = sub.add_parser("pair", help="print a builtin graph pair")
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_pair)
 

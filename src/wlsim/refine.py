@@ -67,10 +67,6 @@ class TupleSpace:
     def index_of(self) -> dict[tuple[int, ...], int]:
         return {v: i for i, v in enumerate(self.tuples)}
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.tuples) == self.num_nodes**self.k
-
     @cached_property
     def strides(self) -> tuple[int, ...]:
         """Row-major position weights; only meaningful for a full space."""
@@ -135,12 +131,13 @@ def _check_variant(variant: str) -> None:
         )
 
 
-def _check_variant_space(variant: str, space: TupleSpace) -> None:
+def _check_variant_space(variant: str, k: int, s: int) -> None:
+    """Reject unknown variants and restricted spaces (s < k) for every rule but ks_lwl."""
     _check_variant(variant)
-    if variant != "ks_lwl" and space.s != space.k:
+    if variant != "ks_lwl" and s != k:
         raise ValidationError(
             VARIANT_MISMATCH,
-            f"variant {variant!r} needs the unrestricted tuple space, got s={space.s} < k={space.k}",
+            f"variant {variant!r} needs the unrestricted tuple space, got s={s} < k={k}",
         )
 
 
@@ -261,7 +258,7 @@ def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
 
 def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: str) -> Coloring:
     """One refinement round under the chosen rule."""
-    _check_variant_space(variant, space)
+    _check_variant_space(variant, space.k, space.s)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
     keys = _summary_keys(graph, space, coloring.colors, variant)
@@ -285,7 +282,7 @@ def refine_to_stable(
     times, so the iteration cap only guards against implementation bugs.
     """
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-    _check_variant_space(variant, space)
+    _check_variant_space(variant, k, s)
     current = initial_coloring(graph, space)
     out = [current]
     for _ in range(max_iterations):
@@ -318,8 +315,7 @@ def distinguish(
     _check_variant(variant)
     space_g = enumerate_tuples(g, k, s, memory_limit=memory_limit)
     space_h = enumerate_tuples(h, k, s, memory_limit=memory_limit)
-    _check_variant_space(variant, space_g)
-    _check_variant_space(variant, space_h)
+    _check_variant_space(variant, k, s)
     colors_g, colors_h = _dense_relabel(
         [_initial_keys(g, space_g), _initial_keys(h, space_h)]
     )

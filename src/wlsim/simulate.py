@@ -14,8 +14,10 @@ in ``refine``.
 ``simulate_and_compare`` runs three implementations side by side: the
 constructed transformer, the hash-based engine, and an exact fixed-point
 digit encoding (``gnn_reference_step``) that aggregates neighbor colors with
-base-``m`` arithmetic.  The three never share intermediate state; agreement
-of their partitions at every iteration is the point of the exercise.
+base-``m`` arithmetic.  The three never share intermediate state, only the
+final lookup that numbers each round's keys by first occurrence
+(``refine._dense_relabel``); agreement of their partitions at every
+iteration is the point of the exercise.
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ from .errors import (
 from .graphs import Graph
 from .refine import (
     DEFAULT_MEMORY_LIMIT,
-    VARIANTS,
     Coloring,
     TupleSpace,
+    _check_order,
+    _check_variant,
+    _check_variant_space,
+    _dense_relabel,
     enumerate_tuples,
     initial_coloring,
     refine_step,
@@ -73,7 +78,7 @@ __all__ = [
 DEFAULT_TEMPERATURE = 60.0
 
 # Recovered neighbor counts must sit strictly closer than this to an integer
-# before they are rounded; the margin is the quantitative witness that the
+# for a run to pass; the margin is the quantitative witness that the
 # attention approximation is tight enough to be read back exactly.
 ROUNDING_SLACK_LIMIT = 0.4
 
@@ -247,8 +252,7 @@ def generalized_adjacency(
     np.ndarray
         Dense 0/1 matrix over the tuple ordering of ``space``.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError(INVALID_SCHEMA, f"k must be a positive integer, got {k!r}")
+    _check_order(k, k)
     if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= k:
         raise ValidationError(INVALID_SCHEMA, f"position j must be in 1..{k}, got {j!r}")
     if gamma not in (-1, 1):
@@ -337,26 +341,13 @@ def _spectral_parts(graph: Graph) -> _SpectralParts:
 def _dense_row_ids(rows: np.ndarray) -> tuple[int, ...]:
     """First-occurrence dense ids over exact integer-valued rows."""
     ints = np.rint(rows).astype(np.int64)
-    table: dict[bytes, int] = {}
-    ids = []
-    for row in ints:
-        key = row.tobytes()
-        got = table.get(key)
-        if got is None:
-            got = len(table)
-            table[key] = got
-        ids.append(got)
-    return tuple(ids)
+    return tuple(_dense_relabel([[row.tobytes() for row in ints]])[0])
 
 
-def _check_rounding(values: np.ndarray, trace: dict) -> np.ndarray:
+def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
+    """Round recovered counts, recording their largest distance from an integer."""
     slack = float(np.abs(values - np.rint(values)).max()) if values.size else 0.0
     trace["slack"] = max(trace["slack"], slack)
-    if slack >= ROUNDING_SLACK_LIMIT:
-        raise AssertionError(
-            f"count-recovery slack {slack:.6f} reached the limit {ROUNDING_SLACK_LIMIT}; "
-            "the attention approximation is too loose to round"
-        )
     return np.rint(values)
 
 
@@ -394,7 +385,7 @@ def _build_1wl_layer(
         # Double, de-normalize by degree, and round: even numbers are the
         # neighbor counts, the odd +1 from the residual one-hot marks the
         # row's own class, so one integer vector carries both.
-        counts = _check_rounding(xt[:, c : 2 * c] * 2.0 * xt[:, 2 * c : 2 * c + 1], trace)
+        counts = _round_counts(xt[:, c : 2 * c] * 2.0 * xt[:, 2 * c : 2 * c + 1], trace)
         combined = xt[:, 0:c] + counts
         new_classes = _dense_row_ids(combined)
         trace["classes"] = new_classes
@@ -503,8 +494,8 @@ def _build_kgt_layer(
         for j in range(k):
             d_adj = xt[:, lay.deg0 + 2 * j : lay.deg0 + 2 * j + 1]
             d_non = xt[:, lay.deg0 + 2 * j + 1 : lay.deg0 + 2 * j + 2]
-            counts_a = _check_rounding(xt[:, lay.alpha(j)] * d_adj, trace)
-            counts_b = _check_rounding(xt[:, lay.beta(j)] * d_non, trace)
+            counts_a = _round_counts(xt[:, lay.alpha(j)] * d_adj, trace)
+            counts_b = _round_counts(xt[:, lay.beta(j)] * d_non, trace)
             pieces.append(counts_a + counts_b)
         combined = np.hstack(pieces)
         new_classes = _dense_row_ids(combined)
@@ -541,18 +532,6 @@ def _check_layers(t_layers, minimum: int) -> int:
     return t_layers
 
 
-def _normalize_partition(ids: Sequence[int]) -> tuple[int, ...]:
-    table: dict[int, int] = {}
-    out = []
-    for i in ids:
-        got = table.get(i)
-        if got is None:
-            got = len(table)
-            table[i] = got
-        out.append(got)
-    return tuple(out)
-
-
 def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
     """Frobenius distance on the rows that have a target at all.
 
@@ -566,32 +545,42 @@ def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
     return float(np.linalg.norm(att[keep] - target.matrix[keep]))
 
 
-def _drive_1wl(graph: Graph, t_layers: int, b: float) -> _DriveRecord:
-    space = enumerate_tuples(graph, 1, 1)
+@dataclass(frozen=True, eq=False)
+class _Setup:
+    """Layer-0 state of a construction: tuple space, spectral blocks, initial
+    classes and tokens, and for k >= 2 the substitution adjacencies keyed by
+    ``(j, gamma)`` with their row sums as the degree block."""
+
+    space: TupleSpace
+    parts: _SpectralParts
+    classes: tuple[int, ...]
+    tokens: np.ndarray
+    gen: dict[tuple[int, int], np.ndarray]
+    degblock: np.ndarray | None
+
+
+def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
+    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
     parts = _spectral_parts(graph)
-    target = weighted_indicator(np.asarray(graph.adjacency(), dtype=float))
-    classes = _normalize_partition(initial_coloring(graph, space).colors)
-    partitions = [classes]
-    x = _token_rows_1(graph, classes, parts)
-    layers = []
-    errors = []
-    slack_max = 0.0
-    for _ in range(t_layers):
-        trace = {"slack": 0.0, "classes": ()}
-        layer = _build_1wl_layer(graph, classes, parts, b, trace)
-        x, atts = transformer_layer(x, layer, return_attention=True)
-        layers.append(layer)
-        errors.append((_masked_error(atts[0], target),))
-        slack_max = max(slack_max, trace["slack"])
-        classes = _normalize_partition(trace["classes"])
-        partitions.append(classes)
-    weights = ConstructedWeights(
-        layers=tuple(layers), temperature=b, head_count=1, k=1, variant="kwl"
-    )
-    return _DriveRecord(space, weights, tuple(partitions), tuple(errors), slack_max)
+    classes = initial_coloring(graph, space).colors
+    if k == 1:
+        return _Setup(space, parts, classes, _token_rows_1(graph, classes, parts), {}, None)
+    gen = {
+        (j, gamma): generalized_adjacency(
+            graph, k, j, gamma, space=space, memory_limit=memory_limit
+        )
+        for gamma in (1, -1)
+        for j in range(1, k + 1)
+    }
+    degblock = np.zeros((len(space.tuples), 2 * k))
+    for j in range(1, k + 1):
+        degblock[:, 2 * (j - 1)] = gen[(j, 1)].sum(axis=1)
+        degblock[:, 2 * (j - 1) + 1] = gen[(j, -1)].sum(axis=1)
+    tokens = _token_rows_k(space, classes, parts, degblock)
+    return _Setup(space, parts, classes, tokens, gen, degblock)
 
 
-def _drive_kgt(
+def _drive(
     graph: Graph,
     k: int,
     s: int,
@@ -600,44 +589,40 @@ def _drive_kgt(
     b: float,
     memory_limit: int,
 ) -> _DriveRecord:
-    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-    parts = _spectral_parts(graph)
-    gen = {
-        (j, gamma): generalized_adjacency(
-            graph, k, j, gamma, space=space, memory_limit=memory_limit
-        )
-        for gamma in (1, -1)
-        for j in range(1, k + 1)
-    }
-    targets = {key: weighted_indicator(mat) for key, mat in gen.items()}
-    degblock = np.zeros((len(space.tuples), 2 * k))
-    for j in range(1, k + 1):
-        degblock[:, 2 * (j - 1)] = gen[(j, 1)].sum(axis=1)
-        degblock[:, 2 * (j - 1) + 1] = gen[(j, -1)].sum(axis=1)
-    # Heads are ordered adjacent-first, matching the builder's loop.
-    head_keys = [(j, 1) for j in range(1, k + 1)] + [(j, -1) for j in range(1, k + 1)]
-
-    classes = _normalize_partition(initial_coloring(graph, space).colors)
+    setup = _setup(graph, k, s, memory_limit)
+    if k == 1:
+        targets = [weighted_indicator(np.asarray(graph.adjacency(), dtype=float))]
+    else:
+        # Heads are ordered adjacent-first, matching the builder's loop.
+        targets = [
+            weighted_indicator(setup.gen[(j, gamma)])
+            for gamma in (1, -1)
+            for j in range(1, k + 1)
+        ]
+    classes = setup.classes
     partitions = [classes]
-    x = _token_rows_k(space, classes, parts, degblock)
+    x = setup.tokens
     layers = []
     errors = []
     slack_max = 0.0
     for _ in range(t_layers):
         trace = {"slack": 0.0, "classes": ()}
-        layer = _build_kgt_layer(space, variant, classes, parts, degblock, b, trace)
+        if k == 1:
+            layer = _build_1wl_layer(graph, classes, setup.parts, b, trace)
+        else:
+            layer = _build_kgt_layer(
+                setup.space, variant, classes, setup.parts, setup.degblock, b, trace
+            )
         x, atts = transformer_layer(x, layer, return_attention=True)
         layers.append(layer)
-        errors.append(
-            tuple(_masked_error(att, targets[key]) for att, key in zip(atts, head_keys))
-        )
+        errors.append(tuple(_masked_error(att, tgt) for att, tgt in zip(atts, targets)))
         slack_max = max(slack_max, trace["slack"])
-        classes = _normalize_partition(trace["classes"])
+        classes = trace["classes"]
         partitions.append(classes)
     weights = ConstructedWeights(
-        layers=tuple(layers), temperature=b, head_count=2 * k, k=k, variant=variant
+        layers=tuple(layers), temperature=b, head_count=len(targets), k=k, variant=variant
     )
-    return _DriveRecord(space, weights, tuple(partitions), tuple(errors), slack_max)
+    return _DriveRecord(setup.space, weights, tuple(partitions), tuple(errors), slack_max)
 
 
 def initial_tokens(
@@ -653,26 +638,7 @@ def initial_tokens(
     Feed the result to ``transformer_layer`` with the first layer of a
     ``ConstructedWeights`` to replay the construction by hand.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError(INVALID_SCHEMA, f"tuple order k must be a positive integer, got {k!r}")
-    if s is None:
-        s = k
-    parts = _spectral_parts(graph)
-    if k == 1:
-        space = enumerate_tuples(graph, 1, 1, memory_limit=memory_limit)
-        classes = _normalize_partition(initial_coloring(graph, space).colors)
-        return _token_rows_1(graph, classes, parts)
-    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-    degblock = np.zeros((len(space.tuples), 2 * k))
-    for j in range(1, k + 1):
-        degblock[:, 2 * (j - 1)] = generalized_adjacency(
-            graph, k, j, 1, space=space, memory_limit=memory_limit
-        ).sum(axis=1)
-        degblock[:, 2 * (j - 1) + 1] = generalized_adjacency(
-            graph, k, j, -1, space=space, memory_limit=memory_limit
-        ).sum(axis=1)
-    classes = _normalize_partition(initial_coloring(graph, space).colors)
-    return _token_rows_k(space, classes, parts, degblock)
+    return _setup(graph, k, k if s is None else s, memory_limit).tokens
 
 
 def construct_1wl_weights(
@@ -700,7 +666,7 @@ def construct_1wl_weights(
     """
     t_layers = _check_layers(t_layers, 1)
     b = _check_temperature(b)
-    return _drive_1wl(graph, t_layers, b).weights
+    return _drive(graph, 1, 1, "kwl", t_layers, b, DEFAULT_MEMORY_LIMIT).weights
 
 
 def construct_kgt_weights(
@@ -733,12 +699,10 @@ def construct_kgt_weights(
     -------
     ConstructedWeights
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+    _check_order(k, k)
+    if k < 2:
         raise ValidationError(INVALID_SCHEMA, f"tuple order k must be an integer >= 2, got {k!r}")
-    if variant not in VARIANTS:
-        raise ValidationError(
-            INVALID_SCHEMA, f"unknown variant {variant!r}, expected one of {', '.join(VARIANTS)}"
-        )
+    _check_variant(variant)
     if variant == "ks_lwl":
         raise ValidationError(
             VARIANT_MISMATCH,
@@ -746,7 +710,7 @@ def construct_kgt_weights(
         )
     t_layers = _check_layers(t_layers, 1)
     b = _check_temperature(b)
-    return _drive_kgt(graph, k, k, variant, t_layers, b, memory_limit).weights
+    return _drive(graph, k, k, variant, t_layers, b, memory_limit).weights
 
 
 def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
@@ -773,18 +737,11 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     Coloring
         The refined coloring with ``iteration`` advanced by one.
     """
-    if variant not in VARIANTS:
-        raise ValidationError(
-            INVALID_SCHEMA, f"unknown variant {variant!r}, expected one of {', '.join(VARIANTS)}"
-        )
+    _check_order(k, k)
     space = colors.space
+    _check_variant_space(variant, space.k, space.s)
     if space.k != k:
         raise ValidationError(SPACE_MISMATCH, f"coloring has order {space.k}, expected {k}")
-    if variant != "ks_lwl" and space.s != space.k:
-        raise ValidationError(
-            VARIANT_MISMATCH,
-            f"variant {variant!r} needs the unrestricted tuple space, got s={space.s}",
-        )
     if space.num_nodes != graph.num_nodes:
         raise ValidationError(
             SPACE_MISMATCH,
@@ -792,7 +749,6 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
         )
     n = graph.num_nodes
     m = n + 1
-    assert m - 1 >= n, "digit base cannot hold the largest neighbor multiset"
     big_n = len(space.tuples)
     nbs = graph.neighbor_sets
     codes = {c: code_of(c + 1, m) for c in set(colors.colors)}
@@ -836,14 +792,7 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
                     total = add(total, coded(base + w * strides[j], offset))
             vectors.append(total)
 
-    table: dict[DigitVector, int] = {}
-    ids = []
-    for vec in vectors:
-        got = table.get(vec)
-        if got is None:
-            got = len(table)
-            table[vec] = got
-        ids.append(got)
+    ids = _dense_relabel([vectors])[0]
     return Coloring(space, tuple(ids), colors.iteration + 1)
 
 
@@ -912,19 +861,8 @@ def simulate_and_compare(
     -------
     SimReport
     """
-    if variant not in VARIANTS:
-        raise ValidationError(
-            INVALID_SCHEMA, f"unknown variant {variant!r}, expected one of {', '.join(VARIANTS)}"
-        )
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError(INVALID_SCHEMA, f"tuple order k must be a positive integer, got {k!r}")
-    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= k:
-        raise ValidationError(INVALID_SCHEMA, f"component bound s must lie in 1..{k}, got {s!r}")
-    if s < k and variant != "ks_lwl":
-        raise ValidationError(
-            VARIANT_MISMATCH,
-            f"variant {variant!r} needs the unrestricted tuple space; use ks_lwl for s < k",
-        )
+    _check_order(k, s)
+    _check_variant_space(variant, k, s)
     if k == 1 and variant != "kwl":
         raise ValidationError(
             VARIANT_MISMATCH,
@@ -938,7 +876,7 @@ def simulate_and_compare(
 
     if t_layers == 0:
         space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-        init = _normalize_partition(initial_coloring(graph, space).colors)
+        init = initial_coloring(graph, space).colors
         return SimReport(
             k=k,
             s=s,
@@ -953,20 +891,16 @@ def simulate_and_compare(
             rounding_slack_max=0.0,
         )
 
-    if k == 1:
-        record = _drive_1wl(graph, t_layers, b)
-    else:
-        record = _drive_kgt(graph, k, s, variant, t_layers, b, memory_limit)
-
+    record = _drive(graph, k, s, variant, t_layers, b, memory_limit)
     engine = initial_coloring(graph, record.space)
     oracle = engine
-    wl_partitions = [_normalize_partition(engine.colors)]
-    oracle_partitions = [_normalize_partition(oracle.colors)]
+    wl_partitions = [engine.colors]
+    oracle_partitions = [oracle.colors]
     for _ in range(t_layers):
         engine = refine_step(graph, record.space, engine, variant)
         oracle = gnn_reference_step(oracle, graph, k, variant)
-        wl_partitions.append(_normalize_partition(engine.colors))
-        oracle_partitions.append(_normalize_partition(oracle.colors))
+        wl_partitions.append(engine.colors)
+        oracle_partitions.append(oracle.colors)
 
     sim_partitions = record.partitions[: t_layers + 1]
     equal = tuple(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import INVALID_SCHEMA, ValidationError
 from .graphs import Graph, atomic_type
-from .refine import enumerate_tuples
+from .refine import _check_order, enumerate_tuples
 from .spectral import (
     EncoderParams,
     eigh,
@@ -100,12 +100,9 @@ class TokenizerConfig:
     atp_from_edges: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("k", "s", "dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValidationError(INVALID_SCHEMA, f"{name} must be a positive int, got {value!r}")
-        if self.s > self.k:
-            raise ValidationError(INVALID_SCHEMA, f"s must not exceed k, got s={self.s}, k={self.k}")
+        _check_order(self.k, self.s)
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
+            raise ValidationError(INVALID_SCHEMA, f"dim must be a positive int, got {self.dim!r}")
         if self.pe_kind not in PE_KINDS:
             raise ValidationError(INVALID_SCHEMA, f"pe_kind must be one of {PE_KINDS}, got {self.pe_kind!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
@@ -322,9 +319,3 @@ def tuple_tokens(
 def token_count(graph: Graph, k: int, s: int) -> int:
     """Number of tuples the (k, s)-restricted tokenizer emits."""
     return len(enumerate_tuples(graph, k, s).tuples)
-
-
-def order_transfer_compat(cfg_low: TokenizerConfig, cfg_high: TokenizerConfig) -> bool:
-    """Whether one transformer stack applies unchanged to both tokenizations,
-    which only requires the token widths to agree."""
-    return cfg_low.dim == cfg_high.dim

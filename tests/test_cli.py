@@ -100,6 +100,17 @@ def test_usage_errors_arrive_as_json_on_stderr(p3_file):
     assert "classic" in err["message"]
 
 
+def test_flags_are_accepted_only_where_they_are_read(p3_file):
+    for argv in (
+        ("refine", "--graph", p3_file, "--k", "1", "--variant", "kwl", "--b", "1"),
+        ("pair", "--name", "c6_vs_2c3", "--seed", "1"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+
+
 def test_limit_breaches_exit_with_code_three(c6_file, p3_file):
     proc = run_cli("refine", "--graph", c6_file, "--k", "9", "--variant", "kwl")
     assert proc.returncode == 3
@@ -231,6 +242,26 @@ def test_simulate_fails_under_an_impossible_tolerance(p3_file):
     proc = run_cli("simulate", "--graph", p3_file, "--k", "1", "--tol", "0")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["pass"] is False
+
+
+def test_simulate_at_low_temperature_fails_with_a_verdict(tmp_path):
+    path = tmp_path / "g.json"
+    edges = [[0, 1], [0, 4], [1, 3], [1, 4], [2, 3], [2, 6], [3, 5], [3, 6], [4, 6], [4, 7], [5, 7], [6, 7]]
+    path.write_text(json.dumps({"num_nodes": 8, "edges": edges}))
+    proc = run_cli("simulate", "--graph", str(path), "--b", "0.5")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is False
+    assert doc["partition_equal_per_layer"] == [True, True, False, False, False]
+    # At b=2 the partitions happen to agree, but counts this far from an
+    # integer were read back by luck, so the run still fails.
+    proc = run_cli("simulate", "--graph", str(path), "--b", "2")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert all(doc["partition_equal_per_layer"])
+    assert doc["rounding_slack_max"] >= 0.4
+    assert doc["pass"] is False
 
 
 def test_simulate_rejects_inconsistent_variant_requests(p3_file):

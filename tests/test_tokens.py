@@ -14,7 +14,6 @@ from wlsim.tokens import (
     TokenMatrix,
     atp_embedding_from_edges,
     node_tokens,
-    order_transfer_compat,
     token_count,
     tuple_tokens,
 )
@@ -282,14 +281,6 @@ def test_count_matches_brute_force_component_bound(graph_samples):
 
 
 # ----------------------------------------------------------- order transfer
-
-
-def test_order_transfer_is_a_width_rule():
-    low = cfg_for(1, dim=32)
-    high = TokenizerConfig(k=3, s=1, dim=32)
-    assert order_transfer_compat(low, high)
-    assert not order_transfer_compat(cfg_for(1, dim=32), cfg_for(2, dim=64))
-    assert order_transfer_compat(cfg_for(2, s=1, dim=16), cfg_for(1, dim=16))
 
 
 def test_one_layer_runs_on_both_orders(p3):
