@@ -7,7 +7,9 @@ code is unique per multiset as long as no digit ever reaches m. Reaching m
 is reported as an error rather than carried, because a carry would merge
 distinct multisets.
 
-Everything here is integer arithmetic on digit tuples; no floating point.
+A code keeps only its nonzero digits, as sorted ``(depth, count)`` pairs, so
+counting one element is one dict update at any depth. Everything here is
+integer arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -18,78 +20,91 @@ from typing import Iterable
 from .errors import BASE_MISMATCH, DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
 
 
-def _normalize(digits: Iterable[int]) -> tuple[int, ...]:
-    out = list(digits)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _check_base(base: int) -> None:
+    if base < 2:
+        raise ValidationError(INVALID_SCHEMA, f"base must be >= 2, got {base}")
 
 
-@dataclass(frozen=True)
+def _count(counts: dict[int, int], depth: int, count: int, base: int) -> None:
+    """Add ``count`` to the digit at ``depth``, refusing to reach the base."""
+    s = counts.get(depth, 0) + count
+    if s >= base:
+        raise ValidationError(
+            DIGIT_OVERFLOW,
+            f"digit {s} at position {depth} reached base {base}; multiset order exceeded",
+        )
+    counts[depth] = s
+
+
+@dataclass(frozen=True, init=False)
 class DigitVector:
-    """Digits of a base-``base`` fraction, index i holding the m^-(i+1) coefficient."""
+    """A base-``base`` fraction kept as its nonzero ``(depth, count)`` pairs."""
 
     base: int
-    digits: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValidationError(INVALID_SCHEMA, f"base must be >= 2, got {self.base}")
-        object.__setattr__(self, "digits", _normalize(self.digits))
-        for pos, d in enumerate(self.digits, start=1):
+    def __init__(self, base: int, digits: Iterable[int] = ()):
+        _check_base(base)
+        counts: dict[int, int] = {}
+        for depth, d in enumerate(digits, start=1):
             if d < 0:
-                raise ValidationError(INVALID_SCHEMA, f"negative digit at position {pos}")
-            if d >= self.base:
-                raise ValidationError(
-                    DIGIT_OVERFLOW, f"digit {d} at position {pos} reached base {self.base}"
-                )
+                raise ValidationError(INVALID_SCHEMA, f"negative digit at position {depth}")
+            if d:
+                _count(counts, depth, d, base)
+        self._set(base, counts)
+
+    def _set(self, base: int, counts: dict[int, int]) -> "DigitVector":
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
+        return self
 
     @classmethod
     def zero(cls, base: int) -> "DigitVector":
-        return cls(base, ())
+        return cls(base)
 
     def is_zero(self) -> bool:
-        return not self.digits
+        return not self.pairs
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The dense digits, index i holding depth i+1, trailing zeros stripped."""
+        counts = dict(self.pairs)
+        return tuple(counts.get(d, 0) for d in range(1, max(counts, default=0) + 1))
+
+
+def _vector(base: int, counts: dict[int, int]) -> DigitVector:
+    """Wrap counts that were checked as they were made."""
+    return object.__new__(DigitVector)._set(base, counts)
 
 
 def code_of(position: int, base: int) -> DigitVector:
     """The code of a single element at ``position`` (>= 1): one count at that depth."""
-    if position < 1:
-        raise ValidationError(INVALID_SCHEMA, f"position must be >= 1, got {position}")
-    return DigitVector(base, (0,) * (position - 1) + (1,))
+    return encode_multiset((position,), base)
 
 
 def add(a: DigitVector, b: DigitVector) -> DigitVector:
     """Digit-wise sum. Raises DIGIT_OVERFLOW if any digit would reach the base."""
     if a.base != b.base:
         raise ValidationError(BASE_MISMATCH, f"bases differ: {a.base} vs {b.base}")
-    n = max(len(a.digits), len(b.digits))
-    summed = []
-    for i in range(n):
-        da = a.digits[i] if i < len(a.digits) else 0
-        db = b.digits[i] if i < len(b.digits) else 0
-        s = da + db
-        if s >= a.base:
-            raise ValidationError(
-                DIGIT_OVERFLOW,
-                f"digit {s} at position {i + 1} reached base {a.base}; multiset order exceeded",
-            )
-        summed.append(s)
-    return DigitVector(a.base, tuple(summed))
+    counts = dict(a.pairs)
+    for depth, count in b.pairs:
+        _count(counts, depth, count, a.base)
+    return _vector(a.base, counts)
 
 
 def shift(a: DigitVector, offset: int) -> DigitVector:
     """Move every digit ``offset`` positions deeper (multiply by base^-offset)."""
     if offset < 0:
         raise ValidationError(INVALID_SCHEMA, f"offset must be >= 0, got {offset}")
-    if a.is_zero() or offset == 0:
-        return DigitVector(a.base, a.digits)
-    return DigitVector(a.base, (0,) * offset + a.digits)
+    return _vector(a.base, {depth + offset: c for depth, c in a.pairs})
 
 
 def encode_multiset(positions: Iterable[int], base: int) -> DigitVector:
-    """Sum of per-element codes; order of the multiset must stay below the base."""
-    acc = DigitVector.zero(base)
+    """Count each element at its depth, checking every count against the base."""
+    _check_base(base)
+    counts: dict[int, int] = {}
     for p in positions:
-        acc = add(acc, code_of(p, base))
-    return acc
+        if p < 1:
+            raise ValidationError(INVALID_SCHEMA, f"position must be >= 1, got {p}")
+        _count(counts, p, 1, base)
+    return _vector(base, counts)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .digits import DigitVector, add, code_of, shift
+from .digits import encode_multiset
 from .errors import (
     INVALID_SCHEMA,
     MEMORY_LIMIT,
@@ -512,7 +512,7 @@ def _build_kgt_layer(
 @dataclass(frozen=True, eq=False)
 class _DriveRecord:
     space: TupleSpace
-    weights: ConstructedWeights
+    weights: ConstructedWeights | None
     partitions: tuple[tuple[int, ...], ...]
     attention_errors: tuple[tuple[float, ...], ...]
     slack_max: float
@@ -720,7 +720,8 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     ``m = n + 1``, so digit-wise sums count multisets without collision.
     Per-position contributions are shifted into disjoint digit ranges, the
     adjacent and non-adjacent groups into separate ranges when the variant
-    distinguishes them.  The resulting vectors are relabeled densely.
+    distinguishes them.  Each tuple's depths are counted by one
+    ``encode_multiset`` call and the resulting vectors are relabeled densely.
 
     Parameters
     ----------
@@ -748,35 +749,33 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
         )
     n = graph.num_nodes
-    m = n + 1
     big_n = len(space.tuples)
     nbs = graph.neighbor_sets
-    codes = {c: code_of(c + 1, m) for c in set(colors.colors)}
+    cols = colors.colors
 
-    def coded(idx: int, offset: int) -> DigitVector:
-        return shift(codes[colors.colors[idx]], offset)
-
+    # A tuple of color c counts at depth c + 1; a substituted tuple counts
+    # at its color's depth past the offset of its position and group.
     vectors = []
     if k == 1 and variant == "kwl":
         for v in range(n):
-            total = codes[colors.colors[v]]
-            for w in nbs[v]:
-                total = add(total, coded(w, big_n))
-            vectors.append(total)
+            depths = [cols[v] + 1]
+            depths.extend(big_n + cols[w] + 1 for w in nbs[v])
+            vectors.append(encode_multiset(depths, n + 1))
     elif variant == "ks_lwl":
         index_of = space.index_of
         for i, tup in enumerate(space.tuples):
-            total = codes[colors.colors[i]]
+            depths = [cols[i] + 1]
             for j in range(k):
+                offset = big_n * (j + 1) + 1
                 for w in nbs[tup[j]]:
                     idx = index_of.get(tup[:j] + (w,) + tup[j + 1 :])
                     if idx is not None:
-                        total = add(total, coded(idx, big_n * (j + 1)))
-            vectors.append(total)
+                        depths.append(offset + cols[idx])
+            vectors.append(encode_multiset(depths, n + 1))
     else:
         strides = space.strides
         for i, tup in enumerate(space.tuples):
-            total = codes[colors.colors[i]]
+            depths = [cols[i] + 1]
             for j in range(k):
                 base = i - tup[j] * strides[j]
                 neighbors = nbs[tup[j]]
@@ -789,8 +788,8 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
                         if w not in neighbors:
                             continue
                         offset = big_n * (j + 1)
-                    total = add(total, coded(base + w * strides[j], offset))
-            vectors.append(total)
+                    depths.append(offset + cols[base + w * strides[j]] + 1)
+            vectors.append(encode_multiset(depths, n + 1))
 
     ids = _dense_relabel([vectors])[0]
     return Coloring(space, tuple(ids), colors.iteration + 1)
@@ -841,9 +840,9 @@ def simulate_and_compare(
 
     The three implementations are advanced in lockstep over the same tuple
     ordering and their partitions are compared after every round, the shared
-    initial coloring included.  When ``t_layers`` is ``None`` the engine's
-    stable point is found first and one extra round is run past it, so the
-    report also witnesses the fixed point.
+    initial coloring included.  When ``t_layers`` is ``None`` the engine is
+    run once, to its stable point, and the round count is one past it, so
+    the report also witnesses the fixed point.
 
     Parameters
     ----------
@@ -869,55 +868,45 @@ def simulate_and_compare(
             f"the order-1 construction implements plain refinement only, got {variant!r}",
         )
     b = _check_temperature(b)
+    engine = None
     if t_layers is None:
-        stable = refine_to_stable(graph, k, s, variant, memory_limit=memory_limit)
-        t_layers = len(stable)
+        engine = refine_to_stable(graph, k, s, variant, memory_limit=memory_limit)
+        # The run stopped at the first round that repeated the last coloring,
+        # so the round past the fixed point is that coloring again.
+        engine.append(engine[-1])
+        t_layers = len(engine) - 1
     t_layers = _check_layers(t_layers, 0)
 
     if t_layers == 0:
         space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-        init = initial_coloring(graph, space).colors
-        return SimReport(
-            k=k,
-            s=s,
-            variant=variant,
-            layers=0,
-            transformer_partitions=(init,),
-            wl_partitions=(init,),
-            oracle_partitions=(init,),
-            partition_equal_per_layer=(True,),
-            attention_errors=(),
-            max_attention_error=0.0,
-            rounding_slack_max=0.0,
-        )
-
-    record = _drive(graph, k, s, variant, t_layers, b, memory_limit)
-    engine = initial_coloring(graph, record.space)
-    oracle = engine
-    wl_partitions = [engine.colors]
-    oracle_partitions = [oracle.colors]
+        engine = [initial_coloring(graph, space)]
+        record = _DriveRecord(space, None, (engine[0].colors,), (), 0.0)
+    else:
+        record = _drive(graph, k, s, variant, t_layers, b, memory_limit)
+    if engine is None:
+        engine = [initial_coloring(graph, record.space)]
+        for _ in range(t_layers):
+            engine.append(refine_step(graph, record.space, engine[-1], variant))
+    oracle = [engine[0]]
     for _ in range(t_layers):
-        engine = refine_step(graph, record.space, engine, variant)
-        oracle = gnn_reference_step(oracle, graph, k, variant)
-        wl_partitions.append(engine.colors)
-        oracle_partitions.append(oracle.colors)
+        oracle.append(gnn_reference_step(oracle[-1], graph, k, variant))
+    wl_partitions = tuple(c.colors for c in engine)
+    oracle_partitions = tuple(c.colors for c in oracle)
 
-    sim_partitions = record.partitions[: t_layers + 1]
     equal = tuple(
-        sim_partitions[t] == wl_partitions[t] == oracle_partitions[t]
-        for t in range(t_layers + 1)
+        t == e == o for t, e, o in zip(record.partitions, wl_partitions, oracle_partitions)
     )
-    flat_errors = [e for layer in record.attention_errors[:t_layers] for e in layer]
+    flat_errors = [e for layer in record.attention_errors for e in layer]
     return SimReport(
         k=k,
         s=s,
         variant=variant,
         layers=t_layers,
-        transformer_partitions=tuple(sim_partitions),
-        wl_partitions=tuple(wl_partitions),
-        oracle_partitions=tuple(oracle_partitions),
+        transformer_partitions=record.partitions,
+        wl_partitions=wl_partitions,
+        oracle_partitions=oracle_partitions,
         partition_equal_per_layer=equal,
-        attention_errors=record.attention_errors[:t_layers],
+        attention_errors=record.attention_errors,
         max_attention_error=max(flat_errors) if flat_errors else 0.0,
         rounding_slack_max=record.slack_max,
     )

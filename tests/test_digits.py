@@ -189,3 +189,32 @@ def test_encode_is_order_independent(base, positions):
             encode_multiset(positions, base)
         return
     assert encode_multiset(positions, base) == encode_multiset(sorted(positions), base)
+
+
+@given(st.integers(2, 6), st.lists(st.integers(1, 8), max_size=12))
+def test_encode_equals_the_fold_of_single_codes(base, positions):
+    """The one-pass counter agrees with summing one code per element, the
+    overflow included, and its digits match a dense count made here."""
+
+    def fold():
+        acc = DigitVector.zero(base)
+        for p in positions:
+            acc = add(acc, code_of(p, base))
+        return acc
+
+    outcomes = []
+    for build in (lambda: encode_multiset(positions, base), fold):
+        try:
+            outcomes.append(build())
+        except ValidationError as exc:
+            outcomes.append(exc.code)
+    assert outcomes[0] == outcomes[1]
+    dense = [0] * max(positions, default=0)
+    for p in positions:
+        dense[p - 1] += 1
+    if max(dense, default=0) >= base:
+        assert outcomes[0] == DIGIT_OVERFLOW
+        return
+    v = outcomes[0]
+    assert DigitVector(base, v.digits) == v
+    assert list(v.digits) + [0] * (len(dense) - len(v.digits)) == dense

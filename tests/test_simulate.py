@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlsim.refine
+import wlsim.simulate
 from wlsim.errors import (
     INVALID_SCHEMA,
     MEMORY_LIMIT,
@@ -500,6 +502,29 @@ def test_default_run_reaches_and_witnesses_the_fixed_point(p3):
     assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
 
 
+def test_default_run_steps_the_engine_once_per_round(monkeypatch, p3):
+    """The engine's run to its fixed point supplies every engine partition.
+
+    ``refine_to_stable`` looks ``refine_step`` up in ``wlsim.refine`` and the
+    lockstep loop in ``wlsim.simulate``, so one counter wraps both names.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return refine_step(*args, **kwargs)
+
+    monkeypatch.setattr(wlsim.refine, "refine_step", counting)
+    monkeypatch.setattr(wlsim.simulate, "refine_step", counting)
+    report = simulate_and_compare(p3, 2, 2, "delta_kwl")
+    assert report.layers >= 2
+    assert report.all_equal
+    assert len(calls) == report.layers
+    calls.clear()
+    assert simulate_and_compare(p3, 2, 2, "delta_kwl", t_layers=3).all_equal
+    assert len(calls) == 3
+
+
 def test_order_one_simulation_agrees_on_random_graphs():
     rng = random.Random(90)
     for _ in range(10):
@@ -586,7 +611,17 @@ def test_digit_step_matches_the_engine_on_hand_graphs(p3, k3):
 
 @pytest.mark.parametrize(
     "variant,k,s",
-    [("kwl", 1, 1), ("kwl", 2, 2), ("delta_kwl", 2, 2), ("delta_klwl", 2, 2), ("ks_lwl", 2, 1)],
+    [
+        ("kwl", 1, 1),
+        ("kwl", 2, 2),
+        ("delta_kwl", 2, 2),
+        ("delta_klwl", 2, 2),
+        ("ks_lwl", 2, 1),
+        ("kwl", 3, 3),
+        ("delta_kwl", 3, 3),
+        ("delta_klwl", 3, 3),
+        ("ks_lwl", 3, 1),
+    ],
 )
 def test_digit_step_stays_in_lockstep_with_the_engine(variant, k, s):
     rng = random.Random(140 + k + s)
