@@ -1,11 +1,12 @@
-"""Laplacians, a deterministic symmetric eigensolver, spectral positional
+"""Laplacians, a canonical symmetric eigendecomposition, spectral positional
 encoders, and the score targets whose row maxima recover node identity and
 adjacency.
 
-The eigensolver is a self-contained cyclic Jacobi sweep rather than a LAPACK
-call so that ordering, tie-breaking, and signs are pinned down exactly; the
-graphs here are small enough that its O(n^3) per sweep is irrelevant. All
-arithmetic is float64.
+Eigenpairs come from LAPACK (``np.linalg.eigh``) and are then put in a
+canonical form: fixed signs, and ties ordered by the eigenvector entries.
+Inside a degenerate eigenspace the basis is whatever LAPACK returns, so it
+is reproducible on one machine and BLAS build, not across them; the SPE
+encoder does not depend on it. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from .errors import (
 from .graphs import Graph
 
 SOURCES = ("laplacian", "normalized_laplacian", "adjacency")
-
-#: Convergence threshold on the off-diagonal Frobenius mass.
-JACOBI_TOL = 1e-12
-#: Full upper-triangle passes before giving up.
-JACOBI_MAX_SWEEPS = 100
 
 _ORTHO_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
@@ -112,69 +108,32 @@ def _as_symmetric(matrix) -> np.ndarray:
         raise ValidationError(INVALID_SCHEMA, "matrix has non-finite entries")
     if np.abs(m - m.T).max() > 1e-12:
         raise ValidationError(NON_SYMMETRIC, "matrix is not symmetric within 1e-12")
-    return m.copy()
+    return m
 
 
-def eigh(matrix, source: str = "adjacency", max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralDecomposition:
-    """Eigendecomposition by cyclic Jacobi rotations.
+def eigh(matrix, source: str = "adjacency") -> SpectralDecomposition:
+    """Eigendecomposition by LAPACK, then put in canonical signs and order.
 
-    Converges when the off-diagonal Frobenius mass drops below 1e-12;
-    raises ``NO_CONVERGENCE`` if that takes more than ``max_sweeps`` full
-    sweeps (quadratic convergence makes this unreachable for sane input).
+    Each eigenvector is flipped so that its first entry of magnitude above
+    1e-9 is positive (a unit vector always has one). Columns are then
+    ordered by eigenvalue, exact ties by their entries rounded at 1e-9,
+    compared row by row. A LAPACK failure raises ``NO_CONVERGENCE``.
     """
     m = _as_symmetric(matrix)
-    original = m.copy()
-    n = m.shape[0]
-    vecs = np.eye(n)
-
-    def off_mass(a: np.ndarray) -> float:
-        # Summing the squared off-diagonal entries directly avoids the
-        # catastrophic cancellation of total minus diagonal mass.
-        return math.sqrt(float(((a - np.diag(np.diag(a))) ** 2).sum()))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_mass(m) < JACOBI_TOL:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p, row_q = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                col_p, col_q = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                v_p, v_q = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * v_p - s * v_q
-                vecs[:, q] = s * v_p + c * v_q
-    else:
-        converged = off_mass(m) < JACOBI_TOL
-    if not converged:
-        raise LimitError(NO_CONVERGENCE, f"Jacobi sweep cap of {max_sweeps} reached")
-
-    vals = np.diag(m).copy()
-
-    # Canonical signs first, then the ordering key can use the final entries.
-    for j in range(n):
-        col = vecs[:, j]
-        lead = np.nonzero(np.abs(col) > _TIE_TOL)[0]
-        if lead.size and col[lead[0]] < 0:
-            vecs[:, j] = -col
-    order = sorted(
-        range(n), key=lambda j: (vals[j], tuple(np.round(vecs[:, j], 9)))
-    )
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise LimitError(NO_CONVERGENCE, f"eigensolver did not converge: {exc}") from None
+    cols = np.arange(m.shape[0])
+    lead = np.argmax(np.abs(vecs) > _TIE_TOL, axis=0)
+    vecs = vecs * np.where(vecs[lead, cols] < 0, -1.0, 1.0)
+    # lexsort takes its primary key last: the eigenvalues, then row 0,
+    # row 1, ... of the rounded eigenvectors.
+    order = np.lexsort(np.vstack([np.round(vecs, 9)[::-1], vals]))
     vals = vals[order]
     vecs = vecs[:, order]
 
-    residual = float(np.abs(original @ vecs - vecs * vals).max())
+    residual = float(np.abs(m @ vecs - vecs * vals).max())
     return SpectralDecomposition(vals, vecs, source, residual)
 
 
@@ -286,11 +245,13 @@ def spe(
 ) -> np.ndarray:
     """Basis-invariant spectral encoder.
 
-    Builds one n x n matrix per channel, V_m diag(c_ell) V_m^T, where the
+    Each channel ell has one n x n matrix, V_m diag(c_ell) V_m^T, where the
     channel weights c_ell come from an elementwise map over the ``rank_m``
-    smallest eigenvalues. Each node's slice is summed over the partner axis
-    and passed through the output head. Every eigenvector enters quadratically,
-    so flipping any eigenvector sign leaves the output bit-identical.
+    smallest eigenvalues. Each node's row is summed over the partner axis
+    and passed through the output head. The sum is taken in factored form,
+    V_m (c_ell * V_m^T 1), so no n x n x m tensor is built. Every
+    eigenvector enters quadratically, so flipping any eigenvector sign
+    leaves the output bit-identical.
     """
     n = dec.n
     if not 1 <= rank_m <= n:
@@ -303,8 +264,7 @@ def spe(
         rho = lambda x: run_mlp(rho_w, x)
     v_m = dec.eigenvectors[:, :rank_m]
     channel_weights = np.asarray(phi(dec.eigenvalues[:rank_m, None]))
-    q = np.einsum("ve,el,ue->vul", v_m, channel_weights, v_m)
-    summed = q.sum(axis=1)
+    summed = v_m @ (channel_weights * v_m.sum(axis=0)[:, None])
     return np.asarray(rho(summed))
 
 

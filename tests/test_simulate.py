@@ -8,6 +8,7 @@ against the refinement engine and the digit oracle.
 
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -536,7 +537,9 @@ def test_order_one_simulation_agrees_on_random_graphs():
 
 @pytest.mark.parametrize("variant", ["kwl", "delta_kwl", "delta_klwl"])
 def test_order_two_simulation_agrees_on_random_graphs(variant):
-    rng = random.Random(hash(variant) % 1000)
+    # crc32, not hash(): str hashes are salted per process, so a failure
+    # drawn from them could not be replayed.
+    rng = random.Random(zlib.crc32(variant.encode()) % 1000)
     for _ in range(6):
         g = random_graph(rng, rng.randint(2, 5), edge_prob=rng.uniform(0.3, 0.8))
         report = simulate_and_compare(g, 2, 2, variant)

@@ -1,5 +1,6 @@
-"""Laplacians, the Jacobi eigensolver, both spectral encoders, and the
-score targets whose row maxima identify nodes and neighborhoods."""
+"""Laplacians, the canonical LAPACK eigendecomposition, both spectral
+encoders, and the score targets whose row maxima identify nodes and
+neighborhoods."""
 
 import math
 import random
@@ -9,11 +10,13 @@ import pytest
 
 from wlsim.errors import (
     INVALID_SCHEMA,
+    NO_CONVERGENCE,
     NON_SYMMETRIC,
     SHAPE_MISMATCH,
+    LimitError,
     ValidationError,
 )
-from wlsim.graphs import Graph, random_graph
+from wlsim.graphs import Graph, builtin_pair, random_graph
 from wlsim.spectral import (
     EncoderParams,
     arithmetic_epsilon,
@@ -43,6 +46,35 @@ class RawPairs:
 def random_symmetric(rng, n):
     m = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
     return (m + m.T) / 2
+
+
+def sorted_canonical(vals, vecs):
+    """Column-by-column reference for the canonical form of ``eigh``: flip
+    each column so its first entry above 1e-9 in magnitude is positive, then
+    sort by (eigenvalue, entries rounded at 1e-9)."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        lead = np.nonzero(np.abs(vecs[:, j]) > 1e-9)[0]
+        if lead.size and vecs[lead[0], j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    order = sorted(range(len(vals)), key=lambda j: (vals[j], tuple(np.round(vecs[:, j], 9))))
+    return vals[order], vecs[:, order]
+
+
+def degenerate_matrices():
+    """Matrices whose spectra repeat: the C6 and K5 Laplacians, the K6
+    adjacency and the Shrikhande graph's Laplacian and adjacency."""
+    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    k6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    shrikhande = builtin_pair("shrikhande_vs_rook")[0]
+    return [
+        laplacian(c6),
+        laplacian(k5),
+        np.array(k6.adjacency(), dtype=float),
+        laplacian(shrikhande),
+        np.array(shrikhande.adjacency(), dtype=float),
+    ]
 
 
 # ---------------------------------------------------------------- laplacian
@@ -112,6 +144,53 @@ def test_eigh_rejects_asymmetry():
     with pytest.raises(ValidationError) as exc:
         eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
     assert exc.value.code == NON_SYMMETRIC
+
+
+def test_lapack_failure_is_a_no_convergence_limit(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(LimitError) as exc:
+        eigh(np.eye(3))
+    assert exc.value.code == NO_CONVERGENCE
+
+
+def test_canonical_form_matches_the_sorted_key():
+    rng = random.Random(23)
+    matrices = [random_symmetric(rng, n) for n in (2, 3, 5, 8, 13)] + degenerate_matrices()
+    for m in matrices:
+        want_vals, want_vecs = sorted_canonical(*np.linalg.eigh(m))
+        dec = eigh(m)
+        assert np.array_equal(dec.eigenvalues, want_vals)
+        assert np.array_equal(dec.eigenvectors, want_vecs)
+
+
+def test_canonical_form_breaks_exact_ties_like_the_sorted_key(monkeypatch):
+    # LAPACK returns repeated eigenvalues that differ in the last bits, so
+    # the tie rule is fed exact ties here: eigenvalues rounded at 1e-10,
+    # columns shuffled and signs flipped at random.
+    real_eigh = np.linalg.eigh
+    rng = np.random.default_rng(29)
+    for m in degenerate_matrices():
+        vals, vecs = real_eigh(m)
+        n = len(vals)
+        perm = rng.permutation(n)
+        raw = (np.round(vals, 10)[perm], vecs[:, perm] * rng.choice([-1.0, 1.0], n))
+        assert len(set(raw[0])) < n
+        want_vals, want_vecs = sorted_canonical(*raw)
+        monkeypatch.setattr(np.linalg, "eigh", lambda matrix: raw)
+        dec = eigh(m)
+        monkeypatch.undo()
+        assert np.array_equal(dec.eigenvalues, want_vals)
+        assert np.array_equal(dec.eigenvectors, want_vecs)
+
+
+def test_large_random_matrix_meets_the_residual_and_orthonormality_bounds():
+    m = random_symmetric(random.Random(31), 200)
+    dec = eigh(m)
+    assert dec.residual <= 1e-8
+    assert np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(200)).max() <= 1e-8
 
 
 def test_eigh_is_deterministic():
@@ -186,7 +265,26 @@ def test_spe_is_sign_flip_invariant(graph_samples):
         params = EncoderParams.seeded(i, g.num_nodes, 5)
         base = spe(dec, params, rank_m=g.num_nodes)
         flipped = spe(sign_flip(dec, seed=i), params, rank_m=g.num_nodes)
-        assert np.abs(base - flipped).max() <= 1e-10
+        assert np.array_equal(base, flipped)
+
+
+def test_spe_matches_the_projector_tensor():
+    # the factored sum against the n x n x m tensor it replaces
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 5, 12, 30):
+        dec = eigh(random_symmetric(random.Random(n), n))
+        for rank_m in sorted({1, max(1, n // 2), n}):
+            weights = rng.normal(size=(rank_m, 4))
+            got = spe(
+                dec,
+                EncoderParams.seeded(0, 4, 4),
+                rank_m,
+                phi=lambda lams: weights,
+                rho=lambda rows: rows,
+            )
+            v_m = dec.eigenvectors[:, :rank_m]
+            want = np.einsum("ve,el,ue->vul", v_m, weights, v_m).sum(axis=1)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 def test_spe_truncation_drops_high_channels():
