@@ -1,27 +1,26 @@
 """Color refinement over node tuples.
 
-One engine drives four refinement rules, selected by name:
+Every rule is one operation: for each tuple and each position j, collect
+the multiset of colors of the tuples reached by putting another node at j.
+The rules, selected by name, differ only in which substitutions count:
 
 ``kwl``
-    Plain k-dimensional refinement. The round summary of a tuple collects,
-    for each position j, the multiset of colors of all tuples reachable by
-    substituting position j with any node. For k = 1 this degenerates to
-    classic 1-dimensional refinement, which aggregates neighbor colors only.
+    Every node. For k = 1 this is classic 1-dimensional refinement, which
+    aggregates neighbor colors only.
 ``delta_kwl``
-    Same sweep over all nodes, but every collected color is tagged with a
-    flag telling whether the substituted node is adjacent to the replaced
-    one. Refines ``kwl`` round for round.
+    Every node, each color tagged with whether the new node is adjacent to
+    the replaced one. Refines ``kwl`` round for round.
 ``delta_klwl``
-    Local variant: position j only sweeps the neighbors of the node it
-    currently holds.
+    Local: only the neighbors of the replaced node.
 ``ks_lwl``
-    The local rule run on the component-restricted tuple space (tuples
-    whose induced subgraph has at most s connected components). Substituted
-    tuples that fall outside the space are skipped.
+    The local rule on the tuples whose induced subgraph has at most s
+    connected components; substitutions leaving that space are skipped.
 
-Colors are dense naturals, assigned by first occurrence in enumeration
-order, so two runs over the same input produce identical arrays and a
-repeated partition shows up as a repeated array.
+``TupleSpace.substitution`` holds the substituted tuple indices once per
+space. A round gathers the colors through it, sorts each position block
+and numbers the rows by first occurrence in enumeration order, so two runs
+over the same input produce identical arrays and a repeated partition shows
+up as a repeated array.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from .errors import (
     INVALID_SCHEMA,
     ITERATION_LIMIT,
@@ -41,7 +42,7 @@ from .errors import (
     LimitError,
     ValidationError,
 )
-from .graphs import Graph, atomic_type
+from .graphs import Graph
 
 VARIANTS = ("kwl", "delta_kwl", "delta_klwl", "ks_lwl")
 
@@ -69,8 +70,30 @@ class TupleSpace:
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
-        """Row-major position weights; only meaningful for a full space."""
+        """Row-major position weights of the full space's flat index."""
         return tuple(self.num_nodes ** (self.k - 1 - j) for j in range(self.k))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The tuples as a ``(t, k)`` integer array."""
+        return np.array(self.tuples, dtype=np.int64).reshape(len(self.tuples), self.k)
+
+    @cached_property
+    def substitution(self) -> np.ndarray:
+        """Entry ``[j, i, w]`` is the index of tuple ``i`` with node ``w`` at
+        position ``j``, or -1 where that tuple is off the space (int32,
+        shape ``(k, t, n)``). Built through a map of size ``n ** k`` from
+        the row-major flat index to the position in ``tuples``."""
+        n, k, t = self.num_nodes, self.k, len(self.tuples)
+        strides = np.array(self.strides, dtype=np.int64)
+        flat = self.nodes @ strides
+        position = np.full(n**k, -1, dtype=np.int32)
+        position[flat] = np.arange(t, dtype=np.int32)
+        table = np.empty((k, t, n), dtype=np.int32)
+        for j in range(k):
+            rest = flat - self.nodes[:, j] * strides[j]
+            table[j] = position[rest[:, None] + np.arange(n) * strides[j]]
+        return table
 
 
 @dataclass(frozen=True)
@@ -188,71 +211,60 @@ def _dense_relabel(key_lists: Sequence[Sequence[Hashable]]) -> list[list[int]]:
     return out
 
 
-def _initial_keys(graph: Graph, space: TupleSpace) -> list[Hashable]:
-    """Graph-independent initial color keys: atomic type plus label sequence."""
-    labels = graph.labels
-    keys: list[Hashable] = []
-    for v in space.tuples:
-        atp = atomic_type(graph, v)
-        keys.append((atp.entries, tuple(labels[x] for x in v)))
-    return keys
+def _relabel_rows(row_arrays: Sequence[np.ndarray]) -> list[list[int]]:
+    """``_dense_relabel`` over integer rows, each keyed by its bytes."""
+    keys = []
+    for rows in map(np.ascontiguousarray, row_arrays):
+        whole_row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        keys.append(rows.view(whole_row).ravel().tolist())
+    return _dense_relabel(keys)
 
 
-def _summary_keys(
+def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[list[int]]:
+    """Initial ids through one table. A tuple's row is the label id of each
+    position, then per position pair 2 (same node), 1 (adjacent) or 3."""
+    label_ids = _dense_relabel([graph.labels for graph in graphs])
+    row_arrays = []
+    for graph, space, labels in zip(graphs, spaces, label_ids):
+        adj = np.asarray(graph.adjacency(), dtype=bool)
+        nodes = space.nodes
+        cols = [np.asarray(labels, dtype=np.int32)[nodes]]
+        for a, b in itertools.combinations(range(space.k), 2):
+            u, v = nodes[:, a], nodes[:, b]
+            cols.append(np.where(u == v, 2, np.where(adj[u, v], 1, 3))[:, None])
+        row_arrays.append(np.hstack(cols).astype(np.int32))
+    return _relabel_rows(row_arrays)
+
+
+def _summary_rows(
     graph: Graph, space: TupleSpace, colors: Sequence[int], variant: str
-) -> list[Hashable]:
-    """Per-tuple (old color, neighborhood summary) keys for one round."""
-    n = graph.num_nodes
-    k = space.k
-    nbs = graph.neighbor_sets
-    keys: list[Hashable] = []
+) -> np.ndarray:
+    """Rows ``[old color | sorted block of position 1 | ... | position k]``.
 
-    if k == 1 and variant == "kwl":
-        # Classic single-node refinement aggregates neighbor colors only.
-        for i in range(n):
-            summary = tuple(sorted(colors[w] for w in nbs[i]))
-            keys.append((colors[i], summary))
-        return keys
-
-    if variant == "ks_lwl":
-        index_of = space.index_of
-        for i, v in enumerate(space.tuples):
-            parts = []
-            for j in range(k):
-                items = []
-                for w in nbs[v[j]]:
-                    idx = index_of.get(v[:j] + (w,) + v[j + 1 :])
-                    if idx is not None:
-                        items.append(colors[idx])
-                items.sort()
-                parts.append(tuple(items))
-            keys.append((colors[i], tuple(parts)))
-        return keys
-
-    strides = space.strides
-    for i, v in enumerate(space.tuples):
-        parts = []
-        for j in range(k):
-            stride = strides[j]
-            base = i - v[j] * stride
-            if variant == "kwl":
-                row = [colors[base + w * stride] for w in range(n)]
-            elif variant == "delta_kwl":
-                nbj = nbs[v[j]]
-                row = [
-                    (colors[base + w * stride], 1 if w in nbj else 0) for w in range(n)
-                ]
-            else:  # delta_klwl
-                row = [colors[base + w * stride] for w in nbs[v[j]]]
-            row.sort()
-            parts.append(tuple(row))
-        keys.append((colors[i], tuple(parts)))
-    return keys
+    Block j holds the colors of the tuples with node w at j, for every w:
+    ``2 * color + adjacent`` under ``delta_kwl``, and -1 for each skipped
+    node under the local rules.
+    """
+    colors = np.asarray(colors, dtype=np.int32)
+    padded = np.append(colors, np.int32(-1))  # table entry -1 reads this sentinel
+    adj = np.asarray(graph.adjacency(), dtype=bool)
+    local = variant in ("delta_klwl", "ks_lwl") or (space.k == 1 and variant == "kwl")
+    blocks = [colors[:, None]]
+    for j in range(space.k):
+        block = padded[space.substitution[j]]
+        near = adj[space.nodes[:, j]]
+        if variant == "delta_kwl":
+            block = 2 * block + near
+        elif local:
+            block = np.where(near, block, np.int32(-1))
+        block.sort(axis=1)
+        blocks.append(block)
+    return np.hstack(blocks)
 
 
 def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
     """Color tuples by atomic type and label sequence, with canonical ids."""
-    ids = _dense_relabel([_initial_keys(graph, space)])[0]
+    ids = _initial_ids([graph], [space])[0]
     return Coloring(space, tuple(ids), 0)
 
 
@@ -261,8 +273,7 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     _check_variant_space(variant, space.k, space.s)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
-    keys = _summary_keys(graph, space, coloring.colors, variant)
-    ids = _dense_relabel([keys])[0]
+    ids = _relabel_rows([_summary_rows(graph, space, coloring.colors, variant)])[0]
     return Coloring(space, tuple(ids), coloring.iteration + 1)
 
 
@@ -316,9 +327,7 @@ def distinguish(
     space_g = enumerate_tuples(g, k, s, memory_limit=memory_limit)
     space_h = enumerate_tuples(h, k, s, memory_limit=memory_limit)
     _check_variant_space(variant, k, s)
-    colors_g, colors_h = _dense_relabel(
-        [_initial_keys(g, space_g), _initial_keys(h, space_h)]
-    )
+    colors_g, colors_h = _initial_ids([g, h], [space_g, space_h])
     iteration = 0
     while True:
         if Counter(colors_g) != Counter(colors_h):
@@ -327,10 +336,10 @@ def distinguish(
             raise LimitError(
                 ITERATION_LIMIT, f"no joint stable partition within {max_iterations} rounds"
             )
-        next_g, next_h = _dense_relabel(
+        next_g, next_h = _relabel_rows(
             [
-                _summary_keys(g, space_g, colors_g, variant),
-                _summary_keys(h, space_h, colors_h, variant),
+                _summary_rows(g, space_g, colors_g, variant),
+                _summary_rows(h, space_h, colors_h, variant),
             ]
         )
         if next_g == colors_g and next_h == colors_h:

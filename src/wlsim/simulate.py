@@ -48,6 +48,7 @@ from .refine import (
     _check_variant,
     _check_variant_space,
     _dense_relabel,
+    _relabel_rows,
     enumerate_tuples,
     initial_coloring,
     refine_step,
@@ -233,8 +234,8 @@ def generalized_adjacency(
     Entry ``(i, l)`` is 1 when tuple ``l`` arises from tuple ``i`` by
     substituting some node ``w`` at position ``j``, with ``w`` adjacent to
     the replaced node for ``gamma = +1`` and non-adjacent (the node itself
-    included, as there are no self-loops) for ``gamma = -1``.  Computed by
-    brute force over every candidate ``w``.
+    included, as there are no self-loops) for ``gamma = -1``.  Read from
+    the space's substitution table.
 
     Parameters
     ----------
@@ -272,19 +273,11 @@ def generalized_adjacency(
         raise LimitError(
             MEMORY_LIMIT, f"dense {t}x{t} tuple adjacency exceeds the cap of {memory_limit}"
         )
-    n = graph.num_nodes
-    nbs = graph.neighbor_sets
-    index_of = space.index_of
+    adj = np.asarray(graph.adjacency(), dtype=bool)
+    sub = space.substitution[j - 1]
+    hit = (adj[space.nodes[:, j - 1]] == (gamma == 1)) & (sub >= 0)
     mat = np.zeros((t, t))
-    for i, tup in enumerate(space.tuples):
-        adjacent = nbs[tup[j - 1]]
-        head, tail = tup[: j - 1], tup[j:]
-        for w in range(n):
-            if (w in adjacent) != (gamma == 1):
-                continue
-            target = index_of.get(head + (w,) + tail)
-            if target is not None:
-                mat[i, target] = 1.0
+    mat[np.nonzero(hit)[0], sub[hit]] = 1.0
     return mat
 
 
@@ -340,8 +333,7 @@ def _spectral_parts(graph: Graph) -> _SpectralParts:
 
 def _dense_row_ids(rows: np.ndarray) -> tuple[int, ...]:
     """First-occurrence dense ids over exact integer-valued rows."""
-    ints = np.rint(rows).astype(np.int64)
-    return tuple(_dense_relabel([[row.tobytes() for row in ints]])[0])
+    return tuple(_relabel_rows([np.rint(rows).astype(np.int64)])[0])
 
 
 def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
@@ -439,9 +431,8 @@ def _token_rows_k(
         x[i, cls] = 1.0
     x[:, lay.deg0 : lay.deg0 + 2 * lay.k] = degblock
     for j in range(lay.k):
-        component = [tup[j] for tup in space.tuples]
-        x[:, lay.pe_node(j)] = parts.node_part[component]
-        x[:, lay.pe_adj(j)] = parts.adj_part[component]
+        x[:, lay.pe_node(j)] = parts.node_part[space.nodes[:, j]]
+        x[:, lay.pe_adj(j)] = parts.adj_part[space.nodes[:, j]]
     return x
 
 

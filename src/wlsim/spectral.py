@@ -102,8 +102,10 @@ class SpectralDecomposition:
 
 def _as_symmetric(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(SHAPE_MISMATCH, f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(
+            SHAPE_MISMATCH, f"expected a non-empty square matrix, got shape {m.shape}"
+        )
     if not np.all(np.isfinite(m)):
         raise ValidationError(INVALID_SCHEMA, "matrix has non-finite entries")
     if np.abs(m - m.T).max() > 1e-12:

@@ -195,7 +195,7 @@ def test_criterion_06_sharpened_attention_reaches_the_walk_matrix():
     rather than softmax sharpness, and round-off may wiggle by a few
     multiples of machine epsilon.  Errors are therefore clamped to that
     floor before the monotonicity comparison; the raw curves are recorded
-    in the decisions ledger.
+    in the decisions ledger (DECISIONS.md §7).
     """
     worst = 0.0
     for g in identifying_samples():

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,6 +120,20 @@ def test_restricted_space_agrees_with_component_counting(graph_samples):
             if components_of(g, set(tup)) <= 1
         ]
         assert list(space.tuples) == expected
+
+
+@pytest.mark.parametrize("k,s", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 2), (3, 1)])
+def test_substitution_table_matches_index_of(graph_samples, k, s):
+    for g in graph_samples(13, 6, 2, 5):
+        space = enumerate_tuples(g, k, s)
+        table = space.substitution
+        assert table.dtype == np.int32
+        assert table.shape == (k, len(space.tuples), g.num_nodes)
+        for j in range(k):
+            for i, tup in enumerate(space.tuples):
+                for w in range(g.num_nodes):
+                    want = space.index_of.get(tup[:j] + (w,) + tup[j + 1 :], -1)
+                    assert table[j, i, w] == want
 
 
 def test_tuple_space_memory_cap(c6):

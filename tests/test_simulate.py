@@ -6,6 +6,7 @@ builder written here, and the end-to-end driver is compared round by round
 against the refinement engine and the digit oracle.
 """
 
+import itertools
 import math
 import random
 import zlib
@@ -28,7 +29,13 @@ from wlsim.errors import (
     ValidationError,
 )
 from wlsim.graphs import Graph, builtin_pair, random_graph
-from wlsim.refine import enumerate_tuples, initial_coloring, refine_step, refine_to_stable
+from wlsim.refine import (
+    VARIANTS,
+    enumerate_tuples,
+    initial_coloring,
+    refine_step,
+    refine_to_stable,
+)
 from wlsim.simulate import (
     DEFAULT_TEMPERATURE,
     ROUNDING_SLACK_LIMIT,
@@ -659,6 +666,41 @@ def test_digit_step_agrees_with_the_engine_on_sampled_graphs(seed):
     assert canon(gnn_reference_step(colors, g, 1, "kwl").colors) == canon(
         refine_step(g, space, colors, "kwl").colors
     )
+
+
+@st.composite
+def edge_case_graphs(draw):
+    """A single edge, a complete graph K3-K5, or a path beside a clique, labeled."""
+    kind = draw(st.sampled_from(("edge", "complete", "two_components")))
+    if kind == "edge":
+        n, edges = 2, [(0, 1)]
+    elif kind == "complete":
+        n = draw(st.integers(3, 5))
+        edges = list(itertools.combinations(range(n), 2))
+    else:
+        a, b = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        n = a + b
+        edges = [(i, i + 1) for i in range(a - 1)]
+        edges += [(a + i, a + j) for i, j in itertools.combinations(range(b), 2)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Graph(n, edges, labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=edge_case_graphs())
+def test_digit_step_agrees_with_the_engine_at_the_edges_of_the_model(g):
+    for k in (1, 2, 3):
+        for variant in VARIANTS:
+            for s in range(1, k + 1) if variant == "ks_lwl" else (k,):
+                space = enumerate_tuples(g, k, s)
+                engine = oracle = initial_coloring(g, space)
+                while True:
+                    nxt = refine_step(g, space, engine, variant)
+                    oracle = gnn_reference_step(oracle, g, k, variant)
+                    assert oracle.colors == nxt.colors, (k, s, variant)
+                    if nxt.colors == engine.colors:
+                        break
+                    engine = nxt
 
 
 # ------------------------------------------------------ attention_error_curve

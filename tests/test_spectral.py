@@ -146,6 +146,13 @@ def test_eigh_rejects_asymmetry():
     assert exc.value.code == NON_SYMMETRIC
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)])
+def test_eigh_rejects_empty_and_non_square_input(shape):
+    with pytest.raises(ValidationError) as exc:
+        eigh(np.zeros(shape))
+    assert exc.value.code == SHAPE_MISMATCH
+
+
 def test_lapack_failure_is_a_no_convergence_limit(monkeypatch):
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
