@@ -3,9 +3,9 @@ isomorphism oracle, and built-in non-isomorphic test pairs.
 
 Graphs here are undirected, node-labeled, without self-loops and without
 isolated nodes. Node indexing is 0-based and index order is the fixed node
-ordering that every downstream enumeration relies on. The module is plain
-Python on purpose: instances stay small (tuple enumeration elsewhere grows
-as n^k) and the hot loops live in :mod:`wlsim.refine`.
+ordering that every downstream enumeration relies on. Validation is plain
+Python; the cached adjacency and neighbor arrays and :func:`atomic_types`
+are the numpy views that the tuple engine gathers from.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DUPLICATE_EDGE,
     INVALID_SCHEMA,
     ISOLATED_NODE,
     NODE_INDEX_OUT_OF_RANGE,
     NON_BIJECTIVE,
-    NON_SYMMETRIC,
     SELF_LOOP,
     SIZE_LIMIT,
     UNKNOWN_PAIR,
@@ -151,6 +152,26 @@ class Graph:
         return tuple(frozenset(s) for s in sets)
 
     @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """Read-only ``(n, n)`` bool adjacency matrix in node-index order."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        adj = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+        adj[ends[:, 0], ends[:, 1]] = True
+        adj[ends[:, 1], ends[:, 0]] = True
+        adj.setflags(write=False)
+        return adj
+
+    @cached_property
+    def neighbor_array(self) -> np.ndarray:
+        """Read-only ``(n, max degree)`` sorted neighbor lists, padded with -1."""
+        width = max(len(nb) for nb in self.neighbor_sets)
+        out = np.full((self.num_nodes, width), -1, dtype=np.int64)
+        for v, nb in enumerate(self.neighbor_sets):
+            out[v, : len(nb)] = sorted(nb)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def _edge_label_map(self) -> dict[tuple[int, int], int]:
         if self.edge_labels is None:
             return {}
@@ -176,14 +197,6 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         return self._edge_label_map.get(key, 0)
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Dense 0/1 adjacency matrix in node-index order."""
-        rows = []
-        for u in range(self.num_nodes):
-            nb = self.neighbor_sets[u]
-            rows.append(tuple(1 if v in nb else 0 for v in range(self.num_nodes)))
-        return tuple(rows)
-
     def _check_node(self, v: int) -> None:
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.num_nodes:
             raise ValidationError(
@@ -196,61 +209,39 @@ class Graph:
 class AtomicTypeMatrix:
     """Pairwise relation pattern of a node tuple.
 
-    ``entries[i][j]`` is 1 when the i-th and j-th tuple positions hold
-    adjacent nodes, 2 when they hold the same node, and 3 otherwise. The
-    diagonal is forced to 2 and the matrix is symmetric because the
-    underlying graphs are undirected.
+    ``entries[i][j]`` is the code of :func:`atomic_types` for positions i
+    and j; only :func:`atomic_type` builds it, so the entries are valid by
+    construction.
     """
 
     k: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValidationError(INVALID_SCHEMA, f"order must be a positive integer, got {self.k!r}")
-        rows = tuple(tuple(row) for row in self.entries)
-        if len(rows) != self.k or any(len(row) != self.k for row in rows):
-            raise ValidationError(INVALID_SCHEMA, f"entries must form a {self.k}x{self.k} matrix")
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                if val not in (1, 2, 3):
-                    raise ValidationError(
-                        INVALID_SCHEMA, f"entry ({i}, {j}) is {val!r}, expected 1, 2, or 3"
-                    )
-                if i == j and val != 2:
-                    raise ValidationError(INVALID_SCHEMA, f"diagonal entry ({i}, {i}) must be 2")
-                if rows[j][i] != val:
-                    raise ValidationError(
-                        NON_SYMMETRIC, f"entries ({i}, {j}) and ({j}, {i}) disagree"
-                    )
-        object.__setattr__(self, "entries", rows)
+
+def atomic_types(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Atomic types of the rows of a ``(t, k)`` node array, as ``(t, k, k)``
+    int8 codes: 2 where two positions hold the same node, 1 where they hold
+    adjacent nodes, 3 otherwise.
+
+    A type depends only on which positions coincide and which are adjacent,
+    never on the node identities themselves, which is what makes it a sound
+    initial color for tuple refinement.
+    """
+    u, v = nodes[:, :, None], nodes[:, None, :]
+    if nodes.shape[1] == 1:  # no pair of positions: skip the n x n adjacency
+        return np.full(u.shape, 2, dtype=np.int8)
+    return np.where(u == v, 2, np.where(graph.adjacency_matrix[u, v], 1, 3)).astype(np.int8)
 
 
 def atomic_type(graph: Graph, tup: Sequence[int]) -> AtomicTypeMatrix:
-    """Atomic type of a node tuple: the k x k equality/adjacency pattern.
-
-    The result depends only on which positions coincide and which are
-    adjacent, never on the node identities themselves, which is what makes
-    it a sound initial color for tuple refinement.
-    """
+    """Atomic type of one validated node tuple, as :func:`atomic_types`."""
     k = len(tup)
     if k < 1:
         raise ValidationError(INVALID_SCHEMA, "tuple must have at least one position")
     for v in tup:
         graph._check_node(v)
-    nbs = graph.neighbor_sets
-    rows = []
-    for vi in tup:
-        row = []
-        for vj in tup:
-            if vi == vj:
-                row.append(2)
-            elif vj in nbs[vi]:
-                row.append(1)
-            else:
-                row.append(3)
-        rows.append(tuple(row))
-    return AtomicTypeMatrix(k, tuple(rows))
+    codes = atomic_types(graph, np.array([tup], dtype=np.int64))[0]
+    return AtomicTypeMatrix(k, tuple(map(tuple, codes.tolist())))
 
 
 def apply_permutation(graph: Graph, perm: Sequence[int]) -> Graph:

@@ -16,11 +16,10 @@ The rules, selected by name, differ only in which substitutions count:
     The local rule on the tuples whose induced subgraph has at most s
     connected components; substitutions leaving that space are skipped.
 
-``TupleSpace.substitution`` holds the substituted tuple indices once per
-space. A round gathers the colors through it, sorts each position block
-and numbers the rows by first occurrence in enumeration order, so two runs
-over the same input produce identical arrays and a repeated partition shows
-up as a repeated array.
+A round gathers the colors through ``TupleSpace.substitute``, sorts each
+position block and numbers the rows by first occurrence in enumeration
+order, so two runs over the same input produce identical arrays and a
+repeated partition shows up as a repeated array.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .errors import (
     LimitError,
     ValidationError,
 )
-from .graphs import Graph
+from .graphs import Graph, atomic_types
 
 VARIANTS = ("kwl", "delta_kwl", "delta_klwl", "ks_lwl")
 
@@ -79,21 +78,35 @@ class TupleSpace:
         return np.array(self.tuples, dtype=np.int64).reshape(len(self.tuples), self.k)
 
     @cached_property
+    def _flat(self) -> np.ndarray:
+        """Row-major flat index of every tuple in the full space."""
+        return self.nodes @ np.array(self.strides, dtype=np.int64)
+
+    @cached_property
+    def _position(self) -> np.ndarray:
+        """Map of size ``n ** k`` from the flat index to the index in
+        ``tuples``, -1 off the space."""
+        position = np.full(self.num_nodes**self.k, -1, dtype=np.int32)
+        position[self._flat] = np.arange(len(self.tuples), dtype=np.int32)
+        return position
+
+    def substitute(self, j: int, nodes: np.ndarray) -> np.ndarray:
+        """Entry ``[i, c]`` is the index of tuple ``i`` with node
+        ``nodes[i, c]`` at position ``j``, or -1 where that node is -1 or
+        that tuple is off the space (int32, shaped like ``nodes``)."""
+        stride = self.strides[j]
+        rest = self._flat - self.nodes[:, j] * stride
+        # A -1 node lands on a valid (negative) index; the mask drops it.
+        found = self._position[rest[:, None] + nodes * stride]
+        return np.where(nodes < 0, np.int32(-1), found)
+
+    @cached_property
     def substitution(self) -> np.ndarray:
-        """Entry ``[j, i, w]`` is the index of tuple ``i`` with node ``w`` at
-        position ``j``, or -1 where that tuple is off the space (int32,
-        shape ``(k, t, n)``). Built through a map of size ``n ** k`` from
-        the row-major flat index to the position in ``tuples``."""
-        n, k, t = self.num_nodes, self.k, len(self.tuples)
-        strides = np.array(self.strides, dtype=np.int64)
-        flat = self.nodes @ strides
-        position = np.full(n**k, -1, dtype=np.int32)
-        position[flat] = np.arange(t, dtype=np.int32)
-        table = np.empty((k, t, n), dtype=np.int32)
-        for j in range(k):
-            rest = flat - self.nodes[:, j] * strides[j]
-            table[j] = position[rest[:, None] + np.arange(n) * strides[j]]
-        return table
+        """``substitute`` at every position with every node: entry
+        ``[j, i, w]`` is the index of tuple ``i`` with node ``w`` at
+        position ``j``, or -1 off the space (int32, shape ``(k, t, n)``)."""
+        every = np.broadcast_to(np.arange(self.num_nodes), (len(self.tuples), self.num_nodes))
+        return np.stack([self.substitute(j, every) for j in range(self.k)])
 
 
 @dataclass(frozen=True)
@@ -124,19 +137,15 @@ class DistinguishResult:
 
 def _component_count(graph: Graph, tup: tuple[int, ...]) -> int:
     """Connected components of the subgraph induced by the tuple's nodes."""
-    nodes = sorted(set(tup))
-    parent = {x: x for x in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in itertools.combinations(nodes, 2):
-        if b in graph.neighbor_sets[a]:
-            parent[find(a)] = find(b)
-    return len({find(x) for x in nodes})
+    left, count = set(tup), 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            reach = graph.neighbor_sets[stack.pop()] & left
+            left -= reach
+            stack.extend(reach)
+    return count
 
 
 def _check_order(k: object, s: object) -> None:
@@ -222,44 +231,50 @@ def _relabel_rows(row_arrays: Sequence[np.ndarray]) -> list[list[int]]:
 
 def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[list[int]]:
     """Initial ids through one table. A tuple's row is the label id of each
-    position, then per position pair 2 (same node), 1 (adjacent) or 3."""
+    position, then the upper triangle of its (symmetric) atomic type."""
     label_ids = _dense_relabel([graph.labels for graph in graphs])
     row_arrays = []
     for graph, space, labels in zip(graphs, spaces, label_ids):
-        adj = np.asarray(graph.adjacency(), dtype=bool)
-        nodes = space.nodes
-        cols = [np.asarray(labels, dtype=np.int32)[nodes]]
-        for a, b in itertools.combinations(range(space.k), 2):
-            u, v = nodes[:, a], nodes[:, b]
-            cols.append(np.where(u == v, 2, np.where(adj[u, v], 1, 3))[:, None])
-        row_arrays.append(np.hstack(cols).astype(np.int32))
+        above = np.triu_indices(space.k, 1)
+        types = atomic_types(graph, space.nodes)[:, above[0], above[1]]
+        labels = np.asarray(labels, dtype=np.int32)[space.nodes]
+        row_arrays.append(np.hstack([labels, types.astype(np.int32)]))
     return _relabel_rows(row_arrays)
 
 
-def _summary_rows(
-    graph: Graph, space: TupleSpace, colors: Sequence[int], variant: str
-) -> np.ndarray:
-    """Rows ``[old color | sorted block of position 1 | ... | position k]``.
-
-    Block j holds the colors of the tuples with node w at j, for every w:
-    ``2 * color + adjacent`` under ``delta_kwl``, and -1 for each skipped
-    node under the local rules.
-    """
-    colors = np.asarray(colors, dtype=np.int32)
-    padded = np.append(colors, np.int32(-1))  # table entry -1 reads this sentinel
-    adj = np.asarray(graph.adjacency(), dtype=bool)
-    local = variant in ("delta_klwl", "ks_lwl") or (space.k == 1 and variant == "kwl")
-    blocks = [colors[:, None]]
-    for j in range(space.k):
-        block = padded[space.substitution[j]]
-        near = adj[space.nodes[:, j]]
-        if variant == "delta_kwl":
-            block = 2 * block + near
-        elif local:
-            block = np.where(near, block, np.int32(-1))
-        block.sort(axis=1)
-        blocks.append(block)
-    return np.hstack(blocks)
+def _summary_ids(
+    graphs: Sequence[Graph],
+    spaces: Sequence[TupleSpace],
+    color_lists: Sequence[Sequence[int]],
+    variant: str,
+) -> list[list[int]]:
+    """One round on every graph through one table. A tuple's row is
+    ``[old color | sorted block of position 1 | ... | position k]``. Block j
+    holds the colors of the tuples reached by substituting at j: for every
+    node under the full rules (``2 * color + adjacent`` under ``delta_kwl``),
+    for the neighbors of the replaced node under the local rules, with -1
+    off the space and -1 padding up to the largest degree of the graphs."""
+    local = variant in ("delta_klwl", "ks_lwl") or (spaces[0].k == 1 and variant == "kwl")
+    width = max(graph.neighbor_array.shape[1] for graph in graphs)
+    row_arrays = []
+    for graph, space, colors in zip(graphs, spaces, color_lists):
+        colors = np.asarray(colors, dtype=np.int32)
+        padded = np.append(colors, np.int32(-1))  # index -1 reads this sentinel
+        nbrs = graph.neighbor_array
+        nbrs = np.pad(nbrs, ((0, 0), (0, width - nbrs.shape[1])), constant_values=-1)
+        blocks = [colors[:, None]]
+        for j in range(space.k):
+            here = space.nodes[:, j]
+            if local:
+                block = padded[space.substitute(j, nbrs[here])]
+            else:
+                block = padded[space.substitution[j]]
+                if variant == "delta_kwl":
+                    block = 2 * block + graph.adjacency_matrix[here]
+            block.sort(axis=1)
+            blocks.append(block)
+        row_arrays.append(np.hstack(blocks))
+    return _relabel_rows(row_arrays)
 
 
 def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
@@ -273,7 +288,7 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     _check_variant_space(variant, space.k, space.s)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
-    ids = _relabel_rows([_summary_rows(graph, space, coloring.colors, variant)])[0]
+    ids = _summary_ids([graph], [space], [coloring.colors], variant)[0]
     return Coloring(space, tuple(ids), coloring.iteration + 1)
 
 
@@ -336,11 +351,8 @@ def distinguish(
             raise LimitError(
                 ITERATION_LIMIT, f"no joint stable partition within {max_iterations} rounds"
             )
-        next_g, next_h = _relabel_rows(
-            [
-                _summary_rows(g, space_g, colors_g, variant),
-                _summary_rows(h, space_h, colors_h, variant),
-            ]
+        next_g, next_h = _summary_ids(
+            [g, h], [space_g, space_h], [colors_g, colors_h], variant
         )
         if next_g == colors_g and next_h == colors_h:
             return DistinguishResult(False, None)

@@ -273,7 +273,7 @@ def generalized_adjacency(
         raise LimitError(
             MEMORY_LIMIT, f"dense {t}x{t} tuple adjacency exceeds the cap of {memory_limit}"
         )
-    adj = np.asarray(graph.adjacency(), dtype=bool)
+    adj = graph.adjacency_matrix
     sub = space.substitution[j - 1]
     hit = (adj[space.nodes[:, j - 1]] == (gamma == 1)) & (sub >= 0)
     mat = np.zeros((t, t))
@@ -322,7 +322,7 @@ class _SpectralParts:
 
 
 def _spectral_parts(graph: Graph) -> _SpectralParts:
-    adj = np.asarray(graph.adjacency(), dtype=float)
+    adj = graph.adjacency_matrix.astype(float)
     dec_a = eigh(adj, source="adjacency")
     lam = dec_a.eigenvalues
     signs = np.where(lam >= 0.0, 1.0, -1.0)
@@ -582,7 +582,7 @@ def _drive(
 ) -> _DriveRecord:
     setup = _setup(graph, k, s, memory_limit)
     if k == 1:
-        targets = [weighted_indicator(np.asarray(graph.adjacency(), dtype=float))]
+        targets = [weighted_indicator(graph.adjacency_matrix.astype(float))]
     else:
         # Heads are ordered adjacent-first, matching the builder's loop.
         targets = [
@@ -916,7 +916,7 @@ def attention_error_curve(
     """
     parts = _spectral_parts(graph)
     scores = (parts.adj_part * parts.signs) @ parts.adj_part.T
-    target = weighted_indicator(np.asarray(graph.adjacency(), dtype=float)).matrix
+    target = weighted_indicator(graph.adjacency_matrix.astype(float)).matrix
     out = []
     for b in temperatures:
         b = _check_temperature(b)

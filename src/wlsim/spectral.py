@@ -41,7 +41,7 @@ def laplacian(graph: Graph, normalized: bool = False) -> np.ndarray:
     root of the endpoint degrees; isolated nodes are impossible here, so the
     division is always defined.
     """
-    a = np.array(graph.adjacency(), dtype=float)
+    a = graph.adjacency_matrix.astype(float)
     deg = a.sum(axis=1)
     lap = np.diag(deg) - a
     if not normalized:

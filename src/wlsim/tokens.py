@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .errors import INVALID_SCHEMA, ValidationError
-from .graphs import Graph, atomic_type
+from .graphs import Graph, atomic_types
 from .refine import _check_order, enumerate_tuples
 from .spectral import (
     EncoderParams,
@@ -293,8 +293,8 @@ def tuple_tokens(
         atp_rows = [atp_embedding_from_edges(graph, tup, cfg) for tup in space.tuples]
         atp_keys: list[Hashable] = [row.tobytes() for row in atp_rows]
     else:
-        keys = [atomic_type(graph, tup).entries for tup in space.tuples]
-        flat_keys = [tuple(x for row in key for x in row) for key in keys]
+        codes = atomic_types(graph, space.nodes).reshape(len(space.tuples), -1)
+        flat_keys = list(map(tuple, codes.tolist()))
         table = _table(cfg.seed, _STREAM_ATP, cfg.dim, flat_keys)
         atp_rows = [table[key] for key in flat_keys]
         atp_keys = list(flat_keys)

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from wlsim.graphs import (
     apply_permutation,
     are_isomorphic_bruteforce,
     atomic_type,
+    atomic_types,
     builtin_pair,
     graph_to_dict,
     load_graph,
@@ -125,6 +127,31 @@ def test_atomic_type_commutes_with_permutation(graph_samples, shuffled):
             tup = tuple(rng.randrange(g.num_nodes) for _ in range(3))
             mapped = tuple(perm[v] for v in tup)
             assert atomic_type(g, tup).entries == atomic_type(h, mapped).entries
+
+
+def test_atomic_types_match_the_pairwise_definition(graph_samples):
+    for g in graph_samples(17, 6, 2, 5):
+        for k in (1, 2, 3):
+            tuples = list(itertools.product(range(g.num_nodes), repeat=k))
+            codes = atomic_types(g, np.array(tuples).reshape(-1, k))
+            assert codes.shape == (len(tuples), k, k)
+            for tup, code in zip(tuples, codes.tolist()):
+                want = [
+                    [2 if u == v else 1 if v in g.neighbor_sets[u] else 3 for v in tup]
+                    for u in tup
+                ]
+                assert code == want
+
+
+def test_adjacency_arrays_match_the_neighbor_sets(graph_samples):
+    for g in graph_samples(19, 6, 2, 7):
+        adj, nbrs = g.adjacency_matrix, g.neighbor_array
+        assert not adj.flags.writeable and not nbrs.flags.writeable
+        assert nbrs.shape == (g.num_nodes, max(map(len, g.neighbor_sets)))
+        for v in range(g.num_nodes):
+            assert set(np.flatnonzero(adj[v]).tolist()) == g.neighbor_sets[v]
+            pad = nbrs.shape[1] - len(g.neighbor_sets[v])
+            assert nbrs[v].tolist() == sorted(g.neighbor_sets[v]) + [-1] * pad
 
 
 # ------------------------------------------------------- apply_permutation

@@ -3,6 +3,7 @@ the pair-distinguishing harness."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -134,6 +135,25 @@ def test_substitution_table_matches_index_of(graph_samples, k, s):
                 for w in range(g.num_nodes):
                     want = space.index_of.get(tup[:j] + (w,) + tup[j + 1 :], -1)
                     assert table[j, i, w] == want
+
+
+@pytest.mark.parametrize("variant", ["kwl", "delta_klwl", "ks_lwl"])
+def test_local_rules_on_a_sparse_graph_stay_within_degree_memory(variant):
+    # A 3000-cycle with a leaf on every third node: 4000 nodes, degree <= 3.
+    # An n x n table or adjacency would take 16-64 MB here.
+    n_cycle = 3000
+    edges = [(v, (v + 1) % n_cycle) for v in range(n_cycle)]
+    edges += [(v, n_cycle + v // 3) for v in range(0, n_cycle, 3)]
+    g = Graph(n_cycle + n_cycle // 3, edges)
+    g.neighbor_sets  # measure the refinement, not the graph's own sets
+    tracemalloc.start()
+    try:
+        run = refine_to_stable(g, 1, 1, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert partition_of(run[-1].colors) == partition_of(classic_refinement(g))
 
 
 def test_tuple_space_memory_cap(c6):

@@ -98,7 +98,7 @@ def brute_substitution_matrix(graph, k, j, gamma, space):
 
 
 def degree_normalized_adjacency(graph):
-    adj = np.asarray(graph.adjacency(), dtype=float)
+    adj = graph.adjacency_matrix.astype(float)
     return adj / adj.sum(axis=1)[:, None]
 
 
@@ -210,13 +210,13 @@ def test_softmax_rows_matches_a_direct_computation():
 def test_order_one_positive_substitution_is_the_adjacency_matrix(p3, k3):
     for g in (p3, k3):
         assert np.array_equal(
-            generalized_adjacency(g, 1, 1, 1), np.asarray(g.adjacency(), dtype=float)
+            generalized_adjacency(g, 1, 1, 1), g.adjacency_matrix.astype(float)
         )
 
 
 def test_order_one_negative_substitution_complements_with_diagonal(p3):
     # w = v itself is non-adjacent (no self loops), so the diagonal is set.
-    expected = np.ones((3, 3)) - np.asarray(p3.adjacency(), dtype=float) - np.eye(3)
+    expected = np.ones((3, 3)) - p3.adjacency_matrix.astype(float) - np.eye(3)
     expected += np.eye(3)
     assert np.array_equal(generalized_adjacency(p3, 1, 1, -1), expected)
 
@@ -321,7 +321,7 @@ def test_indicator_splits_rows_by_their_sums():
 
 def test_indicator_of_the_adjacency_is_the_degree_normalized_walk(p3, c6):
     for g in (p3, c6):
-        adj = np.asarray(g.adjacency(), dtype=float)
+        adj = g.adjacency_matrix.astype(float)
         assert np.allclose(weighted_indicator(adj).matrix, degree_normalized_adjacency(g))
 
 

@@ -71,9 +71,9 @@ def degenerate_matrices():
     return [
         laplacian(c6),
         laplacian(k5),
-        np.array(k6.adjacency(), dtype=float),
+        k6.adjacency_matrix.astype(float),
         laplacian(shrikhande),
-        np.array(shrikhande.adjacency(), dtype=float),
+        shrikhande.adjacency_matrix.astype(float),
     ]
 
 
