@@ -11,6 +11,13 @@ neighbor-color counts and relabels the rows.  Iterating the layer
 reproduces, class for class, the refinement computed by the multiset engine
 in ``refine``.
 
+On a full tuple space (s = k >= 2) each head's query and key read only the
+positional block of one tuple position per score slot, so its softmax is
+exactly a Kronecker product of k row-stochastic n x n factors.  The simulation
+then applies the head as k mode products on the ``(n,)*k`` value tensor
+instead of building the t x t attention matrix; ``transformer_layer`` stays
+the dense reference, and the path for order 1 and restricted spaces.
+
 ``simulate_and_compare`` runs three implementations side by side: the
 constructed transformer, the hash-based engine, and an exact fixed-point
 digit encoding (``gnn_reference_step``) that aggregates neighbor colors with
@@ -221,6 +228,14 @@ def transformer_layer(x, weights: LayerWeights, return_attention: bool = False):
     return out
 
 
+def _check_dense(rows: int, cols: int, what: str, memory_limit: int) -> None:
+    """Refuse a dense float matrix with more than ``memory_limit`` entries."""
+    if rows * cols > memory_limit:
+        raise LimitError(
+            MEMORY_LIMIT, f"dense {rows}x{cols} {what} exceeds the cap of {memory_limit}"
+        )
+
+
 def generalized_adjacency(
     graph: Graph,
     k: int,
@@ -269,10 +284,7 @@ def generalized_adjacency(
                 f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
             )
     t = len(space.tuples)
-    if t * t > memory_limit:
-        raise LimitError(
-            MEMORY_LIMIT, f"dense {t}x{t} tuple adjacency exceeds the cap of {memory_limit}"
-        )
+    _check_dense(t, t, "tuple adjacency", memory_limit)
     adj = graph.adjacency_matrix
     sub = space.substitution[j - 1]
     hit = (adj[space.nodes[:, j - 1]] == (gamma == 1)) & (sub >= 0)
@@ -424,9 +436,12 @@ def _token_rows_k(
     classes: Sequence[int],
     parts: _SpectralParts,
     degblock: np.ndarray,
+    memory_limit: int,
 ) -> np.ndarray:
     lay = _KLayout(c=max(classes) + 1, k=space.k, n=space.num_nodes)
-    x = np.zeros((len(space.tuples), lay.width))
+    t = len(space.tuples)
+    _check_dense(t, lay.width, "token matrix", memory_limit)
+    x = np.zeros((t, lay.width))
     for i, cls in enumerate(classes):
         x[i, cls] = 1.0
     x[:, lay.deg0 : lay.deg0 + 2 * lay.k] = degblock
@@ -444,10 +459,12 @@ def _build_kgt_layer(
     degblock: np.ndarray,
     b: float,
     trace: dict,
+    memory_limit: int,
 ) -> LayerWeights:
     k, n = space.k, space.num_nodes
     lay = _KLayout(c=max(classes) + 1, k=k, n=n)
     c, d = lay.c, lay.width
+    _check_dense(2 * k * c, d, "output projection", memory_limit)
     d_k = k * n
     inner = 2.0 * n + 2.0
     alpha, beta = _variant_scalars(variant, n)
@@ -491,9 +508,107 @@ def _build_kgt_layer(
         combined = np.hstack(pieces)
         new_classes = _dense_row_ids(combined)
         trace["classes"] = new_classes
-        return _token_rows_k(space, new_classes, parts, degblock)
+        return _token_rows_k(space, new_classes, parts, degblock, memory_limit)
 
     return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
+
+
+# ---------------------------------------------------------------------------
+# Factored forward on full tuple spaces.
+#
+# Tuple i = (u_1, ..., u_k) of a full space sits at the row-major index of
+# its nodes, and its positional blocks hold P[u_o] with P = [node_part |
+# adj_part].  When a head's score slot o reads only the block of position o,
+# its score is a sum of per-position terms S_o[u_o, v_o], so exp factorizes
+# and softmax(score) = F_1 (x) ... (x) F_k with F_o = softmax_rows(S_o).
+
+
+def _position_factors(head: AttentionHead, lay: _KLayout, pe: np.ndarray) -> np.ndarray:
+    """The k row-stochastic n x n factors of one head's attention, stacked.
+
+    Raises ``ValidationError`` unless every nonzero of ``w_q`` and ``w_k``
+    lies in a (position block, score slot) pair, the only layout for which
+    the product form is exact.
+    """
+    n, k = lay.n, lay.k
+    d_k = k * n
+    diagonal = np.arange(k)
+    projected = []
+    for name, w in (("query", head.w_q), ("key", head.w_k)):
+        if w.shape != (lay.width, d_k):
+            raise ValidationError(
+                SHAPE_MISMATCH, f"{name} projection is {w.shape}, expected {(lay.width, d_k)}"
+            )
+        # The positional blocks [pe_node(o) | pe_adj(o)] fill the last 2nk
+        # rows; entry o is the (block of position o, score slot o) submatrix.
+        blocks = w[lay.pe_node(0).start :].reshape(k, 2 * n, k, n)[diagonal, :, diagonal]
+        if np.count_nonzero(blocks) != np.count_nonzero(w):
+            raise ValidationError(
+                INVALID_SCHEMA,
+                f"the {name} projection reads outside the positional block of its score slot",
+            )
+        projected.append(pe @ blocks)
+    query, key = projected
+    scores = query @ key.transpose(0, 2, 1) / math.sqrt(d_k)
+    return softmax_rows(scores.reshape(k * n, n)).reshape(k, n, n)
+
+
+def _mode_products(factors: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """``(F_1 (x) ... (x) F_k) @ values`` as one mode-o product per position
+    on the ``(n,)*k`` value tensor (Kolda & Bader, SIAM Review 2009)."""
+    t, width = values.shape
+    n = factors[0].shape[0]
+    out = values
+    for o, factor in enumerate(factors):
+        out = (factor @ out.reshape(n**o, n, -1)).reshape(t, width)
+    return out
+
+
+def _factored_layer(
+    x: np.ndarray, weights: LayerWeights, lay: _KLayout, pe: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``transformer_layer`` over a full tuple space, each head applied as
+    mode products of its factors.  Returns the layer output and the factors
+    of every head.  ``w_v`` and ``w_o`` are read on their nonzero rows and
+    columns only; the entries skipped would add exact zeros."""
+    combined = x.copy()
+    factors = []
+    start = 0
+    for head in weights.heads:
+        head_factors = _position_factors(head, lay, pe)
+        rows = np.flatnonzero(head.w_v.any(axis=1))
+        values = _mode_products(head_factors, x[:, rows] @ head.w_v[rows])
+        # This head's rows of w_o, and the token columns they write.
+        w_o = weights.w_o[start : start + head.w_v.shape[1]]
+        start += head.w_v.shape[1]
+        cols = np.flatnonzero(w_o.any(axis=0))
+        combined[:, cols] += values @ w_o[:, cols]
+        factors.append(head_factors)
+    out = combined if weights.ffn is None else weights.ffn(combined)
+    return out, factors
+
+
+def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
+    """Frobenius distance between the Kronecker products of two stacks of
+    k square factors.
+
+    With E_o = F_o - T_o, the difference is the sum over the 2^k - 1
+    nonempty sets S of positions of the products that take E_o on S and
+    T_o elsewhere.  Its squared norm sums the inner products of every pair
+    of those terms, and each is a product of k n x n inner products: entry
+    (S, S') of the Kronecker product of the 2 x 2 Gram matrices of (T_o,
+    E_o).  Every term carries an E factor on both sides, so a tiny error is
+    not the difference of two O(1) numbers.
+    """
+    errors = factors - targets
+    tt, te, ee = (
+        np.einsum("oij,oij->o", a, b)
+        for a, b in ((targets, targets), (targets, errors), (errors, errors))
+    )
+    gram = np.ones((1, 1))
+    for o in range(len(errors)):
+        gram = np.kron(gram, np.array([[tt[o], te[o]], [te[o], ee[o]]]))
+    return math.sqrt(max(float(gram[1:, 1:].sum()), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +654,10 @@ def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
 @dataclass(frozen=True, eq=False)
 class _Setup:
     """Layer-0 state of a construction: tuple space, spectral blocks, initial
-    classes and tokens, and for k >= 2 the substitution adjacencies keyed by
-    ``(j, gamma)`` with their row sums as the degree block."""
+    classes and tokens, and for k >= 2 the degree block.  On a restricted
+    space the block is the row sums of the substitution adjacencies, which
+    are kept keyed by ``(j, gamma)`` as the attention targets; on a full
+    space it is deg(u_j) and n - deg(u_j) and ``gen`` is empty."""
 
     space: TupleSpace
     parts: _SpectralParts
@@ -556,18 +673,25 @@ def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
     classes = initial_coloring(graph, space).colors
     if k == 1:
         return _Setup(space, parts, classes, _token_rows_1(graph, classes, parts), {}, None)
-    gen = {
-        (j, gamma): generalized_adjacency(
-            graph, k, j, gamma, space=space, memory_limit=memory_limit
-        )
-        for gamma in (1, -1)
-        for j in range(1, k + 1)
-    }
+    keys = [(j, gamma) for gamma in (1, -1) for j in range(1, k + 1)]
+    if s == k:
+        gen = {}
+        deg = graph.adjacency_matrix.sum(axis=1)
+        count = {1: deg, -1: graph.num_nodes - deg}
+        sums = {(j, gamma): count[gamma][space.nodes[:, j - 1]] for j, gamma in keys}
+    else:
+        gen = {
+            (j, gamma): generalized_adjacency(
+                graph, k, j, gamma, space=space, memory_limit=memory_limit
+            )
+            for j, gamma in keys
+        }
+        sums = {key: mat.sum(axis=1) for key, mat in gen.items()}
     degblock = np.zeros((len(space.tuples), 2 * k))
     for j in range(1, k + 1):
-        degblock[:, 2 * (j - 1)] = gen[(j, 1)].sum(axis=1)
-        degblock[:, 2 * (j - 1) + 1] = gen[(j, -1)].sum(axis=1)
-    tokens = _token_rows_k(space, classes, parts, degblock)
+        degblock[:, 2 * (j - 1)] = sums[(j, 1)]
+        degblock[:, 2 * (j - 1) + 1] = sums[(j, -1)]
+    tokens = _token_rows_k(space, classes, parts, degblock, memory_limit)
     return _Setup(space, parts, classes, tokens, gen, degblock)
 
 
@@ -581,15 +705,25 @@ def _drive(
     memory_limit: int,
 ) -> _DriveRecord:
     setup = _setup(graph, k, s, memory_limit)
+    factored = k >= 2 and s == k
+    # Heads are ordered adjacent-first, matching the builder's loop.
     if k == 1:
         targets = [weighted_indicator(graph.adjacency_matrix.astype(float))]
-    else:
-        # Heads are ordered adjacent-first, matching the builder's loop.
+    elif factored:
+        # Row-normalized A (gamma = +1) or 1 - A (gamma = -1) at position j
+        # and the identity elsewhere.  No row is zero: there are no isolated
+        # nodes, and every node is non-adjacent to itself.
+        n = graph.num_nodes
+        adj = graph.adjacency_matrix.astype(float)
+        walk = {gamma: m / m.sum(axis=1, keepdims=True) for gamma, m in ((1, adj), (-1, 1.0 - adj))}
         targets = [
-            weighted_indicator(setup.gen[(j, gamma)])
+            np.stack([walk[gamma] if o == j else np.eye(n) for o in range(k)])
             for gamma in (1, -1)
-            for j in range(1, k + 1)
+            for j in range(k)
         ]
+        pe = np.hstack([setup.parts.node_part, setup.parts.adj_part])
+    else:
+        targets = [weighted_indicator(setup.gen[key]) for key in setup.gen]
     classes = setup.classes
     partitions = [classes]
     x = setup.tokens
@@ -602,11 +736,16 @@ def _drive(
             layer = _build_1wl_layer(graph, classes, setup.parts, b, trace)
         else:
             layer = _build_kgt_layer(
-                setup.space, variant, classes, setup.parts, setup.degblock, b, trace
+                setup.space, variant, classes, setup.parts, setup.degblock, b, trace, memory_limit
             )
-        x, atts = transformer_layer(x, layer, return_attention=True)
+        if factored:
+            lay = _KLayout(c=max(classes) + 1, k=k, n=n)
+            x, factors = _factored_layer(x, layer, lay, pe)
+            errors.append(tuple(_kron_error(f, tgt) for f, tgt in zip(factors, targets)))
+        else:
+            x, atts = transformer_layer(x, layer, return_attention=True)
+            errors.append(tuple(_masked_error(att, tgt) for att, tgt in zip(atts, targets)))
         layers.append(layer)
-        errors.append(tuple(_masked_error(att, tgt) for att, tgt in zip(atts, targets)))
         slack_max = max(slack_max, trace["slack"])
         classes = trace["classes"]
         partitions.append(classes)

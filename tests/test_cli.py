@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from wlsim.graphs import Graph, graph_to_dict
+from wlsim.graphs import Graph, builtin_pair, graph_to_dict
 
 
 def run_cli(*args):
@@ -262,6 +262,18 @@ def test_simulate_at_low_temperature_fails_with_a_verdict(tmp_path):
     assert all(doc["partition_equal_per_layer"])
     assert doc["rounding_slack_max"] >= 0.4
     assert doc["pass"] is False
+
+
+def test_simulate_replays_order_three_on_the_shrikhande_graph(tmp_path):
+    # 4096 tuples: the forward runs on Kronecker factors, never on a
+    # 4096 x 4096 attention matrix, so the run fits under the memory cap.
+    path = tmp_path / "shrikhande.json"
+    path.write_text(json.dumps(graph_to_dict(builtin_pair("shrikhande_vs_rook")[0])))
+    proc = run_cli("simulate", "--graph", str(path), "--k", "3", "--variant", "delta")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is True
+    assert doc["partition_equal_per_layer"] == [True] * 4
 
 
 def test_simulate_rejects_inconsistent_variant_requests(p3_file):

@@ -6,6 +6,8 @@ builder written here, and the end-to-end driver is compared round by round
 against the refinement engine and the digit oracle.
 """
 
+import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -30,6 +32,7 @@ from wlsim.errors import (
 )
 from wlsim.graphs import Graph, builtin_pair, random_graph
 from wlsim.refine import (
+    DEFAULT_MEMORY_LIMIT,
     VARIANTS,
     enumerate_tuples,
     initial_coloring,
@@ -595,6 +598,132 @@ def test_simulation_is_deterministic(k3):
     assert first.max_attention_error == second.max_attention_error
 
 
+# ------------------------------------------ factored forward on full spaces
+
+
+def spectral_blocks(g):
+    """The n x 2n positional rows [node_part | adj_part] of every position."""
+    parts = wlsim.simulate._spectral_parts(g)
+    return np.hstack([parts.node_part, parts.adj_part])
+
+
+def lockstep_forwards(g, k, variant, b, t_layers):
+    """Step the dense and the factored forward on the same constructed layers.
+
+    Each round both paths get the same tokens and freshly built weights.
+    Yields a dict keyed by path of (attention matrices, residual sum before
+    the FFN, FFN output, FFN trace); the factored attentions are rebuilt as
+    dense Kronecker products of their factors.  The dense output feeds the
+    next round.
+    """
+    sim = wlsim.simulate
+    setup = sim._setup(g, k, k, DEFAULT_MEMORY_LIMIT)
+    pe = spectral_blocks(g)
+    x, classes = setup.tokens, setup.classes
+    for _ in range(t_layers):
+        lay = sim._KLayout(c=max(classes) + 1, k=k, n=g.num_nodes)
+        rounds = {}
+        for path in ("dense", "factored"):
+            trace = {"slack": 0.0, "classes": ()}
+            layer = sim._build_kgt_layer(
+                setup.space, variant, classes, setup.parts, setup.degblock, b, trace,
+                DEFAULT_MEMORY_LIMIT,
+            )
+            bare = dataclasses.replace(layer, ffn=None)
+            if path == "dense":
+                combined, atts = transformer_layer(x, bare, return_attention=True)
+            else:
+                combined, factors = sim._factored_layer(x, bare, lay, pe)
+                atts = [functools.reduce(np.kron, f) for f in factors]
+            rounds[path] = (atts, combined, layer.ffn(combined), trace)
+        yield rounds
+        x, classes = rounds["dense"][2], rounds["dense"][3]["classes"]
+
+
+@pytest.mark.parametrize("b", [DEFAULT_TEMPERATURE, 0.5])
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 5), (2, 9), (2, 14), (2, 18), (3, 3), (3, 5), (3, 7)])
+def test_factored_forward_matches_the_dense_layer(k, n, b):
+    rng = random.Random(1000 * k + n)
+    g = random_graph(rng, n, edge_prob=rng.uniform(0.3, 0.7), connected=True)
+    for variant in ("kwl", "delta_kwl", "delta_klwl"):
+        for rounds in lockstep_forwards(g, k, variant, b, 2):
+            atts_d, combined_d, out_d, trace_d = rounds["dense"]
+            atts_f, combined_f, out_f, trace_f = rounds["factored"]
+            assert len(atts_d) == len(atts_f) == 2 * k
+            for dense, rebuilt in zip(atts_d, atts_f):
+                assert np.abs(dense - rebuilt).max() < 1e-12
+            assert np.abs(combined_d - combined_f).max() < 1e-9
+            assert trace_d["classes"] == trace_f["classes"]
+            assert abs(trace_d["slack"] - trace_f["slack"]) < 1e-9
+            assert np.array_equal(out_d, out_f)
+
+
+@pytest.mark.parametrize("b", [DEFAULT_TEMPERATURE, 0.5])
+@pytest.mark.parametrize("k,n", [(2, 10), (3, 5)])
+def test_reported_attention_error_is_the_distance_of_the_kronecker_product(k, n, b):
+    # The reported error comes from per-factor inner products.  The dense
+    # distance of the rebuilt product from the t x t target is the
+    # reference; at b = 60 it is about 1e-13, where subtracting products of
+    # norms would leave only cancellation noise.
+    sim = wlsim.simulate
+    rng = random.Random(77 + k * n)
+    g = random_graph(rng, n, edge_prob=0.5, connected=True)
+    space = enumerate_tuples(g, k, k)
+    report = simulate_and_compare(g, k, k, "delta_kwl", t_layers=1, b=b)
+    layer = construct_kgt_weights(g, k, "delta_kwl", 1, b=b).layers[0]
+    lay = sim._KLayout(c=max(report.transformer_partitions[0]) + 1, k=k, n=n)
+    _, factors = sim._factored_layer(initial_tokens(g, k), layer, lay, spectral_blocks(g))
+    slots = [(j, gamma) for gamma in (1, -1) for j in range(1, k + 1)]
+    for got, head, (j, gamma) in zip(report.attention_errors[0], factors, slots):
+        target = weighted_indicator(generalized_adjacency(g, k, j, gamma, space=space)).matrix
+        want = np.linalg.norm(functools.reduce(np.kron, head) - target)
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-15)
+
+
+def test_factored_forward_rejects_a_head_that_reads_off_its_block():
+    sim = wlsim.simulate
+    g = random_graph(random.Random(5), 5, edge_prob=0.5, connected=True)
+    layer = construct_kgt_weights(g, 2, "kwl", 1).layers[0]
+    x = initial_tokens(g, 2)
+    lay = sim._KLayout(c=layer.w_o.shape[0] // 4, k=2, n=5)
+    pe = spectral_blocks(g)
+    sim._factored_layer(x, layer, lay, pe)
+    # One entry feeding position 2's block into the score slot of position 1.
+    w_q = layer.heads[0].w_q.copy()
+    w_q[lay.pe_node(1).start, 0] = 1.0
+    mutant = dataclasses.replace(layer.heads[0], w_q=w_q)
+    bad = dataclasses.replace(layer, heads=(mutant, *layer.heads[1:]))
+    with pytest.raises(ValidationError) as err:
+        sim._factored_layer(x, bad, lay, pe)
+    assert err.value.code == INVALID_SCHEMA
+
+
+def test_full_space_layers_enforce_the_memory_cap(p3, single_edge):
+    # The path at k = 2: 9 tuples of width 31 (three initial classes).
+    with pytest.raises(LimitError) as err:
+        simulate_and_compare(p3, 2, 2, "kwl", memory_limit=100)
+    assert err.value.code == MEMORY_LIMIT
+    assert "9x31 token matrix" in err.value.message
+    # One edge at k = 2: 4 x 22 tokens fit, the 8 x 22 output projection not.
+    with pytest.raises(LimitError) as err:
+        simulate_and_compare(single_edge, 2, 2, "kwl", memory_limit=100)
+    assert err.value.code == MEMORY_LIMIT
+    assert "8x22 output projection" in err.value.message
+
+
+@pytest.mark.parametrize("variant", ["kwl", "delta_kwl", "delta_klwl"])
+def test_order_three_transformer_replays_the_strongly_regular_pair(variant):
+    # t = 16^3 = 4096 tuples: the dense t x t attention would exceed the cap.
+    shrikhande, rook = builtin_pair("shrikhande_vs_rook")
+    grows = variant != "kwl"
+    for g, classes in ((shrikhande, [15, 22, 31, 31] if grows else [15, 15]), (rook, [15, 15])):
+        report = simulate_and_compare(g, 3, 3, variant)
+        assert report.all_equal, variant
+        assert [max(p) + 1 for p in report.transformer_partitions] == classes
+        assert report.max_attention_error < 1e-8
+        assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+
+
 # -------------------------------------------------------- gnn_reference_step
 
 
@@ -701,6 +830,22 @@ def test_digit_step_agrees_with_the_engine_at_the_edges_of_the_model(g):
                     if nxt.colors == engine.colors:
                         break
                     engine = nxt
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=edge_case_graphs())
+def test_transformer_agrees_with_engine_and_oracle_at_the_edges_of_the_model(g):
+    for k in (1, 2, 3):
+        for variant in VARIANTS:
+            for s in range(1, k + 1) if variant == "ks_lwl" else (k,):
+                if k == 1 and variant != "kwl":
+                    with pytest.raises(ValidationError) as err:
+                        simulate_and_compare(g, k, s, variant)
+                    assert err.value.code == VARIANT_MISMATCH
+                    continue
+                report = simulate_and_compare(g, k, s, variant)
+                assert report.all_equal, (k, s, variant)
+                assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT, (k, s, variant)
 
 
 # ------------------------------------------------------ attention_error_curve
