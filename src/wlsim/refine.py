@@ -173,6 +173,19 @@ def _check_variant_space(variant: str, k: int, s: int) -> None:
         )
 
 
+def _is_local(variant: str, k: int) -> bool:
+    """True for the rules that count adjacent substitutions only:
+    ``delta_klwl``, ``ks_lwl`` and, at k = 1, ``kwl``."""
+    return variant in ("delta_klwl", "ks_lwl") or (k == 1 and variant == "kwl")
+
+
+def _check_max_iterations(cap: object) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        raise ValidationError(
+            INVALID_SCHEMA, f"iteration cap must be a non-negative integer, got {cap!r}"
+        )
+
+
 def enumerate_tuples(
     graph: Graph, k: int, s: int, memory_limit: int = DEFAULT_MEMORY_LIMIT
 ) -> TupleSpace:
@@ -254,7 +267,7 @@ def _summary_ids(
     node under the full rules (``2 * color + adjacent`` under ``delta_kwl``),
     for the neighbors of the replaced node under the local rules, with -1
     off the space and -1 padding up to the largest degree of the graphs."""
-    local = variant in ("delta_klwl", "ks_lwl") or (spaces[0].k == 1 and variant == "kwl")
+    local = _is_local(variant, spaces[0].k)
     width = max(graph.neighbor_array.shape[1] for graph in graphs)
     row_arrays = []
     for graph, space, colors in zip(graphs, spaces, color_lists):
@@ -307,6 +320,7 @@ def refine_to_stable(
     discarded. A partition can strictly refine at most ``|tuples| - 1``
     times, so the iteration cap only guards against implementation bugs.
     """
+    _check_max_iterations(max_iterations)
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
     _check_variant_space(variant, k, s)
     current = initial_coloring(graph, space)
@@ -339,6 +353,7 @@ def distinguish(
     differ, or once the joint partition stops changing.
     """
     _check_variant(variant)
+    _check_max_iterations(max_iterations)
     space_g = enumerate_tuples(g, k, s, memory_limit=memory_limit)
     space_h = enumerate_tuples(h, k, s, memory_limit=memory_limit)
     _check_variant_space(variant, k, s)

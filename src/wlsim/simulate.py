@@ -11,12 +11,18 @@ neighbor-color counts and relabels the rows.  Iterating the layer
 reproduces, class for class, the refinement computed by the multiset engine
 in ``refine``.
 
-On a full tuple space (s = k >= 2) each head's query and key read only the
+One construction serves every order, order 1 being k = 1.  Head (j, gamma)
+attends to the tuples reached by substituting a node at position j that is
+adjacent (gamma = +1) or non-adjacent (gamma = -1) to the replaced one.  Every
+rule builds the k adjacent heads; only the full rules, which count
+non-adjacent substitutions too, also build the k non-adjacent ones.
+
+On a full tuple space (s = k) each head's query and key read only the
 positional block of one tuple position per score slot, so its softmax is
 exactly a Kronecker product of k row-stochastic n x n factors.  The simulation
 then applies the head as k mode products on the ``(n,)*k`` value tensor
 instead of building the t x t attention matrix; ``transformer_layer`` stays
-the dense reference, and the path for order 1 and restricted spaces.
+the dense reference, and the path for restricted spaces.
 
 ``simulate_and_compare`` runs three implementations side by side: the
 constructed transformer, the hash-based engine, and an exact fixed-point
@@ -55,6 +61,7 @@ from .refine import (
     _check_variant,
     _check_variant_space,
     _dense_relabel,
+    _is_local,
     _relabel_rows,
     enumerate_tuples,
     initial_coloring,
@@ -89,22 +96,6 @@ DEFAULT_TEMPERATURE = 60.0
 # for a run to pass; the margin is the quantitative witness that the
 # attention approximation is tight enough to be read back exactly.
 ROUNDING_SLACK_LIMIT = 0.4
-
-def _variant_scalars(variant: str, n: int) -> tuple[float, float]:
-    """Output-projection scalars (alpha, beta) for the two head groups.
-
-    Plain counting adds the adjacent and non-adjacent counts back together,
-    so the scalars are equal.  The adjacency-aware rule packs the two counts
-    into one integer as ``adjacent + (n + 1) * non_adjacent``; both counts
-    are at most ``n``, so the packing is injective.  The local rules drop
-    the non-adjacent group entirely.
-    """
-    if variant == "kwl":
-        return 1.0, 1.0
-    if variant == "delta_kwl":
-        return 1.0, float(n + 1)
-    return 1.0, 0.0
-
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction so large scores cannot overflow."""
@@ -149,7 +140,7 @@ class ConstructedWeights:
     variant: str
 
     def __post_init__(self) -> None:
-        expected = 1 if self.k == 1 else 2 * self.k
+        expected = self.k * (1 if _is_local(self.variant, self.k) else 2)
         if self.head_count != expected:
             raise ValidationError(
                 INVALID_SCHEMA,
@@ -285,12 +276,18 @@ def generalized_adjacency(
             )
     t = len(space.tuples)
     _check_dense(t, t, "tuple adjacency", memory_limit)
-    adj = graph.adjacency_matrix
-    sub = space.substitution[j - 1]
-    hit = (adj[space.nodes[:, j - 1]] == (gamma == 1)) & (sub >= 0)
+    hit = _substitution_hits(graph, space, j - 1, gamma)
     mat = np.zeros((t, t))
-    mat[np.nonzero(hit)[0], sub[hit]] = 1.0
+    mat[np.nonzero(hit)[0], space.substitution[j - 1][hit]] = 1.0
     return mat
+
+
+def _substitution_hits(graph: Graph, space: TupleSpace, j: int, gamma: int) -> np.ndarray:
+    """Entry ``[i, w]`` is true when putting node ``w`` at the 0-based
+    position ``j`` of tuple ``i`` stays on the space and ``w`` is adjacent
+    (``gamma = +1``) or non-adjacent (``gamma = -1``) to the replaced node."""
+    adjacent = graph.adjacency_matrix[space.nodes[:, j]] == (gamma == 1)
+    return adjacent & (space.substitution[j] >= 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,50 +353,7 @@ def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Order-1 construction: one head, adjacency-shaped attention.
-
-
-def _token_rows_1(graph: Graph, classes: Sequence[int], parts: _SpectralParts) -> np.ndarray:
-    n = graph.num_nodes
-    c = max(classes) + 1
-    x = np.zeros((n, 2 * c + 2 + n))
-    for v, cls in enumerate(classes):
-        x[v, cls] = 1.0
-    x[:, 2 * c] = [graph.degree(v) for v in range(n)]
-    x[:, 2 * c + 2 :] = parts.adj_part
-    return x
-
-
-def _build_1wl_layer(
-    graph: Graph, classes: Sequence[int], parts: _SpectralParts, b: float, trace: dict
-) -> LayerWeights:
-    n = graph.num_nodes
-    c = max(classes) + 1
-    d = 2 * c + 2 + n
-    pe = 2 * c + 2
-
-    w_q = np.zeros((d, n))
-    w_q[pe:, :] = b * math.sqrt(n) * np.diag(parts.signs)
-    w_k = np.zeros((d, n))
-    w_k[pe:, :] = np.eye(n)
-    w_v = np.zeros((d, d))
-    w_v[0:c, c : 2 * c] = np.eye(c)
-
-    def ffn(xt: np.ndarray) -> np.ndarray:
-        # Double, de-normalize by degree, and round: even numbers are the
-        # neighbor counts, the odd +1 from the residual one-hot marks the
-        # row's own class, so one integer vector carries both.
-        counts = _round_counts(xt[:, c : 2 * c] * 2.0 * xt[:, 2 * c : 2 * c + 1], trace)
-        combined = xt[:, 0:c] + counts
-        new_classes = _dense_row_ids(combined)
-        trace["classes"] = new_classes
-        return _token_rows_1(graph, new_classes, parts)
-
-    return LayerWeights(heads=(AttentionHead(w_q, w_k, w_v),), w_o=np.eye(d), ffn=ffn)
-
-
-# ---------------------------------------------------------------------------
-# Order-k construction: 2k heads over the generalized tuple adjacencies.
+# Order-k construction: k heads per group over the generalized tuple adjacencies.
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,15 +366,20 @@ class _KLayout:
     def width(self) -> int:
         return self.c * (2 * self.k + 1) + 2 * self.k + 2 * self.n * self.k
 
-    def alpha(self, j: int) -> slice:
-        return slice(self.c * (j + 1), self.c * (j + 2))
-
-    def beta(self, j: int) -> slice:
-        return slice(self.c * (self.k + 1 + j), self.c * (self.k + 2 + j))
+    def counts(self, gamma: int, j: int) -> slice:
+        """Count scratch of head (j, gamma): the adjacent blocks follow the
+        one-hot, the non-adjacent blocks follow those."""
+        start = self.c * (1 + j + (0 if gamma == 1 else self.k))
+        return slice(start, start + self.c)
 
     @property
     def deg0(self) -> int:
         return self.c * (2 * self.k + 1)
+
+    def degree(self, gamma: int, j: int) -> slice:
+        """Degree cell of head (j, gamma): the number of its substitutions."""
+        col = self.deg0 + 2 * j + (0 if gamma == 1 else 1)
+        return slice(col, col + 1)
 
     def pe_node(self, j: int) -> slice:
         base = self.deg0 + 2 * self.k + 2 * self.n * j
@@ -442,13 +401,27 @@ def _token_rows_k(
     t = len(space.tuples)
     _check_dense(t, lay.width, "token matrix", memory_limit)
     x = np.zeros((t, lay.width))
-    for i, cls in enumerate(classes):
-        x[i, cls] = 1.0
+    x[np.arange(t), classes] = 1.0
     x[:, lay.deg0 : lay.deg0 + 2 * lay.k] = degblock
     for j in range(lay.k):
         x[:, lay.pe_node(j)] = parts.node_part[space.nodes[:, j]]
         x[:, lay.pe_adj(j)] = parts.adj_part[space.nodes[:, j]]
     return x
+
+
+def _head_groups(variant: str, k: int, n: int) -> tuple[tuple[int, float], ...]:
+    """Sign and output scalar of each head group, the adjacent group first.
+
+    Every rule reads the adjacent substitutions (gamma = +1, scalar 1).  Only
+    the full rules read the non-adjacent ones (gamma = -1): plain counting
+    adds the two counts back together (scalar 1), the adjacency-aware rule
+    packs them into one integer as ``adjacent + (n + 1) * non_adjacent``,
+    which is injective because both counts are at most ``n``.  The local
+    rules build no non-adjacent heads, so none is built only to be dropped.
+    """
+    if _is_local(variant, k):
+        return ((1, 1.0),)
+    return ((1, 1.0), (-1, float(n + 1) if variant == "delta_kwl" else 1.0))
 
 
 def _build_kgt_layer(
@@ -464,13 +437,14 @@ def _build_kgt_layer(
     k, n = space.k, space.num_nodes
     lay = _KLayout(c=max(classes) + 1, k=k, n=n)
     c, d = lay.c, lay.width
-    _check_dense(2 * k * c, d, "output projection", memory_limit)
+    groups = _head_groups(variant, k, n)
+    _check_dense(len(groups) * k * c, d, "output projection", memory_limit)
     d_k = k * n
     inner = 2.0 * n + 2.0
-    alpha, beta = _variant_scalars(variant, n)
 
     heads = []
-    for gamma in (1, -1):
+    w_o = np.zeros((len(groups) * k * c, d))
+    for gamma, scalar in groups:
         for j in range(k):
             w_q = np.zeros((d, d_k))
             w_k = np.zeros((d, d_k))
@@ -484,27 +458,23 @@ def _build_kgt_layer(
                     w_k[lay.pe_node(o), slot] = np.eye(n)
             w_v = np.zeros((d, c))
             w_v[0:c, :] = np.eye(c)
+            row = len(heads) * c
+            w_o[row : row + c, lay.counts(gamma, j)] = scalar * np.eye(c)
             heads.append(AttentionHead(w_q, w_k, w_v))
 
-    w_o = np.zeros((2 * k * c, d))
-    for j in range(k):
-        rows_a = slice(j * c, (j + 1) * c)
-        rows_b = slice((k + j) * c, (k + j + 1) * c)
-        w_o[rows_a, lay.alpha(j)] = alpha * np.eye(c)
-        w_o[rows_b, lay.beta(j)] = beta * np.eye(c)
-
     def ffn(xt: np.ndarray) -> np.ndarray:
-        # De-normalize each count block by its own degree, round, and merge
-        # the two groups per position. The alpha/beta scalars already applied
-        # by w_o make the merge faithful to the variant: a plain sum of both
-        # counts, an injective base-(n+1) packing, or the adjacent part only.
+        # De-normalize each count block by its own degree, round, and add the
+        # groups up per position. The scalars already applied by w_o make the
+        # sum faithful to the variant: a plain sum of both counts or an
+        # injective base-(n+1) packing; a local rule has the adjacent group only.
         pieces = [xt[:, 0:c]]
         for j in range(k):
-            d_adj = xt[:, lay.deg0 + 2 * j : lay.deg0 + 2 * j + 1]
-            d_non = xt[:, lay.deg0 + 2 * j + 1 : lay.deg0 + 2 * j + 2]
-            counts_a = _round_counts(xt[:, lay.alpha(j)] * d_adj, trace)
-            counts_b = _round_counts(xt[:, lay.beta(j)] * d_non, trace)
-            pieces.append(counts_a + counts_b)
+            pieces.append(
+                sum(
+                    _round_counts(xt[:, lay.counts(gamma, j)] * xt[:, lay.degree(gamma, j)], trace)
+                    for gamma, _ in groups
+                )
+            )
         combined = np.hstack(pieces)
         new_classes = _dense_row_ids(combined)
         trace["classes"] = new_classes
@@ -605,9 +575,12 @@ def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
         np.einsum("oij,oij->o", a, b)
         for a, b in ((targets, targets), (targets, errors), (errors, errors))
     )
-    gram = np.ones((1, 1))
-    for o in range(len(errors)):
-        gram = np.kron(gram, np.array([[tt[o], te[o]], [te[o], ee[o]]]))
+    grams = np.stack([tt, te, te, ee], axis=1).reshape(-1, 2, 2)
+    gram = grams[0]
+    for g in grams[1:]:
+        # np.kron(gram, g) without its generic set-up: one product per entry.
+        size = 2 * len(gram)
+        gram = (gram[:, None, :, None] * g[None, :, None, :]).reshape(size, size)
     return math.sqrt(max(float(gram[1:, 1:].sum()), 0.0))
 
 
@@ -625,8 +598,8 @@ class _DriveRecord:
 
 
 def _check_temperature(b) -> float:
-    if isinstance(b, bool) or not isinstance(b, (int, float)) or not b > 0:
-        raise ValidationError(INVALID_SCHEMA, f"temperature must be positive, got {b!r}")
+    if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 < b < math.inf:
+        raise ValidationError(INVALID_SCHEMA, f"temperature must be positive and finite, got {b!r}")
     return float(b)
 
 
@@ -654,45 +627,32 @@ def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
 @dataclass(frozen=True, eq=False)
 class _Setup:
     """Layer-0 state of a construction: tuple space, spectral blocks, initial
-    classes and tokens, and for k >= 2 the degree block.  On a restricted
-    space the block is the row sums of the substitution adjacencies, which
-    are kept keyed by ``(j, gamma)`` as the attention targets; on a full
-    space it is deg(u_j) and n - deg(u_j) and ``gen`` is empty."""
+    classes and tokens, and the degree block.  Its columns count the
+    adjacent and the non-adjacent substitutions at each position: deg(u_j)
+    and n - deg(u_j) on a full space, the substitutions that stay on the
+    space on a restricted one."""
 
     space: TupleSpace
     parts: _SpectralParts
     classes: tuple[int, ...]
     tokens: np.ndarray
-    gen: dict[tuple[int, int], np.ndarray]
-    degblock: np.ndarray | None
+    degblock: np.ndarray
 
 
 def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
     parts = _spectral_parts(graph)
     classes = initial_coloring(graph, space).colors
-    if k == 1:
-        return _Setup(space, parts, classes, _token_rows_1(graph, classes, parts), {}, None)
-    keys = [(j, gamma) for gamma in (1, -1) for j in range(1, k + 1)]
-    if s == k:
-        gen = {}
-        deg = graph.adjacency_matrix.sum(axis=1)
-        count = {1: deg, -1: graph.num_nodes - deg}
-        sums = {(j, gamma): count[gamma][space.nodes[:, j - 1]] for j, gamma in keys}
-    else:
-        gen = {
-            (j, gamma): generalized_adjacency(
-                graph, k, j, gamma, space=space, memory_limit=memory_limit
-            )
-            for j, gamma in keys
-        }
-        sums = {key: mat.sum(axis=1) for key, mat in gen.items()}
     degblock = np.zeros((len(space.tuples), 2 * k))
-    for j in range(1, k + 1):
-        degblock[:, 2 * (j - 1)] = sums[(j, 1)]
-        degblock[:, 2 * (j - 1) + 1] = sums[(j, -1)]
+    if s == k:
+        deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
+        degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
+    else:
+        for j in range(k):
+            for col, gamma in enumerate((1, -1)):
+                degblock[:, 2 * j + col] = _substitution_hits(graph, space, j, gamma).sum(axis=1)
     tokens = _token_rows_k(space, classes, parts, degblock, memory_limit)
-    return _Setup(space, parts, classes, tokens, gen, degblock)
+    return _Setup(space, parts, classes, tokens, degblock)
 
 
 def _drive(
@@ -705,25 +665,28 @@ def _drive(
     memory_limit: int,
 ) -> _DriveRecord:
     setup = _setup(graph, k, s, memory_limit)
-    factored = k >= 2 and s == k
-    # Heads are ordered adjacent-first, matching the builder's loop.
-    if k == 1:
-        targets = [weighted_indicator(graph.adjacency_matrix.astype(float))]
-    elif factored:
+    n = graph.num_nodes
+    gammas = [gamma for gamma, _ in _head_groups(variant, k, n)]
+    factored = s == k
+    # Heads are ordered group by group, then by position, matching the builder.
+    if factored:
         # Row-normalized A (gamma = +1) or 1 - A (gamma = -1) at position j
         # and the identity elsewhere.  No row is zero: there are no isolated
         # nodes, and every node is non-adjacent to itself.
-        n = graph.num_nodes
         adj = graph.adjacency_matrix.astype(float)
         walk = {gamma: m / m.sum(axis=1, keepdims=True) for gamma, m in ((1, adj), (-1, 1.0 - adj))}
         targets = [
             np.stack([walk[gamma] if o == j else np.eye(n) for o in range(k)])
-            for gamma in (1, -1)
+            for gamma in gammas
             for j in range(k)
         ]
         pe = np.hstack([setup.parts.node_part, setup.parts.adj_part])
     else:
-        targets = [weighted_indicator(setup.gen[key]) for key in setup.gen]
+        targets = [
+            weighted_indicator(generalized_adjacency(graph, k, j, gamma, setup.space, memory_limit))
+            for gamma in gammas
+            for j in range(1, k + 1)
+        ]
     classes = setup.classes
     partitions = [classes]
     x = setup.tokens
@@ -732,12 +695,9 @@ def _drive(
     slack_max = 0.0
     for _ in range(t_layers):
         trace = {"slack": 0.0, "classes": ()}
-        if k == 1:
-            layer = _build_1wl_layer(graph, classes, setup.parts, b, trace)
-        else:
-            layer = _build_kgt_layer(
-                setup.space, variant, classes, setup.parts, setup.degblock, b, trace, memory_limit
-            )
+        layer = _build_kgt_layer(
+            setup.space, variant, classes, setup.parts, setup.degblock, b, trace, memory_limit
+        )
         if factored:
             lay = _KLayout(c=max(classes) + 1, k=k, n=n)
             x, factors = _factored_layer(x, layer, lay, pe)
@@ -776,6 +736,8 @@ def construct_1wl_weights(
 ) -> ConstructedWeights:
     """Closed-form single-head layers that replay classic color refinement.
 
+    This is the order-k construction at k = 1, where plain refinement is a
+    local rule: its one head is the adjacent head of the only position.
     Each layer's score matrix is the graph adjacency scaled by ``b``, built
     from the signed eigenfactorization carried in the token rows, so its
     softmax approaches the degree-normalized adjacency.  The value path
@@ -807,13 +769,14 @@ def construct_kgt_weights(
     b: float = DEFAULT_TEMPERATURE,
     memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> ConstructedWeights:
-    """Closed-form 2k-head layers that replay order-k tuple refinement.
+    """Closed-form multi-head layers that replay order-k tuple refinement.
 
     Head ``(j, +1)`` attends to tuples reached by substituting an adjacent
     node at position ``j``, head ``(j, -1)`` to non-adjacent substitutions.
-    The output projection scales the two groups by the variant's (alpha,
-    beta) pair: equal for plain counting, distinct and nonzero when the
-    adjacency split must stay visible, beta zero for the local rule.
+    The full rules build both groups, 2k heads, and the output projection
+    scales the non-adjacent group by 1 for plain counting and by ``n + 1``
+    for ``delta_kwl``, which keeps the adjacency split visible.  The local
+    rule ``delta_klwl`` builds the k adjacent heads only.
 
     Parameters
     ----------

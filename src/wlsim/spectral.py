@@ -153,6 +153,11 @@ def run_mlp(weights: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     return np.tanh(x @ weights["w1"] + weights["b1"]) @ weights["w2"] + weights["b2"]
 
 
+def _check_seed(seed: object) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(INVALID_SCHEMA, f"seed must be a non-negative int, got {seed!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
     """Deterministic stand-in for trained encoder weights.
@@ -175,11 +180,14 @@ class EncoderParams:
     def seeded(
         cls, seed: int, eig_count: int, out_dim: int, epsilon: Sequence[float] | None = None
     ) -> "EncoderParams":
+        _check_seed(seed)
         if eig_count < 1 or out_dim < 1:
             raise ValidationError(INVALID_SCHEMA, "eig_count and out_dim must be positive")
         eps = np.zeros(eig_count) if epsilon is None else np.asarray(epsilon, dtype=float)
         if eps.shape != (eig_count,):
             raise ValidationError(SHAPE_MISMATCH, f"epsilon must have length {eig_count}")
+        if not np.isfinite(eps).all():
+            raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
         hidden = max(8, 2 * out_dim)
         weights: dict[str, np.ndarray] = {}
         blocks = {

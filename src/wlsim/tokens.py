@@ -21,6 +21,7 @@ from .graphs import Graph, atomic_types
 from .refine import _check_order, enumerate_tuples
 from .spectral import (
     EncoderParams,
+    _check_seed,
     eigh,
     identifying_targets,
     laplacian,
@@ -105,8 +106,7 @@ class TokenizerConfig:
             raise ValidationError(INVALID_SCHEMA, f"dim must be a positive int, got {self.dim!r}")
         if self.pe_kind not in PE_KINDS:
             raise ValidationError(INVALID_SCHEMA, f"pe_kind must be one of {PE_KINDS}, got {self.pe_kind!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError(INVALID_SCHEMA, f"seed must be a non-negative int, got {self.seed!r}")
+        _check_seed(self.seed)
         for name in ("eig_count", "rank_m"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):

@@ -120,6 +120,21 @@ def test_limit_breaches_exit_with_code_three(c6_file, p3_file):
     assert stderr_error(proc)["code"] == "ITERATION_LIMIT"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refine", "--graph", "{p3}", "--k", "1", "--variant", "kwl"),
+        ("distinguish", "--pair", "c6_vs_2c3", "--k", "1", "--variant", "kwl"),
+        ("bench", "--variants", "1wl"),
+    ],
+)
+def test_a_negative_iteration_cap_is_invalid_input(p3_file, argv):
+    proc = run_cli(*(a.format(p3=p3_file) for a in argv), "--max-iter", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+
+
 # -------------------------------------------------------------- distinguish
 
 
@@ -253,7 +268,7 @@ def test_simulate_at_low_temperature_fails_with_a_verdict(tmp_path):
     assert proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert doc["pass"] is False
-    assert doc["partition_equal_per_layer"] == [True, True, False, False, False]
+    assert doc["partition_equal_per_layer"] == [True, True, True, False, False]
     # At b=2 the partitions happen to agree, but counts this far from an
     # integer were read back by luck, so the run still fails.
     proc = run_cli("simulate", "--graph", str(path), "--b", "2")
@@ -274,6 +289,14 @@ def test_simulate_replays_order_three_on_the_shrikhande_graph(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["pass"] is True
     assert doc["partition_equal_per_layer"] == [True] * 4
+
+
+@pytest.mark.parametrize("b", ["inf", "nan", "0"])
+def test_simulate_requires_a_positive_finite_temperature(p3_file, b):
+    proc = run_cli("simulate", "--graph", p3_file, "--k", "2", "--b", b)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
 def test_simulate_rejects_inconsistent_variant_requests(p3_file):
@@ -305,6 +328,14 @@ def test_pe_spe_variant_accepts_rank_and_separation_flags(c6_file):
     doc = json.loads(proc.stdout)
     assert doc["kind"] == "spe"
     assert len(doc["rows"]) == 6
+
+
+@pytest.mark.parametrize("flags", [("--seed", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf")])
+def test_pe_rejects_a_negative_seed_and_a_non_finite_epsilon(p3_file, flags):
+    proc = run_cli("pe", "--graph", p3_file, *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
 def test_pe_rows_depend_on_the_seed(p3_file):

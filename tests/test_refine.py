@@ -275,6 +275,16 @@ def test_iteration_cap_guards_bugs(p3):
     assert exc.value.code == ITERATION_LIMIT
 
 
+@pytest.mark.parametrize("cap", [-1, 1.5, True, None])
+def test_iteration_cap_must_be_a_non_negative_int(p3, cap):
+    with pytest.raises(ValidationError) as exc:
+        refine_to_stable(p3, 1, 1, "kwl", max_iterations=cap)
+    assert exc.value.code == INVALID_SCHEMA
+    with pytest.raises(ValidationError) as exc:
+        distinguish(p3, p3, "kwl", 1, 1, max_iterations=cap)
+    assert exc.value.code == INVALID_SCHEMA
+
+
 def test_stable_partition_matches_classic_oracle(graph_samples):
     for g in graph_samples(47, 40, 2, 8, label_count=2):
         stable = refine_to_stable(g, 1, 1, "kwl")[-1]

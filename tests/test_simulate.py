@@ -363,12 +363,13 @@ def test_order_one_construction_has_one_head_per_layer(p3):
 def class_block_1(rows, n):
     """Slice the leading one-hot class block out of order-1 token rows.
 
-    Rows are laid out as class one-hot, count scratch of the same width,
-    two degree cells, then an identification block of width n, so the
+    Rows use the order-k layout at k = 1: class one-hot, adjacent and
+    non-adjacent count scratch of the same width, two degree cells, then
+    the node and adjacency identification blocks of width n each, so the
     palette size falls out of the row width.
     """
-    c = (rows.shape[1] - n - 2) // 2
-    assert rows.shape[1] == 2 * c + 2 + n
+    c = (rows.shape[1] - 2 * n - 2) // 3
+    assert rows.shape[1] == 3 * c + 2 + 2 * n
     return rows[:, :c]
 
 
@@ -478,6 +479,76 @@ def test_head_count_contract_is_enforced_at_construction():
     with pytest.raises(ValidationError) as err:
         ConstructedWeights(layers=(layer, layer), temperature=60.0, head_count=2, k=2, variant="kwl")
     assert err.value.code == INVALID_SCHEMA
+
+
+# Heads per layer: the full rules read the adjacent and the non-adjacent
+# substitution at every position, the local rules (plain refinement at k = 1
+# among them) the adjacent one only.
+HEAD_COUNTS = [
+    ("kwl", 1, 1, 1),
+    ("kwl", 2, 2, 4),
+    ("kwl", 3, 3, 6),
+    ("delta_kwl", 2, 2, 4),
+    ("delta_kwl", 3, 3, 6),
+    ("delta_klwl", 2, 2, 2),
+    ("delta_klwl", 3, 3, 3),
+    ("ks_lwl", 2, 1, 2),
+    ("ks_lwl", 3, 1, 3),
+    ("ks_lwl", 3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
+def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
+    sim = wlsim.simulate
+    setup = sim._setup(p3, k, s, DEFAULT_MEMORY_LIMIT)
+    trace = {"slack": 0.0, "classes": ()}
+    layer = sim._build_kgt_layer(
+        setup.space, variant, setup.classes, setup.parts, setup.degblock, DEFAULT_TEMPERATURE,
+        trace, DEFAULT_MEMORY_LIMIT,
+    )
+    c = max(setup.classes) + 1
+    assert len(layer.heads) == heads
+    assert layer.w_o.shape == (heads * c, setup.tokens.shape[1])
+    if variant != "ks_lwl":
+        cw = construct_1wl_weights(p3, 2) if k == 1 else construct_kgt_weights(p3, k, variant, 2)
+        assert cw.head_count == heads
+        assert all(len(layer.heads) == heads for layer in cw.layers)
+    report = simulate_and_compare(p3, k, s, variant, t_layers=2)
+    assert report.all_equal
+    assert [len(errors) for errors in report.attention_errors] == [heads, heads]
+
+
+def test_only_restricted_spaces_run_the_dense_layer(monkeypatch, p3):
+    """Full spaces, order 1 included, run the factored forward; the dense
+    ``transformer_layer`` serves the restricted spaces only."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return transformer_layer(*args, **kwargs)
+
+    monkeypatch.setattr(wlsim.simulate, "transformer_layer", counting)
+    for variant, k in (("kwl", 1), ("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 3)):
+        assert simulate_and_compare(p3, k, k, variant, t_layers=2).all_equal
+    assert construct_1wl_weights(p3, 2).head_count == 1
+    assert calls == []
+    assert simulate_and_compare(p3, 2, 1, "ks_lwl", t_layers=2).all_equal
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, 0.0])
+def test_temperature_must_be_positive_and_finite(p3, b):
+    calls = (
+        lambda: construct_1wl_weights(p3, 1, b=b),
+        lambda: construct_kgt_weights(p3, 2, "kwl", 1, b=b),
+        lambda: simulate_and_compare(p3, 1, 1, "kwl", b=b),
+        lambda: attention_error_curve(p3, temperatures=(b,)),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == INVALID_SCHEMA
 
 
 # ------------------------------------------------------- simulate_and_compare
@@ -645,11 +716,12 @@ def lockstep_forwards(g, k, variant, b, t_layers):
 def test_factored_forward_matches_the_dense_layer(k, n, b):
     rng = random.Random(1000 * k + n)
     g = random_graph(rng, n, edge_prob=rng.uniform(0.3, 0.7), connected=True)
-    for variant in ("kwl", "delta_kwl", "delta_klwl"):
+    # The local rule builds the adjacent group of heads only.
+    for variant, groups in (("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 1)):
         for rounds in lockstep_forwards(g, k, variant, b, 2):
             atts_d, combined_d, out_d, trace_d = rounds["dense"]
             atts_f, combined_f, out_f, trace_f = rounds["factored"]
-            assert len(atts_d) == len(atts_f) == 2 * k
+            assert len(atts_d) == len(atts_f) == k * groups
             for dense, rebuilt in zip(atts_d, atts_f):
                 assert np.abs(dense - rebuilt).max() < 1e-12
             assert np.abs(combined_d - combined_f).max() < 1e-9

@@ -364,6 +364,17 @@ def test_params_validation():
     assert exc.value.code == SHAPE_MISMATCH
 
 
+def test_params_reject_a_negative_seed_and_a_non_finite_epsilon():
+    for seed in (-1, 1.0, True):
+        with pytest.raises(ValidationError) as exc:
+            EncoderParams.seeded(seed, 3, 4)
+        assert exc.value.code == INVALID_SCHEMA
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError) as exc:
+            EncoderParams.seeded(0, 3, 4, epsilon=[0.1, bad, 0.3])
+        assert exc.value.code == INVALID_SCHEMA
+
+
 def test_arithmetic_epsilon_separates_repeated_eigenvalues(c6):
     dec = eigh(laplacian(c6), source="laplacian")
     gaps = np.diff(dec.eigenvalues)
