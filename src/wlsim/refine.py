@@ -16,16 +16,20 @@ The rules, selected by name, differ only in which substitutions count:
     The local rule on the tuples whose induced subgraph has at most s
     connected components; substitutions leaving that space are skipped.
 
-A round gathers the colors through ``TupleSpace.substitute``, sorts each
-position block and numbers the rows by first occurrence in enumeration
-order, so two runs over the same input produce identical arrays and a
-repeated partition shows up as a repeated array.
+A space is the ``(t, k)`` node array of its tuples (``TupleSpace.nodes``).
+A full space is the row-major index grid, so the tuple reached by a
+substitution is found by arithmetic on its row; a restricted space is the
+grid filtered block by block by a vectorized component count, and finds it
+through a map from the flat index. A run first plans, once, which tuples
+each position reads (``TupleSpace.substitute``). A round then gathers the
+colors through that plan, sorts each position block and numbers the rows by
+first occurrence in enumeration order, so two runs over the same input
+produce identical arrays and a repeated partition shows up as a repeated
+array.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Sequence
@@ -48,20 +52,43 @@ VARIANTS = ("kwl", "delta_kwl", "delta_klwl", "ks_lwl")
 DEFAULT_MEMORY_LIMIT = 2_000_000
 DEFAULT_MAX_ITERATIONS = 64
 
+# Candidate tuples per block of the restricted-space filter. Its working
+# arrays then peak at about 2.5 MB at k = 3, below the 8 MB int32 position
+# map that a restricted space of n ** k = 2,000,000 candidates builds.
+FILTER_BLOCK = 1 << 14
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class TupleSpace:
     """Enumerated tuple domain of one graph.
 
-    For s = k this is all ``num_nodes ** k`` tuples in row-major order; for
-    s < k only the tuples whose induced subgraph has at most ``s`` connected
-    components survive, in the same relative order.
+    ``nodes`` is the read-only ``(t, k)`` int64 array of the tuples. For
+    s = k these are all ``num_nodes ** k`` tuples in row-major order, so a
+    tuple's row is its flat index; for s < k only the tuples whose induced
+    subgraph has at most ``s`` connected components survive, in the same
+    relative order. Two spaces are equal when k, s, n and the tuples are.
     """
 
     k: int
     s: int
     num_nodes: int
-    tuples: tuple[tuple[int, ...], ...]
+    nodes: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TupleSpace):
+            return NotImplemented
+        return self is other or (
+            (self.k, self.s, self.num_nodes) == (other.k, other.s, other.num_nodes)
+            and np.array_equal(self.nodes, other.nodes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.s, self.num_nodes, self.nodes.tobytes()))
+
+    @cached_property
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The tuples as Python tuples, for per-tuple loops."""
+        return tuple(map(tuple, self.nodes.tolist()))
 
     @cached_property
     def index_of(self) -> dict[tuple[int, ...], int]:
@@ -73,21 +100,18 @@ class TupleSpace:
         return tuple(self.num_nodes ** (self.k - 1 - j) for j in range(self.k))
 
     @cached_property
-    def nodes(self) -> np.ndarray:
-        """The tuples as a ``(t, k)`` integer array."""
-        return np.array(self.tuples, dtype=np.int64).reshape(len(self.tuples), self.k)
-
-    @cached_property
     def _flat(self) -> np.ndarray:
         """Row-major flat index of every tuple in the full space."""
+        if self.s == self.k:
+            return np.arange(len(self.nodes), dtype=np.int64)
         return self.nodes @ np.array(self.strides, dtype=np.int64)
 
     @cached_property
     def _position(self) -> np.ndarray:
-        """Map of size ``n ** k`` from the flat index to the index in
-        ``tuples``, -1 off the space."""
+        """Map of size ``n ** k`` from the flat index to the row in
+        ``nodes``, -1 off the space (restricted spaces only)."""
         position = np.full(self.num_nodes**self.k, -1, dtype=np.int32)
-        position[self._flat] = np.arange(len(self.tuples), dtype=np.int32)
+        position[self._flat] = np.arange(len(self.nodes), dtype=np.int32)
         return position
 
     def substitute(self, j: int, nodes: np.ndarray) -> np.ndarray:
@@ -95,18 +119,25 @@ class TupleSpace:
         ``nodes[i, c]`` at position ``j``, or -1 where that node is -1 or
         that tuple is off the space (int32, shaped like ``nodes``)."""
         stride = self.strides[j]
-        rest = self._flat - self.nodes[:, j] * stride
-        # A -1 node lands on a valid (negative) index; the mask drops it.
-        found = self._position[rest[:, None] + nodes * stride]
-        return np.where(nodes < 0, np.int32(-1), found)
+        # On a full space the flat index is the row, so no lookup is needed.
+        found = (self._flat - self.nodes[:, j] * stride)[:, None] + nodes * stride
+        if self.s < self.k:
+            # A -1 node lands on a valid (negative) index; the mask drops it.
+            found = self._position[found]
+        return np.where(nodes < 0, -1, found).astype(np.int32)
 
     @cached_property
     def substitution(self) -> np.ndarray:
         """``substitute`` at every position with every node: entry
         ``[j, i, w]`` is the index of tuple ``i`` with node ``w`` at
         position ``j``, or -1 off the space (int32, shape ``(k, t, n)``)."""
-        every = np.broadcast_to(np.arange(self.num_nodes), (len(self.tuples), self.num_nodes))
+        every = np.broadcast_to(np.arange(self.num_nodes), (len(self.nodes), self.num_nodes))
         return np.stack([self.substitute(j, every) for j in range(self.k)])
+
+    @cached_property
+    def _plans(self) -> dict:
+        """``refine_step``'s gather plan per rule, with the graph it is for."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -123,29 +154,13 @@ class Coloring:
 
     def histogram(self) -> tuple[int, ...]:
         """Tuple count per color id."""
-        counts = [0] * self.num_colors
-        for c in self.colors:
-            counts[c] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self.colors).tolist())
 
 
 @dataclass(frozen=True)
 class DistinguishResult:
     distinguished: bool
     at_iteration: int | None
-
-
-def _component_count(graph: Graph, tup: tuple[int, ...]) -> int:
-    """Connected components of the subgraph induced by the tuple's nodes."""
-    left, count = set(tup), 0
-    while left:
-        count += 1
-        stack = [left.pop()]
-        while stack:
-            reach = graph.neighbor_sets[stack.pop()] & left
-            left -= reach
-            stack.extend(reach)
-    return count
 
 
 def _check_order(k: object, s: object) -> None:
@@ -207,30 +222,48 @@ def enumerate_tuples(
         )
     if s == k:
         # Every tuple on at most k distinct nodes induces at most k components.
-        tuples = tuple(itertools.product(range(n), repeat=k))
+        # The transposed index grid lists the tuples in row-major order.
+        nodes = np.indices((n,) * k, dtype=np.int64).reshape(k, -1).T
     else:
-        tuples = tuple(
-            v
-            for v in itertools.product(range(n), repeat=k)
-            if _component_count(graph, v) <= s
+        nodes = np.concatenate(
+            [
+                _connected_rows(graph, start, min(start + FILTER_BLOCK, n**k), k, s)
+                for start in range(0, n**k, FILTER_BLOCK)
+            ]
         )
-    return TupleSpace(k=k, s=s, num_nodes=n, tuples=tuples)
+    nodes.setflags(write=False)
+    return TupleSpace(k=k, s=s, num_nodes=n, nodes=nodes)
+
+
+def _connected_rows(graph: Graph, start: int, stop: int, k: int, s: int) -> np.ndarray:
+    """The tuples with row-major flat index in ``[start, stop)`` whose induced
+    subgraph has at most ``s`` components, as a ``(rows, k)`` array.
+
+    Positions are linked when they hold the same node or adjacent nodes, and
+    each position starts as its own root. A pass gives every position the
+    smallest root among its links, so after p passes it holds the smallest
+    position within p links. A component of k positions spans at most k - 1
+    links, so after k - 1 passes every position holds its component's
+    smallest position, and the components are the positions that are their
+    own root. The arrays run along the candidates in their last axis.
+    """
+    n = graph.num_nodes
+    flat = np.arange(start, stop, dtype=np.int64)
+    nodes = np.stack([flat // n ** (k - 1 - j) % n for j in range(k)])
+    u, v = nodes[:, None, :], nodes[None, :, :]
+    linked = (u == v) | graph.adjacency_matrix.ravel()[u * n + v]
+    position = np.arange(k, dtype=np.int8)[:, None]
+    roots = np.broadcast_to(position, nodes.shape)
+    for _ in range(k - 1):
+        roots = np.where(linked, roots[None, :, :], np.int8(k)).min(axis=1)
+    return nodes[:, (roots == position).sum(axis=0) <= s].T
 
 
 def _dense_relabel(key_lists: Sequence[Sequence[Hashable]]) -> list[list[int]]:
     """Map keys to dense ids by first occurrence, shared across all lists."""
     table: dict[Hashable, int] = {}
-    out: list[list[int]] = []
-    for keys in key_lists:
-        ids = []
-        for key in keys:
-            nid = table.get(key)
-            if nid is None:
-                nid = len(table)
-                table[key] = nid
-            ids.append(nid)
-        out.append(ids)
-    return out
+    # len(table) is the next id; setdefault stores it only for a new key.
+    return [[table.setdefault(key, len(table)) for key in keys] for keys in key_lists]
 
 
 def _relabel_rows(row_arrays: Sequence[np.ndarray]) -> list[list[int]]:
@@ -255,35 +288,53 @@ def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[
     return _relabel_rows(row_arrays)
 
 
-def _summary_ids(
-    graphs: Sequence[Graph],
-    spaces: Sequence[TupleSpace],
-    color_lists: Sequence[Sequence[int]],
-    variant: str,
-) -> list[list[int]]:
-    """One round on every graph through one table. A tuple's row is
-    ``[old color | sorted block of position 1 | ... | position k]``. Block j
-    holds the colors of the tuples reached by substituting at j: for every
-    node under the full rules (``2 * color + adjacent`` under ``delta_kwl``),
-    for the neighbors of the replaced node under the local rules, with -1
-    off the space and -1 padding up to the largest degree of the graphs."""
+def _gather_plans(
+    graphs: Sequence[Graph], spaces: Sequence[TupleSpace], variant: str
+) -> list[list[tuple[np.ndarray, np.ndarray | None]]]:
+    """What a round reads at each position j, per graph: the index of every
+    tuple reached by substituting at j, and under ``delta_kwl`` whether the
+    new node is adjacent to the replaced one. Every node is substituted
+    under the full rules, the neighbors of the replaced node under the local
+    rules, with -1 off the space and -1 padding up to the largest degree of
+    the graphs. It depends on the graphs and spaces only, so a run builds it
+    once."""
     local = _is_local(variant, spaces[0].k)
     width = max(graph.neighbor_array.shape[1] for graph in graphs)
-    row_arrays = []
-    for graph, space, colors in zip(graphs, spaces, color_lists):
-        colors = np.asarray(colors, dtype=np.int32)
-        padded = np.append(colors, np.int32(-1))  # index -1 reads this sentinel
+    plans = []
+    for graph, space in zip(graphs, spaces):
         nbrs = graph.neighbor_array
         nbrs = np.pad(nbrs, ((0, 0), (0, width - nbrs.shape[1])), constant_values=-1)
-        blocks = [colors[:, None]]
+        plan = []
         for j in range(space.k):
             here = space.nodes[:, j]
             if local:
-                block = padded[space.substitute(j, nbrs[here])]
+                plan.append((space.substitute(j, nbrs[here]), None))
+            elif variant == "delta_kwl":
+                adjacent = graph.adjacency_matrix[here].view(np.int8)
+                plan.append((space.substitution[j], adjacent))
             else:
-                block = padded[space.substitution[j]]
-                if variant == "delta_kwl":
-                    block = 2 * block + graph.adjacency_matrix[here]
+                plan.append((space.substitution[j], None))
+        plans.append(plan)
+    return plans
+
+
+def _summary_ids(
+    plans: Sequence[Sequence[tuple[np.ndarray, np.ndarray | None]]],
+    color_lists: Sequence[Sequence[int]],
+) -> list[list[int]]:
+    """One round on every graph through one table. A tuple's row is
+    ``[old color | sorted block of position 1 | ... | position k]``. Block j
+    holds the colors the plan gathers at j, -1 where it reads -1, packed as
+    ``2 * color + adjacent`` where the plan carries adjacency."""
+    row_arrays = []
+    for plan, colors in zip(plans, color_lists):
+        colors = np.asarray(colors, dtype=np.int32)
+        padded = np.append(colors, np.int32(-1))  # index -1 reads this sentinel
+        blocks = [colors[:, None]]
+        for index, adjacent in plan:
+            block = padded[index]
+            if adjacent is not None:
+                block = 2 * block + adjacent
             block.sort(axis=1)
             blocks.append(block)
         row_arrays.append(np.hstack(blocks))
@@ -297,11 +348,18 @@ def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
 
 
 def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: str) -> Coloring:
-    """One refinement round under the chosen rule."""
+    """One refinement round under the chosen rule.
+
+    The gather plan is kept on the space per rule, with the graph it was
+    built for, so the rounds of one run plan once.
+    """
     _check_variant_space(variant, space.k, space.s)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
-    ids = _summary_ids([graph], [space], [coloring.colors], variant)[0]
+    planned = space._plans.get(variant)
+    if planned is None or planned[0] is not graph:
+        planned = space._plans[variant] = (graph, _gather_plans([graph], [space], variant)[0])
+    ids = _summary_ids([planned[1]], [coloring.colors])[0]
     return Coloring(space, tuple(ids), coloring.iteration + 1)
 
 
@@ -358,17 +416,18 @@ def distinguish(
     space_h = enumerate_tuples(h, k, s, memory_limit=memory_limit)
     _check_variant_space(variant, k, s)
     colors_g, colors_h = _initial_ids([g, h], [space_g, space_h])
+    plans = None
     iteration = 0
     while True:
-        if Counter(colors_g) != Counter(colors_h):
+        if not np.array_equal(np.bincount(colors_g), np.bincount(colors_h)):
             return DistinguishResult(True, iteration)
         if iteration >= max_iterations:
             raise LimitError(
                 ITERATION_LIMIT, f"no joint stable partition within {max_iterations} rounds"
             )
-        next_g, next_h = _summary_ids(
-            [g, h], [space_g, space_h], [colors_g, colors_h], variant
-        )
+        if plans is None:
+            plans = _gather_plans([g, h], [space_g, space_h], variant)
+        next_g, next_h = _summary_ids(plans, [colors_g, colors_h])
         if next_g == colors_g and next_h == colors_h:
             return DistinguishResult(False, None)
         colors_g, colors_h = next_g, next_h

@@ -154,6 +154,16 @@ class ConstructedWeights:
                 )
 
 
+def _finite_scores(scores: np.ndarray) -> np.ndarray:
+    """Return the scores, or raise ``ValidationError`` (``INVALID_SCHEMA``)
+    when an entry is not finite. Callers compute them with numpy's overflow
+    warnings off, so a too large temperature ends in this one typed error
+    instead of warnings and NaN attention."""
+    if not np.isfinite(scores).all():
+        raise ValidationError(INVALID_SCHEMA, "attention scores overflow at this temperature")
+    return scores
+
+
 def _as_rows(x) -> np.ndarray:
     rows = getattr(x, "rows", x)
     arr = np.asarray(rows, dtype=float)
@@ -200,8 +210,9 @@ def transformer_layer(x, weights: LayerWeights, return_attention: bool = False):
                 f"head {idx} query width {w_q.shape[1]} != key width {w_k.shape[1]}",
             )
         d_k = w_q.shape[1]
-        scores = (arr @ w_q) @ (arr @ w_k).T / math.sqrt(d_k)
-        att = softmax_rows(scores)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = (arr @ w_q) @ (arr @ w_k).T / math.sqrt(d_k)
+        att = softmax_rows(_finite_scores(scores))
         outputs.append(att @ (arr @ w_v))
         if return_attention:
             attentions.append(att)
@@ -274,7 +285,7 @@ def generalized_adjacency(
                 SPACE_MISMATCH,
                 f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
             )
-    t = len(space.tuples)
+    t = len(space.nodes)
     _check_dense(t, t, "tuple adjacency", memory_limit)
     hit = _substitution_hits(graph, space, j - 1, gamma)
     mat = np.zeros((t, t))
@@ -398,7 +409,7 @@ def _token_rows_k(
     memory_limit: int,
 ) -> np.ndarray:
     lay = _KLayout(c=max(classes) + 1, k=space.k, n=space.num_nodes)
-    t = len(space.tuples)
+    t = len(space.nodes)
     _check_dense(t, lay.width, "token matrix", memory_limit)
     x = np.zeros((t, lay.width))
     x[np.arange(t), classes] = 1.0
@@ -424,6 +435,22 @@ def _head_groups(variant: str, k: int, n: int) -> tuple[tuple[int, float], ...]:
     return ((1, 1.0), (-1, float(n + 1) if variant == "delta_kwl" else 1.0))
 
 
+def _query_scales(b: float, n: int, k: int) -> tuple[float, float]:
+    """The query scales of a head's adjacency slot, b sqrt(kn), and of its
+    node slots, b (2n + 2) sqrt(kn), which exist for k > 1 only.
+
+    Raises ``ValidationError`` (``INVALID_SCHEMA``) when a scale that the
+    construction uses is not finite.
+    """
+    root = math.sqrt(k * n)
+    adj_scale, node_scale = b * root, b * (2.0 * n + 2.0) * root
+    if not math.isfinite(adj_scale) or (k > 1 and not math.isfinite(node_scale)):
+        raise ValidationError(
+            INVALID_SCHEMA, f"temperature {b!r} makes the query scale overflow"
+        )
+    return adj_scale, node_scale
+
+
 def _build_kgt_layer(
     space: TupleSpace,
     variant: str,
@@ -440,7 +467,7 @@ def _build_kgt_layer(
     groups = _head_groups(variant, k, n)
     _check_dense(len(groups) * k * c, d, "output projection", memory_limit)
     d_k = k * n
-    inner = 2.0 * n + 2.0
+    adj_scale, node_scale = _query_scales(b, n, k)
 
     heads = []
     w_o = np.zeros((len(groups) * k * c, d))
@@ -451,10 +478,10 @@ def _build_kgt_layer(
             for o in range(k):
                 slot = slice(o * n, (o + 1) * n)
                 if o == j:
-                    w_q[lay.pe_adj(o), slot] = gamma * b * math.sqrt(d_k) * np.diag(parts.signs)
+                    w_q[lay.pe_adj(o), slot] = gamma * adj_scale * np.diag(parts.signs)
                     w_k[lay.pe_adj(o), slot] = np.eye(n)
                 else:
-                    w_q[lay.pe_node(o), slot] = b * inner * math.sqrt(d_k) * np.eye(n)
+                    w_q[lay.pe_node(o), slot] = node_scale * np.eye(n)
                     w_k[lay.pe_node(o), slot] = np.eye(n)
             w_v = np.zeros((d, c))
             w_v[0:c, :] = np.eye(c)
@@ -503,7 +530,7 @@ def _position_factors(head: AttentionHead, lay: _KLayout, pe: np.ndarray) -> np.
     n, k = lay.n, lay.k
     d_k = k * n
     diagonal = np.arange(k)
-    projected = []
+    position_blocks = []
     for name, w in (("query", head.w_q), ("key", head.w_k)):
         if w.shape != (lay.width, d_k):
             raise ValidationError(
@@ -517,10 +544,11 @@ def _position_factors(head: AttentionHead, lay: _KLayout, pe: np.ndarray) -> np.
                 INVALID_SCHEMA,
                 f"the {name} projection reads outside the positional block of its score slot",
             )
-        projected.append(pe @ blocks)
-    query, key = projected
-    scores = query @ key.transpose(0, 2, 1) / math.sqrt(d_k)
-    return softmax_rows(scores.reshape(k * n, n)).reshape(k, n, n)
+        position_blocks.append(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        query, key = (pe @ blocks for blocks in position_blocks)
+        scores = query @ key.transpose(0, 2, 1) / math.sqrt(d_k)
+    return softmax_rows(_finite_scores(scores).reshape(k * n, n)).reshape(k, n, n)
 
 
 def _mode_products(factors: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -643,7 +671,7 @@ def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
     parts = _spectral_parts(graph)
     classes = initial_coloring(graph, space).colors
-    degblock = np.zeros((len(space.tuples), 2 * k))
+    degblock = np.zeros((len(space.nodes), 2 * k))
     if s == k:
         deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
         degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
@@ -842,7 +870,7 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
         )
     n = graph.num_nodes
-    big_n = len(space.tuples)
+    big_n = len(space.nodes)
     nbs = graph.neighbor_sets
     cols = colors.colors
 

@@ -209,7 +209,13 @@ class EncoderParams:
 
 def arithmetic_epsilon(eig_count: int, delta: float) -> np.ndarray:
     """Perturbation vector (delta, 2 delta, ..., l delta) that separates
-    repeated eigenvalues whenever delta is below the smallest nonzero gap."""
+    repeated eigenvalues whenever delta is below the smallest nonzero gap.
+
+    Raises ``ValidationError`` (``INVALID_SCHEMA``) when an entry would not
+    be finite; the largest one, l delta, is checked before the array exists.
+    """
+    if not math.isfinite(delta * eig_count):
+        raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
     return delta * np.arange(1, eig_count + 1, dtype=float)
 
 

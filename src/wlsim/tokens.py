@@ -293,18 +293,17 @@ def tuple_tokens(
         atp_rows = [atp_embedding_from_edges(graph, tup, cfg) for tup in space.tuples]
         atp_keys: list[Hashable] = [row.tobytes() for row in atp_rows]
     else:
-        codes = atomic_types(graph, space.nodes).reshape(len(space.tuples), -1)
+        codes = atomic_types(graph, space.nodes).reshape(len(space.nodes), -1)
         flat_keys = list(map(tuple, codes.tolist()))
         table = _table(cfg.seed, _STREAM_ATP, cfg.dim, flat_keys)
         atp_rows = [table[key] for key in flat_keys]
         atp_keys = list(flat_keys)
 
-    concat = np.stack(
-        [np.concatenate([node_rows[v] for v in tup]) for tup in space.tuples]
-    )
+    concat = node_rows[space.nodes].reshape(len(space.nodes), -1)
+    node_keys = [row.tobytes() for row in node_rows]
     row_keys = [
-        (tuple(node_rows[v].tobytes() for v in tup), atp_keys[i])
-        for i, tup in enumerate(space.tuples)
+        (tuple(node_keys[v] for v in tup), atp_key)
+        for tup, atp_key in zip(space.nodes.tolist(), atp_keys)
     ]
     salt = 0
     while True:
@@ -318,4 +317,4 @@ def tuple_tokens(
 
 def token_count(graph: Graph, k: int, s: int) -> int:
     """Number of tuples the (k, s)-restricted tokenizer emits."""
-    return len(enumerate_tuples(graph, k, s).tuples)
+    return len(enumerate_tuples(graph, k, s).nodes)

@@ -291,6 +291,18 @@ def test_simulate_replays_order_three_on_the_shrikhande_graph(tmp_path):
     assert doc["partition_equal_per_layer"] == [True] * 4
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_simulate_rejects_a_temperature_that_overflows(c6_file, k):
+    proc = run_cli("simulate", "--graph", c6_file, "--k", k, "--b", "1e308")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+    proc = run_cli("simulate", "--graph", c6_file, "--k", k, "--b", "1e306")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stderr == ""
+    json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("b", ["inf", "nan", "0"])
 def test_simulate_requires_a_positive_finite_temperature(p3_file, b):
     proc = run_cli("simulate", "--graph", p3_file, "--k", "2", "--b", b)
@@ -333,6 +345,14 @@ def test_pe_spe_variant_accepts_rank_and_separation_flags(c6_file):
 @pytest.mark.parametrize("flags", [("--seed", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf")])
 def test_pe_rejects_a_negative_seed_and_a_non_finite_epsilon(p3_file, flags):
     proc = run_cli("pe", "--graph", p3_file, *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+
+
+@pytest.mark.parametrize("kind", ["lpe", "spe"])
+def test_pe_rejects_an_epsilon_that_overflows_with_one_error_document(p3_file, kind):
+    proc = run_cli("pe", "--graph", p3_file, "--kind", kind, "--epsilon", "1e308")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"

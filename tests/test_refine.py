@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlsim.errors import (
@@ -24,6 +24,7 @@ from wlsim.errors import (
 from wlsim.graphs import Graph, apply_permutation, builtin_pair, random_graph
 from wlsim.refine import (
     Coloring,
+    TupleSpace,
     _dense_relabel,
     distinguish,
     enumerate_tuples,
@@ -135,6 +136,111 @@ def test_substitution_table_matches_index_of(graph_samples, k, s):
                 for w in range(g.num_nodes):
                     want = space.index_of.get(tup[:j] + (w,) + tup[j + 1 :], -1)
                     assert table[j, i, w] == want
+
+
+def _component_count(graph, tup):
+    """Connected components of the subgraph induced by the tuple's nodes:
+    the per-candidate search the engine used before its vectorized filter,
+    kept as the reference."""
+    left, count = set(tup), 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            reach = graph.neighbor_sets[stack.pop()] & left
+            left -= reach
+            stack.extend(reach)
+    return count
+
+
+@st.composite
+def filter_graphs(draw):
+    """A connected graph, a graph of two connected parts, or an edge case:
+    a single edge, a complete graph K3-K5, or a path beside a clique."""
+    kind = draw(st.sampled_from(("connected", "two_components", "edge", "complete", "path_clique")))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    if kind == "connected":
+        return random_graph(rng, rng.randint(2, 7), edge_prob=rng.uniform(0.1, 0.9), connected=True)
+    if kind == "two_components":
+        a = random_graph(rng, rng.randint(2, 4), edge_prob=rng.uniform(0.1, 0.9), connected=True)
+        b = random_graph(rng, rng.randint(2, 3), edge_prob=rng.uniform(0.1, 0.9), connected=True)
+        shifted = [(u + a.num_nodes, v + a.num_nodes) for u, v in b.edges]
+        return Graph(a.num_nodes + b.num_nodes, list(a.edges) + shifted)
+    if kind == "edge":
+        return Graph(2, [(0, 1)])
+    if kind == "complete":
+        n = rng.randint(3, 5)
+        return Graph(n, list(itertools.combinations(range(n), 2)))
+    a, b = rng.randint(2, 3), rng.randint(2, 3)
+    edges = [(i, i + 1) for i in range(a - 1)]
+    edges += [(a + i, a + j) for i, j in itertools.combinations(range(b), 2)]
+    return Graph(a + b, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=filter_graphs())
+def test_vectorized_filter_equals_component_counting(g):
+    for k in range(1, 5):
+        candidates = list(itertools.product(range(g.num_nodes), repeat=k))
+        for s in range(1, k + 1):
+            expected = [tup for tup in candidates if _component_count(g, tup) <= s]
+            assert enumerate_tuples(g, k, s).tuples == tuple(expected), (k, s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_full_space_substitution_is_arithmetic(graph_samples, k):
+    # s = k: the table is i + (w - u_j) * n ** (k - 1 - j), with no position map.
+    for g in graph_samples(29, 3, 2, 5):
+        space = enumerate_tuples(g, k, k)
+        table = space.substitution
+        for j in range(k):
+            for i, tup in enumerate(space.tuples):
+                for w in range(g.num_nodes):
+                    assert table[j, i, w] == space.index_of[tup[:j] + (w,) + tup[j + 1 :]]
+        assert "_position" not in space.__dict__
+
+
+def test_tuple_space_is_a_read_only_node_array(p3):
+    space = enumerate_tuples(p3, 2, 1)
+    assert space.nodes.dtype == np.int64 and space.nodes.shape == (7, 2)
+    assert not space.nodes.flags.writeable
+    assert space == enumerate_tuples(Graph(3, [(0, 1), (1, 2)]), 2, 1)
+    assert hash(space) == hash(enumerate_tuples(p3, 2, 1))
+    assert space != enumerate_tuples(p3, 2, 2)
+    assert space != enumerate_tuples(Graph(3, [(0, 1), (0, 2)]), 2, 1)
+
+
+def _connected_graph_with_edges(rng, n, m):
+    """A random recursive tree on n nodes plus uniform extra edges up to m."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+def test_restricted_space_filter_runs_in_blocks_at_the_cap():
+    # n ** k = 1,953,125 candidates, under the default cap of 2,000,000.
+    g = _connected_graph_with_edges(random.Random(125), 125, 320)
+    g.adjacency_matrix  # measure the filter, not the graph's own matrix
+    tracemalloc.start()
+    try:
+        space = enumerate_tuples(g, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
+    # Connected tuples over 1, 2 and 3 distinct nodes: every node, 2^3 - 2
+    # tuples per edge, and 3! per connected triple, of which there are
+    # sum C(deg, 2) minus two per triangle (a triangle has three centers).
+    degrees = [len(nb) for nb in g.neighbor_sets]
+    triangles = sum(len(g.neighbor_sets[u] & g.neighbor_sets[v]) for u, v in g.edges) // 3
+    triples = sum(d * (d - 1) // 2 for d in degrees) - 2 * triangles
+    assert len(space.nodes) == g.num_nodes + 6 * g.num_edges + 6 * triples
+    rng = random.Random(3)
+    for i in rng.sample(range(len(space.nodes)), 200):
+        assert _component_count(g, tuple(space.nodes[i].tolist())) == 1
 
 
 @pytest.mark.parametrize("variant", ["kwl", "delta_klwl", "ks_lwl"])
@@ -289,6 +395,36 @@ def test_stable_partition_matches_classic_oracle(graph_samples):
     for g in graph_samples(47, 40, 2, 8, label_count=2):
         stable = refine_to_stable(g, 1, 1, "kwl")[-1]
         assert partition_of(stable.colors) == partition_of(classic_refinement(g))
+
+
+def test_a_run_plans_its_gathers_once(monkeypatch, graph_samples):
+    # The local gather depends on the graph and the space only, so one run
+    # substitutes once per position, not once per position and round.
+    calls = []
+    substitute = TupleSpace.substitute
+
+    def counting(self, j, nodes):
+        calls.append(j)
+        return substitute(self, j, nodes)
+
+    monkeypatch.setattr(TupleSpace, "substitute", counting)
+    for g in graph_samples(41, 4, 5, 7):
+        for k in (2, 3):
+            calls.clear()
+            run = refine_to_stable(g, k, k, "delta_klwl")
+            assert len(run) >= 2  # at least two rounds ran
+            assert sorted(calls) == list(range(k))
+
+
+@pytest.mark.parametrize("variant, k, s", ALL_VARIANTS + (("delta_kwl", 3, 3), ("ks_lwl", 3, 2)))
+def test_engine_runs_never_build_python_tuples(monkeypatch, p3, c6, variant, k, s):
+    def refuse(self):
+        raise AssertionError("the engine read TupleSpace.tuples")
+
+    monkeypatch.setattr(TupleSpace, "tuples", property(refuse))
+    refine_to_stable(c6, k, s, variant)
+    distinguish(p3, c6, variant, k, s)
+    distinguish(c6, c6, variant, k, s)
 
 
 def test_runs_are_deterministic(c6):

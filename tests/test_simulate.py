@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 import zlib
 
 import numpy as np
@@ -191,6 +192,16 @@ def test_layer_rejects_one_dimensional_input():
     with pytest.raises(ValidationError) as err:
         transformer_layer(np.ones(4), LayerWeights(heads=(head,), w_o=np.eye(2)))
     assert err.value.code == SHAPE_MISMATCH
+
+
+def test_layer_rejects_scores_that_overflow():
+    x = np.array([[1e200, 0.0], [0.0, 1.0]])
+    head = AttentionHead(1e200 * np.eye(2), np.eye(2), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            transformer_layer(x, LayerWeights(heads=(head,), w_o=np.eye(2)))
+    assert err.value.code == INVALID_SCHEMA
 
 
 def test_layer_rejects_non_finite_tokens():
@@ -549,6 +560,35 @@ def test_temperature_must_be_positive_and_finite(p3, b):
         with pytest.raises(ValidationError) as err:
             call()
         assert err.value.code == INVALID_SCHEMA
+
+
+@pytest.mark.parametrize("k, variant", [(1, "kwl"), (2, "delta_kwl"), (3, "delta_klwl")])
+def test_temperature_whose_query_scale_overflows_is_rejected(c6, k, variant):
+    # b sqrt(kn) or b (2n + 2) sqrt(kn) is inf: the weights would hold inf and
+    # NaN, and the report a NaN error. No numpy warning may escape either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calls = [lambda: simulate_and_compare(c6, k, k, variant, b=1e308)]
+        if k > 1:
+            calls.append(lambda: simulate_and_compare(c6, k, 1, "ks_lwl", b=1e308))
+            calls.append(lambda: construct_kgt_weights(c6, k, variant, 1, b=1e308))
+        for call in calls:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.code == INVALID_SCHEMA
+
+
+def test_temperature_whose_scores_overflow_is_rejected():
+    # On a 9-node star the query scale b sqrt(9) is finite at b = 5.9e307,
+    # but projecting the adjacency eigenfactorization overflows.
+    star = Graph(9, [(0, v) for v in range(1, 9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            simulate_and_compare(star, 1, 1, "kwl", b=5.9e307)
+        assert err.value.code == INVALID_SCHEMA
+        report = simulate_and_compare(star, 1, 1, "kwl", b=1e306)
+    assert math.isfinite(report.max_attention_error)
 
 
 # ------------------------------------------------------- simulate_and_compare

@@ -4,6 +4,7 @@ neighborhoods."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,16 @@ def test_arithmetic_epsilon_separates_repeated_eigenvalues(c6):
     assert np.allclose(eps, delta * np.arange(1, 7))
     perturbed = dec.eigenvalues + eps
     assert len(set(np.round(perturbed, 12))) == 6
+
+
+def test_arithmetic_epsilon_checks_its_largest_entry_before_overflowing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eig_count, delta in ((6, 1e308), (2, 1e308), (1, math.inf), (3, math.nan)):
+            with pytest.raises(ValidationError) as exc:
+                arithmetic_epsilon(eig_count, delta)
+            assert exc.value.code == INVALID_SCHEMA
+        assert arithmetic_epsilon(6, 1e300)[-1] == 6e300
 
 
 # ------------------------------------------------- identifying targets
