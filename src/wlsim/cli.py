@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -78,21 +80,61 @@ def _print_error(code: str, message: str) -> None:
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
+@functools.cache
+def _leaf_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder for a container that holds no container, with its
+    items one per line at ``depth`` levels of indentation."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _dumps(value: object, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
+    documents whose dict keys are strings, as every document here is.
+
+    With ``indent`` set, the json module falls back to its pure-Python
+    encoder. Here only dicts and lists that hold containers are walked in
+    Python; every other container is one call to a C encoder whose item
+    separator carries the line break and the indentation.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return _leaf_encoder(depth).encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    items = value.values() if isinstance(value, dict) else value
+    outer, inner = "  " * depth, "  " * (depth + 1)
+    # The distinct item types are few, so this check stays out of a Python loop.
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items))):
+        text = _leaf_encoder(depth + 1).encode(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    if isinstance(value, dict):
+        parts = [f"{json.dumps(key)}: {_dumps(value[key], depth + 1)}" for key in sorted(value)]
+        first, last = "{}"
+    else:
+        parts = [_dumps(item, depth + 1) for item in value]
+        first, last = "[]"
+    return f"{first}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{last}"
+
+
 def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _dumps(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ValidationError(FILE_NOT_FOUND, f"cannot write a file at {out}") from None
 
 
 def _read_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(FILE_NOT_FOUND, f"no such graph file: {path}") from None
     except IsADirectoryError:
         raise ValidationError(FILE_NOT_FOUND, f"not a readable file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(INVALID_SCHEMA, f"graph file {path} is not UTF-8: {exc}") from None
     return load_graph(text)
 
 
@@ -225,6 +267,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValidationError(INVALID_SCHEMA, f"tolerance must be finite and >= 0, got {args.tol!r}")
     graph = _read_graph(args.graph)
     variant = VARIANT_NAMES[args.variant]
     s = _resolve_s(args.k, args.s)

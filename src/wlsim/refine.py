@@ -20,12 +20,19 @@ A space is the ``(t, k)`` node array of its tuples (``TupleSpace.nodes``).
 A full space is the row-major index grid, so the tuple reached by a
 substitution is found by arithmetic on its row; a restricted space is the
 grid filtered block by block by a vectorized component count, and finds it
-through a map from the flat index. A run first plans, once, which tuples
-each position reads (``TupleSpace.substitute``). A round then gathers the
-colors through that plan, sorts each position block and numbers the rows by
-first occurrence in enumeration order, so two runs over the same input
-produce identical arrays and a repeated partition shows up as a repeated
-array.
+through a map from the flat index.
+
+On a full space the multiset at position j depends only on the other k - 1
+positions: it is the fiber along axis j of the ``(n,) * k`` color grid. The
+full rules sort each fiber once, number the fibers through one table and
+read a tuple's k fiber ids. ``delta_kwl`` adds, per position, the colors
+reached through the neighbors of the replaced node, which with the fiber
+fix its (color, adjacent) multiset. The local rules read those neighbor
+blocks only. A run plans, once, which tuples each neighbor block reads
+(``TupleSpace.substitute``). A round then gathers and sorts the blocks and
+numbers the rows by first occurrence in enumeration order, so two runs over
+the same input produce identical arrays and a repeated partition shows up
+as a repeated array.
 """
 
 from __future__ import annotations
@@ -290,54 +297,58 @@ def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[
 
 def _gather_plans(
     graphs: Sequence[Graph], spaces: Sequence[TupleSpace], variant: str
-) -> list[list[tuple[np.ndarray, np.ndarray | None]]]:
-    """What a round reads at each position j, per graph: the index of every
-    tuple reached by substituting at j, and under ``delta_kwl`` whether the
-    new node is adjacent to the replaced one. Every node is substituted
-    under the full rules, the neighbors of the replaced node under the local
-    rules, with -1 off the space and -1 padding up to the largest degree of
-    the graphs. It depends on the graphs and spaces only, so a run builds it
-    once."""
-    local = _is_local(variant, spaces[0].k)
+) -> list[tuple[tuple[int, ...] | None, list[np.ndarray]]]:
+    """What a round reads, per graph: the grid shape ``(n,) * k`` whose
+    fibers the full rules sort (None under the local rules), and at each
+    position j the index of every tuple reached by putting a neighbor of the
+    replaced node at j (none under ``kwl`` at k > 1), with -1 off the space
+    and -1 padding up to the largest degree of the graphs. It depends on the
+    graphs and spaces only, so a run builds it once."""
+    k = spaces[0].k
+    local = _is_local(variant, k)
+    if variant == "kwl" and not local:
+        return [((space.num_nodes,) * k, []) for space in spaces]
     width = max(graph.neighbor_array.shape[1] for graph in graphs)
     plans = []
     for graph, space in zip(graphs, spaces):
         nbrs = graph.neighbor_array
         nbrs = np.pad(nbrs, ((0, 0), (0, width - nbrs.shape[1])), constant_values=-1)
-        plan = []
-        for j in range(space.k):
-            here = space.nodes[:, j]
-            if local:
-                plan.append((space.substitute(j, nbrs[here]), None))
-            elif variant == "delta_kwl":
-                adjacent = graph.adjacency_matrix[here].view(np.int8)
-                plan.append((space.substitution[j], adjacent))
-            else:
-                plan.append((space.substitution[j], None))
-        plans.append(plan)
+        blocks = [space.substitute(j, nbrs[space.nodes[:, j]]) for j in range(k)]
+        plans.append((None if local else (space.num_nodes,) * k, blocks))
     return plans
 
 
 def _summary_ids(
-    plans: Sequence[Sequence[tuple[np.ndarray, np.ndarray | None]]],
+    plans: Sequence[tuple[tuple[int, ...] | None, Sequence[np.ndarray]]],
     color_lists: Sequence[Sequence[int]],
 ) -> list[list[int]]:
     """One round on every graph through one table. A tuple's row is
-    ``[old color | sorted block of position 1 | ... | position k]``. Block j
-    holds the colors the plan gathers at j, -1 where it reads -1, packed as
-    ``2 * color + adjacent`` where the plan carries adjacency."""
+    ``[old color | fiber ids | sorted neighbor blocks]``. Under the full
+    rules, fiber id j numbers the sorted colors along axis j of the color
+    grid through the tuple, through one table shared by every graph. Block j
+    holds the colors the plan gathers at j, -1 where it reads -1."""
+    colors = [np.asarray(c, dtype=np.int32) for c in color_lists]
+    fibers = []
+    for (shape, _), flat in zip(plans, colors):
+        if shape is not None:
+            grid = flat.reshape(shape)
+            for j, n in enumerate(shape):
+                fibers.append(np.sort(np.moveaxis(grid, j, -1).reshape(-1, n), axis=1))
+    fiber_ids = iter(_relabel_rows(fibers))
     row_arrays = []
-    for plan, colors in zip(plans, color_lists):
-        colors = np.asarray(colors, dtype=np.int32)
-        padded = np.append(colors, np.int32(-1))  # index -1 reads this sentinel
-        blocks = [colors[:, None]]
-        for index, adjacent in plan:
+    for (shape, blocks), flat in zip(plans, colors):
+        columns = [flat[:, None]]
+        if shape is not None:
+            for j in range(len(shape)):
+                ids = np.array(next(fiber_ids), dtype=np.int32)
+                ids = np.expand_dims(ids.reshape(shape[:j] + shape[j + 1 :]), j)
+                columns.append(np.broadcast_to(ids, shape).reshape(-1, 1))
+        padded = np.append(flat, np.int32(-1))  # index -1 reads this sentinel
+        for index in blocks:
             block = padded[index]
-            if adjacent is not None:
-                block = 2 * block + adjacent
             block.sort(axis=1)
-            blocks.append(block)
-        row_arrays.append(np.hstack(blocks))
+            columns.append(block)
+        row_arrays.append(np.hstack(columns))
     return _relabel_rows(row_arrays)
 
 

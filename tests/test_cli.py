@@ -12,7 +12,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wlsim.cli import _dumps
 from wlsim.graphs import Graph, builtin_pair, graph_to_dict
 
 
@@ -69,6 +72,35 @@ def test_refine_writes_to_a_file_when_asked(p3_file, tmp_path):
     assert proc.stdout == ""
     doc = json.loads(out.read_text())
     assert doc["iterations"] == 2
+
+
+@pytest.mark.parametrize("target", ["missing/run.json", "."])
+def test_refine_out_to_a_missing_directory_or_a_directory_is_one_error(p3_file, tmp_path, target):
+    out = tmp_path / target
+    proc = run_cli("refine", "--graph", p3_file, "--k", "1", "--variant", "kwl", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "FILE_NOT_FOUND"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refine", "--graph", "{bad}", "--k", "1", "--variant", "kwl"),
+        ("distinguish", "--g1", "{p3}", "--g2", "{bad}", "--k", "1", "--variant", "kwl"),
+        ("simulate", "--graph", "{bad}"),
+        ("pe", "--graph", "{bad}"),
+        ("verify-identifying", "--graph", "{bad}"),
+        ("tokens", "--graph", "{bad}"),
+    ],
+)
+def test_a_graph_file_that_is_not_utf8_is_invalid_input(p3_file, tmp_path, argv):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"num_nodes": 2, "edges": [[0, 1]], "name": "caf\xe9"}'.encode("latin-1"))
+    proc = run_cli(*(a.format(p3=p3_file, bad=bad) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
 def test_refine_rejects_a_missing_graph_file(tmp_path):
@@ -311,6 +343,14 @@ def test_simulate_requires_a_positive_finite_temperature(p3_file, b):
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_simulate_requires_a_finite_non_negative_tolerance(p3_file, tol):
+    proc = run_cli("simulate", "--graph", p3_file, "--tol", tol)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+
+
 def test_simulate_rejects_inconsistent_variant_requests(p3_file):
     proc = run_cli("simulate", "--graph", p3_file, "--k", "2", "--s", "1", "--variant", "kwl")
     assert proc.returncode == 2
@@ -440,3 +480,30 @@ def test_bench_is_deterministic_apart_from_wall_clock_times():
         assert all(len(r) == 7 for r in rows)
         tables.append([r[:6] for r in rows])
     assert tables[0] == tables[1]
+
+
+# -------------------------------------------------------------- JSON writer
+
+JSON_SCALARS = (
+    st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.sampled_from(['quote " and \\ backslash', "tab\tnew\nline", "caf\xe9 \u2603 \U0001f600"])
+)
+
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_the_json_writer_matches_the_standard_library(tree):
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)

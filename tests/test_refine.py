@@ -26,6 +26,10 @@ from wlsim.refine import (
     Coloring,
     TupleSpace,
     _dense_relabel,
+    _gather_plans,
+    _initial_ids,
+    _relabel_rows,
+    _summary_ids,
     distinguish,
     enumerate_tuples,
     initial_coloring,
@@ -410,10 +414,94 @@ def test_a_run_plans_its_gathers_once(monkeypatch, graph_samples):
     monkeypatch.setattr(TupleSpace, "substitute", counting)
     for g in graph_samples(41, 4, 5, 7):
         for k in (2, 3):
-            calls.clear()
-            run = refine_to_stable(g, k, k, "delta_klwl")
-            assert len(run) >= 2  # at least two rounds ran
-            assert sorted(calls) == list(range(k))
+            for variant, positions in (("delta_klwl", k), ("delta_kwl", k), ("kwl", 0)):
+                calls.clear()
+                run = refine_to_stable(g, k, k, variant)
+                assert len(run) >= 2  # at least two rounds ran
+                assert sorted(calls) == list(range(positions)), variant
+
+
+def _reference_summary_ids(graphs, spaces, variant, color_lists):
+    """One full-rule round through the (k, t, n) substitution table, with the
+    (color, adjacent) pair packed as ``2 * color + adjacent`` under
+    ``delta_kwl``: the row builder the engine used before it sorted fibers,
+    kept as the reference."""
+    row_arrays = []
+    for graph, space, colors in zip(graphs, spaces, color_lists):
+        colors = np.asarray(colors, dtype=np.int32)
+        blocks = [colors[:, None]]
+        for j in range(space.k):
+            block = colors[space.substitution[j]]
+            if variant == "delta_kwl":
+                block = 2 * block + graph.adjacency_matrix[space.nodes[:, j]]
+            block.sort(axis=1)
+            blocks.append(block)
+        row_arrays.append(np.hstack(blocks))
+    return _relabel_rows(row_arrays)
+
+
+@st.composite
+def labelled_graphs(draw, n):
+    """A graph on n nodes: connected, or two connected parts, with or
+    without node labels."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()) and n >= 4:
+        a = rng.randint(2, n - 2)
+        first = random_graph(rng, a, edge_prob=rng.uniform(0.2, 0.9), connected=True)
+        second = random_graph(rng, n - a, edge_prob=rng.uniform(0.2, 0.9), connected=True)
+        edges = list(first.edges) + [(u + a, v + a) for u, v in second.edges]
+    else:
+        edges = random_graph(rng, n, edge_prob=rng.uniform(0.1, 0.9), connected=True).edges
+    labels = tuple(rng.randint(0, 1) for _ in range(n)) if draw(st.booleans()) else None
+    return Graph(n, list(edges), labels=labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(2, 4), joint=st.booleans())
+def test_fiber_rows_equal_the_table_rows_id_for_id(data, k, joint):
+    # Every round of a run and a random coloring: the engine's ids equal the
+    # reference's, through one table for both graphs when joint.
+    n = data.draw(st.integers(2, {2: 7, 3: 6, 4: 5}[k]))
+    graphs = [data.draw(labelled_graphs(n)) for _ in range(1 + joint)]
+    spaces = [enumerate_tuples(g, k, k) for g in graphs]
+    noise = [data.draw(st.lists(st.integers(0, 3), min_size=n**k, max_size=n**k)) for _ in graphs]
+    for variant in ("kwl", "delta_kwl"):
+        plans = _gather_plans(graphs, spaces, variant)
+        colors = _initial_ids(graphs, spaces)
+        for _ in range(4):
+            ids = _summary_ids(plans, colors)
+            assert ids == _reference_summary_ids(graphs, spaces, variant, colors), variant
+            colors = ids
+        assert _summary_ids(plans, noise) == _reference_summary_ids(graphs, spaces, variant, noise)
+
+
+@pytest.mark.parametrize("variant, k, s", ALL_VARIANTS + (("delta_kwl", 3, 3), ("kwl", 3, 3), ("ks_lwl", 3, 2)))
+def test_engine_runs_never_build_the_substitution_table(monkeypatch, p3, c6, variant, k, s):
+    def refuse(self):
+        raise AssertionError("the engine read TupleSpace.substitution")
+
+    monkeypatch.setattr(TupleSpace, "substitution", property(refuse))
+    refine_to_stable(c6, k, s, variant)
+    distinguish(p3, c6, variant, k, s)
+    distinguish(c6, c6, variant, k, s)
+    g, h = builtin_pair("k33_vs_prism")
+    distinguish(g, h, variant, k, s)
+
+
+@pytest.mark.parametrize("variant", ["kwl", "delta_kwl"])
+def test_full_rules_at_order_three_stay_within_fiber_memory(variant):
+    # 64,000 tuples; the (k, t, n) table alone would take 30.7 MB here, and
+    # the gathered (t, 1 + k * n) rows another 31 MB.
+    g = _connected_graph_with_edges(random.Random(40), 40, 80)
+    g.neighbor_array, g.adjacency_matrix  # measure the refinement, not the graph
+    tracemalloc.start()
+    try:
+        run = refine_to_stable(g, 3, 3, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
+    assert len(run) >= 2
 
 
 @pytest.mark.parametrize("variant, k, s", ALL_VARIANTS + (("delta_kwl", 3, 3), ("ks_lwl", 3, 2)))
