@@ -28,6 +28,7 @@ from typing import Sequence
 from .errors import (
     FILE_NOT_FOUND,
     INVALID_SCHEMA,
+    IO_ERROR,
     LimitError,
     ValidationError,
 )
@@ -115,15 +116,20 @@ def _dumps(value: object, depth: int = 0) -> str:
     return f"{first}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{last}"
 
 
-def _emit(doc: dict, out: str | None = None) -> None:
-    text = _dumps(doc) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _emit(doc: dict | str, out: str | None = None) -> None:
+    """Write a document, or text as it is, to stdout or to ``out``."""
+    text = doc if isinstance(doc, str) else _dumps(doc) + "\n"
     try:
-        Path(out).write_text(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(out).write_text(text)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise ValidationError(FILE_NOT_FOUND, f"cannot write a file at {out}") from None
+    except OSError as exc:
+        message = f"cannot write {out or 'stdout'}: {exc.strerror or exc}"
+        raise ValidationError(IO_ERROR, message) from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -135,6 +141,8 @@ def _read_graph(path: str) -> Graph:
         raise ValidationError(FILE_NOT_FOUND, f"not a readable file: {path}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(INVALID_SCHEMA, f"graph file {path} is not UTF-8: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(IO_ERROR, f"cannot read {path}: {exc.strerror or exc}") from None
     return load_graph(text)
 
 
@@ -249,7 +257,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     row["wall_time_ms"],
                 ]
             )
-        sys.stdout.write(buf.getvalue())
+        _emit(buf.getvalue())
         return 0
     totals = {}
     for spec in specs:

@@ -40,6 +40,8 @@ SHAPE_MISMATCH = "SHAPE_MISMATCH"
 DIGIT_OVERFLOW = "DIGIT_OVERFLOW"
 BASE_MISMATCH = "BASE_MISMATCH"
 FILE_NOT_FOUND = "FILE_NOT_FOUND"
+# Any other operating-system error on reading an input or writing an output.
+IO_ERROR = "IO_ERROR"
 
 # Non-fatal flag code: a row-stochastic normalization met an all-zero row.
 # Reported in result objects rather than raised.

@@ -205,19 +205,6 @@ class Graph:
             )
 
 
-@dataclass(frozen=True)
-class AtomicTypeMatrix:
-    """Pairwise relation pattern of a node tuple.
-
-    ``entries[i][j]`` is the code of :func:`atomic_types` for positions i
-    and j; only :func:`atomic_type` builds it, so the entries are valid by
-    construction.
-    """
-
-    k: int
-    entries: tuple[tuple[int, ...], ...]
-
-
 def atomic_types(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     """Atomic types of the rows of a ``(t, k)`` node array, as ``(t, k, k)``
     int8 codes: 2 where two positions hold the same node, 1 where they hold
@@ -231,17 +218,6 @@ def atomic_types(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     if nodes.shape[1] == 1:  # no pair of positions: skip the n x n adjacency
         return np.full(u.shape, 2, dtype=np.int8)
     return np.where(u == v, 2, np.where(graph.adjacency_matrix[u, v], 1, 3)).astype(np.int8)
-
-
-def atomic_type(graph: Graph, tup: Sequence[int]) -> AtomicTypeMatrix:
-    """Atomic type of one validated node tuple, as :func:`atomic_types`."""
-    k = len(tup)
-    if k < 1:
-        raise ValidationError(INVALID_SCHEMA, "tuple must have at least one position")
-    for v in tup:
-        graph._check_node(v)
-    codes = atomic_types(graph, np.array([tup], dtype=np.int64))[0]
-    return AtomicTypeMatrix(k, tuple(map(tuple, codes.tolist())))
 
 
 def apply_permutation(graph: Graph, perm: Sequence[int]) -> Graph:

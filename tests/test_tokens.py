@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wlsim.errors import INVALID_SCHEMA, ValidationError
-from wlsim.graphs import Graph, apply_permutation, atomic_type
+from wlsim.graphs import Graph, apply_permutation, atomic_types
 from wlsim.refine import enumerate_tuples, initial_coloring
 from wlsim.tokens import (
     TokenizerConfig,
@@ -216,12 +216,17 @@ def test_edge_labels_separate_embeddings():
     assert not np.array_equal(first, second)
 
 
+def atomic_type_entries(graph, tup):
+    """The atomic type of one tuple as nested tuples of its pairwise codes."""
+    return tuple(map(tuple, atomic_types(graph, np.array([tup], dtype=np.int64))[0].tolist()))
+
+
 def test_edge_variant_matches_atomic_type_partition(graph_samples):
     for g in graph_samples(37, 5, 2, 5):
         cfg = cfg_for(2, atp_from_edges=True)
         space = enumerate_tuples(g, 2, 2)
         keys = [atp_embedding_from_edges(g, tup, cfg).tobytes() for tup in space.tuples]
-        types = [atomic_type(g, tup).entries for tup in space.tuples]
+        types = [atomic_type_entries(g, tup) for tup in space.tuples]
         # equal embeddings exactly where the atomic types agree
         assert row_partition_from(keys) == row_partition_from(types)
 
