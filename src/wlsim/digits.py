@@ -8,14 +8,17 @@ is reported as an error rather than carried, because a carry would merge
 distinct multisets.
 
 A code keeps only its nonzero digits, as sorted ``(depth, count)`` pairs, so
-counting one element is one dict update at any depth. Everything here is
-integer arithmetic; no floating point.
+counting one element is one dict update at any depth. ``encode_rows`` codes
+many multisets at once as numpy rows instead. Everything here is integer
+arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import BASE_MISMATCH, DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
 
@@ -108,3 +111,27 @@ def encode_multiset(positions: Iterable[int], base: int) -> DigitVector:
             raise ValidationError(INVALID_SCHEMA, f"position must be >= 1, got {p}")
         _count(counts, p, 1, base)
     return _vector(base, counts)
+
+
+def encode_rows(depths: np.ndarray, valid: np.ndarray, base: int) -> np.ndarray:
+    """A key per row of ``depths`` for the multiset of its ``valid`` entries.
+
+    The key is the row's valid depths in ascending order after one 0 per
+    invalid entry, so two keys are equal exactly when the ``encode_multiset``
+    codes of their multisets are.  A depth below 1 or a depth that occurs
+    ``base`` times makes ``encode_multiset`` refuse; the first row that it
+    would refuse is handed to it, so the same error is raised.
+    """
+    _check_base(base)
+    keys = np.where(valid, depths, 0)
+    keys.sort(axis=1)
+    refused = (valid & (depths < 1)).any(axis=1)
+    width = keys.shape[1]
+    if base <= width:
+        # A sorted run of base equal positive depths: one digit reaches the base.
+        last = keys[:, base - 1 :]
+        refused |= ((last == keys[:, : width - base + 1]) & (last > 0)).any(axis=1)
+    if refused.any():
+        row = int(np.argmax(refused))
+        encode_multiset(depths[row][valid[row]].tolist(), base)
+    return keys

@@ -98,10 +98,6 @@ class TupleSpace:
         return tuple(map(tuple, self.nodes.tolist()))
 
     @cached_property
-    def index_of(self) -> dict[tuple[int, ...], int]:
-        return {v: i for i, v in enumerate(self.tuples)}
-
-    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Row-major position weights of the full space's flat index."""
         return tuple(self.num_nodes ** (self.k - 1 - j) for j in range(self.k))
@@ -392,10 +388,17 @@ def refine_to_stable(
     _check_max_iterations(max_iterations)
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
     _check_variant_space(variant, k, s)
-    current = initial_coloring(graph, space)
+    return _refine_until_stable(graph, initial_coloring(graph, space), variant, max_iterations)
+
+
+def _refine_until_stable(
+    graph: Graph, start: Coloring, variant: str, max_iterations: int = DEFAULT_MAX_ITERATIONS
+) -> list[Coloring]:
+    """``refine_to_stable`` from a coloring already built on its space."""
+    current = start
     out = [current]
     for _ in range(max_iterations):
-        nxt = refine_step(graph, space, current, variant)
+        nxt = refine_step(graph, current.space, current, variant)
         if nxt.colors == current.colors:
             return out
         out.append(nxt)

@@ -33,7 +33,7 @@ constructed transformer, the hash-based engine, and an exact fixed-point
 digit encoding (``gnn_reference_step``) that aggregates neighbor colors with
 base-``m`` arithmetic.  The three never share intermediate state, only the
 final lookup that numbers each round's keys by first occurrence
-(``refine._dense_relabel``); agreement of their partitions at every
+(``refine._relabel_rows``); agreement of their partitions at every
 iteration is the point of the exercise.
 """
 
@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .digits import encode_multiset
+from .digits import encode_rows
 from .errors import (
     INVALID_SCHEMA,
     MEMORY_LIMIT,
@@ -64,13 +65,12 @@ from .refine import (
     _check_order,
     _check_variant,
     _check_variant_space,
-    _dense_relabel,
     _is_local,
+    _refine_until_stable,
     _relabel_rows,
     enumerate_tuples,
     initial_coloring,
     refine_step,
-    refine_to_stable,
 )
 from .spectral import eigh, laplacian
 
@@ -100,6 +100,11 @@ DEFAULT_TEMPERATURE = 60.0
 # for a run to pass; the margin is the quantitative witness that the
 # attention approximation is tight enough to be read back exactly.
 ROUNDING_SLACK_LIMIT = 0.4
+
+# Tuples per block of the digit oracle. A block's depth rows then hold at
+# most ORACLE_BLOCK * (1 + k * n) int64 entries, 4 MB at k = 3, n = 40.
+ORACLE_BLOCK = 1 << 12
+
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction so large scores cannot overflow."""
@@ -420,31 +425,39 @@ class _KLayout:
 
 @dataclass(frozen=True, eq=False)
 class _Setup:
-    """Layer-0 state of a construction: tuple space, spectral blocks, initial
-    classes, and the degree block.  Its columns count the adjacent and the
-    non-adjacent substitutions at each position: deg(u_j) and n - deg(u_j) on
-    a full space, the substitutions that stay on the space on a restricted
-    one."""
+    """Layer-0 state of a construction: the graph, its tuple space and the
+    initial classes.  The spectral blocks and the degree block are computed
+    on first use, so a run of zero layers never builds them."""
 
+    graph: Graph
     space: TupleSpace
-    parts: _SpectralParts
     classes: tuple[int, ...]
-    degblock: np.ndarray
+
+    @cached_property
+    def parts(self) -> _SpectralParts:
+        return _spectral_parts(self.graph)
+
+    @cached_property
+    def degblock(self) -> np.ndarray:
+        """The adjacent and non-adjacent substitutions at each position:
+        deg(u_j) and n - deg(u_j) on a full space, the substitutions that
+        stay on the space on a restricted one."""
+        graph, space = self.graph, self.space
+        k = space.k
+        degblock = np.zeros((len(space.nodes), 2 * k))
+        if space.s == k:
+            deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
+            degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
+        else:
+            for j in range(k):
+                for col, gamma in enumerate((1, -1)):
+                    degblock[:, 2 * j + col] = _substitution_hits(graph, space, j, gamma).sum(axis=1)
+        return degblock
 
 
 def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-    parts = _spectral_parts(graph)
-    classes = initial_coloring(graph, space).colors
-    degblock = np.zeros((len(space.nodes), 2 * k))
-    if s == k:
-        deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
-        degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
-    else:
-        for j in range(k):
-            for col, gamma in enumerate((1, -1)):
-                degblock[:, 2 * j + col] = _substitution_hits(graph, space, j, gamma).sum(axis=1)
-    return _Setup(space, parts, classes, degblock)
+    return _Setup(graph, space, initial_coloring(graph, space).colors)
 
 
 def _token_rows_k(setup: _Setup, classes: Sequence[int], memory_limit: int) -> np.ndarray:
@@ -726,17 +739,11 @@ def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
 
 
 def _drive(
-    graph: Graph,
-    k: int,
-    s: int,
-    variant: str,
-    t_layers: int,
-    b: float,
-    memory_limit: int,
+    setup: _Setup, variant: str, t_layers: int, b: float, memory_limit: int
 ) -> _DriveRecord:
-    setup = _setup(graph, k, s, memory_limit)
+    graph, k = setup.graph, setup.space.k
     heads = _head_forms(setup.parts, variant, k, b)
-    full = s == k
+    full = setup.space.s == k
     if full:
         factors, head_errors = _full_space_attention(graph, setup.parts, heads)
     else:
@@ -773,7 +780,7 @@ def _constructed_weights(
 ) -> ConstructedWeights:
     """Run the construction, then write every layer out densely."""
     t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
-    layers = _drive(graph, k, k, variant, t_layers, b, memory_limit).layers
+    layers = _drive(_setup(graph, k, k, memory_limit), variant, t_layers, b, memory_limit).layers
     dense = tuple(layer.dense(memory_limit) for layer in layers)
     return ConstructedWeights(dense, b, len(layers[0].heads), k, variant)
 
@@ -873,8 +880,16 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     ``m = n + 1``, so digit-wise sums count multisets without collision.
     Per-position contributions are shifted into disjoint digit ranges, the
     adjacent and non-adjacent groups into separate ranges when the variant
-    distinguishes them.  Each tuple's depths are counted by one
-    ``encode_multiset`` call and the resulting vectors are relabeled densely.
+    distinguishes them.  A tuple's code is the multiset of its depths: its
+    own color's, then one per substitution that the rule counts.
+
+    The tuples are coded ``ORACLE_BLOCK`` at a time.  A block's depths form
+    one row of ``1 + k * n`` entries per tuple, one per position and node,
+    with the substitutions the rule skips masked.  The substituted tuple is
+    found by the row-major flat index, ``i - u_j * n^(k-1-j) + w *
+    n^(k-1-j)``, which is the row on a full space and is looked up among the
+    space's sorted flat indices on a restricted one.  ``encode_rows`` turns
+    each row into a code key, and the blocks are numbered through one table.
 
     Parameters
     ----------
@@ -901,50 +916,39 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             SPACE_MISMATCH,
             f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
         )
-    n = graph.num_nodes
-    big_n = len(space.nodes)
-    nbs = graph.neighbor_sets
-    cols = colors.colors
+    n, t = graph.num_nodes, len(space.nodes)
+    cols = np.asarray(colors.colors, dtype=np.int64)
+    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    flat = space.nodes @ strides
+    local = _is_local(variant, k)
 
-    # A tuple of color c counts at depth c + 1; a substituted tuple counts
-    # at its color's depth past the offset of its position and group.
-    vectors = []
-    if k == 1 and variant == "kwl":
-        for v in range(n):
-            depths = [cols[v] + 1]
-            depths.extend(big_n + cols[w] + 1 for w in nbs[v])
-            vectors.append(encode_multiset(depths, n + 1))
-    elif variant == "ks_lwl":
-        index_of = space.index_of
-        for i, tup in enumerate(space.tuples):
-            depths = [cols[i] + 1]
-            for j in range(k):
-                offset = big_n * (j + 1) + 1
-                for w in nbs[tup[j]]:
-                    idx = index_of.get(tup[:j] + (w,) + tup[j + 1 :])
-                    if idx is not None:
-                        depths.append(offset + cols[idx])
-            vectors.append(encode_multiset(depths, n + 1))
-    else:
-        strides = space.strides
-        for i, tup in enumerate(space.tuples):
-            depths = [cols[i] + 1]
-            for j in range(k):
-                base = i - tup[j] * strides[j]
-                neighbors = nbs[tup[j]]
-                for w in range(n):
-                    if variant == "kwl":
-                        offset = big_n * (j + 1)
-                    elif variant == "delta_kwl":
-                        offset = big_n * (2 * j + 1) if w in neighbors else big_n * (2 * j + 2)
-                    else:  # delta_klwl
-                        if w not in neighbors:
-                            continue
-                        offset = big_n * (j + 1)
-                    depths.append(offset + cols[base + w * strides[j]] + 1)
-            vectors.append(encode_multiset(depths, n + 1))
+    def depth_rows(start: int, stop: int) -> np.ndarray:
+        # A tuple of color c counts at depth c + 1; a substituted tuple counts
+        # at its color's depth past the offset of its position and group.
+        nodes = space.nodes[start:stop]
+        depths = np.empty((len(nodes), 1 + k * n), dtype=np.int64)
+        valid = np.ones(depths.shape, dtype=bool)
+        depths[:, 0] = cols[start:stop] + 1
+        for j in range(k):
+            block = slice(1 + j * n, 1 + (j + 1) * n)
+            moved = (flat[start:stop] - nodes[:, j] * strides[j])[:, None]
+            moved = moved + np.arange(n) * strides[j]
+            if space.s < k:
+                row = np.minimum(np.searchsorted(flat, moved), t - 1)
+                valid[:, block] = flat[row] == moved
+                moved = row
+            if variant == "delta_kwl":
+                adjacent = graph.adjacency_matrix[nodes[:, j]]
+                offset = np.where(adjacent, t * (2 * j + 1), t * (2 * j + 2))
+            else:
+                offset = t * (j + 1)
+                if local:
+                    valid[:, block] &= graph.adjacency_matrix[nodes[:, j]]
+            depths[:, block] = offset + cols[moved] + 1
+        return encode_rows(depths, valid, n + 1)
 
-    ids = _dense_relabel([vectors])[0]
+    blocks = (depth_rows(i, min(i + ORACLE_BLOCK, t)) for i in range(0, t, ORACLE_BLOCK))
+    ids = [i for block in _relabel_rows(blocks) for i in block]
     return Coloring(space, tuple(ids), colors.iteration + 1)
 
 
@@ -1021,25 +1025,23 @@ def simulate_and_compare(
             f"the order-1 construction implements plain refinement only, got {variant!r}",
         )
     b = _check_temperature(b)
-    engine = None
+    if t_layers is not None:
+        t_layers = _check_layers(t_layers, 0)
+    setup = _setup(graph, k, s, memory_limit)
+    engine = [Coloring(setup.space, setup.classes, 0)]
     if t_layers is None:
-        engine = refine_to_stable(graph, k, s, variant, memory_limit=memory_limit)
+        engine = _refine_until_stable(graph, engine[0], variant)
         # The run stopped at the first round that repeated the last coloring,
         # so the round past the fixed point is that coloring again.
         engine.append(engine[-1])
         t_layers = len(engine) - 1
-    t_layers = _check_layers(t_layers, 0)
 
     if t_layers == 0:
-        space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-        engine = [initial_coloring(graph, space)]
-        record = _DriveRecord(space, (), (engine[0].colors,), (), 0.0)
+        record = _DriveRecord(setup.space, (), (setup.classes,), (), 0.0)
     else:
-        record = _drive(graph, k, s, variant, t_layers, b, memory_limit)
-    if engine is None:
-        engine = [initial_coloring(graph, record.space)]
-        for _ in range(t_layers):
-            engine.append(refine_step(graph, record.space, engine[-1], variant))
+        record = _drive(setup, variant, t_layers, b, memory_limit)
+    while len(engine) <= t_layers:
+        engine.append(refine_step(graph, setup.space, engine[-1], variant))
     oracle = [engine[0]]
     for _ in range(t_layers):
         oracle.append(gnn_reference_step(oracle[-1], graph, k, variant))

@@ -2,11 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wlsim.digits import DigitVector, add, code_of, encode_multiset, shift
+from wlsim.digits import DigitVector, add, code_of, encode_multiset, encode_rows, shift
 from wlsim.errors import BASE_MISMATCH, DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
 
 
@@ -218,3 +219,58 @@ def test_encode_equals_the_fold_of_single_codes(base, positions):
     v = outcomes[0]
     assert DigitVector(base, v.digits) == v
     assert list(v.digits) + [0] * (len(dense) - len(v.digits)) == dense
+
+
+@st.composite
+def depth_rows(draw):
+    """A base and a (rows, width) block of depths with a validity mask; the
+    depths run from -1 to 4 so that invalid depths and overflows both occur."""
+    base = draw(st.integers(2, 4))
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(-1, 4), st.booleans())
+    block = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=rows, max_size=rows))
+    depths = np.array([[d for d, _ in row] for row in block], dtype=np.int64)
+    valid = np.array([[v for _, v in row] for row in block], dtype=bool)
+    return base, depths, valid
+
+
+@given(depth_rows())
+def test_encode_rows_keys_are_equal_exactly_when_codes_are(case):
+    base, depths, valid = case
+    outcomes = []
+    for row, mask in zip(depths.tolist(), valid.tolist()):
+        try:
+            outcomes.append(encode_multiset([d for d, v in zip(row, mask) if v], base))
+        except ValidationError as exc:
+            outcomes.append(exc)
+    refused = [o for o in outcomes if isinstance(o, ValidationError)]
+    if refused:
+        # The first row that encode_multiset refuses decides the error.
+        with pytest.raises(ValidationError) as err:
+            encode_rows(depths, valid, base)
+        assert (err.value.code, str(err.value)) == (refused[0].code, str(refused[0]))
+        return
+    keys = encode_rows(depths, valid, base)
+    assert keys.shape == depths.shape
+    for (a, ka), (b, kb) in itertools.combinations(zip(outcomes, keys.tolist()), 2):
+        assert (ka == kb) == (a == b)
+
+
+def test_encode_rows_counts_a_run_that_reaches_the_base():
+    depths = np.array([[2, 5, 2, 2], [2, 5, 2, 2]])
+    ok = np.array([[True, True, True, False], [True, True, True, True]])
+    assert encode_rows(depths[:1], ok[:1], 3).tolist() == [[0, 2, 2, 5]]
+    with pytest.raises(ValidationError) as err:
+        encode_rows(depths, ok, 3)
+    assert err.value.code == DIGIT_OVERFLOW
+
+
+def test_encode_rows_ignores_invalid_depths_and_refuses_valid_ones_below_one():
+    depths = np.array([[0, 1, -3]])
+    assert encode_rows(depths, np.array([[False, True, False]]), 2).tolist() == [[0, 0, 1]]
+    with pytest.raises(ValidationError) as err:
+        encode_rows(depths, np.array([[False, True, True]]), 2)
+    assert err.value.code == INVALID_SCHEMA
+    with pytest.raises(ValidationError) as err:
+        encode_rows(depths, np.ones((1, 3), dtype=bool), 1)
+    assert err.value.code == INVALID_SCHEMA

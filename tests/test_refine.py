@@ -49,6 +49,11 @@ from wlsim.tokens import TokenizerConfig
 ALL_VARIANTS = (("kwl", 1, 1), ("kwl", 2, 2), ("delta_kwl", 2, 2), ("delta_klwl", 2, 2), ("ks_lwl", 2, 1))
 
 
+def index_of(space):
+    """Map from each tuple of the space to its row."""
+    return {v: i for i, v in enumerate(space.tuples)}
+
+
 def classic_refinement(graph):
     """Independent 1-WL oracle: dict-based, no engine code.
 
@@ -112,8 +117,8 @@ def test_restricted_space_drops_disconnected_tuples(k3, p3):
     assert len(enumerate_tuples(k3, 2, 1).tuples) == 9
     space = enumerate_tuples(p3, 2, 1)
     assert len(space.tuples) == 7
-    assert (0, 2) not in space.index_of
-    assert (2, 0) not in space.index_of
+    assert (0, 2) not in index_of(space)
+    assert (2, 0) not in index_of(space)
 
 
 def test_restricted_space_agrees_with_component_counting(graph_samples):
@@ -134,10 +139,11 @@ def test_substitution_table_matches_index_of(graph_samples, k, s):
         table = space.substitution
         assert table.dtype == np.int32
         assert table.shape == (k, len(space.tuples), g.num_nodes)
+        rows = index_of(space)
         for j in range(k):
             for i, tup in enumerate(space.tuples):
                 for w in range(g.num_nodes):
-                    want = space.index_of.get(tup[:j] + (w,) + tup[j + 1 :], -1)
+                    want = rows.get(tup[:j] + (w,) + tup[j + 1 :], -1)
                     assert table[j, i, w] == want
 
 
@@ -196,10 +202,11 @@ def test_full_space_substitution_is_arithmetic(graph_samples, k):
     for g in graph_samples(29, 3, 2, 5):
         space = enumerate_tuples(g, k, k)
         table = space.substitution
+        rows = index_of(space)
         for j in range(k):
             for i, tup in enumerate(space.tuples):
                 for w in range(g.num_nodes):
-                    assert table[j, i, w] == space.index_of[tup[:j] + (w,) + tup[j + 1 :]]
+                    assert table[j, i, w] == rows[tup[:j] + (w,) + tup[j + 1 :]]
         assert "_position" not in space.__dict__
 
 

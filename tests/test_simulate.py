@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import wlsim.refine
 import wlsim.simulate
+from wlsim.digits import encode_multiset
 from wlsim.errors import (
+    DIGIT_OVERFLOW,
     INVALID_SCHEMA,
     MEMORY_LIMIT,
     SHAPE_MISMATCH,
@@ -36,6 +38,9 @@ from wlsim.graphs import Graph, builtin_pair, random_graph
 from wlsim.refine import (
     DEFAULT_MEMORY_LIMIT,
     VARIANTS,
+    Coloring,
+    TupleSpace,
+    _dense_relabel,
     enumerate_tuples,
     initial_coloring,
     refine_step,
@@ -79,6 +84,11 @@ def row_classes(matrix):
     return tuple(ids)
 
 
+def index_of(space):
+    """Map from each tuple of the space to its row."""
+    return {v: i for i, v in enumerate(space.tuples)}
+
+
 def brute_substitution_matrix(graph, k, j, gamma, space):
     """Independent rebuild of the substitution adjacency, straight from
     its definition: walk every tuple, try every replacement node at the
@@ -87,6 +97,7 @@ def brute_substitution_matrix(graph, k, j, gamma, space):
     t = len(space.tuples)
     mat = np.zeros((t, t))
     nbs = graph.neighbor_sets
+    rows = index_of(space)
     for i, tup in enumerate(space.tuples):
         anchor = tup[j - 1]
         for w in range(graph.num_nodes):
@@ -96,7 +107,7 @@ def brute_substitution_matrix(graph, k, j, gamma, space):
             if gamma == -1 and adjacent:
                 continue
             moved = tup[: j - 1] + (w,) + tup[j:]
-            idx = space.index_of.get(moved)
+            idx = rows.get(moved)
             if idx is not None:
                 mat[i, idx] = 1.0
     return mat
@@ -982,9 +993,177 @@ def test_digit_step_agrees_with_the_engine_on_sampled_graphs(seed):
     )
 
 
+def loop_digit_step(colors, graph, k, variant):
+    """The digit oracle as one ``encode_multiset`` per tuple, walking the
+    tuples and substitutions in Python: the reference that the block-wise
+    ``gnn_reference_step`` must equal id for id."""
+    space = colors.space
+    n = graph.num_nodes
+    big_n = len(space.nodes)
+    nbs = graph.neighbor_sets
+    cols = colors.colors
+    vectors = []
+    if k == 1 and variant == "kwl":
+        for v in range(n):
+            depths = [cols[v] + 1]
+            depths.extend(big_n + cols[w] + 1 for w in nbs[v])
+            vectors.append(encode_multiset(depths, n + 1))
+    elif variant == "ks_lwl":
+        rows = index_of(space)
+        for i, tup in enumerate(space.tuples):
+            depths = [cols[i] + 1]
+            for j in range(k):
+                offset = big_n * (j + 1) + 1
+                for w in nbs[tup[j]]:
+                    idx = rows.get(tup[:j] + (w,) + tup[j + 1 :])
+                    if idx is not None:
+                        depths.append(offset + cols[idx])
+            vectors.append(encode_multiset(depths, n + 1))
+    else:
+        strides = space.strides
+        for i, tup in enumerate(space.tuples):
+            depths = [cols[i] + 1]
+            for j in range(k):
+                base = i - tup[j] * strides[j]
+                neighbors = nbs[tup[j]]
+                for w in range(n):
+                    if variant == "kwl":
+                        offset = big_n * (j + 1)
+                    elif variant == "delta_kwl":
+                        offset = big_n * (2 * j + 1) if w in neighbors else big_n * (2 * j + 2)
+                    else:  # delta_klwl
+                        if w not in neighbors:
+                            continue
+                        offset = big_n * (j + 1)
+                    depths.append(offset + cols[base + w * strides[j]] + 1)
+            vectors.append(encode_multiset(depths, n + 1))
+    ids = _dense_relabel([vectors])[0]
+    return Coloring(space, tuple(ids), colors.iteration + 1)
+
+
+def every_rule(max_k=3):
+    """(k, s, variant) for every variant at k = 1..max_k and every s <= k
+    that the variant accepts."""
+    for k in range(1, max_k + 1):
+        for variant in VARIANTS:
+            for s in range(1, k + 1) if variant == "ks_lwl" else (k,):
+                yield k, s, variant
+
+
+@st.composite
+def oracle_graphs(draw):
+    """A labeled connected graph or a graph of two connected parts."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        return random_graph(
+            rng, rng.randint(2, 5), edge_prob=rng.uniform(0.2, 0.9), label_count=2, connected=True
+        )
+    a = random_graph(rng, rng.randint(2, 3), edge_prob=rng.uniform(0.3, 0.9), connected=True)
+    b = random_graph(rng, 2, edge_prob=1.0, connected=True)
+    shifted = [(u + a.num_nodes, v + a.num_nodes) for u, v in b.edges]
+    labels = [rng.randint(0, 1) for _ in range(a.num_nodes + b.num_nodes)]
+    return Graph(a.num_nodes + b.num_nodes, list(a.edges) + shifted, labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=oracle_graphs(), seed=st.integers(0, 10_000), block=st.integers(1, 3))
+def test_block_oracle_equals_the_per_tuple_loop(g, seed, block):
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wlsim.simulate, "ORACLE_BLOCK", block)
+        for k, s, variant in every_rule():
+            space = enumerate_tuples(g, k, s)
+            t = len(space.nodes)
+            palette = rng.randint(1, t)
+            shuffled = Coloring(space, tuple(rng.randrange(palette) for _ in range(t)), 0)
+            for colors in (initial_coloring(g, space), shuffled):
+                for _ in range(2):
+                    want = loop_digit_step(colors, g, k, variant)
+                    got = gnn_reference_step(colors, g, k, variant)
+                    assert got == want, (k, s, variant, block)
+                    colors = got
+
+
+def _overflow_coloring(space, variant):
+    """Colors under which tuple (a, 0) of an order-2 space on a complete
+    graph counts 2n - 2 substitutions at one depth: the adjacent tuples
+    (w, 0) sit one position range above the adjacent tuples (a, w)."""
+    shift = 2 * len(space.nodes) if variant == "delta_kwl" else len(space.nodes)
+    return Coloring(space, tuple(shift if b == 0 else 0 for _, b in space.tuples), 0)
+
+
+@pytest.mark.parametrize("k,s,variant", [(2, 2, v) for v in VARIANTS] + [(2, 1, "ks_lwl")])
+def test_block_oracle_overflows_where_the_loop_does(k, s, variant):
+    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+    colors = _overflow_coloring(enumerate_tuples(k4, k, s), variant)
+    messages = []
+    for step in (loop_digit_step, gnn_reference_step):
+        with pytest.raises(ValidationError) as err:
+            step(colors, k4, k, variant)
+        assert err.value.code == DIGIT_OVERFLOW, step
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("k,s,variant", list(every_rule()))
+def test_block_oracle_refuses_negative_colors_where_the_loop_does(p3, k, s, variant):
+    space = enumerate_tuples(p3, k, s)
+    t = len(space.nodes)
+    for bad in (-1, -t - 2):
+        colors = Coloring(space, tuple(bad if i == t // 2 else i % 2 for i in range(t)), 0)
+        messages = []
+        for step in (loop_digit_step, gnn_reference_step):
+            with pytest.raises(ValidationError) as err:
+                step(colors, p3, k, variant)
+            assert err.value.code == INVALID_SCHEMA, step
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
+    """The oracle finds substituted tuples by its own arithmetic: it never
+    asks the space or the engine for substitutions, fibers or gather plans,
+    nor walks the tuples in Python."""
+    g = Graph(6, list(c6.edges) + [(0, 3)], [0, 1, 0, 1, 0, 0])
+    starts = {
+        (k, s, variant): initial_coloring(g, enumerate_tuples(g, k, s))
+        for k, s, variant in every_rule()
+    }
+    want = {key: loop_digit_step(c, g, key[0], key[2]) for key, c in starts.items()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached an engine internal")
+
+    monkeypatch.setattr(TupleSpace, "substitute", forbidden)
+    for name in ("_position", "substitution", "tuples"):
+        monkeypatch.setattr(TupleSpace, name, property(forbidden))
+    for name in ("_summary_ids", "_gather_plans"):
+        monkeypatch.setattr(wlsim.refine, name, forbidden)
+    for (k, s, variant), colors in starts.items():
+        assert gnn_reference_step(colors, g, k, variant) == want[(k, s, variant)], (k, s, variant)
+
+
+def test_oracle_round_memory_is_bounded_by_its_blocks():
+    # k = 3, n = 20: t = 8000 tuples of 61 depths.  The per-tuple loop
+    # peaked at about 47 MB here; the blocks and the keys take about 10 MB.
+    g = random_graph(random.Random(20), 20, 3 / 20, connected=True)
+    space = enumerate_tuples(g, 3, 3)
+    colors = refine_step(g, space, initial_coloring(g, space), "kwl")
+    g.adjacency_matrix  # cached on the graph, not part of the round
+    tracemalloc.start()
+    try:
+        out = gnn_reference_step(colors, g, 3, "kwl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(out.colors) + 1 == 8000
+    assert peak < 16_000_000
+
+
 @st.composite
 def edge_case_graphs(draw):
-    """A single edge, a complete graph K3-K5, or a path beside a clique, labeled."""
+    """A single edge, a complete graph K3-K5, or a path beside a clique, with
+    node and edge labels."""
     kind = draw(st.sampled_from(("edge", "complete", "two_components")))
     if kind == "edge":
         n, edges = 2, [(0, 1)]
@@ -997,7 +1176,8 @@ def edge_case_graphs(draw):
         edges = [(i, i + 1) for i in range(a - 1)]
         edges += [(a + i, a + j) for i, j in itertools.combinations(range(b), 2)]
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return Graph(n, edges, labels)
+    edge_labels = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, edges, labels, edge_labels)
 
 
 @settings(max_examples=25, deadline=None)
