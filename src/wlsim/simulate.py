@@ -22,11 +22,12 @@ position, sign and output scalar and the positional blocks of its query and
 key, which are the same in every layer, plus the classes its tokens carry.
 Each head's query and key read only the positional block of one tuple
 position per score slot, so on a full tuple space (s = k) its softmax is
-exactly a Kronecker product of k row-stochastic n x n factors.  The simulation
-then applies the head as k mode products on the one-hot of the classes,
-without the t x t attention matrix, the token matrix or the projections.
-``dense`` writes the layer out as matrices for ``transformer_layer``, which
-stays the reference, and the path for restricted spaces.
+exactly a Kronecker product of k row-stochastic n x n factors, and on a
+restricted space that product on the space, renormalized per row.  The
+simulation applies each head to the one-hot of the classes, as k mode
+products or one t x t attention, without the token matrix or projections.
+``dense`` writes the layer out as matrices for ``transformer_layer``, the
+reference that ``construct_kgt_weights`` and the tests read.
 
 ``simulate_and_compare`` runs three implementations side by side: the
 constructed transformer, the hash-based engine, and an exact fixed-point
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,7 +64,6 @@ from .refine import (
     Coloring,
     TupleSpace,
     _check_order,
-    _check_variant,
     _check_variant_space,
     _is_local,
     _refine_until_stable,
@@ -87,7 +87,6 @@ __all__ = [
     "generalized_adjacency",
     "weighted_indicator",
     "initial_tokens",
-    "construct_1wl_weights",
     "construct_kgt_weights",
     "gnn_reference_step",
     "simulate_and_compare",
@@ -558,8 +557,9 @@ def _head_forms(parts: _SpectralParts, variant: str, k: int, b: float) -> tuple[
 class _StructuredLayer:
     """One constructed layer: the run's heads and the classes its tokens carry.
 
-    ``forward`` runs it on a full tuple space from the one-hot of the classes
-    alone; ``dense`` writes it out as the matrices ``transformer_layer`` runs.
+    ``forward`` runs it on any tuple space from the one-hot of the classes
+    alone; ``dense`` writes it out as the matrices ``transformer_layer`` runs,
+    the reference that ``construct_kgt_weights`` returns.
     """
 
     setup: _Setup
@@ -600,13 +600,13 @@ class _StructuredLayer:
 
         return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
 
-    def forward(self, factors: Sequence[np.ndarray], trace: dict, memory_limit: int) -> None:
-        """The layer on a full tuple space, given each head's factors.
+    def forward(self, attends: Sequence[Callable], trace: dict, memory_limit: int) -> None:
+        """The layer, given each head as a map from the t x c one-hot of the
+        classes to its attended averages (``_head_attention``).
 
-        Applies every head to the t x c one-hot of the classes as mode
-        products, scales it by its output scalar and de-normalizes it by its
-        degree column, in the order of the dense layer, and hands the counts
-        to the FFN, which records the slack and the new classes in ``trace``.
+        Each head's averages are scaled by its output scalar and de-normalized
+        by its degree column, in the order of the dense layer, and handed to
+        the FFN, which records the slack and the new classes in ``trace``.
         """
         t, k = len(self.setup.space.nodes), self.setup.space.k
         c = max(self.classes) + 1
@@ -615,20 +615,22 @@ class _StructuredLayer:
         onehot[np.arange(t), self.classes] = 1.0
         degree = self.setup.degblock
         denormalized = (
-            (head.j, _mode_products(f, onehot) * head.scalar * degree[:, [head.degree_column]])
-            for head, f in zip(self.heads, factors)
+            (head.j, attend(onehot) * head.scalar * degree[:, [head.degree_column]])
+            for head, attend in zip(self.heads, attends)
         )
         _ffn_classes(onehot, k, denormalized, trace)
 
 
 # ---------------------------------------------------------------------------
-# Factored attention on full tuple spaces.
+# Factored attention.
 #
 # Tuple i = (u_1, ..., u_k) of a full space sits at the row-major index of
 # its nodes, and its positional blocks hold P[u_o] with P = [node_part |
 # adj_part].  A head's score slot o reads only the block of position o, so
 # its score is a sum of per-position terms S_o[u_o, v_o], exp factorizes and
-# softmax(score) = F_1 (x) ... (x) F_k with F_o = softmax_rows(S_o).
+# softmax(score) = F_1 (x) ... (x) F_k with F_o = softmax_rows(S_o).  A
+# restricted space keeps some of those rows and columns, and its softmax is
+# the product on them, renormalized per row.
 
 
 def _position_factors(head: _HeadForm, pe: np.ndarray) -> np.ndarray:
@@ -698,13 +700,65 @@ def _full_space_attention(
     return factors, errors
 
 
+def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
+    """Frobenius distance on the rows that have a target at all.
+
+    Rows flagged ZERO_ROW have no admissible attention pattern; the
+    designed FFN neutralizes them by multiplying with a zero count, so they
+    are excluded from the measurement.
+    """
+    keep = np.ones(att.shape[0], dtype=bool)
+    keep[list(target.zero_rows)] = False
+    return float(np.linalg.norm(att[keep] - target.matrix[keep]))
+
+
+def _restricted_space_attention(
+    setup: _Setup, heads: Sequence[_HeadForm], memory_limit: int
+) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """Each head's t x t attention on a restricted space and its distance
+    from its target, the row-normalized substitution adjacency.
+
+    The dense softmax runs over the space's tuples with the full space's
+    exponent sum_o S_o[u_o, v_o], so it is the product of the factors on the
+    space, renormalized per row: the factors' own normalizers cancel.  A row
+    without an admissible substitution has a zero target and degree 0; if
+    its mass underflows it stays 0, not NaN, and the FFN multiplies it by 0.
+    """
+    graph, space = setup.graph, setup.space
+    t = len(space.nodes)
+    atts, errors = [], []
+    for head in heads:
+        target = weighted_indicator(
+            generalized_adjacency(graph, space.k, head.j + 1, head.gamma, space, memory_limit)
+        )
+        att = np.ones((t, t))
+        for factor, u in zip(_position_factors(head, setup.parts.positional), space.nodes.T):
+            att *= factor[np.ix_(u, u)]
+        mass = att.sum(axis=1, keepdims=True)
+        att = np.divide(att, mass, out=np.zeros_like(att), where=mass > 0)
+        atts.append(att)
+        errors.append(_masked_error(att, target))
+    return atts, tuple(errors)
+
+
+def _head_attention(
+    setup: _Setup, heads: Sequence[_HeadForm], memory_limit: int
+) -> tuple[list[Callable], tuple[float, ...]]:
+    """Each head as a map from t x c values to their attended averages, and
+    its attention error, built once per run: neither depends on the classes."""
+    if setup.space.s == setup.space.k:
+        factors, errors = _full_space_attention(setup.graph, setup.parts, heads)
+        return [partial(_mode_products, f) for f in factors], errors
+    atts, errors = _restricted_space_attention(setup, heads, memory_limit)
+    return [partial(np.matmul, att) for att in atts], errors
+
+
 # ---------------------------------------------------------------------------
 # Drivers.
 
 
 @dataclass(frozen=True, eq=False)
 class _DriveRecord:
-    space: TupleSpace
     layers: tuple[_StructuredLayer, ...]
     partitions: tuple[tuple[int, ...], ...]
     attention_errors: tuple[tuple[float, ...], ...]
@@ -717,6 +771,18 @@ def _check_temperature(b) -> float:
     return float(b)
 
 
+def _check_construction(k, s, variant) -> None:
+    """Refine's checks of the order, the bound and the variant, and the one
+    rule of the construction: order 1 implements plain refinement only."""
+    _check_order(k, s)
+    _check_variant_space(variant, k, s)
+    if k == 1 and variant != "kwl":
+        raise ValidationError(
+            VARIANT_MISMATCH,
+            f"the order-1 construction implements plain refinement only, got {variant!r}",
+        )
+
+
 def _check_layers(t_layers, minimum: int) -> int:
     if isinstance(t_layers, bool) or not isinstance(t_layers, int) or t_layers < minimum:
         raise ValidationError(
@@ -725,64 +791,24 @@ def _check_layers(t_layers, minimum: int) -> int:
     return t_layers
 
 
-def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
-    """Frobenius distance on the rows that have a target at all.
-
-    Rows flagged ZERO_ROW have no admissible attention pattern (softmax rows
-    always sum to one); the designed FFN neutralizes them by multiplying
-    with a zero count, so they are excluded from the measurement.
-    """
-    keep = np.ones(att.shape[0], dtype=bool)
-    for i in target.zero_rows:
-        keep[i] = False
-    return float(np.linalg.norm(att[keep] - target.matrix[keep]))
-
-
 def _drive(
     setup: _Setup, variant: str, t_layers: int, b: float, memory_limit: int
 ) -> _DriveRecord:
-    graph, k = setup.graph, setup.space.k
-    heads = _head_forms(setup.parts, variant, k, b)
-    full = setup.space.s == k
-    if full:
-        factors, head_errors = _full_space_attention(graph, setup.parts, heads)
-    else:
-        targets = [
-            weighted_indicator(
-                generalized_adjacency(graph, k, head.j + 1, head.gamma, setup.space, memory_limit)
-            )
-            for head in heads
-        ]
-        x = _token_rows_k(setup, setup.classes, memory_limit)
+    heads = _head_forms(setup.parts, variant, setup.space.k, b)
+    attends, head_errors = _head_attention(setup, heads, memory_limit)
     classes = setup.classes
     partitions = [classes]
     layers = []
-    errors = []
     slack_max = 0.0
     for _ in range(t_layers):
         layer = _StructuredLayer(setup, heads, classes)
         trace = {"slack": 0.0, "classes": ()}
-        if full:
-            layer.forward(factors, trace, memory_limit)
-            errors.append(head_errors)
-        else:
-            x, atts = transformer_layer(x, layer.dense(memory_limit, trace), return_attention=True)
-            errors.append(tuple(_masked_error(att, tgt) for att, tgt in zip(atts, targets)))
+        layer.forward(attends, trace, memory_limit)
         layers.append(layer)
         slack_max = max(slack_max, trace["slack"])
         classes = trace["classes"]
         partitions.append(classes)
-    return _DriveRecord(setup.space, tuple(layers), tuple(partitions), tuple(errors), slack_max)
-
-
-def _constructed_weights(
-    graph: Graph, k: int, variant: str, t_layers: int, b: float, memory_limit: int
-) -> ConstructedWeights:
-    """Run the construction, then write every layer out densely."""
-    t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
-    layers = _drive(_setup(graph, k, k, memory_limit), variant, t_layers, b, memory_limit).layers
-    dense = tuple(layer.dense(memory_limit) for layer in layers)
-    return ConstructedWeights(dense, b, len(layers[0].heads), k, variant)
+    return _DriveRecord(tuple(layers), tuple(partitions), (head_errors,) * t_layers, slack_max)
 
 
 def initial_tokens(
@@ -802,34 +828,6 @@ def initial_tokens(
     return _token_rows_k(setup, setup.classes, memory_limit)
 
 
-def construct_1wl_weights(
-    graph: Graph, t_layers: int, b: float = DEFAULT_TEMPERATURE
-) -> ConstructedWeights:
-    """Closed-form single-head layers that replay classic color refinement.
-
-    This is the order-k construction at k = 1, where plain refinement is a
-    local rule: its one head is the adjacent head of the only position.
-    Each layer's score matrix is the graph adjacency scaled by ``b``, built
-    from the signed eigenfactorization carried in the token rows, so its
-    softmax approaches the degree-normalized adjacency.  The value path
-    copies the one-hot color block into a scratch area and the designed FFN
-    turns the attended averages back into integer neighbor counts.
-
-    Parameters
-    ----------
-    graph : Graph
-    t_layers : int
-        Number of layers to construct (at least 1).
-    b : float
-        Softmax temperature, folded into the query projection.
-
-    Returns
-    -------
-    ConstructedWeights
-    """
-    return _constructed_weights(graph, 1, "kwl", t_layers, b, DEFAULT_MEMORY_LIMIT)
-
-
 def construct_kgt_weights(
     graph: Graph,
     k: int,
@@ -838,39 +836,44 @@ def construct_kgt_weights(
     b: float = DEFAULT_TEMPERATURE,
     memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> ConstructedWeights:
-    """Closed-form multi-head layers that replay order-k tuple refinement.
+    """Closed-form multi-head layers that replay order-k tuple refinement,
+    written out densely for ``transformer_layer`` and ``initial_tokens``.
 
     Head ``(j, +1)`` attends to tuples reached by substituting an adjacent
     node at position ``j``, head ``(j, -1)`` to non-adjacent substitutions.
     The full rules build both groups, 2k heads, and the output projection
     scales the non-adjacent group by 1 for plain counting and by ``n + 1``
     for ``delta_kwl``, which keeps the adjacency split visible.  The local
-    rule ``delta_klwl`` builds the k adjacent heads only.
+    rule ``delta_klwl`` builds the k adjacent heads only.  At k = 1 plain
+    refinement is a local rule: its one head attends to the neighbors, and
+    its softmax approaches the degree-normalized adjacency.
 
     Parameters
     ----------
     graph : Graph
     k : int
-        Tuple order, at least 2.
+        Tuple order, at least 1.
     variant : str
-        One of ``kwl``, ``delta_kwl``, ``delta_klwl``.
+        One of ``kwl``, ``delta_kwl``, ``delta_klwl``; ``kwl`` only at k = 1.
     t_layers : int
+        Number of layers to construct (at least 1).
     b : float
+        Softmax temperature, folded into the query projections.
 
     Returns
     -------
     ConstructedWeights
     """
-    _check_order(k, k)
-    if k < 2:
-        raise ValidationError(INVALID_SCHEMA, f"tuple order k must be an integer >= 2, got {k!r}")
-    _check_variant(variant)
+    _check_construction(k, k, variant)
     if variant == "ks_lwl":
         raise ValidationError(
             VARIANT_MISMATCH,
             "the restricted-space rule is driven through simulate_and_compare with s < k",
         )
-    return _constructed_weights(graph, k, variant, t_layers, b, memory_limit)
+    t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
+    layers = _drive(_setup(graph, k, k, memory_limit), variant, t_layers, b, memory_limit).layers
+    dense = tuple(layer.dense(memory_limit) for layer in layers)
+    return ConstructedWeights(dense, b, len(layers[0].heads), k, variant)
 
 
 def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
@@ -1017,13 +1020,7 @@ def simulate_and_compare(
     -------
     SimReport
     """
-    _check_order(k, s)
-    _check_variant_space(variant, k, s)
-    if k == 1 and variant != "kwl":
-        raise ValidationError(
-            VARIANT_MISMATCH,
-            f"the order-1 construction implements plain refinement only, got {variant!r}",
-        )
+    _check_construction(k, s, variant)
     b = _check_temperature(b)
     if t_layers is not None:
         t_layers = _check_layers(t_layers, 0)
@@ -1037,7 +1034,7 @@ def simulate_and_compare(
         t_layers = len(engine) - 1
 
     if t_layers == 0:
-        record = _DriveRecord(setup.space, (), (setup.classes,), (), 0.0)
+        record = _DriveRecord((), (setup.classes,), (), 0.0)
     else:
         record = _drive(setup, variant, t_layers, b, memory_limit)
     while len(engine) <= t_layers:

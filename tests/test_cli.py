@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlsim.cli import _dumps
-from wlsim.graphs import Graph, builtin_pair, graph_to_dict
+from wlsim.graphs import Graph, builtin_pair, graph_to_dict, random_graph
 
 
 def run_cli(*args):
@@ -372,6 +373,36 @@ def test_simulate_replays_order_three_on_the_shrikhande_graph(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["pass"] is True
     assert doc["partition_equal_per_layer"] == [True] * 4
+
+
+def test_simulate_replays_order_three_on_a_restricted_space(tmp_path):
+    # k = 3, s = 1 on a random 8-node graph: 356 tuples, all in their own
+    # class by the end. The dense form refused it for its 1068 x 2546
+    # output projection.
+    path = tmp_path / "g8.json"
+    graph = random_graph(random.Random(8), 8, 3 / 8, connected=True)
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    argv = ("--graph", str(path), "--k", "3", "--s", "1", "--variant", "ks-local")
+    proc = run_cli("simulate", *argv)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is True
+    assert all(doc["partition_equal_per_layer"])
+
+
+def test_simulate_refuses_a_restricted_space_for_its_ffn_row(tmp_path):
+    # The limit that remains at k = 3, s = 1: on 16 nodes the t x (1 + k) c
+    # rows of one-hot and counts reach 1204 x 4436 entries.
+    path = tmp_path / "g16.json"
+    graph = random_graph(random.Random(16), 16, 3 / 16, connected=True)
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    argv = ("--graph", str(path), "--k", "3", "--s", "1", "--variant", "ks-local")
+    proc = run_cli("simulate", *argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    error = stderr_error(proc)
+    assert error["code"] == "MEMORY_LIMIT"
+    assert error["message"] == "dense 1204x4436 FFN row exceeds the cap of 2000000"
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

@@ -53,7 +53,6 @@ from wlsim.simulate import (
     ConstructedWeights,
     LayerWeights,
     attention_error_curve,
-    construct_1wl_weights,
     construct_kgt_weights,
     generalized_adjacency,
     gnn_reference_step,
@@ -370,11 +369,11 @@ def test_indicator_rejects_one_dimensional_input():
     assert err.value.code == SHAPE_MISMATCH
 
 
-# ------------------------------------------------------- construct_1wl_weights
+# ------------------------------------------------ construct_kgt_weights at k=1
 
 
 def test_order_one_construction_has_one_head_per_layer(p3):
-    cw = construct_1wl_weights(p3, 3, b=40.0)
+    cw = construct_kgt_weights(p3, 1, "kwl", 3, b=40.0)
     assert isinstance(cw, ConstructedWeights)
     assert cw.k == 1
     assert cw.head_count == 1
@@ -398,7 +397,8 @@ def class_block_1(rows, n):
 
 def test_replayed_first_layer_splits_the_path_like_refinement(p3):
     x = initial_tokens(p3, 1)
-    out, (att,) = transformer_layer(x, construct_1wl_weights(p3, 1).layers[0], return_attention=True)
+    layer = construct_kgt_weights(p3, 1, "kwl", 1).layers[0]
+    out, (att,) = transformer_layer(x, layer, return_attention=True)
     assert np.linalg.norm(att - degree_normalized_adjacency(p3)) < 1e-8
     classes = row_classes(class_block_1(out, 3))
     assert classes[0] == classes[2] != classes[1]
@@ -406,7 +406,7 @@ def test_replayed_first_layer_splits_the_path_like_refinement(p3):
 
 def test_replayed_layers_keep_a_cycle_monochrome(c6):
     x = initial_tokens(c6, 1)
-    for layer in construct_1wl_weights(c6, 2).layers:
+    for layer in construct_kgt_weights(c6, 1, "kwl", 2).layers:
         x = transformer_layer(x, layer)
         assert len(set(row_classes(class_block_1(x, 6)))) == 1
 
@@ -416,16 +416,17 @@ def test_constructed_attention_tracks_the_walk_matrix_on_random_graphs():
     for _ in range(12):
         g = random_graph(rng, rng.randint(2, 8), edge_prob=rng.uniform(0.3, 0.8), connected=True)
         x = initial_tokens(g, 1)
-        _, (att,) = transformer_layer(x, construct_1wl_weights(g, 1).layers[0], return_attention=True)
+        layer = construct_kgt_weights(g, 1, "kwl", 1).layers[0]
+        _, (att,) = transformer_layer(x, layer, return_attention=True)
         assert np.linalg.norm(att - degree_normalized_adjacency(g)) < 1e-8
 
 
 def test_order_one_construction_validates_its_arguments(p3):
     with pytest.raises(ValidationError) as err:
-        construct_1wl_weights(p3, 0)
+        construct_kgt_weights(p3, 1, "kwl", 0)
     assert err.value.code == INVALID_SCHEMA
     with pytest.raises(ValidationError) as err:
-        construct_1wl_weights(p3, 1, b=0.0)
+        construct_kgt_weights(p3, 1, "kwl", 1, b=0.0)
     assert err.value.code == INVALID_SCHEMA
 
 
@@ -487,8 +488,17 @@ def test_adjacency_aware_order_two_separates_the_cycle_pair():
 
 def test_order_k_construction_validates_variant_and_order(p3):
     with pytest.raises(ValidationError) as err:
-        construct_kgt_weights(p3, 1, "kwl", 1)
+        construct_kgt_weights(p3, 0, "kwl", 1)
     assert err.value.code == INVALID_SCHEMA
+    # Order 1 implements plain refinement only, with simulate_and_compare's error.
+    for variant in ("delta_kwl", "delta_klwl"):
+        raised = []
+        for call in (construct_kgt_weights, lambda g, k, v, t: simulate_and_compare(g, k, k, v, t)):
+            with pytest.raises(ValidationError) as err:
+                call(p3, 1, variant, 1)
+            raised.append((err.value.code, err.value.message))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == VARIANT_MISMATCH
     with pytest.raises(ValidationError) as err:
         construct_kgt_weights(p3, 2, "ks_lwl", 1)
     assert err.value.code == VARIANT_MISMATCH
@@ -536,7 +546,7 @@ def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
     assert len(structured.heads) == len(layer.heads) == heads
     assert layer.w_o.shape == (heads * c, initial_tokens(p3, k, s).shape[1])
     if variant != "ks_lwl":
-        cw = construct_1wl_weights(p3, 2) if k == 1 else construct_kgt_weights(p3, k, variant, 2)
+        cw = construct_kgt_weights(p3, k, variant, 2)
         assert cw.head_count == heads
         assert all(len(layer.heads) == heads for layer in cw.layers)
     report = simulate_and_compare(p3, k, s, variant, t_layers=2)
@@ -564,28 +574,34 @@ def test_dense_projections_read_each_score_slot_from_its_own_position(p3, varian
                 assert np.count_nonzero(block) > 0
 
 
-def test_only_restricted_spaces_run_the_dense_layer(monkeypatch, p3):
-    """Full spaces, order 1 included, run the factored forward; the dense
-    ``transformer_layer`` serves the restricted spaces only."""
+def test_no_tuple_space_runs_the_dense_layer(monkeypatch, p3):
+    """Every row of the head-count table, restricted spaces included, runs
+    the structured forward: ``transformer_layer``, ``dense()`` and
+    ``_token_rows_k`` are reached only by ``construct_kgt_weights``."""
+    sim = wlsim.simulate
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return transformer_layer(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(wlsim.simulate, "transformer_layer", counting)
-    for variant, k in (("kwl", 1), ("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 3)):
-        assert simulate_and_compare(p3, k, k, variant, t_layers=2).all_equal
-    assert construct_1wl_weights(p3, 2).head_count == 1
+        return wrapper
+
+    builders = ((sim, "transformer_layer"), (sim, "_token_rows_k"), (sim._StructuredLayer, "dense"))
+    for owner, name in builders:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for variant, k, s, _ in HEAD_COUNTS:
+        assert simulate_and_compare(p3, k, s, variant, t_layers=2).all_equal
     assert calls == []
-    assert simulate_and_compare(p3, 2, 1, "ks_lwl", t_layers=2).all_equal
-    assert len(calls) == 2
+    assert construct_kgt_weights(p3, 1, "kwl", 2).head_count == 1
+    assert calls == ["dense", "dense"]
 
 
 @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, 0.0])
 def test_temperature_must_be_positive_and_finite(p3, b):
     calls = (
-        lambda: construct_1wl_weights(p3, 1, b=b),
+        lambda: construct_kgt_weights(p3, 1, "kwl", 1, b=b),
         lambda: construct_kgt_weights(p3, 2, "kwl", 1, b=b),
         lambda: simulate_and_compare(p3, 1, 1, "kwl", b=b),
         lambda: attention_error_curve(p3, temperatures=(b,)),
@@ -743,27 +759,44 @@ def test_simulation_is_deterministic(k3):
     assert first.max_attention_error == second.max_attention_error
 
 
-# ------------------------------------------ factored forward on full spaces
+# ------------------------------------------ structured forward against dense
 
 
-def lockstep_forwards(g, k, variant, b, t_layers):
+def lockstep_forwards(g, k, s, variant, b, t_layers):
     """Step the dense and the structured forward on the same constructed layers.
 
     Each round both paths start from the same classes.  The dense path runs
     ``transformer_layer`` on the layer's ``dense()`` weights and token rows,
-    the structured path ``forward`` on the factors of its heads.  Yields a
-    dict keyed by path of (attention matrices, residual sum before the FFN,
-    FFN output, FFN trace).  The structured attentions are rebuilt as dense
-    Kronecker products of their factors, its residual sum puts each head's
-    mode products times its output scalar into the count scratch of the
-    token rows, and its FFN output is the token rows of its classes.  The
-    dense output feeds the next round.
+    the structured path ``forward`` on the attention maps of its heads.
+    Yields a dict keyed by path of (attention matrices, residual sum before
+    the FFN, FFN output, FFN trace).  The structured attentions are rebuilt
+    as dense Kronecker products of their factors on a full space and are
+    the restricted t x t attentions on a restricted one; its residual sum
+    puts each head's attended one-hot times its output scalar into the count
+    scratch of the token rows, and its FFN output is the token rows of its
+    classes.  The dense output feeds the next round.
+
+    Under "compared" it also yields where the two must agree: per head the
+    rows that have a target, and the residual sum outside the count scratch
+    of the rows that have none.  A row of a restricted space without an
+    admissible substitution has degree 0.  The dense softmax and the
+    renormalized product weigh it differently (the product leaves it 0 if
+    its mass underflows), and the FFN multiplies either by that 0.
     """
     sim = wlsim.simulate
-    setup = sim._setup(g, k, k, DEFAULT_MEMORY_LIMIT)
+    setup = sim._setup(g, k, s, DEFAULT_MEMORY_LIMIT)
     heads = sim._head_forms(setup.parts, variant, k, b)
-    factors, _ = sim._full_space_attention(g, setup.parts, heads)
-    x, classes = initial_tokens(g, k), setup.classes
+    attends, _ = sim._head_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
+    if s == k:
+        factors, _ = sim._full_space_attention(g, setup.parts, heads)
+        atts_f = [functools.reduce(np.kron, f) for f in factors]
+    else:
+        atts_f, _ = sim._restricted_space_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
+    rows = [
+        generalized_adjacency(g, k, head.j + 1, head.gamma, space=setup.space).any(axis=1)
+        for head in heads
+    ]
+    x, classes = initial_tokens(g, k, s), setup.classes
     for _ in range(t_layers):
         layer = sim._StructuredLayer(setup, heads, classes)
         lay = sim._KLayout(c=max(classes) + 1, k=k, n=g.num_nodes)
@@ -773,17 +806,17 @@ def lockstep_forwards(g, k, variant, b, t_layers):
         combined_d, atts_d = transformer_layer(x, bare, return_attention=True)
         out_d = weights.ffn(combined_d)
         trace_f = {"slack": 0.0, "classes": ()}
-        layer.forward(factors, trace_f, DEFAULT_MEMORY_LIMIT)
+        layer.forward(attends, trace_f, DEFAULT_MEMORY_LIMIT)
         combined_f = x.copy()
-        for head, f in zip(heads, factors):
-            combined_f[:, lay.counts(head)] += (
-                sim._mode_products(f, x[:, : lay.c]) * head.scalar
-            )
-        atts_f = [functools.reduce(np.kron, f) for f in factors]
+        agree = np.ones(x.shape, dtype=bool)
+        for head, attend, kept in zip(heads, attends, rows):
+            combined_f[:, lay.counts(head)] += attend(x[:, : lay.c]) * head.scalar
+            agree[~kept, lay.counts(head)] = False
         out_f = sim._token_rows_k(setup, trace_f["classes"], DEFAULT_MEMORY_LIMIT)
         yield {
             "dense": (atts_d, combined_d, out_d, trace_d),
             "structured": (atts_f, combined_f, out_f, trace_f),
+            "compared": (rows, agree),
         }
         x, classes = out_d, trace_d["classes"]
 
@@ -793,15 +826,20 @@ def lockstep_forwards(g, k, variant, b, t_layers):
 def test_factored_forward_matches_the_dense_layer(k, n, b):
     rng = random.Random(1000 * k + n)
     g = random_graph(rng, n, edge_prob=rng.uniform(0.3, 0.7), connected=True)
-    # The local rule builds the adjacent group of heads only.
-    for variant, groups in (("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 1)):
-        for rounds in lockstep_forwards(g, k, variant, b, 2):
+    # The local rules build the adjacent group of heads only; ks_lwl runs on
+    # every restricted space s < k.
+    full = (("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 1))
+    runs = [(variant, k, groups) for variant, groups in full]
+    runs += [("ks_lwl", s, 1) for s in range(1, k)]
+    for variant, s, groups in runs:
+        for rounds in lockstep_forwards(g, k, s, variant, b, 2):
             atts_d, combined_d, out_d, trace_d = rounds["dense"]
             atts_f, combined_f, out_f, trace_f = rounds["structured"]
+            rows, agree = rounds["compared"]
             assert len(atts_d) == len(atts_f) == k * groups
-            for dense, rebuilt in zip(atts_d, atts_f):
-                assert np.abs(dense - rebuilt).max() < 1e-12
-            assert np.abs(combined_d - combined_f).max() < 1e-9
+            for dense, rebuilt, kept in zip(atts_d, atts_f, rows):
+                assert np.abs(dense[kept] - rebuilt[kept]).max() < 1e-12
+            assert np.abs(combined_d - combined_f)[agree].max() < 1e-9
             assert trace_d["classes"] == trace_f["classes"]
             assert abs(trace_d["slack"] - trace_f["slack"]) < 1e-9
             assert np.array_equal(out_d, out_f)
@@ -858,8 +896,9 @@ class DenseBuilt(Exception):
 
 
 def test_full_spaces_never_write_a_layer_out(monkeypatch):
-    """No ``w_q``/``w_k``/``w_v``, ``w_o`` or token matrix on full spaces:
-    ``dense()`` and ``_token_rows_k`` are the only builders of them."""
+    """No ``w_q``/``w_k``/``w_v``, ``w_o`` or token matrix on any tuple
+    space, restricted ones included: ``dense()`` and ``_token_rows_k`` are
+    the only builders of them, and only ``construct_kgt_weights`` calls them."""
     sim = wlsim.simulate
 
     def refuse(*args, **kwargs):
@@ -873,20 +912,25 @@ def test_full_spaces_never_write_a_layer_out(monkeypatch):
             report = simulate_and_compare(g, k, k, variant)
             assert report.all_equal, (k, variant)
             assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
-    # The restricted space runs the dense layer, so it reaches the builders.
-    with pytest.raises(DenseBuilt):
-        simulate_and_compare(g, 2, 1, "ks_lwl")
+    report = simulate_and_compare(g, 2, 1, "ks_lwl")
+    assert report.all_equal
+    assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
     with pytest.raises(DenseBuilt):
         construct_kgt_weights(g, 2, "kwl", 1)
 
 
-@pytest.mark.parametrize("k,variant", [(1, "kwl"), (2, "kwl"), (2, "delta_kwl"), (3, "delta_klwl")])
+@pytest.mark.parametrize(
+    "k,variant",
+    [(1, "kwl"), (2, "kwl"), (2, "delta_kwl"), (3, "delta_klwl"), (2, "ks_lwl"), (3, "ks_lwl")],
+)
 def test_full_space_layers_report_one_attention_error_tuple(k, variant):
-    # The factors and the targets are the same in every layer.
+    # The attentions and the targets are the same in every layer, on the
+    # full space and on every restricted one (ks_lwl, s < k).
     g = random_graph(random.Random(31), 7, edge_prob=0.4, connected=True)
-    report = simulate_and_compare(g, k, k, variant)
-    assert report.layers >= 2
-    assert all(errors == report.attention_errors[0] for errors in report.attention_errors)
+    for s in range(1, k) if variant == "ks_lwl" else (k,):
+        report = simulate_and_compare(g, k, s, variant)
+        assert report.layers >= 2
+        assert all(errors == report.attention_errors[0] for errors in report.attention_errors)
 
 
 def test_twenty_nodes_at_order_two_pass_at_the_default_cap():
@@ -905,6 +949,51 @@ def test_twenty_nodes_at_order_two_pass_at_the_default_cap():
     assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
     assert max(report.transformer_partitions[-1]) + 1 == 400
     assert peak < 48_000_000
+
+
+@pytest.mark.parametrize("n,classes", [(8, 356), (12, 624)])
+def test_order_three_restricted_spaces_pass_at_the_default_cap(n, classes):
+    # The dense form refused both for its output projection (1068 x 2546 at
+    # n = 8); the restricted forward holds k t x t attentions and the
+    # t x (1 + k) c FFN row, and both runs reach the discrete partition.
+    g = random_graph(random.Random(n), n, 3 / n, connected=True)
+    g.adjacency_matrix
+    tracemalloc.start()
+    try:
+        report = simulate_and_compare(g, 3, 1, "ks_lwl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_equal
+    assert report.max_attention_error < 1e-8
+    assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+    assert max(report.transformer_partitions[-1]) + 1 == classes
+    assert peak < 128_000_000
+
+
+@pytest.mark.parametrize("b", [DEFAULT_TEMPERATURE, 1000.0])
+def test_rows_without_a_target_stay_finite_on_a_restricted_space(p3, b):
+    # On P3 at k = 3, s = 1, two tuples per position have no adjacent
+    # substitution on the space, so their rows have no target and degree 0.
+    # At b = 1000 every product on such a row underflows: the row stays 0
+    # instead of NaN, and no numpy warning escapes at either temperature.
+    sim = wlsim.simulate
+    setup = sim._setup(p3, 3, 1, DEFAULT_MEMORY_LIMIT)
+    heads = sim._head_forms(setup.parts, "ks_lwl", 3, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        atts, errors = sim._restricted_space_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
+        report = simulate_and_compare(p3, 3, 1, "ks_lwl", b=b)
+    for head, att in zip(heads, atts):
+        kept = generalized_adjacency(p3, 3, head.j + 1, 1, space=setup.space).any(axis=1)
+        assert np.count_nonzero(~kept) == 2
+        assert np.isfinite(att).all()
+        assert np.allclose(att[kept].sum(axis=1), 1.0)
+        if b > DEFAULT_TEMPERATURE:
+            assert not att[~kept].any()
+    assert report.all_equal
+    assert report.attention_errors[0] == errors
+    assert report.max_attention_error < 1e-8
 
 
 @pytest.mark.parametrize("variant", ["kwl", "delta_kwl", "delta_klwl"])
