@@ -11,15 +11,16 @@ neighbor-color counts and relabels the rows.  Iterating the layer
 reproduces, class for class, the refinement computed by the multiset engine
 in ``refine``.
 
-One construction serves every order, order 1 being k = 1.  Head (j, gamma)
-attends to the tuples reached by substituting a node at position j that is
-adjacent (gamma = +1) or non-adjacent (gamma = -1) to the replaced one.  Every
-rule builds the k adjacent heads; only the full rules, which count
-non-adjacent substitutions too, also build the k non-adjacent ones.
+One construction serves every order, order 1 being k = 1, and every rule
+builds k heads.  Head j attends to the tuples reached by substituting a node
+at position j, weighing an adjacent substitution alpha and a non-adjacent
+one beta: (1, 0) for the local rules, which count adjacent substitutions
+only, (1, 1) for plain counting and (n + 1, 1) for the adjacency-aware rule,
+whose de-normalized count (n + 1) * adjacent + non_adjacent is injective.
 
 A layer is kept in the form the construction writes it: per head its
-position, sign and output scalar and the positional blocks of its query and
-key, which are the same in every layer, plus the classes its tokens carry.
+position and the positional blocks of its query and key, which are the
+same in every layer, plus the slot weights and the classes its tokens carry.
 Each head's query and key read only the positional block of one tuple
 position per score slot, so on a full tuple space (s = k) its softmax is
 exactly a Kronecker product of k row-stochastic n x n factors, and on a
@@ -148,11 +149,10 @@ class ConstructedWeights:
     variant: str
 
     def __post_init__(self) -> None:
-        expected = self.k * (1 if _is_local(self.variant, self.k) else 2)
-        if self.head_count != expected:
+        if self.head_count != self.k:
             raise ValidationError(
                 INVALID_SCHEMA,
-                f"k={self.k} construction uses {expected} heads, got {self.head_count}",
+                f"k={self.k} construction uses {self.k} heads, got {self.head_count}",
             )
         for i, layer in enumerate(self.layers):
             if len(layer.heads) != self.head_count:
@@ -373,25 +373,21 @@ def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
 
 def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable, trace: dict) -> tuple:
     """The designed FFN of both forwards: round each head's de-normalized
-    counts, add up the heads of each position, and number the ``[one-hot |
-    counts_1 ... counts_k]`` rows by first occurrence.
-
-    ``denormalized`` yields (position, counts) one head at a time.  The
-    output scalars make the sum faithful to the variant: a plain sum of both
-    counts or an injective base-(n+1) packing; a local rule has the adjacent
-    group only.
+    counts, yielded one head (position) at a time by ``denormalized``, and
+    number the ``[one-hot | counts_1 ... counts_k]`` rows by first occurrence.
+    The slot weights make the counts faithful to the variant.
     """
     t, c = onehot.shape
     rows = np.zeros((t, (1 + k) * c), dtype=np.int64)
     rows[:, :c] = onehot
-    for j, values in denormalized:
-        rows[:, (1 + j) * c : (2 + j) * c] += _round_counts(values, trace).astype(np.int64)
+    for j, values in enumerate(denormalized):
+        rows[:, (1 + j) * c : (2 + j) * c] = _round_counts(values, trace)
     trace["classes"] = tuple(_relabel_rows([rows])[0])
     return trace["classes"]
 
 
 # ---------------------------------------------------------------------------
-# Order-k construction: k heads per group over the generalized tuple adjacencies.
+# Order-k construction: one head per position, over the weighted substitutions.
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,21 +400,20 @@ class _KLayout:
 
     @property
     def width(self) -> int:
-        return self.c * (2 * self.k + 1) + 2 * self.k + 2 * self.n * self.k
+        return (self.k + 1) * self.c + self.k + 2 * self.n * self.k
 
-    def counts(self, head: _HeadForm) -> slice:
-        """Count scratch of a head: the adjacent blocks follow the one-hot,
-        the non-adjacent blocks follow those."""
-        start = self.c * (1 + head.j + (0 if head.gamma == 1 else self.k))
+    def counts(self, j: int) -> slice:
+        """Count scratch of head j: the k blocks follow the one-hot."""
+        start = self.c * (1 + j)
         return slice(start, start + self.c)
 
     @property
     def deg0(self) -> int:
-        return self.c * (2 * self.k + 1)
+        return self.c * (self.k + 1)
 
     def positional(self, j: int) -> slice:
         """Positional block of position j: its node, then its adjacency rows."""
-        base = self.deg0 + 2 * self.k + 2 * self.n * j
+        base = self.deg0 + self.k + 2 * self.n * j
         return slice(base, base + 2 * self.n)
 
 
@@ -438,20 +433,13 @@ class _Setup:
 
     @cached_property
     def degblock(self) -> np.ndarray:
-        """The adjacent and non-adjacent substitutions at each position:
-        deg(u_j) and n - deg(u_j) on a full space, the substitutions that
-        stay on the space on a restricted one."""
+        """The adjacent substitutions at each position: deg(u_j) on a full
+        space, the ones that stay on the space on a restricted one."""
         graph, space = self.graph, self.space
-        k = space.k
-        degblock = np.zeros((len(space.nodes), 2 * k))
-        if space.s == k:
-            deg = graph.adjacency_matrix.sum(axis=1)[space.nodes]
-            degblock[:, 0::2], degblock[:, 1::2] = deg, graph.num_nodes - deg
-        else:
-            for j in range(k):
-                for col, gamma in enumerate((1, -1)):
-                    degblock[:, 2 * j + col] = _substitution_hits(graph, space, j, gamma).sum(axis=1)
-        return degblock
+        if space.s == space.k:
+            return graph.adjacency_matrix.sum(axis=1)[space.nodes].astype(float)
+        hits = [_substitution_hits(graph, space, j, 1).sum(axis=1) for j in range(space.k)]
+        return np.stack(hits, axis=1).astype(float)
 
 
 def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
@@ -468,94 +456,91 @@ def _token_rows_k(setup: _Setup, classes: Sequence[int], memory_limit: int) -> n
     _check_dense(t, lay.width, "token matrix", memory_limit)
     x = np.zeros((t, lay.width))
     x[np.arange(t), classes] = 1.0
-    x[:, lay.deg0 : lay.deg0 + 2 * lay.k] = setup.degblock
+    x[:, lay.deg0 : lay.deg0 + lay.k] = setup.degblock
     x[:, lay.positional(0).start :] = parts.positional[space.nodes].reshape(t, -1)
     return x
 
 
-def _head_groups(variant: str, k: int, n: int) -> tuple[tuple[int, float], ...]:
-    """Sign and output scalar of each head group, the adjacent group first.
+def _slot_weights(variant: str, k: int, n: int) -> tuple[float, float]:
+    """The weights (alpha, beta) that head j puts on the substitution at
+    position j of an adjacent and of a non-adjacent node.
 
-    Every rule reads the adjacent substitutions (gamma = +1, scalar 1).  Only
-    the full rules read the non-adjacent ones (gamma = -1): plain counting
-    adds the two counts back together (scalar 1), the adjacency-aware rule
-    packs them into one integer as ``adjacent + (n + 1) * non_adjacent``,
-    which is injective because both counts are at most ``n``.  The local
-    rules build no non-adjacent heads, so none is built only to be dropped.
+    The local rules count adjacent substitutions only, (1, 0); the 0 is
+    reached as b grows.  Plain counting weighs all n substitutions alike,
+    (1, 1).  The adjacency-aware rule weighs a neighbor n + 1 times a
+    non-neighbor, so the de-normalized count ``(n + 1) * adjacent +
+    non_adjacent`` is injective: both counts are at most n.
     """
     if _is_local(variant, k):
-        return ((1, 1.0),)
-    return ((1, 1.0), (-1, float(n + 1) if variant == "delta_kwl" else 1.0))
+        return 1.0, 0.0
+    return (float(n + 1) if variant == "delta_kwl" else 1.0), 1.0
 
 
-def _query_scales(b: float, n: int, k: int) -> tuple[float, float]:
-    """The query scales of a head's adjacency slot, b sqrt(kn), and of its
-    node slots, b (2n + 2) sqrt(kn), which exist for k > 1 only.
+def _query_scales(b: float, n: int, k: int, weights: tuple[float, float]) -> tuple[float, float]:
+    """The query scales of a head's slot j, sigma sqrt(kn), and of its node
+    slots, b (2n + 2) sqrt(kn), which exist for k > 1 only.  Slot j's softmax
+    weighs a neighbor e^sigma times a non-neighbor, so sigma = ln(alpha /
+    beta), or b when beta = 0: a ratio reached only as b grows.
 
     Raises ``ValidationError`` (``INVALID_SCHEMA``) when a scale that the
     construction uses is not finite.
     """
+    alpha, beta = weights
     root = math.sqrt(k * n)
-    adj_scale, node_scale = b * root, b * (2.0 * n + 2.0) * root
-    if not math.isfinite(adj_scale) or (k > 1 and not math.isfinite(node_scale)):
+    slot_scale = (math.log(alpha / beta) if beta else b) * root
+    node_scale = b * (2.0 * n + 2.0) * root
+    if not math.isfinite(slot_scale) or (k > 1 and not math.isfinite(node_scale)):
         raise ValidationError(
             INVALID_SCHEMA, f"temperature {b!r} makes the query scale overflow"
         )
-    return adj_scale, node_scale
+    return slot_scale, node_scale
 
 
 @dataclass(frozen=True, eq=False)
 class _HeadForm:
-    """Head (j, gamma) in the form the construction writes it.
-
-    It attends to the substitutions at the 0-based position ``j`` of a node
-    adjacent (``gamma = +1``) or non-adjacent (``gamma = -1``) to the replaced
-    one, and the output projection scales it by ``scalar``.  ``query[o]`` and
+    """Head j, which attends to the substitutions at the 0-based position
+    ``j``, in the form the construction writes it.  ``query[o]`` and
     ``key[o]`` are the 2n x n blocks that map the positional rows
-    ``positional(o)`` into score slot o; every other entry of
-    ``w_q`` and ``w_k`` is zero.  Nothing here depends on the classes, so a
-    run builds its heads once.
+    ``positional(o)`` into score slot o; every other entry of ``w_q`` and
+    ``w_k`` is zero.  Nothing here depends on the classes, so a run builds
+    its heads once.
     """
 
     j: int
-    gamma: int
-    scalar: float
     query: np.ndarray  # (k, 2n, n)
     key: np.ndarray  # (k, 2n, n)
 
-    @property
-    def degree_column(self) -> int:
-        """The column of the degree block that de-normalizes this head."""
-        return 2 * self.j + (0 if self.gamma == 1 else 1)
 
-
-def _head_forms(parts: _SpectralParts, variant: str, k: int, b: float) -> tuple[_HeadForm, ...]:
-    """Every head of the construction, group by group, then by position.
+def _head_forms(
+    parts: _SpectralParts, k: int, b: float, weights: tuple[float, float]
+) -> tuple[_HeadForm, ...]:
+    """The k heads of the construction, one per position.
 
     Slot j scores the signed adjacency spectrum, so its softmax approaches
-    the row-normalized A or 1 - A; every other slot scores the orthonormal
-    Laplacian rows at a larger scale, so its softmax approaches the identity.
+    the row-normalized alpha A + beta (J - A); every other slot scores the
+    orthonormal Laplacian rows at a larger scale, so its softmax approaches
+    the identity.
     """
     n = len(parts.signs)
-    adj_scale, node_scale = _query_scales(b, n, k)
+    slot_scale, node_scale = _query_scales(b, n, k, weights)
     heads = []
-    for gamma, scalar in _head_groups(variant, k, n):
-        for j in range(k):
-            query, key = np.zeros((k, 2 * n, n)), np.zeros((k, 2 * n, n))
-            for o in range(k):
-                if o == j:
-                    query[o, n:] = gamma * adj_scale * np.diag(parts.signs)
-                    key[o, n:] = np.eye(n)
-                else:
-                    query[o, :n] = node_scale * np.eye(n)
-                    key[o, :n] = np.eye(n)
-            heads.append(_HeadForm(j, gamma, scalar, query, key))
+    for j in range(k):
+        query, key = np.zeros((k, 2 * n, n)), np.zeros((k, 2 * n, n))
+        for o in range(k):
+            if o == j:
+                query[o, n:] = slot_scale * np.diag(parts.signs)
+                key[o, n:] = np.eye(n)
+            else:
+                query[o, :n] = node_scale * np.eye(n)
+                key[o, :n] = np.eye(n)
+        heads.append(_HeadForm(j, query, key))
     return tuple(heads)
 
 
 @dataclass(frozen=True, eq=False)
 class _StructuredLayer:
-    """One constructed layer: the run's heads and the classes its tokens carry.
+    """One constructed layer: the run's heads, their slot weights and the
+    classes its tokens carry.
 
     ``forward`` runs it on any tuple space from the one-hot of the classes
     alone; ``dense`` writes it out as the matrices ``transformer_layer`` runs,
@@ -564,7 +549,14 @@ class _StructuredLayer:
 
     setup: _Setup
     heads: tuple[_HeadForm, ...]
+    weights: tuple[float, float]
     classes: tuple[int, ...]
+
+    def denormalizer(self, degree: np.ndarray) -> np.ndarray:
+        """alpha deg + beta (n - deg) per position, the mass of a row of head
+        j's unnormalized target: it turns an attended average into a count."""
+        alpha, beta = self.weights
+        return alpha * degree + beta * (self.setup.space.num_nodes - degree)
 
     def dense(
         self, memory_limit: int = DEFAULT_MEMORY_LIMIT, trace: dict | None = None
@@ -575,26 +567,22 @@ class _StructuredLayer:
         k, n = space.k, space.num_nodes
         lay = _KLayout(c=max(self.classes) + 1, k=k, n=n)
         c, d = lay.c, lay.width
-        _check_dense(len(self.heads) * c, d, "output projection", memory_limit)
+        _check_dense(k * c, d, "output projection", memory_limit)
         trace = {"slack": 0.0, "classes": ()} if trace is None else trace
         diagonal = np.arange(k)
         heads = []
-        w_o = np.zeros((len(self.heads) * c, d))
-        for h, head in enumerate(self.heads):
+        for head in self.heads:
             w_q, w_k = np.zeros((d, k * n)), np.zeros((d, k * n))
             for w, blocks in ((w_q, head.query), (w_k, head.key)):
                 # Entry (o, :, o) is the (block of position o, score slot o) submatrix.
                 w[lay.positional(0).start :].reshape(k, 2 * n, k, n)[diagonal, :, diagonal] = blocks
-            w_v = np.eye(d, c)
-            w_o[h * c : (h + 1) * c, lay.counts(head)] = head.scalar * np.eye(c)
-            heads.append(AttentionHead(w_q, w_k, w_v))
+            heads.append(AttentionHead(w_q, w_k, np.eye(d, c)))
+        # Head j's attended one-hot lands in the count scratch of position j.
+        w_o = np.eye(k * c, d, c)
 
         def ffn(xt: np.ndarray) -> np.ndarray:
-            # De-normalize each count block by its own degree cell.
-            denormalized = (
-                (head.j, xt[:, lay.counts(head)] * xt[:, [lay.deg0 + head.degree_column]])
-                for head in self.heads
-            )
+            z = self.denormalizer(xt[:, lay.deg0 : lay.deg0 + k])
+            denormalized = (xt[:, lay.counts(j)] * z[:, [j]] for j in range(k))
             classes = _ffn_classes(xt[:, 0:c], k, denormalized, trace)
             return _token_rows_k(self.setup, classes, memory_limit)
 
@@ -604,20 +592,17 @@ class _StructuredLayer:
         """The layer, given each head as a map from the t x c one-hot of the
         classes to its attended averages (``_head_attention``).
 
-        Each head's averages are scaled by its output scalar and de-normalized
-        by its degree column, in the order of the dense layer, and handed to
-        the FFN, which records the slack and the new classes in ``trace``.
+        Each head's averages are de-normalized as in the dense layer and
+        handed to the FFN, which records the slack and the new classes in
+        ``trace``.
         """
         t, k = len(self.setup.space.nodes), self.setup.space.k
         c = max(self.classes) + 1
         _check_dense(t, (1 + k) * c, "FFN row", memory_limit)
         onehot = np.zeros((t, c))
         onehot[np.arange(t), self.classes] = 1.0
-        degree = self.setup.degblock
-        denormalized = (
-            (head.j, attend(onehot) * head.scalar * degree[:, [head.degree_column]])
-            for head, attend in zip(self.heads, attends)
-        )
+        z = self.denormalizer(self.setup.degblock)
+        denormalized = (attend(onehot) * z[:, [j]] for j, attend in enumerate(attends))
         _ffn_classes(onehot, k, denormalized, trace)
 
 
@@ -680,74 +665,76 @@ def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _full_space_attention(
-    graph: Graph, parts: _SpectralParts, heads: Sequence[_HeadForm]
+    graph: Graph, parts: _SpectralParts, heads: Sequence[_HeadForm], weights: tuple[float, float]
 ) -> tuple[list[np.ndarray], tuple[float, ...]]:
     """Each head's factors and its distance from its target.
 
-    The target of head (j, gamma) is the row-normalized A (gamma = +1) or
-    1 - A (gamma = -1) at position j and the identity elsewhere.  No row is
-    zero: there are no isolated nodes, and every node is non-adjacent to
-    itself.  Neither depends on the classes, so they hold for every layer.
+    The target of head j is the row-normalized alpha A + beta (J - A) at
+    position j and the identity elsewhere.  No row is zero: there are no
+    isolated nodes, and with beta > 0 every node weighs itself.  Neither
+    depends on the classes, so they hold for every layer.
     """
-    n, k = graph.num_nodes, heads[0].query.shape[0]
+    n, k = graph.num_nodes, len(heads)
+    alpha, beta = weights
     adj = graph.adjacency_matrix.astype(float)
-    walk = {gamma: m / m.sum(axis=1, keepdims=True) for gamma, m in ((1, adj), (-1, 1.0 - adj))}
+    weighted = alpha * adj + beta * (1.0 - adj)
+    walk = weighted / weighted.sum(axis=1, keepdims=True)
     factors = [_position_factors(head, parts.positional) for head in heads]
     errors = tuple(
-        _kron_error(f, np.stack([walk[head.gamma] if o == head.j else np.eye(n) for o in range(k)]))
+        _kron_error(f, np.stack([walk if o == head.j else np.eye(n) for o in range(k)]))
         for head, f in zip(heads, factors)
     )
     return factors, errors
-
-
-def _masked_error(att: np.ndarray, target: IndicatorResult) -> float:
-    """Frobenius distance on the rows that have a target at all.
-
-    Rows flagged ZERO_ROW have no admissible attention pattern; the
-    designed FFN neutralizes them by multiplying with a zero count, so they
-    are excluded from the measurement.
-    """
-    keep = np.ones(att.shape[0], dtype=bool)
-    keep[list(target.zero_rows)] = False
-    return float(np.linalg.norm(att[keep] - target.matrix[keep]))
 
 
 def _restricted_space_attention(
     setup: _Setup, heads: Sequence[_HeadForm], memory_limit: int
 ) -> tuple[list[np.ndarray], tuple[float, ...]]:
     """Each head's t x t attention on a restricted space and its distance
-    from its target, the row-normalized substitution adjacency.
+    from its target, the row-normalized adjacent substitutions that stay on
+    the space (a restricted space runs the local rule ``ks_lwl`` only).
 
     The dense softmax runs over the space's tuples with the full space's
     exponent sum_o S_o[u_o, v_o], so it is the product of the factors on the
     space, renormalized per row: the factors' own normalizers cancel.  A row
     without an admissible substitution has a zero target and degree 0; if
     its mass underflows it stays 0, not NaN, and the FFN multiplies it by 0.
+    Such rows are left out of the distance (``_restricted_error``).
     """
-    graph, space = setup.graph, setup.space
+    space = setup.space
     t = len(space.nodes)
+    _check_dense(t, t, "attention", memory_limit)
     atts, errors = [], []
     for head in heads:
-        target = weighted_indicator(
-            generalized_adjacency(graph, space.k, head.j + 1, head.gamma, space, memory_limit)
-        )
         att = np.ones((t, t))
         for factor, u in zip(_position_factors(head, setup.parts.positional), space.nodes.T):
             att *= factor[np.ix_(u, u)]
         mass = att.sum(axis=1, keepdims=True)
-        att = np.divide(att, mass, out=np.zeros_like(att), where=mass > 0)
+        np.divide(att, mass, out=att, where=mass > 0)
         atts.append(att)
-        errors.append(_masked_error(att, target))
+        errors.append(_restricted_error(setup, head.j, att))
     return atts, tuple(errors)
 
 
+def _restricted_error(setup: _Setup, j: int, att: np.ndarray) -> float:
+    """Frobenius distance of head j's attention from its target, 1/deg at its
+    on-space adjacent substitutions, on the rows that have one."""
+    space = setup.space
+    deg = setup.degblock[:, j]
+    kept = deg > 0
+    rows, nodes = np.nonzero(_substitution_hits(setup.graph, space, j, 1))
+    diff = att[kept]
+    diff[np.cumsum(kept)[rows] - 1, space.substitution[j][rows, nodes]] -= 1.0 / deg[rows]
+    return float(np.linalg.norm(diff))
+
+
 def _head_attention(
-    setup: _Setup, heads: Sequence[_HeadForm], memory_limit: int
+    setup: _Setup, heads: Sequence[_HeadForm], weights: tuple[float, float], memory_limit: int
 ) -> tuple[list[Callable], tuple[float, ...]]:
     """Each head as a map from t x c values to their attended averages, and
     its attention error, built once per run: neither depends on the classes."""
     if setup.space.s == setup.space.k:
-        factors, errors = _full_space_attention(setup.graph, setup.parts, heads)
+        factors, errors = _full_space_attention(setup.graph, setup.parts, heads, weights)
         return [partial(_mode_products, f) for f in factors], errors
     atts, errors = _restricted_space_attention(setup, heads, memory_limit)
     return [partial(np.matmul, att) for att in atts], errors
@@ -794,14 +781,16 @@ def _check_layers(t_layers, minimum: int) -> int:
 def _drive(
     setup: _Setup, variant: str, t_layers: int, b: float, memory_limit: int
 ) -> _DriveRecord:
-    heads = _head_forms(setup.parts, variant, setup.space.k, b)
-    attends, head_errors = _head_attention(setup, heads, memory_limit)
+    space = setup.space
+    weights = _slot_weights(variant, space.k, space.num_nodes)
+    heads = _head_forms(setup.parts, space.k, b, weights)
+    attends, head_errors = _head_attention(setup, heads, weights, memory_limit)
     classes = setup.classes
     partitions = [classes]
     layers = []
     slack_max = 0.0
     for _ in range(t_layers):
-        layer = _StructuredLayer(setup, heads, classes)
+        layer = _StructuredLayer(setup, heads, weights, classes)
         trace = {"slack": 0.0, "classes": ()}
         layer.forward(attends, trace, memory_limit)
         layers.append(layer)
@@ -839,14 +828,15 @@ def construct_kgt_weights(
     """Closed-form multi-head layers that replay order-k tuple refinement,
     written out densely for ``transformer_layer`` and ``initial_tokens``.
 
-    Head ``(j, +1)`` attends to tuples reached by substituting an adjacent
-    node at position ``j``, head ``(j, -1)`` to non-adjacent substitutions.
-    The full rules build both groups, 2k heads, and the output projection
-    scales the non-adjacent group by 1 for plain counting and by ``n + 1``
-    for ``delta_kwl``, which keeps the adjacency split visible.  The local
-    rule ``delta_klwl`` builds the k adjacent heads only.  At k = 1 plain
-    refinement is a local rule: its one head attends to the neighbors, and
-    its softmax approaches the degree-normalized adjacency.
+    Every rule builds k heads.  Head ``j`` attends to the tuples reached by
+    substituting a node at position ``j``, weighing an adjacent node alpha
+    and a non-adjacent one beta: the local rule ``delta_klwl`` (1, 0), so
+    its softmax approaches the degree-normalized adjacency as b grows,
+    plain counting (1, 1), whose slot scores 0 and attends uniformly, and
+    ``delta_kwl`` (n + 1, 1), which keeps the adjacency split visible in
+    one injective count.  The FFN de-normalizes by alpha deg + beta (n -
+    deg).  At k = 1 plain refinement is a local rule: its one head attends
+    to the neighbors.
 
     Parameters
     ----------

@@ -343,10 +343,15 @@ def test_simulate_fails_under_an_impossible_tolerance(p3_file):
     assert json.loads(proc.stdout)["pass"] is False
 
 
+EIGHT_NODES = {
+    "num_nodes": 8,
+    "edges": [[0, 1], [0, 4], [1, 3], [1, 4], [2, 3], [2, 6], [3, 5], [3, 6], [4, 6], [4, 7], [5, 7], [6, 7]],
+}
+
+
 def test_simulate_at_low_temperature_fails_with_a_verdict(tmp_path):
     path = tmp_path / "g.json"
-    edges = [[0, 1], [0, 4], [1, 3], [1, 4], [2, 3], [2, 6], [3, 5], [3, 6], [4, 6], [4, 7], [5, 7], [6, 7]]
-    path.write_text(json.dumps({"num_nodes": 8, "edges": edges}))
+    path.write_text(json.dumps(EIGHT_NODES))
     proc = run_cli("simulate", "--graph", str(path), "--b", "0.5")
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -361,6 +366,26 @@ def test_simulate_at_low_temperature_fails_with_a_verdict(tmp_path):
     assert all(doc["partition_equal_per_layer"])
     assert doc["rounding_slack_max"] >= 0.4
     assert doc["pass"] is False
+
+
+def test_full_rules_at_order_two_pass_at_low_temperature(tmp_path):
+    # Slot j of a full rule has fixed weights, so only the node slots depend
+    # on b, and at b = 2 they are sharp enough. The local rule's slot j
+    # still sharpens with b, and its counts are too far from an integer.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(EIGHT_NODES))
+    argv = ("simulate", "--graph", str(path), "--k", "2", "--b", "2")
+    for variant in ("kwl", "delta"):
+        proc = run_cli(*argv, "--variant", variant)
+        assert proc.returncode == 0, proc.stdout
+        doc = json.loads(proc.stdout)
+        assert doc["pass"] is True
+        assert doc["rounding_slack_max"] < 1e-9
+    proc = run_cli(*argv, "--variant", "delta-local")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert all(doc["partition_equal_per_layer"])
+    assert doc["rounding_slack_max"] >= 0.4
 
 
 def test_simulate_replays_order_three_on_the_shrikhande_graph(tmp_path):

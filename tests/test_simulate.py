@@ -117,6 +117,27 @@ def degree_normalized_adjacency(graph):
     return adj / adj.sum(axis=1)[:, None]
 
 
+# The weights (alpha, beta) that a head puts on an adjacent and on a
+# non-adjacent substitution at its position, written out independently of
+# the construction: the local rules count adjacent substitutions only, plain
+# counting counts all alike, and the adjacency-aware rule weighs a neighbor
+# n + 1 times a non-neighbor.
+def slot_weights(variant, k, n):
+    if variant in ("delta_klwl", "ks_lwl") or k == 1:
+        return 1.0, 0.0
+    return (n + 1.0 if variant == "delta_kwl" else 1.0), 1.0
+
+
+def substitution_target(graph, k, j, weights, space):
+    """Row-normalized alpha * adjacent + beta * non-adjacent substitutions at
+    the 1-based position j; rows without any stay 0."""
+    alpha, beta = weights
+    mat = alpha * generalized_adjacency(graph, k, j, 1, space=space)
+    mat += beta * generalized_adjacency(graph, k, j, -1, space=space)
+    sums = mat.sum(axis=1, keepdims=True)
+    return np.divide(mat, sums, out=np.zeros_like(mat), where=sums > 0)
+
+
 # ----------------------------------------------------------- transformer_layer
 
 
@@ -385,13 +406,13 @@ def test_order_one_construction_has_one_head_per_layer(p3):
 def class_block_1(rows, n):
     """Slice the leading one-hot class block out of order-1 token rows.
 
-    Rows use the order-k layout at k = 1: class one-hot, adjacent and
-    non-adjacent count scratch of the same width, two degree cells, then
-    the node and adjacency identification blocks of width n each, so the
-    palette size falls out of the row width.
+    Rows use the order-k layout at k = 1: class one-hot, count scratch of
+    the same width, one degree cell, then the node and adjacency
+    identification blocks of width n each, so the palette size falls out of
+    the row width.
     """
-    c = (rows.shape[1] - 2 * n - 2) // 3
-    assert rows.shape[1] == 3 * c + 2 + 2 * n
+    c = (rows.shape[1] - 2 * n - 1) // 2
+    assert rows.shape[1] == 2 * c + 1 + 2 * n
     return rows[:, :c]
 
 
@@ -433,29 +454,30 @@ def test_order_one_construction_validates_its_arguments(p3):
 # ------------------------------------------------------- construct_kgt_weights
 
 
-def test_order_two_construction_uses_two_heads_per_position(k3):
+def test_order_two_construction_uses_one_head_per_position(k3):
     cw = construct_kgt_weights(k3, 2, "kwl", 2)
-    assert cw.head_count == 4
+    assert cw.head_count == 2
     assert cw.k == 2
     assert len(cw.layers) == 2
-    assert all(len(layer.heads) == 4 for layer in cw.layers)
+    assert all(len(layer.heads) == 2 for layer in cw.layers)
 
 
 @pytest.mark.parametrize("graph_name", ["p3", "k3"])
 def test_each_head_attends_like_its_substitution_target(graph_name, request):
-    # Head order is (j=1,+1), (j=2,+1), (j=1,-1), (j=2,-1); each softmax
-    # should land on the row-normalized substitution matrix of its slot.
+    # Head order is j = 1, 2; each softmax should land on the row-normalized
+    # weighted substitution matrix of its position, for both full rules.
     g = request.getfixturevalue(graph_name)
     space = enumerate_tuples(g, 2, 2)
     x = initial_tokens(g, 2)
-    cw = construct_kgt_weights(g, 2, "kwl", 1)
-    _, atts = transformer_layer(x, cw.layers[0], return_attention=True)
-    assert len(atts) == 4
-    slots = [(1, 1), (2, 1), (1, -1), (2, -1)]
-    for att, (j, gamma) in zip(atts, slots):
-        target = weighted_indicator(generalized_adjacency(g, 2, j, gamma, space=space))
-        assert target.flag is None
-        assert np.abs(att - target.matrix).max() < 1e-6
+    for variant in ("kwl", "delta_kwl"):
+        cw = construct_kgt_weights(g, 2, variant, 1)
+        _, atts = transformer_layer(x, cw.layers[0], return_attention=True)
+        assert len(atts) == 2
+        weights = slot_weights(variant, 2, g.num_nodes)
+        for j, att in enumerate(atts, start=1):
+            target = substitution_target(g, 2, j, weights, space)
+            assert (target.sum(axis=1) > 0).all()
+            assert np.abs(att - target).max() < 1e-6
 
 
 def test_one_simulated_round_matches_one_engine_round(k3):
@@ -514,15 +536,14 @@ def test_head_count_contract_is_enforced_at_construction():
     assert err.value.code == INVALID_SCHEMA
 
 
-# Heads per layer: the full rules read the adjacent and the non-adjacent
-# substitution at every position, the local rules (plain refinement at k = 1
-# among them) the adjacent one only.
+# Heads per layer: every rule reads one weighted substitution slot per
+# position, the full rules and the local rules alike.
 HEAD_COUNTS = [
     ("kwl", 1, 1, 1),
-    ("kwl", 2, 2, 4),
-    ("kwl", 3, 3, 6),
-    ("delta_kwl", 2, 2, 4),
-    ("delta_kwl", 3, 3, 6),
+    ("kwl", 2, 2, 2),
+    ("kwl", 3, 3, 3),
+    ("delta_kwl", 2, 2, 2),
+    ("delta_kwl", 3, 3, 3),
     ("delta_klwl", 2, 2, 2),
     ("delta_klwl", 3, 3, 3),
     ("ks_lwl", 2, 1, 2),
@@ -535,7 +556,9 @@ def structured_layer(g, k, s, variant, b=DEFAULT_TEMPERATURE):
     """The first constructed layer of a run, in its structured form."""
     sim = wlsim.simulate
     setup = sim._setup(g, k, s, DEFAULT_MEMORY_LIMIT)
-    return sim._StructuredLayer(setup, sim._head_forms(setup.parts, variant, k, b), setup.classes)
+    weights = sim._slot_weights(variant, k, g.num_nodes)
+    heads = sim._head_forms(setup.parts, k, b, weights)
+    return sim._StructuredLayer(setup, heads, weights, setup.classes)
 
 
 @pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
@@ -557,7 +580,9 @@ def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
 @pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
 def test_dense_projections_read_each_score_slot_from_its_own_position(p3, variant, k, s, heads):
     """Every nonzero of w_q and w_k lies in a (position block, score slot)
-    pair, the only layout for which the product form of the softmax is exact."""
+    pair, the only layout for which the product form of the softmax is exact.
+    Plain counting at k > 1 weighs every substitution alike, so head j's
+    query block of slot j is exactly zero; every other block is not."""
     sim = wlsim.simulate
     structured = structured_layer(p3, k, s, variant)
     n = p3.num_nodes
@@ -565,13 +590,52 @@ def test_dense_projections_read_each_score_slot_from_its_own_position(p3, varian
     inside = np.zeros((lay.width, k * n), dtype=bool)
     for o in range(k):
         inside[lay.positional(o), o * n : (o + 1) * n] = True
-    for head in structured.dense().heads:
+    uniform = variant == "kwl" and k > 1
+    for j, head in enumerate(structured.dense().heads):
         for w in (head.w_q, head.w_k):
             assert w.shape == inside.shape
             assert np.count_nonzero(w[~inside]) == 0
             for o in range(k):
                 block = w[lay.positional(o), o * n : (o + 1) * n]
-                assert np.count_nonzero(block) > 0
+                if uniform and w is head.w_q and o == j:
+                    assert np.count_nonzero(block) == 0
+                else:
+                    assert np.count_nonzero(block) > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_plain_counting_slot_attends_uniformly(k):
+    # Plain counting weighs all n substitutions alike: slot j scores 0, so
+    # its factor is exactly J / n at any temperature.
+    sim = wlsim.simulate
+    g = random_graph(random.Random(50 + k), 7, edge_prob=0.4, connected=True)
+    n = g.num_nodes
+    parts = sim._spectral_parts(g)
+    for b in (0.5, DEFAULT_TEMPERATURE):
+        heads = sim._head_forms(parts, k, b, sim._slot_weights("kwl", k, n))
+        assert len(heads) == k
+        for head in heads:
+            factor = sim._position_factors(head, parts.positional)[head.j]
+            assert np.array_equal(factor, np.full((n, n), 1.0 / n))
+
+
+@pytest.mark.parametrize("n", [10, 16, 40, 64, 128])
+@pytest.mark.parametrize("density", [3.0, 0.3])
+def test_adjacency_aware_slot_recovers_the_weighted_count(n, density):
+    # Slot j weighs a neighbor n + 1 times a non-neighbor, so Z F_j with
+    # Z = (n + 1) deg + (n - deg) rounds exactly to (n + 1) A + (J - A).
+    # Only n x n arrays: the two factors of an order-2 head.
+    sim = wlsim.simulate
+    edge_prob = density / n if density > 1 else density
+    g = random_graph(random.Random(n), n, edge_prob=edge_prob, connected=True)
+    parts = sim._spectral_parts(g)
+    head = sim._head_forms(parts, 2, DEFAULT_TEMPERATURE, sim._slot_weights("delta_kwl", 2, n))[0]
+    factor = sim._position_factors(head, parts.positional)[head.j]
+    adj = g.adjacency_matrix.astype(float)
+    deg = adj.sum(axis=1, keepdims=True)
+    counts = ((n + 1) * deg + (n - deg)) * factor
+    assert np.array_equal(np.rint(counts), (n + 1) * adj + (1.0 - adj))
+    assert np.abs(counts - np.rint(counts)).max() < 1e-9
 
 
 def test_no_tuple_space_runs_the_dense_layer(monkeypatch, p3):
@@ -772,9 +836,9 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
     the FFN, FFN output, FFN trace).  The structured attentions are rebuilt
     as dense Kronecker products of their factors on a full space and are
     the restricted t x t attentions on a restricted one; its residual sum
-    puts each head's attended one-hot times its output scalar into the count
-    scratch of the token rows, and its FFN output is the token rows of its
-    classes.  The dense output feeds the next round.
+    puts each head's attended one-hot into the count scratch of the token
+    rows, and its FFN output is the token rows of its classes.  The dense
+    output feeds the next round.
 
     Under "compared" it also yields where the two must agree: per head the
     rows that have a target, and the residual sum outside the count scratch
@@ -785,20 +849,18 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
     """
     sim = wlsim.simulate
     setup = sim._setup(g, k, s, DEFAULT_MEMORY_LIMIT)
-    heads = sim._head_forms(setup.parts, variant, k, b)
-    attends, _ = sim._head_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
+    slots = sim._slot_weights(variant, k, g.num_nodes)
+    heads = sim._head_forms(setup.parts, k, b, slots)
+    attends, _ = sim._head_attention(setup, heads, slots, DEFAULT_MEMORY_LIMIT)
     if s == k:
-        factors, _ = sim._full_space_attention(g, setup.parts, heads)
+        factors, _ = sim._full_space_attention(g, setup.parts, heads, slots)
         atts_f = [functools.reduce(np.kron, f) for f in factors]
     else:
         atts_f, _ = sim._restricted_space_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
-    rows = [
-        generalized_adjacency(g, k, head.j + 1, head.gamma, space=setup.space).any(axis=1)
-        for head in heads
-    ]
+    rows = [substitution_target(g, k, head.j + 1, slots, setup.space).any(axis=1) for head in heads]
     x, classes = initial_tokens(g, k, s), setup.classes
     for _ in range(t_layers):
-        layer = sim._StructuredLayer(setup, heads, classes)
+        layer = sim._StructuredLayer(setup, heads, slots, classes)
         lay = sim._KLayout(c=max(classes) + 1, k=k, n=g.num_nodes)
         trace_d = {"slack": 0.0, "classes": ()}
         weights = layer.dense(DEFAULT_MEMORY_LIMIT, trace_d)
@@ -810,8 +872,8 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
         combined_f = x.copy()
         agree = np.ones(x.shape, dtype=bool)
         for head, attend, kept in zip(heads, attends, rows):
-            combined_f[:, lay.counts(head)] += attend(x[:, : lay.c]) * head.scalar
-            agree[~kept, lay.counts(head)] = False
+            combined_f[:, lay.counts(head.j)] += attend(x[:, : lay.c])
+            agree[~kept, lay.counts(head.j)] = False
         out_f = sim._token_rows_k(setup, trace_f["classes"], DEFAULT_MEMORY_LIMIT)
         yield {
             "dense": (atts_d, combined_d, out_d, trace_d),
@@ -826,17 +888,16 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
 def test_factored_forward_matches_the_dense_layer(k, n, b):
     rng = random.Random(1000 * k + n)
     g = random_graph(rng, n, edge_prob=rng.uniform(0.3, 0.7), connected=True)
-    # The local rules build the adjacent group of heads only; ks_lwl runs on
-    # every restricted space s < k.
-    full = (("kwl", 2), ("delta_kwl", 2), ("delta_klwl", 1))
-    runs = [(variant, k, groups) for variant, groups in full]
-    runs += [("ks_lwl", s, 1) for s in range(1, k)]
-    for variant, s, groups in runs:
+    # Every rule builds one head per position; ks_lwl runs on every
+    # restricted space s < k.
+    runs = [(variant, k) for variant in ("kwl", "delta_kwl", "delta_klwl")]
+    runs += [("ks_lwl", s) for s in range(1, k)]
+    for variant, s in runs:
         for rounds in lockstep_forwards(g, k, s, variant, b, 2):
             atts_d, combined_d, out_d, trace_d = rounds["dense"]
             atts_f, combined_f, out_f, trace_f = rounds["structured"]
             rows, agree = rounds["compared"]
-            assert len(atts_d) == len(atts_f) == k * groups
+            assert len(atts_d) == len(atts_f) == k
             for dense, rebuilt, kept in zip(atts_d, atts_f, rows):
                 assert np.abs(dense[kept] - rebuilt[kept]).max() < 1e-12
             assert np.abs(combined_d - combined_f)[agree].max() < 1e-9
@@ -857,34 +918,37 @@ def test_reported_attention_error_is_the_distance_of_the_kronecker_product(k, n,
     g = random_graph(rng, n, edge_prob=0.5, connected=True)
     space = enumerate_tuples(g, k, k)
     report = simulate_and_compare(g, k, k, "delta_kwl", t_layers=1, b=b)
-    heads = structured_layer(g, k, k, "delta_kwl", b).heads
-    factors, _ = sim._full_space_attention(g, sim._spectral_parts(g), heads)
-    slots = [(j, gamma) for gamma in (1, -1) for j in range(1, k + 1)]
-    assert [(head.j + 1, head.gamma) for head in heads] == slots
-    for got, head, (j, gamma) in zip(report.attention_errors[0], factors, slots):
-        target = weighted_indicator(generalized_adjacency(g, k, j, gamma, space=space)).matrix
+    layer = structured_layer(g, k, k, "delta_kwl", b)
+    factors, _ = sim._full_space_attention(g, sim._spectral_parts(g), layer.heads, layer.weights)
+    assert [head.j for head in layer.heads] == list(range(k))
+    weights = slot_weights("delta_kwl", k, n)
+    for j, (got, head) in enumerate(zip(report.attention_errors[0], factors), start=1):
+        target = substitution_target(g, k, j, weights, space)
         want = np.linalg.norm(functools.reduce(np.kron, head) - target)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-15)
 
 
-def test_full_space_layers_enforce_the_memory_cap(p3, single_edge):
-    # The dense form: the path at k = 2 has 9 tuples of width 31 (three
+def test_full_space_layers_enforce_the_memory_cap(p3):
+    # The dense form: the path at k = 2 has 9 tuples of width 23 (three
     # initial classes).
     with pytest.raises(LimitError) as err:
         initial_tokens(p3, 2, memory_limit=100)
     assert err.value.code == MEMORY_LIMIT
-    assert "9x31 token matrix" in err.value.message
-    # One edge at k = 2: 4 x 22 tokens fit, the 8 x 22 output projection not.
+    assert "9x23 token matrix" in err.value.message
+    # One edge with two node labels at k = 2: its four tuples are four
+    # classes, so 4 x 22 tokens fit and the 8 x 22 output projection (k c
+    # rows) does not.
+    edge = Graph(2, [(0, 1)], [0, 1])
     with pytest.raises(LimitError) as err:
-        structured_layer(single_edge, 2, 2, "kwl").dense(memory_limit=100)
+        structured_layer(edge, 2, 2, "kwl").dense(memory_limit=100)
     assert err.value.code == MEMORY_LIMIT
     assert "8x22 output projection" in err.value.message
     with pytest.raises(LimitError) as err:
-        construct_kgt_weights(single_edge, 2, "kwl", 1, memory_limit=100)
+        construct_kgt_weights(edge, 2, "kwl", 1, memory_limit=100)
     assert "8x22 output projection" in err.value.message
     # The structured forward allocates neither, only its t x (1 + k) c rows of
-    # one-hot and counts: 4 x 6 for the edge, 9 x 9 for the path.
-    assert simulate_and_compare(single_edge, 2, 2, "kwl", memory_limit=100).all_equal
+    # one-hot and counts: 4 x 12 for the edge, 9 x 9 for the path.
+    assert simulate_and_compare(edge, 2, 2, "kwl", memory_limit=100).all_equal
     with pytest.raises(LimitError) as err:
         simulate_and_compare(p3, 2, 2, "kwl", memory_limit=80)
     assert err.value.code == MEMORY_LIMIT
@@ -977,18 +1041,23 @@ def test_rows_without_a_target_stay_finite_on_a_restricted_space(p3, b):
     # substitution on the space, so their rows have no target and degree 0.
     # At b = 1000 every product on such a row underflows: the row stays 0
     # instead of NaN, and no numpy warning escapes at either temperature.
+    # Each error equals the distance from the weighted_indicator target on
+    # the rows that have one, bit for bit.
     sim = wlsim.simulate
     setup = sim._setup(p3, 3, 1, DEFAULT_MEMORY_LIMIT)
-    heads = sim._head_forms(setup.parts, "ks_lwl", 3, b)
+    heads = sim._head_forms(setup.parts, 3, b, sim._slot_weights("ks_lwl", 3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         atts, errors = sim._restricted_space_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
         report = simulate_and_compare(p3, 3, 1, "ks_lwl", b=b)
-    for head, att in zip(heads, atts):
-        kept = generalized_adjacency(p3, 3, head.j + 1, 1, space=setup.space).any(axis=1)
+    for head, att, error in zip(heads, atts, errors):
+        target = weighted_indicator(generalized_adjacency(p3, 3, head.j + 1, 1, space=setup.space))
+        kept = np.ones(len(att), dtype=bool)
+        kept[list(target.zero_rows)] = False
         assert np.count_nonzero(~kept) == 2
         assert np.isfinite(att).all()
         assert np.allclose(att[kept].sum(axis=1), 1.0)
+        assert error == np.linalg.norm(att[kept] - target.matrix[kept])
         if b > DEFAULT_TEMPERATURE:
             assert not att[~kept].any()
     assert report.all_equal
