@@ -311,7 +311,7 @@ def cmd_pe(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "eig_count": count,
             "out_dim": args.dim,
-            "rows": [[float(x) for x in row] for row in rows],
+            "rows": rows.tolist(),
         }
     )
     return 0

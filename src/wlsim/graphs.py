@@ -123,9 +123,7 @@ class Graph:
         else:
             object.__setattr__(self, "edges", tuple(sorted(ordered)))
 
-        if self.labels is None:
-            object.__setattr__(self, "labels", (0,) * n)
-        else:
+        if self.labels is not None:
             lab = tuple(_natural(x, "node label") for x in self.labels)
             if len(lab) != n:
                 raise ValidationError(
@@ -134,13 +132,14 @@ class Graph:
                 )
             object.__setattr__(self, "labels", lab)
 
-        degree = [0] * n
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        for v, d in enumerate(degree):
-            if d == 0:
-                raise ValidationError(ISOLATED_NODE, f"node {v} has no incident edge")
+        # Checked before anything of size n is built: a num_nodes beyond the
+        # endpoints is refused however large it is.
+        ends = {v for edge in self.edges for v in edge}
+        if len(ends) < n:
+            v = next(v for v in range(n) if v not in ends)
+            raise ValidationError(ISOLATED_NODE, f"node {v} has no incident edge")
+        if self.labels is None:
+            object.__setattr__(self, "labels", (0,) * n)
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:

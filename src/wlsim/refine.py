@@ -38,8 +38,9 @@ as a repeated array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Hashable, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +64,12 @@ DEFAULT_MAX_ITERATIONS = 64
 # arrays then peak at about 2.5 MB at k = 3, below the 8 MB int32 position
 # map that a restricted space of n ** k = 2,000,000 candidates builds.
 FILTER_BLOCK = 1 << 14
+
+# Rows from which ``_relabel_rows`` sorts row hashes instead of filling a
+# dict; the two cross between 256 and 512 rows (``DECISIONS.md`` §16).
+SORT_ROWS = 512
+# Row entries per block of the sorted relabel's hash and check passes.
+HASH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,16 +276,77 @@ def _dense_relabel(key_lists: Sequence[Sequence[Hashable]]) -> list[list[int]]:
     return [[table.setdefault(key, len(table)) for key in keys] for keys in key_lists]
 
 
-def _relabel_rows(row_arrays: Sequence[np.ndarray]) -> list[list[int]]:
-    """``_dense_relabel`` over integer rows, each keyed by its bytes."""
+def _relabel_rows(row_arrays: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """``_dense_relabel`` over integer rows, each keyed by its bytes: the
+    int64 ids of each array, by first occurrence through one table.
+
+    A call of at least ``SORT_ROWS`` rows of one integer dtype and width is
+    numbered by sorting row hashes (``_sorted_ids``), which is exact or
+    falls back to the dict; smaller calls go to the dict at once."""
+    arrays = [np.ascontiguousarray(rows) for rows in row_arrays]
+    if (
+        sum(map(len, arrays)) >= SORT_ROWS
+        and len({(rows.dtype, rows.shape[1]) for rows in arrays}) == 1
+        and arrays[0].dtype.kind in "iu"
+    ):
+        ids = _sorted_ids(arrays)
+        if ids is not None:
+            return ids
     keys = []
-    for rows in map(np.ascontiguousarray, row_arrays):
+    for rows in arrays:
         whole_row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
         keys.append(rows.view(whole_row).ravel().tolist())
-    return _dense_relabel(keys)
+    return [np.array(ids, dtype=np.int64) for ids in _dense_relabel(keys)]
 
 
-def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[list[int]]:
+@lru_cache(maxsize=64)
+def _row_weights(width: int) -> np.ndarray:
+    """``width`` fixed odd int64 weights: the splitmix64 outputs of 1, 2, ...,
+    with the low bit set, so that the row hash is a wrapping product."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    weights = ((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
+def _sorted_ids(arrays: Sequence[np.ndarray]) -> list[np.ndarray] | None:
+    """``_dense_relabel``'s ids of the rows of each array (one dtype and
+    width), by sorting one wrapping int64 hash per row, or None when two
+    unequal rows share a hash.
+
+    Integer arithmetic makes the hashes of equal rows equal. The sort groups
+    equal hashes, and each group's smallest row index is its first row.
+    Every row is compared with the first row of its group, so a collision
+    is seen, not trusted. A row's id is then the number of first rows
+    before its group's. Several arrays are joined once; the hash and the
+    check run in row blocks, so no int64 copy of all the rows is made."""
+    rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    weights = _row_weights(rows.shape[1])
+    step = max(1, HASH_BLOCK // rows.shape[1])
+    keys = np.empty(len(rows), dtype=np.int64)
+    for i in range(0, len(rows), step):
+        np.matmul(rows[i : i + step].astype(np.int64, copy=False), weights, out=keys[i : i + step])
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    first_of = np.empty(len(rows), dtype=np.int64)
+    first_of[order] = firsts[np.cumsum(new) - 1]
+    for i in range(0, len(rows), step):
+        if not np.array_equal(rows[i : i + step], rows[first_of[i : i + step]]):
+            return None
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[firsts] = True
+    ids = (np.cumsum(is_first) - 1)[first_of]
+    bounds = list(accumulate(map(len, arrays), initial=0))
+    return [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[np.ndarray]:
     """Initial ids through one table. A tuple's row is the label id of each
     position, then the upper triangle of its (symmetric) atomic type."""
     label_ids = _dense_relabel([graph.labels for graph in graphs])
@@ -317,7 +385,7 @@ def _gather_plans(
 def _summary_ids(
     plans: Sequence[tuple[tuple[int, ...] | None, Sequence[np.ndarray]]],
     color_lists: Sequence[Sequence[int]],
-) -> list[list[int]]:
+) -> list[np.ndarray]:
     """One round on every graph through one table. A tuple's row is
     ``[old color | fiber ids | sorted neighbor blocks]``. Under the full
     rules, fiber id j numbers the sorted colors along axis j of the color
@@ -336,7 +404,7 @@ def _summary_ids(
         columns = [flat[:, None]]
         if shape is not None:
             for j in range(len(shape)):
-                ids = np.array(next(fiber_ids), dtype=np.int32)
+                ids = next(fiber_ids).astype(np.int32)
                 ids = np.expand_dims(ids.reshape(shape[:j] + shape[j + 1 :]), j)
                 columns.append(np.broadcast_to(ids, shape).reshape(-1, 1))
         padded = np.append(flat, np.int32(-1))  # index -1 reads this sentinel
@@ -351,7 +419,7 @@ def _summary_ids(
 def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
     """Color tuples by atomic type and label sequence, with canonical ids."""
     ids = _initial_ids([graph], [space])[0]
-    return Coloring(space, tuple(ids), 0)
+    return Coloring(space, tuple(ids.tolist()), 0)
 
 
 def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: str) -> Coloring:
@@ -367,7 +435,7 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     if planned is None or planned[0] is not graph:
         planned = space._plans[variant] = (graph, _gather_plans([graph], [space], variant)[0])
     ids = _summary_ids([planned[1]], [coloring.colors])[0]
-    return Coloring(space, tuple(ids), coloring.iteration + 1)
+    return Coloring(space, tuple(ids.tolist()), coloring.iteration + 1)
 
 
 def refine_to_stable(
@@ -442,7 +510,7 @@ def distinguish(
         if plans is None:
             plans = _gather_plans([g, h], [space_g, space_h], variant)
         next_g, next_h = _summary_ids(plans, [colors_g, colors_h])
-        if next_g == colors_g and next_h == colors_h:
+        if np.array_equal(next_g, colors_g) and np.array_equal(next_h, colors_h):
             return DistinguishResult(False, None)
         colors_g, colors_h = next_g, next_h
         iteration += 1

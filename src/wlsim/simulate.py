@@ -382,7 +382,7 @@ def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable, trace: dict
     rows[:, :c] = onehot
     for j, values in enumerate(denormalized):
         rows[:, (1 + j) * c : (2 + j) * c] = _round_counts(values, trace)
-    trace["classes"] = tuple(_relabel_rows([rows])[0])
+    trace["classes"] = tuple(_relabel_rows([rows])[0].tolist())
     return trace["classes"]
 
 
@@ -882,7 +882,8 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     found by the row-major flat index, ``i - u_j * n^(k-1-j) + w *
     n^(k-1-j)``, which is the row on a full space and is looked up among the
     space's sorted flat indices on a restricted one.  ``encode_rows`` turns
-    each row into a code key, and the blocks are numbered through one table.
+    each row into a code key, and the keys of all blocks, in one array, are
+    numbered through one table.
 
     Parameters
     ----------
@@ -940,9 +941,11 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             depths[:, block] = offset + cols[moved] + 1
         return encode_rows(depths, valid, n + 1)
 
-    blocks = (depth_rows(i, min(i + ORACLE_BLOCK, t)) for i in range(0, t, ORACLE_BLOCK))
-    ids = [i for block in _relabel_rows(blocks) for i in block]
-    return Coloring(space, tuple(ids), colors.iteration + 1)
+    keys = np.empty((t, 1 + k * n), dtype=np.int64)
+    for i in range(0, t, ORACLE_BLOCK):
+        keys[i : i + ORACLE_BLOCK] = depth_rows(i, min(i + ORACLE_BLOCK, t))
+    ids = _relabel_rows([keys])[0]
+    return Coloring(space, tuple(ids.tolist()), colors.iteration + 1)
 
 
 @dataclass(frozen=True, eq=False)

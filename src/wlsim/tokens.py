@@ -144,7 +144,7 @@ class TokenMatrix:
             "dim": self.dim,
             "encoder": self.encoder_id,
             "seed": self.seed,
-            "rows": [[float(x) for x in row] for row in self.rows],
+            "rows": self.rows.tolist(),
         }
 
 

@@ -74,6 +74,7 @@ def test_load_minimal_graph():
     "doc,code",
     [
         ('{"num_nodes": 3, "edges": [[0, 1]]}', ISOLATED_NODE),
+        ('{"num_nodes": 1000000000000000, "edges": [[0, 1]]}', ISOLATED_NODE),
         ('{"num_nodes": 2, "edges": [[0, 0]]}', SELF_LOOP),
         ('{"num_nodes": 2, "edges": [[0, 1], [1, 0]]}', DUPLICATE_EDGE),
         ('{"num_nodes": 2, "edges": [[0, 2]]}', NODE_INDEX_OUT_OF_RANGE),
@@ -87,6 +88,15 @@ def test_load_rejections_carry_distinct_codes(doc, code):
     with pytest.raises(ValidationError) as exc:
         load_graph(doc)
     assert exc.value.code == code
+
+
+def test_isolated_node_is_named_before_anything_of_size_n_is_built():
+    with pytest.raises(ValidationError) as exc:
+        Graph(10**15, [(0, 1), (1, 3)])
+    assert (exc.value.code, exc.value.message) == (ISOLATED_NODE, "node 2 has no incident edge")
+    with pytest.raises(ValidationError) as exc:
+        Graph(10**15, [(0, 1)], labels=[0, 0])
+    assert exc.value.code == INVALID_SCHEMA
 
 
 def test_round_trip_through_dict(graph_samples):

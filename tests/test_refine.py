@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlsim import refine
 from wlsim.errors import (
     INVALID_SCHEMA,
     ITERATION_LIMIT,
@@ -23,12 +24,15 @@ from wlsim.errors import (
 )
 from wlsim.graphs import Graph, apply_permutation, builtin_pair, random_graph
 from wlsim.refine import (
+    SORT_ROWS,
     Coloring,
     TupleSpace,
     _dense_relabel,
     _gather_plans,
     _initial_ids,
     _relabel_rows,
+    _row_weights,
+    _sorted_ids,
     _summary_ids,
     distinguish,
     enumerate_tuples,
@@ -431,7 +435,8 @@ def _reference_summary_ids(graphs, spaces, variant, color_lists):
     """One full-rule round through the (k, t, n) substitution table, with the
     (color, adjacent) pair packed as ``2 * color + adjacent`` under
     ``delta_kwl``: the row builder the engine used before it sorted fibers,
-    kept as the reference."""
+    kept as the reference. Its rows are numbered through the dict on their
+    bytes, not through the ``_relabel_rows`` the engine uses."""
     row_arrays = []
     for graph, space, colors in zip(graphs, spaces, color_lists):
         colors = np.asarray(colors, dtype=np.int32)
@@ -442,8 +447,9 @@ def _reference_summary_ids(graphs, spaces, variant, color_lists):
                 block = 2 * block + graph.adjacency_matrix[space.nodes[:, j]]
             block.sort(axis=1)
             blocks.append(block)
-        row_arrays.append(np.hstack(blocks))
-    return _relabel_rows(row_arrays)
+        rows = np.hstack(blocks)
+        row_arrays.append([row.tobytes() for row in rows])
+    return _dense_relabel(row_arrays)
 
 
 @st.composite
@@ -475,10 +481,11 @@ def test_fiber_rows_equal_the_table_rows_id_for_id(data, k, joint):
         plans = _gather_plans(graphs, spaces, variant)
         colors = _initial_ids(graphs, spaces)
         for _ in range(4):
-            ids = _summary_ids(plans, colors)
+            ids = [graph_ids.tolist() for graph_ids in _summary_ids(plans, colors)]
             assert ids == _reference_summary_ids(graphs, spaces, variant, colors), variant
             colors = ids
-        assert _summary_ids(plans, noise) == _reference_summary_ids(graphs, spaces, variant, noise)
+        ids = [graph_ids.tolist() for graph_ids in _summary_ids(plans, noise)]
+        assert ids == _reference_summary_ids(graphs, spaces, variant, noise)
 
 
 @pytest.mark.parametrize("variant, k, s", ALL_VARIANTS + (("delta_kwl", 3, 3), ("kwl", 3, 3), ("ks_lwl", 3, 2)))
@@ -739,6 +746,72 @@ def test_relabel_ids_are_equal_exactly_when_keys_are(key_lists):
     for (ka, ia), (kb, ib) in itertools.combinations(zip(keys, ids), 2):
         assert (ka == kb) == (ia == ib)
     assert sorted(set(ids)) == list(range(len(set(keys))))
+
+
+# From SORT_ROWS rows of one integer dtype and width, _relabel_rows numbers
+# row hashes by sorting. These tests hold it to the dict on row bytes.
+
+
+def _bytes_ids(row_arrays):
+    """The dict path: ``_dense_relabel`` on the bytes of each row."""
+    return _dense_relabel([[row.tobytes() for row in rows] for rows in row_arrays])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.int32, np.int64]),
+    width=st.integers(1, 40),
+    distinct=st.integers(1, 1000),
+    high=st.sampled_from([1, 4, 100, 2**31 - 1, 2**62]),
+    sizes=st.lists(st.integers(0, 700), min_size=1, max_size=4).filter(
+        lambda sizes: sum(sizes) >= SORT_ROWS
+    ),
+)
+def test_sorted_ids_equal_the_dict_id_for_id(seed, dtype, width, distinct, high, sizes):
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-1, high, (distinct, width), endpoint=True).astype(dtype)
+    arrays = [pool[rng.integers(0, distinct, size)] for size in sizes]
+    expected = _bytes_ids(arrays)
+    ids = _sorted_ids(arrays)
+    assert ids is not None
+    assert [graph_ids.tolist() for graph_ids in ids] == expected
+    assert [graph_ids.tolist() for graph_ids in _relabel_rows(arrays)] == expected
+
+
+def test_a_hash_collision_falls_back_to_the_dict():
+    # Rows differing by d with d0 = w1 and d1 = -w0 share a hash:
+    # d0 * w0 + d1 * w1 wraps to 0.
+    w0, w1 = _row_weights(2).tolist()
+    rows = np.zeros((SORT_ROWS, 2), dtype=np.int64)
+    rows[1::2] = [w1, -w0]
+    rows[2::4] += 1
+    assert _sorted_ids([rows]) is None
+    ids = [graph_ids.tolist() for graph_ids in _relabel_rows([rows[:10], rows[10:]])]
+    assert ids == _bytes_ids([rows[:10], rows[10:]])
+    assert ids[0][:4] == [0, 1, 2, 1]
+
+
+def test_relabel_rows_takes_no_arrays_mixed_widths_and_mixed_dtypes():
+    assert _relabel_rows([]) == []
+    narrow = np.zeros((SORT_ROWS, 2), dtype=np.int32)
+    for arrays in (
+        [narrow, np.zeros((SORT_ROWS, 3), dtype=np.int32), np.empty((0, 2), dtype=np.int32)],
+        [narrow, narrow.astype(np.int64)],
+    ):
+        ids = [graph_ids.tolist() for graph_ids in _relabel_rows(arrays)]
+        assert ids == _bytes_ids(arrays)
+        assert ids[0] == [0] * SORT_ROWS and ids[1] == [1] * SORT_ROWS
+
+
+def test_calls_below_the_cutoff_never_sort(monkeypatch):
+    def refuse(arrays):
+        raise AssertionError("a call below SORT_ROWS rows was sorted")
+
+    monkeypatch.setattr(refine, "_sorted_ids", refuse)
+    rows = np.arange(2 * (SORT_ROWS - 1), dtype=np.int64).reshape(-1, 2) % 7
+    ids = [graph_ids.tolist() for graph_ids in _relabel_rows([rows[:5], rows[5:]])]
+    assert ids == _bytes_ids([rows[:5], rows[5:]])
 
 
 # -------------------------------------------------------------- validation
