@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BASE_MISMATCH, DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
+from .errors import DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
 
 
 def _check_base(base: int) -> None:
@@ -61,13 +61,6 @@ class DigitVector:
         object.__setattr__(self, "pairs", tuple(sorted(counts.items())))
         return self
 
-    @classmethod
-    def zero(cls, base: int) -> "DigitVector":
-        return cls(base)
-
-    def is_zero(self) -> bool:
-        return not self.pairs
-
     @property
     def digits(self) -> tuple[int, ...]:
         """The dense digits, index i holding depth i+1, trailing zeros stripped."""
@@ -78,28 +71,6 @@ class DigitVector:
 def _vector(base: int, counts: dict[int, int]) -> DigitVector:
     """Wrap counts that were checked as they were made."""
     return object.__new__(DigitVector)._set(base, counts)
-
-
-def code_of(position: int, base: int) -> DigitVector:
-    """The code of a single element at ``position`` (>= 1): one count at that depth."""
-    return encode_multiset((position,), base)
-
-
-def add(a: DigitVector, b: DigitVector) -> DigitVector:
-    """Digit-wise sum. Raises DIGIT_OVERFLOW if any digit would reach the base."""
-    if a.base != b.base:
-        raise ValidationError(BASE_MISMATCH, f"bases differ: {a.base} vs {b.base}")
-    counts = dict(a.pairs)
-    for depth, count in b.pairs:
-        _count(counts, depth, count, a.base)
-    return _vector(a.base, counts)
-
-
-def shift(a: DigitVector, offset: int) -> DigitVector:
-    """Move every digit ``offset`` positions deeper (multiply by base^-offset)."""
-    if offset < 0:
-        raise ValidationError(INVALID_SCHEMA, f"offset must be >= 0, got {offset}")
-    return _vector(a.base, {depth + offset: c for depth, c in a.pairs})
 
 
 def encode_multiset(positions: Iterable[int], base: int) -> DigitVector:

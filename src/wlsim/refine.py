@@ -48,6 +48,7 @@ from .errors import (
     INVALID_SCHEMA,
     ITERATION_LIMIT,
     MEMORY_LIMIT,
+    SHAPE_MISMATCH,
     SPACE_MISMATCH,
     VARIANT_MISMATCH,
     LimitError,
@@ -101,7 +102,8 @@ class TupleSpace:
 
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
-        """The tuples as Python tuples, for per-tuple loops."""
+        """The tuples as Python tuples. Only the benchmark's tracer reads them
+        (``perfbench/tracing.py``), and only a change to the benchmark may change it."""
         return tuple(map(tuple, self.nodes.tolist()))
 
     @cached_property
@@ -150,21 +152,29 @@ class TupleSpace:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
-    """Dense tuple coloring produced by one refinement round."""
+    """Dense tuple coloring produced by one refinement round.
+
+    ``colors`` is a read-only int64 array, one id per row of ``space.nodes``:
+    the one partition format of the engine, the oracle and the transformer.
+    An int64 array, as ``_relabel_rows`` returns, is kept without a copy;
+    colors that are not a 1-d integer sequence of that length raise SHAPE_MISMATCH.
+    """
 
     space: TupleSpace
-    colors: tuple[int, ...]
+    colors: np.ndarray
     iteration: int
 
-    @property
-    def num_colors(self) -> int:
-        return max(self.colors) + 1
-
-    def histogram(self) -> tuple[int, ...]:
-        """Tuple count per color id."""
-        return tuple(np.bincount(self.colors).tolist())
+    def __post_init__(self) -> None:
+        colors = np.asarray(self.colors)
+        t = len(self.space.nodes)
+        if colors.shape != (t,) or colors.dtype.kind not in "iu":
+            message = f"expected {t} integer colors, got {colors.dtype} of shape {colors.shape}"
+            raise ValidationError(SHAPE_MISMATCH, message)
+        colors = colors.astype(np.int64, copy=False)
+        colors.setflags(write=False)
+        object.__setattr__(self, "colors", colors)
 
 
 @dataclass(frozen=True)
@@ -418,8 +428,7 @@ def _summary_ids(
 
 def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
     """Color tuples by atomic type and label sequence, with canonical ids."""
-    ids = _initial_ids([graph], [space])[0]
-    return Coloring(space, tuple(ids.tolist()), 0)
+    return Coloring(space, _initial_ids([graph], [space])[0], 0)
 
 
 def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: str) -> Coloring:
@@ -435,7 +444,7 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     if planned is None or planned[0] is not graph:
         planned = space._plans[variant] = (graph, _gather_plans([graph], [space], variant)[0])
     ids = _summary_ids([planned[1]], [coloring.colors])[0]
-    return Coloring(space, tuple(ids.tolist()), coloring.iteration + 1)
+    return Coloring(space, ids, coloring.iteration + 1)
 
 
 def refine_to_stable(
@@ -463,14 +472,12 @@ def _refine_until_stable(
     graph: Graph, start: Coloring, variant: str, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> list[Coloring]:
     """``refine_to_stable`` from a coloring already built on its space."""
-    current = start
-    out = [current]
+    out = [start]
     for _ in range(max_iterations):
-        nxt = refine_step(graph, current.space, current, variant)
-        if nxt.colors == current.colors:
+        nxt = refine_step(graph, start.space, out[-1], variant)
+        if np.array_equal(nxt.colors, out[-1].colors):
             return out
         out.append(nxt)
-        current = nxt
     raise LimitError(
         ITERATION_LIMIT, f"no stable partition within {max_iterations} rounds"
     )
@@ -524,6 +531,6 @@ def run_to_dict(colorings: Sequence[Coloring], variant: str) -> dict:
         "s": space.s,
         "variant": variant,
         "iterations": len(colorings),
-        "colors_per_iteration": [list(c.colors) for c in colorings],
-        "histograms": [list(c.histogram()) for c in colorings],
+        "colors_per_iteration": [c.colors.tolist() for c in colorings],
+        "histograms": [np.bincount(c.colors).tolist() for c in colorings],
     }

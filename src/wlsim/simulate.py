@@ -366,23 +366,25 @@ def _spectral_parts(graph: Graph) -> _SpectralParts:
 
 def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
     """Round recovered counts, recording their largest distance from an integer."""
-    slack = float(np.abs(values - np.rint(values)).max()) if values.size else 0.0
+    rounded = np.rint(values)
+    slack = float(np.abs(values - rounded).max()) if values.size else 0.0
     trace["slack"] = max(trace["slack"], slack)
-    return np.rint(values)
+    return rounded
 
 
-def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable, trace: dict) -> tuple:
+def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable, trace: dict) -> np.ndarray:
     """The designed FFN of both forwards: round each head's de-normalized
     counts, yielded one head (position) at a time by ``denormalized``, and
-    number the ``[one-hot | counts_1 ... counts_k]`` rows by first occurrence.
-    The slot weights make the counts faithful to the variant.
+    number the ``[one-hot | counts_1 ... counts_k]`` rows by first occurrence
+    into read-only classes. The slot weights make the counts faithful to the variant.
     """
     t, c = onehot.shape
     rows = np.zeros((t, (1 + k) * c), dtype=np.int64)
     rows[:, :c] = onehot
     for j, values in enumerate(denormalized):
         rows[:, (1 + j) * c : (2 + j) * c] = _round_counts(values, trace)
-    trace["classes"] = tuple(_relabel_rows([rows])[0].tolist())
+    trace["classes"] = _relabel_rows([rows])[0]
+    trace["classes"].setflags(write=False)
     return trace["classes"]
 
 
@@ -425,7 +427,7 @@ class _Setup:
 
     graph: Graph
     space: TupleSpace
-    classes: tuple[int, ...]
+    classes: np.ndarray
 
     @cached_property
     def parts(self) -> _SpectralParts:
@@ -447,11 +449,11 @@ def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
     return _Setup(graph, space, initial_coloring(graph, space).colors)
 
 
-def _token_rows_k(setup: _Setup, classes: Sequence[int], memory_limit: int) -> np.ndarray:
+def _token_rows_k(setup: _Setup, classes: np.ndarray, memory_limit: int) -> np.ndarray:
     """Dense token rows: the one-hot of the classes, zeroed count scratch,
     the degree block and the positional blocks of every position."""
     space, parts = setup.space, setup.parts
-    lay = _KLayout(c=max(classes) + 1, k=space.k, n=space.num_nodes)
+    lay = _KLayout(c=int(classes.max()) + 1, k=space.k, n=space.num_nodes)
     t = len(space.nodes)
     _check_dense(t, lay.width, "token matrix", memory_limit)
     x = np.zeros((t, lay.width))
@@ -550,7 +552,7 @@ class _StructuredLayer:
     setup: _Setup
     heads: tuple[_HeadForm, ...]
     weights: tuple[float, float]
-    classes: tuple[int, ...]
+    classes: np.ndarray
 
     def denormalizer(self, degree: np.ndarray) -> np.ndarray:
         """alpha deg + beta (n - deg) per position, the mass of a row of head
@@ -565,10 +567,10 @@ class _StructuredLayer:
         and new classes in ``trace`` and returns the next token rows."""
         space = self.setup.space
         k, n = space.k, space.num_nodes
-        lay = _KLayout(c=max(self.classes) + 1, k=k, n=n)
+        lay = _KLayout(c=int(self.classes.max()) + 1, k=k, n=n)
         c, d = lay.c, lay.width
         _check_dense(k * c, d, "output projection", memory_limit)
-        trace = {"slack": 0.0, "classes": ()} if trace is None else trace
+        trace = {"slack": 0.0, "classes": None} if trace is None else trace
         diagonal = np.arange(k)
         heads = []
         for head in self.heads:
@@ -597,7 +599,7 @@ class _StructuredLayer:
         ``trace``.
         """
         t, k = len(self.setup.space.nodes), self.setup.space.k
-        c = max(self.classes) + 1
+        c = int(self.classes.max()) + 1
         _check_dense(t, (1 + k) * c, "FFN row", memory_limit)
         onehot = np.zeros((t, c))
         onehot[np.arange(t), self.classes] = 1.0
@@ -747,7 +749,7 @@ def _head_attention(
 @dataclass(frozen=True, eq=False)
 class _DriveRecord:
     layers: tuple[_StructuredLayer, ...]
-    partitions: tuple[tuple[int, ...], ...]
+    partitions: tuple[np.ndarray, ...]
     attention_errors: tuple[tuple[float, ...], ...]
     slack_max: float
 
@@ -791,7 +793,7 @@ def _drive(
     slack_max = 0.0
     for _ in range(t_layers):
         layer = _StructuredLayer(setup, heads, weights, classes)
-        trace = {"slack": 0.0, "classes": ()}
+        trace = {"slack": 0.0, "classes": None}
         layer.forward(attends, trace, memory_limit)
         layers.append(layer)
         slack_max = max(slack_max, trace["slack"])
@@ -911,7 +913,7 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
         )
     n, t = graph.num_nodes, len(space.nodes)
-    cols = np.asarray(colors.colors, dtype=np.int64)
+    cols = colors.colors
     strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     flat = space.nodes @ strides
     local = _is_local(variant, k)
@@ -945,20 +947,20 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     for i in range(0, t, ORACLE_BLOCK):
         keys[i : i + ORACLE_BLOCK] = depth_rows(i, min(i + ORACLE_BLOCK, t))
     ids = _relabel_rows([keys])[0]
-    return Coloring(space, tuple(ids.tolist()), colors.iteration + 1)
+    return Coloring(space, ids, colors.iteration + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
-    """Side-by-side record of the three refinement implementations."""
+    """Side-by-side record of the three implementations; partitions are read-only int64 arrays."""
 
     k: int
     s: int
     variant: str
     layers: int
-    transformer_partitions: tuple[tuple[int, ...], ...]
-    wl_partitions: tuple[tuple[int, ...], ...]
-    oracle_partitions: tuple[tuple[int, ...], ...]
+    transformer_partitions: tuple[np.ndarray, ...]
+    wl_partitions: tuple[np.ndarray, ...]
+    oracle_partitions: tuple[np.ndarray, ...]
     partition_equal_per_layer: tuple[bool, ...]
     attention_errors: tuple[tuple[float, ...], ...]
     max_attention_error: float
@@ -1038,9 +1040,8 @@ def simulate_and_compare(
     wl_partitions = tuple(c.colors for c in engine)
     oracle_partitions = tuple(c.colors for c in oracle)
 
-    equal = tuple(
-        t == e == o for t, e, o in zip(record.partitions, wl_partitions, oracle_partitions)
-    )
+    triples = zip(record.partitions, wl_partitions, oracle_partitions)
+    equal = tuple(np.array_equal(t, e) and np.array_equal(e, o) for t, e, o in triples)
     flat_errors = [e for layer in record.attention_errors for e in layer]
     return SimReport(
         k=k,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     INVALID_SCHEMA,
+    MEMORY_LIMIT,
     NO_CONVERGENCE,
     NON_SYMMETRIC,
     SHAPE_MISMATCH,
@@ -26,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph
+from .refine import DEFAULT_MEMORY_LIMIT
 
 SOURCES = ("laplacian", "normalized_laplacian", "adjacency")
 
@@ -158,6 +160,14 @@ def _check_seed(seed: object) -> None:
         raise ValidationError(INVALID_SCHEMA, f"seed must be a non-negative int, got {seed!r}")
 
 
+def _check_dim(out_dim: int) -> None:
+    """Refuse, before any draw, a width whose out_dim x 2 out_dim MLP weights,
+    the largest block of the encoders and the tokenizers, exceed the cap."""
+    if out_dim * max(8, 2 * out_dim) > DEFAULT_MEMORY_LIMIT:
+        message = f"width {out_dim} exceeds the cap of {DEFAULT_MEMORY_LIMIT} weight entries"
+        raise LimitError(MEMORY_LIMIT, message)
+
+
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
     """Deterministic stand-in for trained encoder weights.
@@ -183,6 +193,7 @@ class EncoderParams:
         _check_seed(seed)
         if eig_count < 1 or out_dim < 1:
             raise ValidationError(INVALID_SCHEMA, "eig_count and out_dim must be positive")
+        _check_dim(out_dim)
         eps = np.zeros(eig_count) if epsilon is None else np.asarray(epsilon, dtype=float)
         if eps.shape != (eig_count,):
             raise ValidationError(SHAPE_MISMATCH, f"epsilon must have length {eig_count}")

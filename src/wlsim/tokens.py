@@ -21,6 +21,7 @@ from .graphs import Graph, atomic_types
 from .refine import _check_order, enumerate_tuples
 from .spectral import (
     EncoderParams,
+    _check_dim,
     _check_seed,
     eigh,
     identifying_targets,
@@ -104,6 +105,7 @@ class TokenizerConfig:
         _check_order(self.k, self.s)
         if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ValidationError(INVALID_SCHEMA, f"dim must be a positive int, got {self.dim!r}")
+        _check_dim(self.dim)
         if self.pe_kind not in PE_KINDS:
             raise ValidationError(INVALID_SCHEMA, f"pe_kind must be one of {PE_KINDS}, got {self.pe_kind!r}")
         _check_seed(self.seed)
@@ -290,7 +292,7 @@ def tuple_tokens(
     node_rows = _node_matrix(graph, cfg, feature_fn, degree_fn, pe_fn, ffn_fn)
 
     if cfg.atp_from_edges:
-        atp_rows = [atp_embedding_from_edges(graph, tup, cfg) for tup in space.tuples]
+        atp_rows = [atp_embedding_from_edges(graph, tup, cfg) for tup in space.nodes.tolist()]
         atp_keys: list[Hashable] = [row.tobytes() for row in atp_rows]
     else:
         codes = atomic_types(graph, space.nodes).reshape(len(space.nodes), -1)

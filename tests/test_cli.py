@@ -205,6 +205,16 @@ def test_limit_breaches_exit_with_code_three(c6_file, p3_file):
 
 
 @pytest.mark.parametrize(
+    "argv", [("pe", "--kind", "lpe"), ("pe", "--kind", "spe"), ("tokens",), ("tokens", "--k", "2")]
+)
+def test_an_oversized_width_is_refused_as_a_limit(p3_file, argv):
+    proc = run_cli(*argv, "--graph", p3_file, "--dim", str(10**12))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "MEMORY_LIMIT"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("refine", "--graph", "{p3}", "--k", "1", "--variant", "kwl"),

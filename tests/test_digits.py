@@ -7,8 +7,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wlsim.digits import DigitVector, add, code_of, encode_multiset, encode_rows, shift
+from wlsim.digits import DigitVector, _count, _vector, encode_multiset, encode_rows
 from wlsim.errors import BASE_MISMATCH, DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
+
+
+# Code arithmetic that only these tests use: the code of one element, the
+# digit-wise sum and the shift. The package codes a multiset in one pass
+# (``encode_multiset``, ``encode_rows``); this is the algebra behind that pass.
+
+
+def code_of(position: int, base: int) -> DigitVector:
+    """The code of a single element at ``position`` (>= 1): one count at that depth."""
+    return encode_multiset((position,), base)
+
+
+def add(a: DigitVector, b: DigitVector) -> DigitVector:
+    """Digit-wise sum. Raises DIGIT_OVERFLOW if any digit would reach the base."""
+    if a.base != b.base:
+        raise ValidationError(BASE_MISMATCH, f"bases differ: {a.base} vs {b.base}")
+    counts = dict(a.pairs)
+    for depth, count in b.pairs:
+        _count(counts, depth, count, a.base)
+    return _vector(a.base, counts)
+
+
+def shift(a: DigitVector, offset: int) -> DigitVector:
+    """Move every digit ``offset`` positions deeper (multiply by base^-offset)."""
+    if offset < 0:
+        raise ValidationError(INVALID_SCHEMA, f"offset must be >= 0, got {offset}")
+    return _vector(a.base, {depth + offset: c for depth, c in a.pairs})
 
 
 def multisets_up_to(max_position, max_order):
@@ -60,7 +87,7 @@ def test_base_mismatch_is_an_error():
 
 def test_trailing_zeros_do_not_affect_equality():
     assert DigitVector(4, (1, 0, 0)) == DigitVector(4, (1,))
-    assert DigitVector(4, ()) == DigitVector.zero(4)
+    assert DigitVector(4, ()) == DigitVector(4)
 
 
 def test_digit_at_base_is_rejected_at_construction():
@@ -112,7 +139,7 @@ def test_add_commutes(pair):
 @given(overflow_free_pairs())
 def test_adding_zero_changes_nothing(pair):
     a, _ = pair
-    assert add(a, DigitVector.zero(a.base)) == a
+    assert add(a, DigitVector(a.base)) == a
 
 
 @given(overflow_free_pairs(), st.integers(0, 5))
@@ -139,7 +166,7 @@ def test_add_associates(triple):
 
 
 def test_encode_empty_multiset_is_zero():
-    assert encode_multiset((), 5).is_zero()
+    assert not encode_multiset((), 5).pairs
 
 
 def test_encode_example_two_ones_and_a_three():
@@ -170,7 +197,7 @@ def test_block_packing_recovers_each_multiset():
     base = 5
     block = 4
     parts = [(1, 1), (2, 4), (), (3, 3, 3, 3)]
-    total = DigitVector.zero(base)
+    total = DigitVector(base)
     for j, ms in enumerate(parts):
         total = add(total, shift(encode_multiset(ms, base), block * j))
     padded = total.digits + (0,) * (block * len(parts) - len(total.digits))
@@ -198,7 +225,7 @@ def test_encode_equals_the_fold_of_single_codes(base, positions):
     overflow included, and its digits match a dense count made here."""
 
     def fold():
-        acc = DigitVector.zero(base)
+        acc = DigitVector(base)
         for p in positions:
             acc = add(acc, code_of(p, base))
         return acc

@@ -17,6 +17,7 @@ from wlsim.errors import (
     INVALID_SCHEMA,
     ITERATION_LIMIT,
     MEMORY_LIMIT,
+    SHAPE_MISMATCH,
     SPACE_MISMATCH,
     VARIANT_MISMATCH,
     LimitError,
@@ -356,6 +357,30 @@ def test_unknown_variant_rejected(p3):
     assert exc.value.code == INVALID_SCHEMA
 
 
+@pytest.mark.parametrize(
+    "colors",
+    [(0, 1, 2), np.zeros((6, 6), dtype=np.int64), np.zeros(36), [True] * 36, ["0"] * 36],
+)
+def test_a_coloring_that_does_not_fit_its_space_is_refused(c6, colors):
+    # 36 tuples at k = 2: the engine would fail to reshape these colors and
+    # the oracle to broadcast them.
+    with pytest.raises(ValidationError) as exc:
+        Coloring(enumerate_tuples(c6, 2, 2), colors, 0)
+    assert exc.value.code == SHAPE_MISMATCH
+
+
+def test_a_coloring_holds_one_read_only_int64_array(c6):
+    space = enumerate_tuples(c6, 2, 2)
+    ids = _initial_ids([c6], [space])[0]
+    assert Coloring(space, ids, 0).colors is ids
+    # Negative colors are the digit oracle's to refuse, not the coloring's.
+    listed = Coloring(space, [-1] * 36, 0).colors
+    assert listed.dtype == np.int64 and listed.tolist() == [-1] * 36
+    for colors in (ids, listed):
+        with pytest.raises(ValueError):
+            colors[0] = 1
+
+
 # --------------------------------------------------------- refine_to_stable
 
 
@@ -531,7 +556,7 @@ def test_engine_runs_never_build_python_tuples(monkeypatch, p3, c6, variant, k, 
 def test_runs_are_deterministic(c6):
     a = refine_to_stable(c6, 2, 2, "delta_kwl")
     b = refine_to_stable(c6, 2, 2, "delta_kwl")
-    assert [c.colors for c in a] == [c.colors for c in b]
+    assert [c.colors.tolist() for c in a] == [c.colors.tolist() for c in b]
 
 
 # --------------------------------------------------------------- refines

@@ -73,6 +73,11 @@ def canon(colors):
     return tuple(out)
 
 
+def same_coloring(a, b):
+    """Equal tuple space, round and colors."""
+    return a.space == b.space and a.iteration == b.iteration and np.array_equal(a.colors, b.colors)
+
+
 def row_classes(matrix):
     """Dense ids of a float matrix's rows, rounded to kill round-off."""
     table = {}
@@ -485,7 +490,7 @@ def test_one_simulated_round_matches_one_engine_round(k3):
     start = initial_coloring(k3, space)
     stepped = refine_step(k3, space, start, "kwl")
     report = simulate_and_compare(k3, 2, 2, "kwl", t_layers=1)
-    assert report.transformer_partitions[1] == canon(stepped.colors)
+    assert np.array_equal(report.transformer_partitions[1], canon(stepped.colors))
     assert report.all_equal
 
 
@@ -708,6 +713,34 @@ def test_temperature_whose_scores_overflow_is_rejected():
 # ------------------------------------------------------- simulate_and_compare
 
 
+@pytest.mark.parametrize("k,s,variant", [(1, 1, "kwl"), (2, 2, "delta_kwl"), (2, 1, "ks_lwl")])
+def test_partitions_are_read_only_int64_arrays_at_every_leg(c6, k, s, variant):
+    space = enumerate_tuples(c6, k, s)
+    t = len(space.nodes)
+
+    def frozen(colors):
+        return (
+            isinstance(colors, np.ndarray)
+            and colors.dtype == np.int64
+            and colors.shape == (t,)
+            and not colors.flags.writeable
+        )
+
+    start = initial_coloring(c6, space)
+    assert frozen(start.colors)
+    assert frozen(refine_step(c6, space, start, variant).colors)
+    assert frozen(gnn_reference_step(start, c6, k, variant).colors)
+    report = simulate_and_compare(c6, k, s, variant)
+    # The transformer's partitions past the first are the FFN's classes.
+    for partitions in (
+        report.transformer_partitions,
+        report.wl_partitions,
+        report.oracle_partitions,
+    ):
+        assert len(partitions) == report.layers + 1
+        assert all(frozen(p) for p in partitions)
+
+
 def test_zero_layer_report_compares_only_the_shared_start(p3):
     report = simulate_and_compare(p3, 1, 1, "kwl", t_layers=0)
     assert report.layers == 0
@@ -718,12 +751,12 @@ def test_zero_layer_report_compares_only_the_shared_start(p3):
     assert report.rounding_slack_max == 0.0
     # The shared start is the atomic-type coloring, which is blind to
     # degree, so an unlabeled path begins monochrome.
-    assert (
-        report.transformer_partitions
-        == report.wl_partitions
-        == report.oracle_partitions
-        == ((0, 0, 0),)
-    )
+    for partitions in (
+        report.transformer_partitions,
+        report.wl_partitions,
+        report.oracle_partitions,
+    ):
+        assert [p.tolist() for p in partitions] == [[0, 0, 0]]
 
 
 def test_default_run_reaches_and_witnesses_the_fixed_point(p3):
@@ -732,8 +765,8 @@ def test_default_run_reaches_and_witnesses_the_fixed_point(p3):
     assert report.layers == len(stable) == 2
     assert report.all_equal
     assert len(report.transformer_partitions) == report.layers + 1
-    assert report.transformer_partitions[-1] == canon(stable[-1].colors)
-    assert report.transformer_partitions[-1] == report.transformer_partitions[-2]
+    assert np.array_equal(report.transformer_partitions[-1], canon(stable[-1].colors))
+    assert np.array_equal(report.transformer_partitions[-1], report.transformer_partitions[-2])
     assert report.max_attention_error < 1e-8
     assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
 
@@ -818,7 +851,9 @@ def test_report_dictionary_has_the_documented_keys(p3):
 def test_simulation_is_deterministic(k3):
     first = simulate_and_compare(k3, 2, 2, "delta_kwl")
     second = simulate_and_compare(k3, 2, 2, "delta_kwl")
-    assert first.transformer_partitions == second.transformer_partitions
+    assert [p.tolist() for p in first.transformer_partitions] == [
+        p.tolist() for p in second.transformer_partitions
+    ]
     assert first.attention_errors == second.attention_errors
     assert first.max_attention_error == second.max_attention_error
 
@@ -901,7 +936,7 @@ def test_factored_forward_matches_the_dense_layer(k, n, b):
             for dense, rebuilt, kept in zip(atts_d, atts_f, rows):
                 assert np.abs(dense[kept] - rebuilt[kept]).max() < 1e-12
             assert np.abs(combined_d - combined_f)[agree].max() < 1e-9
-            assert trace_d["classes"] == trace_f["classes"]
+            assert np.array_equal(trace_d["classes"], trace_f["classes"])
             assert abs(trace_d["slack"] - trace_f["slack"]) < 1e-9
             assert np.array_equal(out_d, out_f)
 
@@ -1238,7 +1273,7 @@ def test_block_oracle_equals_the_per_tuple_loop(g, seed, block):
                 for _ in range(2):
                     want = loop_digit_step(colors, g, k, variant)
                     got = gnn_reference_step(colors, g, k, variant)
-                    assert got == want, (k, s, variant, block)
+                    assert same_coloring(got, want), (k, s, variant, block)
                     colors = got
 
 
@@ -1298,7 +1333,8 @@ def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
     for name in ("_summary_ids", "_gather_plans"):
         monkeypatch.setattr(wlsim.refine, name, forbidden)
     for (k, s, variant), colors in starts.items():
-        assert gnn_reference_step(colors, g, k, variant) == want[(k, s, variant)], (k, s, variant)
+        got = gnn_reference_step(colors, g, k, variant)
+        assert same_coloring(got, want[(k, s, variant)]), (k, s, variant)
 
 
 def test_oracle_round_memory_is_bounded_by_its_blocks():
@@ -1349,8 +1385,8 @@ def test_digit_step_agrees_with_the_engine_at_the_edges_of_the_model(g):
                 while True:
                     nxt = refine_step(g, space, engine, variant)
                     oracle = gnn_reference_step(oracle, g, k, variant)
-                    assert oracle.colors == nxt.colors, (k, s, variant)
-                    if nxt.colors == engine.colors:
+                    assert np.array_equal(oracle.colors, nxt.colors), (k, s, variant)
+                    if np.array_equal(nxt.colors, engine.colors):
                         break
                     engine = nxt
 

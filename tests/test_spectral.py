@@ -11,6 +11,7 @@ import pytest
 
 from wlsim.errors import (
     INVALID_SCHEMA,
+    MEMORY_LIMIT,
     NO_CONVERGENCE,
     NON_SYMMETRIC,
     SHAPE_MISMATCH,
@@ -363,6 +364,10 @@ def test_params_validation():
     with pytest.raises(ValidationError) as exc:
         EncoderParams.seeded(0, 3, 4, epsilon=[0.1, 0.2])
     assert exc.value.code == SHAPE_MISMATCH
+    # A width whose weight blocks exceed the entry cap is refused before a draw.
+    with pytest.raises(LimitError) as exc:
+        EncoderParams.seeded(0, 3, 10**12)
+    assert exc.value.code == MEMORY_LIMIT
 
 
 def test_params_reject_a_negative_seed_and_a_non_finite_epsilon():
