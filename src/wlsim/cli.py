@@ -46,6 +46,7 @@ from .spectral import (
     EncoderParams,
     arithmetic_epsilon,
     check_identifying,
+    eig_count_for,
     eigh,
     identifying_targets,
     laplacian,
@@ -62,6 +63,8 @@ VARIANT_NAMES = {
     "delta-local": "delta_klwl",
     "ks-local": "ks_lwl",
 }
+
+VARIANT_CHOICES = tuple(sorted(VARIANT_NAMES))
 
 DEFAULT_BENCH_VARIANTS = "1wl,kwl:2,delta:2,ks-local:2:1"
 
@@ -295,9 +298,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_pe(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
+    count = eig_count_for(args.kind, args.eig_count, graph.num_nodes)
     source = "normalized_laplacian" if args.normalized else "laplacian"
     dec = eigh(laplacian(graph, normalized=args.normalized), source=source)
-    count = args.eig_count if args.eig_count is not None else graph.num_nodes
     eps = None if args.epsilon is None else arithmetic_epsilon(count, args.epsilon)
     params = EncoderParams.seeded(args.seed, count, args.dim, epsilon=eps)
     if args.kind == "lpe":
@@ -366,35 +369,33 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="seed for every derived randomness")
+def _seed_option(p: _Parser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="seed for every derived randomness")
 
-    parser = _Parser(prog="wlsim", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    variant_choices = tuple(sorted(VARIANT_NAMES))
-
-    p = sub.add_parser("refine", help="run refinement to its stable partition")
+def _refine_options(p: _Parser) -> None:
     p.add_argument("--graph", required=True, help="path to a graph JSON file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=None, help="component bound, defaults to k")
-    p.add_argument("--variant", required=True, choices=variant_choices)
+    p.add_argument("--variant", required=True, choices=VARIANT_CHOICES)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--out", default=None, help="write the run to this file instead of stdout")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("distinguish", help="compare two graphs by refinement")
+
+def _distinguish_options(p: _Parser) -> None:
     p.add_argument("--g1", default=None, help="path to the first graph")
     p.add_argument("--g2", default=None, help="path to the second graph")
     p.add_argument("--pair", default=None, choices=BUILTIN_PAIR_NAMES, help="use a builtin pair")
-    p.add_argument("--variant", required=True, choices=variant_choices)
+    p.add_argument("--variant", required=True, choices=VARIANT_CHOICES)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("bench", parents=[seeded], help="verdict table over the builtin pairs")
+
+def _bench_options(p: _Parser) -> None:
+    _seed_option(p)
     p.add_argument("--suite", default="builtin", choices=("builtin",))
     p.add_argument(
         "--variants",
@@ -405,11 +406,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("simulate", help="replay refinement with attention layers and compare")
+
+def _simulate_options(p: _Parser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--variant", default="kwl", choices=variant_choices)
+    p.add_argument("--variant", default="kwl", choices=VARIANT_CHOICES)
     p.add_argument(
         "--layers", type=int, default=None, help="rounds to replay, defaults to the stable count"
     )
@@ -419,7 +421,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pe", parents=[seeded], help="positional encodings for a graph")
+
+def _pe_options(p: _Parser) -> None:
+    _seed_option(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", default="lpe", choices=("lpe", "spe"))
     p.add_argument("--dim", type=int, default=8)
@@ -429,15 +433,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--normalized", action="store_true")
     p.set_defaults(func=cmd_pe)
 
-    p = sub.add_parser(
-        "verify-identifying",
-        help="check that spectral scores point at nodes and neighborhoods",
-    )
+
+def _verify_identifying_options(p: _Parser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--normalized", action="store_true")
     p.set_defaults(func=cmd_verify_identifying)
 
-    p = sub.add_parser("tokens", parents=[seeded], help="tokenize a graph")
+
+def _tokens_options(p: _Parser) -> None:
+    _seed_option(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=None)
@@ -449,16 +453,46 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges-atp", action="store_true", help="build atomic types from edge vectors")
     p.set_defaults(func=cmd_tokens)
 
-    p = sub.add_parser("pair", help="print a builtin graph pair")
+
+def _pair_options(p: _Parser) -> None:
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_pair)
 
+
+# Every subcommand, in the order ``--help`` lists them: its help line and the
+# function that adds its options.
+SUBCOMMANDS = {
+    "refine": ("run refinement to its stable partition", _refine_options),
+    "distinguish": ("compare two graphs by refinement", _distinguish_options),
+    "bench": ("verdict table over the builtin pairs", _bench_options),
+    "simulate": ("replay refinement with attention layers and compare", _simulate_options),
+    "pe": ("positional encodings for a graph", _pe_options),
+    "verify-identifying": (
+        "check that spectral scores point at nodes and neighborhoods",
+        _verify_identifying_options,
+    ),
+    "tokens": ("tokenize a graph", _tokens_options),
+    "pair": ("print a builtin graph pair", _pair_options),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of the command line, with only the subparser of
+    ``command`` when it names a subcommand exactly, and with all of them
+    otherwise. A line that starts with a subcommand's name is parsed the
+    same way by both, and every other line needs the full parser to list
+    the subcommands or to report an invalid choice."""
+    parser = _Parser(prog="wlsim", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (command,) if command in SUBCOMMANDS else SUBCOMMANDS:
+        help_text, add_options = SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -51,6 +51,7 @@ import numpy as np
 from .digits import encode_rows
 from .errors import (
     INVALID_SCHEMA,
+    ITERATION_LIMIT,
     MEMORY_LIMIT,
     SHAPE_MISMATCH,
     SPACE_MISMATCH,
@@ -61,6 +62,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .refine import (
+    DEFAULT_MAX_ITERATIONS,
     DEFAULT_MEMORY_LIMIT,
     Coloring,
     TupleSpace,
@@ -773,9 +775,17 @@ def _check_construction(k, s, variant) -> None:
 
 
 def _check_layers(t_layers, minimum: int) -> int:
+    """Refuse, before any setup, a layer count below ``minimum`` or above the
+    engine's round cap, which also bounds the default count (one past the
+    stable round)."""
     if isinstance(t_layers, bool) or not isinstance(t_layers, int) or t_layers < minimum:
         raise ValidationError(
             INVALID_SCHEMA, f"layer count must be an integer >= {minimum}, got {t_layers!r}"
+        )
+    if t_layers > DEFAULT_MAX_ITERATIONS:
+        raise LimitError(
+            ITERATION_LIMIT,
+            f"layer count {t_layers} exceeds the cap of {DEFAULT_MAX_ITERATIONS} rounds",
         )
     return t_layers
 

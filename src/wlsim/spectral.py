@@ -168,6 +168,21 @@ def _check_dim(out_dim: int) -> None:
         raise LimitError(MEMORY_LIMIT, message)
 
 
+def eig_count_for(kind: str, requested: int | None, n: int) -> int:
+    """The eigenpair count of an encoder on an n-node graph, n by default.
+
+    ``lpe`` reads ``count`` of the n eigenpairs, so a larger count raises
+    ``ValidationError`` (``SHAPE_MISMATCH``) here, before the encoder's
+    weights or ``arithmetic_epsilon``'s steps are drawn for it. ``spe`` reads
+    ``rank_m`` eigenpairs and draws ``count`` weight channels, which
+    ``EncoderParams.seeded`` bounds.
+    """
+    count = n if requested is None else requested
+    if kind == "lpe" and count > n:
+        raise ValidationError(SHAPE_MISMATCH, f"{count} eigenpairs requested but only {n} available")
+    return count
+
+
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
     """Deterministic stand-in for trained encoder weights.
@@ -194,12 +209,18 @@ class EncoderParams:
         if eig_count < 1 or out_dim < 1:
             raise ValidationError(INVALID_SCHEMA, "eig_count and out_dim must be positive")
         _check_dim(out_dim)
+        hidden = max(8, 2 * out_dim)
+        if eig_count * hidden > DEFAULT_MEMORY_LIMIT:
+            message = (
+                f"{eig_count} channels of width {hidden} exceed the cap of "
+                f"{DEFAULT_MEMORY_LIMIT} weight entries"
+            )
+            raise LimitError(MEMORY_LIMIT, message)
         eps = np.zeros(eig_count) if epsilon is None else np.asarray(epsilon, dtype=float)
         if eps.shape != (eig_count,):
             raise ValidationError(SHAPE_MISMATCH, f"epsilon must have length {eig_count}")
         if not np.isfinite(eps).all():
             raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
-        hidden = max(8, 2 * out_dim)
         weights: dict[str, np.ndarray] = {}
         blocks = {
             "phi": (2, hidden, out_dim),
@@ -223,10 +244,14 @@ def arithmetic_epsilon(eig_count: int, delta: float) -> np.ndarray:
     repeated eigenvalues whenever delta is below the smallest nonzero gap.
 
     Raises ``ValidationError`` (``INVALID_SCHEMA``) when an entry would not
-    be finite; the largest one, l delta, is checked before the array exists.
+    be finite; the largest one, l delta, is checked before the array exists,
+    and so is the length, against the cap (``LimitError``).
     """
     if not math.isfinite(delta * eig_count):
         raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
+    if eig_count > DEFAULT_MEMORY_LIMIT:
+        message = f"{eig_count} eigenvalue steps exceed the cap of {DEFAULT_MEMORY_LIMIT} entries"
+        raise LimitError(MEMORY_LIMIT, message)
     return delta * np.arange(1, eig_count + 1, dtype=float)
 
 
@@ -244,9 +269,7 @@ def lpe(
     seeded MLPs in ``params``; tests pass stubs through these hooks.
     """
     n = dec.n
-    l = params.eig_count
-    if l > n:
-        raise ValidationError(SHAPE_MISMATCH, f"{l} eigenpairs requested but only {n} available")
+    l = eig_count_for("lpe", params.eig_count, n)
     if phi is None:
         phi_w = params.block("phi")
         phi = lambda x: run_mlp(phi_w, x)

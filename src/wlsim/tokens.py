@@ -23,6 +23,7 @@ from .spectral import (
     EncoderParams,
     _check_dim,
     _check_seed,
+    eig_count_for,
     eigh,
     identifying_targets,
     laplacian,
@@ -165,9 +166,9 @@ def _pe_matrix(graph: Graph, cfg: TokenizerConfig) -> np.ndarray:
             if len({r.tobytes() for r in out}) == len({r.tobytes() for r in raw}):
                 return out
             salt += 1
+    count = eig_count_for(cfg.pe_kind, cfg.eig_count, n)
     source = "normalized_laplacian" if cfg.normalized else "laplacian"
     dec = eigh(laplacian(graph, normalized=cfg.normalized), source=source)
-    count = cfg.eig_count if cfg.eig_count is not None else n
     params = EncoderParams.seeded(cfg.seed, count, cfg.dim)
     if cfg.pe_kind == "lpe":
         return lpe(dec, params)

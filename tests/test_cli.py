@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlsim.cli import _dumps
+from wlsim.cli import SUBCOMMANDS, _build_parser, _dumps, main
 from wlsim.graphs import Graph, builtin_pair, graph_to_dict, random_graph
 
 
@@ -209,6 +209,29 @@ def test_limit_breaches_exit_with_code_three(c6_file, p3_file):
 )
 def test_an_oversized_width_is_refused_as_a_limit(p3_file, argv):
     proc = run_cli(*argv, "--graph", p3_file, "--dim", str(10**12))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "MEMORY_LIMIT"
+
+
+@pytest.mark.parametrize(
+    "argv", [("pe",), ("pe", "--epsilon", "0.1"), ("tokens",), ("tokens", "--k", "2")]
+)
+def test_an_eigenpair_count_above_the_graph_order_is_refused(p3_file, argv):
+    proc = run_cli(*argv, "--graph", p3_file, "--eig-count", str(10**12))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = stderr_error(proc)
+    assert err["code"] == "SHAPE_MISMATCH"
+    assert err["message"] == f"{10**12} eigenpairs requested but only 3 available"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("pe", "--kind", "spe"), ("pe", "--kind", "spe", "--epsilon", "0.1"), ("tokens", "--pe", "spe")],
+)
+def test_an_oversized_channel_count_is_refused_as_a_limit(p3_file, argv):
+    proc = run_cli(*argv, "--graph", p3_file, "--eig-count", str(10**12))
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert stderr_error(proc)["code"] == "MEMORY_LIMIT"
@@ -440,6 +463,18 @@ def test_simulate_refuses_a_restricted_space_for_its_ffn_row(tmp_path):
     assert error["message"] == "dense 1204x4436 FFN row exceeds the cap of 2000000"
 
 
+@pytest.mark.parametrize("layers", ["65", str(10**9)])
+def test_simulate_refuses_a_layer_count_above_the_round_cap(tmp_path, layers):
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(graph_to_dict(Graph(4, [(0, 1), (1, 2), (2, 3)]))))
+    proc = run_cli("simulate", "--graph", str(path), "--k", "2", "--layers", layers)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    err = stderr_error(proc)
+    assert err["code"] == "ITERATION_LIMIT"
+    assert err["message"] == f"layer count {layers} exceeds the cap of 64 rounds"
+
+
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_simulate_rejects_a_temperature_that_overflows(c6_file, k):
     proc = run_cli("simulate", "--graph", c6_file, "--k", k, "--b", "1e308")
@@ -624,3 +659,94 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 def test_the_json_writer_matches_the_standard_library(tree):
     assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+# ------------------------------------------------------------------ parsing
+
+# A few command lines per subcommand: accepted ones, usage errors and --help.
+PARSE_LINES = {
+    "refine": [
+        ("--graph", "g.json", "--k", "2", "--variant", "delta", "--out", "o.json"),
+        ("--graph", "g.json", "--k", "1", "--variant", "classic"),
+        ("--graph", "g.json", "--k", "x", "--variant", "kwl"),
+        ("--graph", "g.json", "--k", "1", "--variant", "kwl", "--b", "1"),
+        ("--graph", "g.json", "--variant", "kwl"),
+    ],
+    "distinguish": [
+        ("--pair", "c6_vs_2c3", "--k", "2", "--variant", "kwl", "--max-iter", "3"),
+        ("--g1", "a.json", "--g2", "b.json", "--k", "2", "--s", "1", "--variant", "ks-local"),
+        ("--pair", "nope", "--k", "1", "--variant", "kwl"),
+    ],
+    "bench": [(), ("--format", "csv", "--seed", "4", "--variants", "1wl"), ("--format", "xml")],
+    "simulate": [
+        ("--graph", "g.json"),
+        ("--graph", "g.json", "--lay", "3", "--b", "2", "--tol", "0", "--k", "2"),
+        ("--graph", "g.json", "--layers", "two"),
+        ("--variant", "kwl"),
+    ],
+    "pe": [
+        ("--graph", "g.json", "--kind", "spe", "--eig-count", "3", "--epsilon", "1e-3", "--seed", "2"),
+        ("--graph", "g.json", "--normalized", "--rank-m", "2", "--dim", "4"),
+        ("--graph", "g.json", "--kind", "x"),
+        ("--graph", "g.json", "--dim"),
+    ],
+    "verify-identifying": [("--graph", "g.json", "--normalized"), ("--graph", "g.json", "x"), ()],
+    "tokens": [
+        ("--graph", "g.json", "--k", "2", "--s", "1", "--pe", "raw_targets", "--edges-atp"),
+        ("--graph", "g.json", "--pe", "x"),
+        ("--graph", "g.json", "--seed", "x"),
+    ],
+    "pair": [("--name", "c6_vs_2c3"), ("--name", "c6_vs_2c3", "--seed", "1"), ()],
+}
+
+
+def parse(parser, argv, capsys):
+    """The namespace of a line, or the exit code and output of a line that
+    stops the parser (a usage error or --help)."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+def test_every_subcommand_has_parse_lines():
+    assert set(PARSE_LINES) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_LINES))
+def test_one_subcommand_parser_parses_like_the_full_parser(name, capsys):
+    one = _build_parser(name)
+    assert "{%s}" % name in one.format_usage()
+    for tail in (*PARSE_LINES[name], ("--help",), ("-h",)):
+        argv = [name, *tail]
+        want = parse(_build_parser(), argv, capsys)
+        got = parse(one, argv, capsys)
+        assert got == want, argv
+        if argv[-1] in ("--help", "-h"):
+            assert want[0] == 0 and want[1].startswith(f"usage: wlsim {name} ")
+
+
+def test_lines_without_a_subcommand_name_get_the_full_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "the following arguments are required: command"
+    for argv in (["--help"], ["-h", "simulate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+    for argv in (["simulat", "--graph", "g.json"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.endswith("(choose from " + ", ".join(map(repr, SUBCOMMANDS)) + ")")
+
+
+def test_main_reads_the_process_arguments_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["wlsim", "pair", "--name", "c6_vs_2c3"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "c6_vs_2c3"

@@ -26,6 +26,7 @@ from wlsim.digits import encode_multiset
 from wlsim.errors import (
     DIGIT_OVERFLOW,
     INVALID_SCHEMA,
+    ITERATION_LIMIT,
     MEMORY_LIMIT,
     SHAPE_MISMATCH,
     SPACE_MISMATCH,
@@ -36,6 +37,7 @@ from wlsim.errors import (
 )
 from wlsim.graphs import Graph, builtin_pair, random_graph
 from wlsim.refine import (
+    DEFAULT_MAX_ITERATIONS,
     DEFAULT_MEMORY_LIMIT,
     VARIANTS,
     Coloring,
@@ -679,6 +681,28 @@ def test_temperature_must_be_positive_and_finite(p3, b):
         with pytest.raises(ValidationError) as err:
             call()
         assert err.value.code == INVALID_SCHEMA
+
+
+def test_a_layer_count_above_the_round_cap_is_refused_before_setup(p3, monkeypatch):
+    # The refusal must come before the tuple space is built, so a count of a
+    # billion costs nothing.
+    def no_setup(*args):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(wlsim.simulate, "_setup", no_setup)
+    for layers in (DEFAULT_MAX_ITERATIONS + 1, 10**9):
+        for call in (
+            lambda: simulate_and_compare(p3, 2, 2, "kwl", t_layers=layers),
+            lambda: construct_kgt_weights(p3, 2, "kwl", layers),
+        ):
+            with pytest.raises(LimitError) as err:
+                call()
+            assert err.value.code == ITERATION_LIMIT
+
+
+def test_a_layer_count_at_the_round_cap_still_runs(p3):
+    report = simulate_and_compare(p3, 1, 1, "kwl", t_layers=DEFAULT_MAX_ITERATIONS)
+    assert report.layers == DEFAULT_MAX_ITERATIONS and report.all_equal
 
 
 @pytest.mark.parametrize("k, variant", [(1, "kwl"), (2, "delta_kwl"), (3, "delta_klwl")])

@@ -23,6 +23,7 @@ from wlsim.spectral import (
     EncoderParams,
     arithmetic_epsilon,
     check_identifying,
+    eig_count_for,
     eigh,
     identifying_targets,
     laplacian,
@@ -368,6 +369,22 @@ def test_params_validation():
     with pytest.raises(LimitError) as exc:
         EncoderParams.seeded(0, 3, 10**12)
     assert exc.value.code == MEMORY_LIMIT
+    # So is a channel count whose phi_channels and rho_sum blocks exceed it.
+    with pytest.raises(LimitError) as exc:
+        EncoderParams.seeded(0, 10**12, 4)
+    assert exc.value.code == MEMORY_LIMIT
+
+
+def test_an_eigenpair_count_is_checked_against_the_graph_order():
+    assert eig_count_for("lpe", None, 5) == 5
+    assert eig_count_for("lpe", 3, 5) == 3
+    # spe reads rank_m eigenpairs; its count is a channel count.
+    assert eig_count_for("spe", 100, 5) == 100
+    for count in (6, 10**12):
+        with pytest.raises(ValidationError) as exc:
+            eig_count_for("lpe", count, 5)
+        assert exc.value.code == SHAPE_MISMATCH
+        assert exc.value.message == f"{count} eigenpairs requested but only 5 available"
 
 
 def test_params_reject_a_negative_seed_and_a_non_finite_epsilon():
@@ -399,6 +416,10 @@ def test_arithmetic_epsilon_checks_its_largest_entry_before_overflowing():
                 arithmetic_epsilon(eig_count, delta)
             assert exc.value.code == INVALID_SCHEMA
         assert arithmetic_epsilon(6, 1e300)[-1] == 6e300
+    # The length is checked against the entry cap before the array exists.
+    with pytest.raises(LimitError) as exc:
+        arithmetic_epsilon(10**12, 1e-6)
+    assert exc.value.code == MEMORY_LIMIT
 
 
 # ------------------------------------------------- identifying targets
