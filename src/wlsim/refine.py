@@ -28,11 +28,14 @@ full rules sort each fiber once, number the fibers through one table and
 read a tuple's k fiber ids. ``delta_kwl`` adds, per position, the colors
 reached through the neighbors of the replaced node, which with the fiber
 fix its (color, adjacent) multiset. The local rules read those neighbor
-blocks only. A run plans, once, which tuples each neighbor block reads
-(``TupleSpace.substitute``). A round then gathers and sorts the blocks and
-numbers the rows by first occurrence in enumeration order, so two runs over
-the same input produce identical arrays and a repeated partition shows up
-as a repeated array.
+blocks only. A full space takes the block at position j along axis j of
+the color grid, at the graph's neighbor table; a restricted space plans,
+once per run, which tuples each block reads (``TupleSpace.substitute``).
+A round writes each tuple's row in place, sorts its blocks and numbers the
+rows by first occurrence in enumeration order, so two runs over the same
+input produce identical arrays and a repeated partition shows up as a
+repeated array. A run to stable also ends at a discrete coloring, which is
+its own next round.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +63,7 @@ VARIANTS = ("kwl", "delta_kwl", "delta_klwl", "ks_lwl")
 
 DEFAULT_MEMORY_LIMIT = 2_000_000
 DEFAULT_MAX_ITERATIONS = 64
+INT32_MAX = np.iinfo(np.int32).max
 
 # Candidate tuples per block of the restricted-space filter. Its working
 # arrays then peak at about 2.5 MB at k = 3, below the 8 MB int32 position
@@ -369,60 +373,98 @@ def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[
     return _relabel_rows(row_arrays)
 
 
+class _Plan(NamedTuple):
+    """What a round reads on one graph of order ``k`` on ``n`` nodes.
+
+    ``fibers`` is True under the full rules, whose rows hold the k fiber ids
+    of the ``(n,) * k`` color grid. ``width`` is the neighbor block width,
+    the largest degree of the graphs, or 0 under ``kwl`` at k > 1. Where
+    blocks are read, a full space has ``table``, the neighbor table padded
+    with -1 to that width and each -1 mapped to n, and a restricted space
+    has ``index``, each position's ``TupleSpace.substitute`` index."""
+
+    k: int
+    n: int
+    fibers: bool
+    width: int
+    table: np.ndarray | None
+    index: Sequence[np.ndarray]
+
+
 def _gather_plans(
     graphs: Sequence[Graph], spaces: Sequence[TupleSpace], variant: str
-) -> list[tuple[tuple[int, ...] | None, list[np.ndarray]]]:
-    """What a round reads, per graph: the grid shape ``(n,) * k`` whose
-    fibers the full rules sort (None under the local rules), and at each
-    position j the index of every tuple reached by putting a neighbor of the
-    replaced node at j (none under ``kwl`` at k > 1), with -1 off the space
-    and -1 padding up to the largest degree of the graphs. It depends on the
-    graphs and spaces only, so a run builds it once."""
+) -> list[_Plan]:
+    """What a round reads, per graph. Every rule but ``kwl`` at k > 1 reads,
+    at each position j, the colors of the tuples reached by putting a
+    neighbor of the replaced node at j, padded with -1 up to the largest
+    degree of the graphs. A full space reads them along its color grid, so
+    only a restricted space plans which tuples they are
+    (``TupleSpace.substitute``). A plan depends on the graphs and spaces
+    only, so a run builds it once."""
     k = spaces[0].k
     local = _is_local(variant, k)
-    if variant == "kwl" and not local:
-        return [((space.num_nodes,) * k, []) for space in spaces]
-    width = max(graph.neighbor_array.shape[1] for graph in graphs)
+    width = 0
+    if local or variant == "delta_kwl":
+        width = max(graph.neighbor_array.shape[1] for graph in graphs)
     plans = []
     for graph, space in zip(graphs, spaces):
-        nbrs = graph.neighbor_array
-        nbrs = np.pad(nbrs, ((0, 0), (0, width - nbrs.shape[1])), constant_values=-1)
-        blocks = [space.substitute(j, nbrs[space.nodes[:, j]]) for j in range(k)]
-        plans.append((None if local else (space.num_nodes,) * k, blocks))
+        table, index = None, []
+        if width:
+            nbrs = graph.neighbor_array
+            nbrs = np.pad(nbrs, ((0, 0), (0, width - nbrs.shape[1])), constant_values=-1)
+            if space.s == k:
+                table = np.where(nbrs < 0, space.num_nodes, nbrs)
+            else:
+                index = [space.substitute(j, nbrs[space.nodes[:, j]]) for j in range(k)]
+        plans.append(_Plan(k, space.num_nodes, not local, width, table, index))
     return plans
 
 
-def _summary_ids(
-    plans: Sequence[tuple[tuple[int, ...] | None, Sequence[np.ndarray]]],
-    color_lists: Sequence[Sequence[int]],
-) -> list[np.ndarray]:
+def _summary_ids(plans: Sequence[_Plan], color_lists: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """One round on every graph through one table. A tuple's row is
-    ``[old color | fiber ids | sorted neighbor blocks]``. Under the full
-    rules, fiber id j numbers the sorted colors along axis j of the color
-    grid through the tuple, through one table shared by every graph. Block j
-    holds the colors the plan gathers at j, -1 where it reads -1."""
+    ``[old color | fiber ids | sorted neighbor blocks]``, written in place
+    into one int32 array per graph. Under the full rules, fiber id j numbers
+    the sorted colors along axis j of the color grid through the tuple,
+    through one table shared by every graph. Block j holds the colors of the
+    tuples reached through the neighbors of the node at j, and -1 for
+    padding and for tuples off the space. A full space takes them along axis
+    j of its grid, padded with a -1 slice, at the plan's neighbor table; a
+    restricted space reads them at the plan's substitute index."""
     colors = [np.asarray(c, dtype=np.int32) for c in color_lists]
-    fibers = []
-    for (shape, _), flat in zip(plans, colors):
-        if shape is not None:
-            grid = flat.reshape(shape)
-            for j, n in enumerate(shape):
-                fibers.append(np.sort(np.moveaxis(grid, j, -1).reshape(-1, n), axis=1))
-    fiber_ids = iter(_relabel_rows(fibers))
+    fiber_rows = []
+    for plan, flat in zip(plans, colors):
+        if plan.fibers:
+            grid = flat.reshape((plan.n,) * plan.k)
+            for j in range(plan.k):
+                fiber_rows.append(np.sort(np.moveaxis(grid, j, -1).reshape(-1, plan.n), axis=1))
+    fiber_ids = iter(_relabel_rows(fiber_rows))
     row_arrays = []
-    for (shape, blocks), flat in zip(plans, colors):
-        columns = [flat[:, None]]
-        if shape is not None:
-            for j in range(len(shape)):
-                ids = next(fiber_ids).astype(np.int32)
-                ids = np.expand_dims(ids.reshape(shape[:j] + shape[j + 1 :]), j)
-                columns.append(np.broadcast_to(ids, shape).reshape(-1, 1))
-        padded = np.append(flat, np.int32(-1))  # index -1 reads this sentinel
-        for index in blocks:
-            block = padded[index]
+    for (k, n, fibers, width, table, index), flat in zip(plans, colors):
+        shape = (n,) * k
+        first = 1 + k * fibers  # the first column of the neighbor blocks
+        rows = np.empty((len(flat), first + k * width), dtype=np.int32)
+        rows[:, 0] = flat
+        if fibers:
+            for j in range(k):
+                ids = next(fiber_ids).astype(np.int32).reshape(shape[:j] + shape[j + 1 :])
+                rows[:, 1 + j].reshape(shape)[...] = np.expand_dims(ids, j)
+        blocks = [rows[:, first + j * width : first + (j + 1) * width] for j in range(k)]
+        if table is not None:
+            padded = np.full((n + 1,) * k, -1, dtype=np.int32)
+            padded[(slice(n),) * k] = flat.reshape(shape)
+            for j, block in enumerate(blocks):
+                along_j = padded[(slice(n),) * j + (slice(None),) + (slice(n),) * (k - 1 - j)]
+                out = np.moveaxis(block.reshape(shape + (width,)), k, j + 1)
+                # The table's entries lie in 0..n, so "clip" moves none; unlike
+                # the default mode it writes to ``out`` without a buffer.
+                np.take(along_j, table, axis=j, out=out, mode="clip")
+        elif index:
+            padded = np.append(flat, np.int32(-1))
+            for block, at in zip(blocks, index):
+                np.take(padded, at, out=block, mode="wrap")  # -1 wraps to the sentinel
+        for block in blocks:
             block.sort(axis=1)
-            columns.append(block)
-        row_arrays.append(np.hstack(columns))
+        row_arrays.append(rows)
     return _relabel_rows(row_arrays)
 
 
@@ -435,11 +477,16 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     """One refinement round under the chosen rule.
 
     The gather plan is kept on the space per rule, with the graph it was
-    built for, so the rounds of one run plan once.
+    built for, so the rounds of one run plan once. Colors outside
+    0..``INT32_MAX`` raise INVALID_SCHEMA.
     """
     _check_variant_space(variant, space.k, space.s)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
+    # A round reads -1 as padding and colors as int32, so a color outside
+    # that range would be merged with the padding or with another color.
+    if not 0 <= coloring.colors.min() <= coloring.colors.max() <= INT32_MAX:
+        raise ValidationError(INVALID_SCHEMA, f"colors must lie in 0..{INT32_MAX}")
     planned = space._plans.get(variant)
     if planned is None or planned[0] is not graph:
         planned = space._plans[variant] = (graph, _gather_plans([graph], [space], variant)[0])
@@ -459,8 +506,9 @@ def refine_to_stable(
 
     Returns the colorings that changed the partition, starting with the
     initial one; the first round that reproduces the previous partition is
-    discarded. A partition can strictly refine at most ``|tuples| - 1``
-    times, so the iteration cap only guards against implementation bugs.
+    discarded, and is not computed once the partition is discrete. A
+    partition can strictly refine at most ``|tuples| - 1`` times, so the
+    iteration cap only guards against implementation bugs.
     """
     _check_max_iterations(max_iterations)
     space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
@@ -474,6 +522,8 @@ def _refine_until_stable(
     """``refine_to_stable`` from a coloring already built on its space."""
     out = [start]
     for _ in range(max_iterations):
+        if _is_discrete(out[-1].colors):
+            return out
         nxt = refine_step(graph, start.space, out[-1], variant)
         if np.array_equal(nxt.colors, out[-1].colors):
             return out
@@ -481,6 +531,13 @@ def _refine_until_stable(
     raise LimitError(
         ITERATION_LIMIT, f"no stable partition within {max_iterations} rounds"
     )
+
+
+def _is_discrete(colors: np.ndarray) -> bool:
+    """True when every tuple has its own color, numbered 0, 1, ... in row
+    order. Such a coloring is the next round's too: its rows differ in their
+    first entry, so first-occurrence ids number them 0, 1, ... again."""
+    return colors.max() + 1 == len(colors) and np.array_equal(colors, np.arange(len(colors)))
 
 
 def distinguish(

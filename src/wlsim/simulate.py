@@ -1033,8 +1033,9 @@ def simulate_and_compare(
     engine = [Coloring(setup.space, setup.classes, 0)]
     if t_layers is None:
         engine = _refine_until_stable(graph, engine[0], variant)
-        # The run stopped at the first round that repeated the last coloring,
-        # so the round past the fixed point is that coloring again.
+        # The run stopped at a discrete coloring or at the first round that
+        # repeated the last one, so the round past the fixed point is that
+        # coloring again.
         engine.append(engine[-1])
         t_layers = len(engine) - 1
 

@@ -26,6 +26,7 @@ from wlsim.errors import (
 from wlsim.graphs import Graph, apply_permutation, builtin_pair, random_graph
 from wlsim.refine import (
     SORT_ROWS,
+    VARIANTS,
     Coloring,
     TupleSpace,
     _dense_relabel,
@@ -437,8 +438,10 @@ def test_stable_partition_matches_classic_oracle(graph_samples):
 
 
 def test_a_run_plans_its_gathers_once(monkeypatch, graph_samples):
-    # The local gather depends on the graph and the space only, so one run
-    # substitutes once per position, not once per position and round.
+    # A full space reads its neighbor blocks along the color grid, so it never
+    # substitutes. A restricted space's gather depends on the graph and the
+    # space only, so one run substitutes once per position, not once per
+    # position and round.
     calls = []
     substitute = TupleSpace.substitute
 
@@ -448,30 +451,100 @@ def test_a_run_plans_its_gathers_once(monkeypatch, graph_samples):
 
     monkeypatch.setattr(TupleSpace, "substitute", counting)
     for g in graph_samples(41, 4, 5, 7):
-        for k in (2, 3):
-            for variant, positions in (("delta_klwl", k), ("delta_kwl", k), ("kwl", 0)):
+        for k in (1, 2, 3):
+            for variant in VARIANTS:
                 calls.clear()
                 run = refine_to_stable(g, k, k, variant)
                 assert len(run) >= 2  # at least two rounds ran
-                assert sorted(calls) == list(range(positions)), variant
+                assert calls == [], variant
+            for s in range(1, k):
+                calls.clear()
+                run = refine_to_stable(g, k, s, "ks_lwl")
+                assert len(run) >= 2
+                assert sorted(calls) == list(range(k)), s
+
+
+def _asymmetric_tree():
+    """Legs of one, two and three edges at node 0: no automorphism, so
+    classic refinement ends with every node in its own class."""
+    return Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize("variant, k", [("kwl", 1), ("delta_klwl", 1), ("delta_kwl", 2), ("delta_klwl", 2)])
+def test_a_run_that_turns_discrete_makes_no_confirming_round(monkeypatch, variant, k):
+    # A discrete coloring numbered 0, 1, ... is its own next round, so the
+    # run ends on it without computing that round.
+    steps = []
+    step = refine.refine_step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(refine, "refine_step", counting)
+    run = refine_to_stable(_asymmetric_tree(), k, k, variant)
+    assert run[-1].colors.tolist() == list(range(7**k))
+    assert len(run) >= 2
+    assert len(steps) == len(run) - 1
+
+
+@pytest.mark.parametrize(
+    "graph, k, variant",
+    [
+        (_asymmetric_tree(), 1, "kwl"),
+        (_asymmetric_tree(), 2, "delta_kwl"),
+        (Graph(4, [(0, 1), (1, 2), (2, 3)]), 2, "kwl"),
+    ],
+)
+def test_the_iteration_cap_counts_the_rounds_that_change_the_partition(graph, k, variant):
+    # Whether or not the run ends discrete, it needs len(run) rounds: a cap
+    # one lower is reached, and a cap of len(run) returns the run.
+    run = refine_to_stable(graph, k, k, variant)
+    with pytest.raises(LimitError) as exc:
+        refine_to_stable(graph, k, k, variant, max_iterations=len(run) - 1)
+    assert exc.value.code == ITERATION_LIMIT
+    capped = refine_to_stable(graph, k, k, variant, max_iterations=len(run))
+    assert [c.colors.tolist() for c in capped] == [c.colors.tolist() for c in run]
+
+
+@pytest.mark.parametrize("color", [-1, 2**31, 2**32])
+def test_refine_step_refuses_colors_outside_the_int32_range(color):
+    # Node 0 has degree 1 and node 2 degree 2, so one local round splits
+    # them. A color of -1 is read as padding and one of 2 ** 32 as 0, and
+    # either merged the two.
+    g = Graph(5, [(0, 1), (2, 3), (2, 4)])
+    space = enumerate_tuples(g, 1, 1)
+    split = refine_step(g, space, Coloring(space, [0, 5, 0, 6, 5], 0), "delta_klwl")
+    assert split.colors[0] != split.colors[2]
+    with pytest.raises(ValidationError) as exc:
+        refine_step(g, space, Coloring(space, [0, 5, 0, color, 5], 0), "delta_klwl")
+    assert exc.value.code == INVALID_SCHEMA
 
 
 def _reference_summary_ids(graphs, spaces, variant, color_lists):
-    """One full-rule round through the (k, t, n) substitution table, with the
-    (color, adjacent) pair packed as ``2 * color + adjacent`` under
-    ``delta_kwl``: the row builder the engine used before it sorted fibers,
-    kept as the reference. Its rows are numbered through the dict on their
-    bytes, not through the ``_relabel_rows`` the engine uses."""
+    """One round through the (k, t, n) substitution table: the row builder
+    the engine used before it sorted fibers, kept as the reference. The full
+    rules gather every substitution, with the (color, adjacent) pair packed
+    as ``2 * color + adjacent`` under ``delta_kwl``. The local rules keep the
+    colors reached through neighbors and -1 elsewhere, and after the sort
+    the last entries, as many as the largest degree of the graphs. Its rows
+    are numbered through the dict on their bytes, not through the
+    ``_relabel_rows`` the engine uses."""
+    local = variant in ("delta_klwl", "ks_lwl") or (variant == "kwl" and spaces[0].k == 1)
+    width = max(int(graph.adjacency_matrix.sum(axis=1).max()) for graph in graphs)
     row_arrays = []
     for graph, space, colors in zip(graphs, spaces, color_lists):
         colors = np.asarray(colors, dtype=np.int32)
         blocks = [colors[:, None]]
         for j in range(space.k):
             block = colors[space.substitution[j]]
-            if variant == "delta_kwl":
-                block = 2 * block + graph.adjacency_matrix[space.nodes[:, j]]
+            adjacent = graph.adjacency_matrix[space.nodes[:, j]]
+            if local:
+                block = np.where(adjacent, block, -1)
+            elif variant == "delta_kwl":
+                block = 2 * block + adjacent
             block.sort(axis=1)
-            blocks.append(block)
+            blocks.append(block[:, block.shape[1] - width :] if local else block)
         rows = np.hstack(blocks)
         row_arrays.append([row.tobytes() for row in rows])
     return _dense_relabel(row_arrays)
@@ -493,16 +566,11 @@ def labelled_graphs(draw, n):
     return Graph(n, list(edges), labels=labels)
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), k=st.integers(2, 4), joint=st.booleans())
-def test_fiber_rows_equal_the_table_rows_id_for_id(data, k, joint):
-    # Every round of a run and a random coloring: the engine's ids equal the
-    # reference's, through one table for both graphs when joint.
-    n = data.draw(st.integers(2, {2: 7, 3: 6, 4: 5}[k]))
-    graphs = [data.draw(labelled_graphs(n)) for _ in range(1 + joint)]
-    spaces = [enumerate_tuples(g, k, k) for g in graphs]
-    noise = [data.draw(st.lists(st.integers(0, 3), min_size=n**k, max_size=n**k)) for _ in graphs]
-    for variant in ("kwl", "delta_kwl"):
+def _assert_rounds_equal_the_reference(graphs, spaces, noise):
+    # Every round of a run and a random coloring, under every rule of a full
+    # space: the engine's ids equal the reference's, through one table for
+    # all the graphs.
+    for variant in VARIANTS:
         plans = _gather_plans(graphs, spaces, variant)
         colors = _initial_ids(graphs, spaces)
         for _ in range(4):
@@ -510,7 +578,30 @@ def test_fiber_rows_equal_the_table_rows_id_for_id(data, k, joint):
             assert ids == _reference_summary_ids(graphs, spaces, variant, colors), variant
             colors = ids
         ids = [graph_ids.tolist() for graph_ids in _summary_ids(plans, noise)]
-        assert ids == _reference_summary_ids(graphs, spaces, variant, noise)
+        assert ids == _reference_summary_ids(graphs, spaces, variant, noise), variant
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), joint=st.booleans())
+def test_fiber_rows_equal_the_table_rows_id_for_id(data, k, joint):
+    n = data.draw(st.integers(2, {1: 9, 2: 7, 3: 6, 4: 5}[k]))
+    graphs = [data.draw(labelled_graphs(n)) for _ in range(1 + joint)]
+    spaces = [enumerate_tuples(g, k, k) for g in graphs]
+    noise = [data.draw(st.lists(st.integers(0, 3), min_size=n**k, max_size=n**k)) for _ in graphs]
+    _assert_rounds_equal_the_reference(graphs, spaces, noise)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_joint_neighbor_blocks_pad_to_the_larger_degree(k):
+    # A star (degree 5) with two labelled paths (degree 2): the paths' blocks
+    # carry more -1 padding than their own degree needs.
+    star = Graph(6, [(0, v) for v in range(1, 6)])
+    paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)], labels=(0, 1, 0, 1, 0, 1))
+    graphs = [paths, star]
+    spaces = [enumerate_tuples(g, k, k) for g in graphs]
+    rng = random.Random(k)
+    noise = [[rng.randrange(4) for _ in range(6**k)] for _ in graphs]
+    _assert_rounds_equal_the_reference(graphs, spaces, noise)
 
 
 @pytest.mark.parametrize("variant, k, s", ALL_VARIANTS + (("delta_kwl", 3, 3), ("kwl", 3, 3), ("ks_lwl", 3, 2)))
@@ -539,6 +630,24 @@ def test_full_rules_at_order_three_stay_within_fiber_memory(variant):
     finally:
         tracemalloc.stop()
     assert peak < 64_000_000
+    assert len(run) >= 2
+
+
+@pytest.mark.parametrize("variant", ["delta_kwl", "delta_klwl"])
+def test_neighbor_blocks_at_order_three_are_written_in_place(variant):
+    # 64,000 tuples at degree up to 10. Neighbor blocks gathered through a
+    # substitute plan into arrays of their own, then joined into the rows,
+    # peak at about 35 MB here; taken along the grid into the rows, at about
+    # 17 MB.
+    g = random_graph(random.Random(40), 40, 0.1, connected=True)
+    g.neighbor_array, g.adjacency_matrix  # measure the refinement, not the graph
+    tracemalloc.start()
+    try:
+        run = refine_to_stable(g, 3, 3, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25_000_000
     assert len(run) >= 2
 
 
