@@ -42,17 +42,7 @@ from .graphs import (
 )
 from .refine import DEFAULT_MAX_ITERATIONS, distinguish, refine_to_stable, run_to_dict
 from .simulate import DEFAULT_TEMPERATURE, ROUNDING_SLACK_LIMIT, simulate_and_compare
-from .spectral import (
-    EncoderParams,
-    arithmetic_epsilon,
-    check_identifying,
-    eig_count_for,
-    eigh,
-    identifying_targets,
-    laplacian,
-    lpe,
-    spe,
-)
+from .spectral import check_identifying, identifying_targets, positional_encoding
 from .tokens import TokenizerConfig, node_tokens, tuple_tokens
 
 # Flag spellings accepted on the command line, mapped to the names the
@@ -298,16 +288,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_pe(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    count = eig_count_for(args.kind, args.eig_count, graph.num_nodes)
-    source = "normalized_laplacian" if args.normalized else "laplacian"
-    dec = eigh(laplacian(graph, normalized=args.normalized), source=source)
-    eps = None if args.epsilon is None else arithmetic_epsilon(count, args.epsilon)
-    params = EncoderParams.seeded(args.seed, count, args.dim, epsilon=eps)
-    if args.kind == "lpe":
-        rows = lpe(dec, params)
-    else:
-        rank = args.rank_m if args.rank_m is not None else graph.num_nodes
-        rows = spe(dec, params, rank)
+    rows, count = positional_encoding(
+        graph, args.kind, args.dim, args.seed, args.eig_count, args.rank_m, args.normalized, args.epsilon
+    )
     _emit(
         {
             "kind": args.kind,

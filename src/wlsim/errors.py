@@ -43,10 +43,6 @@ FILE_NOT_FOUND = "FILE_NOT_FOUND"
 # Any other operating-system error on reading an input or writing an output.
 IO_ERROR = "IO_ERROR"
 
-# Non-fatal flag code: a row-stochastic normalization met an all-zero row.
-# Reported in result objects rather than raised.
-ZERO_ROW = "ZERO_ROW"
-
 # Limit codes
 SIZE_LIMIT = "SIZE_LIMIT"
 MEMORY_LIMIT = "MEMORY_LIMIT"

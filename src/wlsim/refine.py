@@ -195,16 +195,15 @@ def _check_order(k: object, s: object) -> None:
         raise ValidationError(INVALID_SCHEMA, f"component bound s={s} exceeds order k={k}")
 
 
-def _check_variant(variant: str) -> None:
+def _check_request(k: object, s: object, variant: str) -> None:
+    """The one check of a refinement request, made before any tuple space is
+    sized: the order and the bound, then the variant's name, then the variant
+    against the space (a restricted space, s < k, takes ``ks_lwl`` only)."""
+    _check_order(k, s)
     if variant not in VARIANTS:
         raise ValidationError(
             INVALID_SCHEMA, f"unknown variant {variant!r}, expected one of {', '.join(VARIANTS)}"
         )
-
-
-def _check_variant_space(variant: str, k: int, s: int) -> None:
-    """Reject unknown variants and restricted spaces (s < k) for every rule but ks_lwl."""
-    _check_variant(variant)
     if variant != "ks_lwl" and s != k:
         raise ValidationError(
             VARIANT_MISMATCH,
@@ -225,24 +224,22 @@ def _check_max_iterations(cap: object) -> None:
         )
 
 
-def enumerate_tuples(
-    graph: Graph, k: int, s: int, memory_limit: int = DEFAULT_MEMORY_LIMIT
-) -> TupleSpace:
+def enumerate_tuples(graph: Graph, k: int, s: int) -> TupleSpace:
     """Build the ordered tuple domain for refinement.
 
     Raises
     ------
     LimitError
         With code ``MEMORY_LIMIT`` when the unrestricted candidate count
-        ``num_nodes ** k`` exceeds ``memory_limit`` (the restricted space is
-        found by filtering, so the full sweep is unavoidable either way).
+        ``num_nodes ** k`` exceeds ``DEFAULT_MEMORY_LIMIT`` (the restricted
+        space is found by filtering, so the full sweep is unavoidable either way).
     """
     _check_order(k, s)
     n = graph.num_nodes
-    if n**k > memory_limit:
+    if n**k > DEFAULT_MEMORY_LIMIT:
         raise LimitError(
             MEMORY_LIMIT,
-            f"tuple space of size {n}^{k} = {n ** k} exceeds the cap of {memory_limit}",
+            f"tuple space of size {n}^{k} = {n ** k} exceeds the cap of {DEFAULT_MEMORY_LIMIT}",
         )
     if s == k:
         # Every tuple on at most k distinct nodes induces at most k components.
@@ -480,7 +477,7 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     built for, so the rounds of one run plan once. Colors outside
     0..``INT32_MAX`` raise INVALID_SCHEMA.
     """
-    _check_variant_space(variant, space.k, space.s)
+    _check_request(space.k, space.s, variant)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
     # A round reads -1 as padding and colors as int32, so a color outside
@@ -500,7 +497,6 @@ def refine_to_stable(
     s: int,
     variant: str,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> list[Coloring]:
     """Run refinement to its fixed point.
 
@@ -510,9 +506,9 @@ def refine_to_stable(
     partition can strictly refine at most ``|tuples| - 1`` times, so the
     iteration cap only guards against implementation bugs.
     """
+    _check_request(k, s, variant)
     _check_max_iterations(max_iterations)
-    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
-    _check_variant_space(variant, k, s)
+    space = enumerate_tuples(graph, k, s)
     return _refine_until_stable(graph, initial_coloring(graph, space), variant, max_iterations)
 
 
@@ -547,7 +543,6 @@ def distinguish(
     k: int,
     s: int,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> DistinguishResult:
     """Decide whether refinement tells two graphs apart.
 
@@ -556,11 +551,10 @@ def distinguish(
     comparable. The run stops at the first iteration whose histograms
     differ, or once the joint partition stops changing.
     """
-    _check_variant(variant)
+    _check_request(k, s, variant)
     _check_max_iterations(max_iterations)
-    space_g = enumerate_tuples(g, k, s, memory_limit=memory_limit)
-    space_h = enumerate_tuples(h, k, s, memory_limit=memory_limit)
-    _check_variant_space(variant, k, s)
+    space_g = enumerate_tuples(g, k, s)
+    space_h = enumerate_tuples(h, k, s)
     colors_g, colors_h = _initial_ids([g, h], [space_g, space_h])
     plans = None
     iteration = 0

@@ -56,7 +56,6 @@ from .errors import (
     SHAPE_MISMATCH,
     SPACE_MISMATCH,
     VARIANT_MISMATCH,
-    ZERO_ROW,
     LimitError,
     ValidationError,
 )
@@ -67,7 +66,7 @@ from .refine import (
     Coloring,
     TupleSpace,
     _check_order,
-    _check_variant_space,
+    _check_request,
     _is_local,
     _refine_until_stable,
     _relabel_rows,
@@ -75,7 +74,7 @@ from .refine import (
     initial_coloring,
     refine_step,
 )
-from .spectral import eigh, laplacian
+from .spectral import eigh, laplacian_eigh
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
@@ -83,12 +82,10 @@ __all__ = [
     "AttentionHead",
     "LayerWeights",
     "ConstructedWeights",
-    "IndicatorResult",
     "SimReport",
     "softmax_rows",
     "transformer_layer",
     "generalized_adjacency",
-    "weighted_indicator",
     "initial_tokens",
     "construct_kgt_weights",
     "gnn_reference_step",
@@ -240,21 +237,16 @@ def transformer_layer(x, weights: LayerWeights, return_attention: bool = False):
     return out
 
 
-def _check_dense(rows: int, cols: int, what: str, memory_limit: int) -> None:
-    """Refuse a dense float matrix with more than ``memory_limit`` entries."""
-    if rows * cols > memory_limit:
+def _check_dense(rows: int, cols: int, what: str) -> None:
+    """Refuse a dense float matrix with more than ``DEFAULT_MEMORY_LIMIT`` entries."""
+    if rows * cols > DEFAULT_MEMORY_LIMIT:
         raise LimitError(
-            MEMORY_LIMIT, f"dense {rows}x{cols} {what} exceeds the cap of {memory_limit}"
+            MEMORY_LIMIT, f"dense {rows}x{cols} {what} exceeds the cap of {DEFAULT_MEMORY_LIMIT}"
         )
 
 
 def generalized_adjacency(
-    graph: Graph,
-    k: int,
-    j: int,
-    gamma: int,
-    space: TupleSpace | None = None,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
+    graph: Graph, k: int, j: int, gamma: int, space: TupleSpace | None = None
 ) -> np.ndarray:
     """Adjacency between k-tuples that differ in the j-th position.
 
@@ -286,7 +278,7 @@ def generalized_adjacency(
     if gamma not in (-1, 1):
         raise ValidationError(INVALID_SCHEMA, f"gamma must be +1 or -1, got {gamma!r}")
     if space is None:
-        space = enumerate_tuples(graph, k, k, memory_limit=memory_limit)
+        space = enumerate_tuples(graph, k, k)
     else:
         if space.k != k:
             raise ValidationError(SPACE_MISMATCH, f"space has order {space.k}, expected {k}")
@@ -296,7 +288,7 @@ def generalized_adjacency(
                 f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
             )
     t = len(space.nodes)
-    _check_dense(t, t, "tuple adjacency", memory_limit)
+    _check_dense(t, t, "tuple adjacency")
     hit = _substitution_hits(graph, space, j - 1, gamma)
     mat = np.zeros((t, t))
     mat[np.nonzero(hit)[0], space.substitution[j - 1][hit]] = 1.0
@@ -309,35 +301,6 @@ def _substitution_hits(graph: Graph, space: TupleSpace, j: int, gamma: int) -> n
     (``gamma = +1``) or non-adjacent (``gamma = -1``) to the replaced node."""
     adjacent = graph.adjacency_matrix[space.nodes[:, j]] == (gamma == 1)
     return adjacent & (space.substitution[j] >= 0)
-
-
-@dataclass(frozen=True, eq=False)
-class IndicatorResult:
-    """Row-normalized binary matrix plus the rows that could not be normalized."""
-
-    matrix: np.ndarray
-    zero_rows: tuple[int, ...]
-
-    @property
-    def flag(self) -> str | None:
-        return ZERO_ROW if self.zero_rows else None
-
-
-def weighted_indicator(binary: np.ndarray) -> IndicatorResult:
-    """Divide each row of a 0/1 matrix by its row sum.
-
-    All-zero rows are left as zeros and reported in ``zero_rows`` rather
-    than raising; downstream comparisons decide what to do with them.
-    """
-    mat = np.asarray(binary, dtype=float)
-    if mat.ndim != 2:
-        raise ValidationError(SHAPE_MISMATCH, f"expected a 2-d matrix, got shape {mat.shape}")
-    if not np.logical_or(mat == 0.0, mat == 1.0).all():
-        raise ValidationError(INVALID_SCHEMA, "indicator input must contain only 0 and 1")
-    sums = mat.sum(axis=1)
-    zero_rows = tuple(int(i) for i in np.flatnonzero(sums == 0))
-    safe = np.where(sums == 0, 1.0, sums)
-    return IndicatorResult(mat / safe[:, None], zero_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +325,7 @@ def _spectral_parts(graph: Graph) -> _SpectralParts:
     lam = dec_a.eigenvalues
     signs = np.where(lam >= 0.0, 1.0, -1.0)
     adj_part = dec_a.eigenvectors * np.sqrt(np.abs(lam))
-    dec_l = eigh(laplacian(graph), source="laplacian")
+    dec_l = laplacian_eigh(graph)
     return _SpectralParts(node_part=dec_l.eigenvectors, adj_part=adj_part, signs=signs)
 
 
@@ -446,18 +409,18 @@ class _Setup:
         return np.stack(hits, axis=1).astype(float)
 
 
-def _setup(graph: Graph, k: int, s: int, memory_limit: int) -> _Setup:
-    space = enumerate_tuples(graph, k, s, memory_limit=memory_limit)
+def _setup(graph: Graph, k: int, s: int) -> _Setup:
+    space = enumerate_tuples(graph, k, s)
     return _Setup(graph, space, initial_coloring(graph, space).colors)
 
 
-def _token_rows_k(setup: _Setup, classes: np.ndarray, memory_limit: int) -> np.ndarray:
+def _token_rows_k(setup: _Setup, classes: np.ndarray) -> np.ndarray:
     """Dense token rows: the one-hot of the classes, zeroed count scratch,
     the degree block and the positional blocks of every position."""
     space, parts = setup.space, setup.parts
     lay = _KLayout(c=int(classes.max()) + 1, k=space.k, n=space.num_nodes)
     t = len(space.nodes)
-    _check_dense(t, lay.width, "token matrix", memory_limit)
+    _check_dense(t, lay.width, "token matrix")
     x = np.zeros((t, lay.width))
     x[np.arange(t), classes] = 1.0
     x[:, lay.deg0 : lay.deg0 + lay.k] = setup.degblock
@@ -562,16 +525,14 @@ class _StructuredLayer:
         alpha, beta = self.weights
         return alpha * degree + beta * (self.setup.space.num_nodes - degree)
 
-    def dense(
-        self, memory_limit: int = DEFAULT_MEMORY_LIMIT, trace: dict | None = None
-    ) -> LayerWeights:
+    def dense(self, trace: dict | None = None) -> LayerWeights:
         """The layer as dense projections, with an FFN that records its slack
         and new classes in ``trace`` and returns the next token rows."""
         space = self.setup.space
         k, n = space.k, space.num_nodes
         lay = _KLayout(c=int(self.classes.max()) + 1, k=k, n=n)
         c, d = lay.c, lay.width
-        _check_dense(k * c, d, "output projection", memory_limit)
+        _check_dense(k * c, d, "output projection")
         trace = {"slack": 0.0, "classes": None} if trace is None else trace
         diagonal = np.arange(k)
         heads = []
@@ -588,11 +549,11 @@ class _StructuredLayer:
             z = self.denormalizer(xt[:, lay.deg0 : lay.deg0 + k])
             denormalized = (xt[:, lay.counts(j)] * z[:, [j]] for j in range(k))
             classes = _ffn_classes(xt[:, 0:c], k, denormalized, trace)
-            return _token_rows_k(self.setup, classes, memory_limit)
+            return _token_rows_k(self.setup, classes)
 
         return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
 
-    def forward(self, attends: Sequence[Callable], trace: dict, memory_limit: int) -> None:
+    def forward(self, attends: Sequence[Callable], trace: dict) -> None:
         """The layer, given each head as a map from the t x c one-hot of the
         classes to its attended averages (``_head_attention``).
 
@@ -602,7 +563,7 @@ class _StructuredLayer:
         """
         t, k = len(self.setup.space.nodes), self.setup.space.k
         c = int(self.classes.max()) + 1
-        _check_dense(t, (1 + k) * c, "FFN row", memory_limit)
+        _check_dense(t, (1 + k) * c, "FFN row")
         onehot = np.zeros((t, c))
         onehot[np.arange(t), self.classes] = 1.0
         z = self.denormalizer(self.setup.degblock)
@@ -692,7 +653,7 @@ def _full_space_attention(
 
 
 def _restricted_space_attention(
-    setup: _Setup, heads: Sequence[_HeadForm], memory_limit: int
+    setup: _Setup, heads: Sequence[_HeadForm]
 ) -> tuple[list[np.ndarray], tuple[float, ...]]:
     """Each head's t x t attention on a restricted space and its distance
     from its target, the row-normalized adjacent substitutions that stay on
@@ -707,7 +668,7 @@ def _restricted_space_attention(
     """
     space = setup.space
     t = len(space.nodes)
-    _check_dense(t, t, "attention", memory_limit)
+    _check_dense(t, t, "attention")
     atts, errors = [], []
     for head in heads:
         att = np.ones((t, t))
@@ -733,14 +694,14 @@ def _restricted_error(setup: _Setup, j: int, att: np.ndarray) -> float:
 
 
 def _head_attention(
-    setup: _Setup, heads: Sequence[_HeadForm], weights: tuple[float, float], memory_limit: int
+    setup: _Setup, heads: Sequence[_HeadForm], weights: tuple[float, float]
 ) -> tuple[list[Callable], tuple[float, ...]]:
     """Each head as a map from t x c values to their attended averages, and
     its attention error, built once per run: neither depends on the classes."""
     if setup.space.s == setup.space.k:
         factors, errors = _full_space_attention(setup.graph, setup.parts, heads, weights)
         return [partial(_mode_products, f) for f in factors], errors
-    atts, errors = _restricted_space_attention(setup, heads, memory_limit)
+    atts, errors = _restricted_space_attention(setup, heads)
     return [partial(np.matmul, att) for att in atts], errors
 
 
@@ -763,10 +724,9 @@ def _check_temperature(b) -> float:
 
 
 def _check_construction(k, s, variant) -> None:
-    """Refine's checks of the order, the bound and the variant, and the one
-    rule of the construction: order 1 implements plain refinement only."""
-    _check_order(k, s)
-    _check_variant_space(variant, k, s)
+    """Refine's request check, then the one rule of the construction: order
+    1 implements plain refinement only."""
+    _check_request(k, s, variant)
     if k == 1 and variant != "kwl":
         raise ValidationError(
             VARIANT_MISMATCH,
@@ -790,13 +750,11 @@ def _check_layers(t_layers, minimum: int) -> int:
     return t_layers
 
 
-def _drive(
-    setup: _Setup, variant: str, t_layers: int, b: float, memory_limit: int
-) -> _DriveRecord:
+def _drive(setup: _Setup, variant: str, t_layers: int, b: float) -> _DriveRecord:
     space = setup.space
     weights = _slot_weights(variant, space.k, space.num_nodes)
     heads = _head_forms(setup.parts, space.k, b, weights)
-    attends, head_errors = _head_attention(setup, heads, weights, memory_limit)
+    attends, head_errors = _head_attention(setup, heads, weights)
     classes = setup.classes
     partitions = [classes]
     layers = []
@@ -804,7 +762,7 @@ def _drive(
     for _ in range(t_layers):
         layer = _StructuredLayer(setup, heads, weights, classes)
         trace = {"slack": 0.0, "classes": None}
-        layer.forward(attends, trace, memory_limit)
+        layer.forward(attends, trace)
         layers.append(layer)
         slack_max = max(slack_max, trace["slack"])
         classes = trace["classes"]
@@ -812,12 +770,7 @@ def _drive(
     return _DriveRecord(tuple(layers), tuple(partitions), (head_errors,) * t_layers, slack_max)
 
 
-def initial_tokens(
-    graph: Graph,
-    k: int = 1,
-    s: int | None = None,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
-) -> np.ndarray:
+def initial_tokens(graph: Graph, k: int = 1, s: int | None = None) -> np.ndarray:
     """Layer-0 token rows in the layout the constructed weights expect.
 
     Rows hold a one-hot of the initial tuple class, zeroed count scratch,
@@ -825,8 +778,8 @@ def initial_tokens(
     Feed the result to ``transformer_layer`` with the first layer of a
     ``ConstructedWeights`` to replay the construction by hand.
     """
-    setup = _setup(graph, k, k if s is None else s, memory_limit)
-    return _token_rows_k(setup, setup.classes, memory_limit)
+    setup = _setup(graph, k, k if s is None else s)
+    return _token_rows_k(setup, setup.classes)
 
 
 def construct_kgt_weights(
@@ -835,7 +788,6 @@ def construct_kgt_weights(
     variant: str,
     t_layers: int,
     b: float = DEFAULT_TEMPERATURE,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> ConstructedWeights:
     """Closed-form multi-head layers that replay order-k tuple refinement,
     written out densely for ``transformer_layer`` and ``initial_tokens``.
@@ -873,8 +825,8 @@ def construct_kgt_weights(
             "the restricted-space rule is driven through simulate_and_compare with s < k",
         )
     t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
-    layers = _drive(_setup(graph, k, k, memory_limit), variant, t_layers, b, memory_limit).layers
-    dense = tuple(layer.dense(memory_limit) for layer in layers)
+    layers = _drive(_setup(graph, k, k), variant, t_layers, b).layers
+    dense = tuple(layer.dense() for layer in layers)
     return ConstructedWeights(dense, b, len(layers[0].heads), k, variant)
 
 
@@ -914,7 +866,7 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     """
     _check_order(k, k)
     space = colors.space
-    _check_variant_space(variant, space.k, space.s)
+    _check_request(space.k, space.s, variant)
     if space.k != k:
         raise ValidationError(SPACE_MISMATCH, f"coloring has order {space.k}, expected {k}")
     if space.num_nodes != graph.num_nodes:
@@ -999,7 +951,6 @@ def simulate_and_compare(
     variant: str,
     t_layers: int | None = None,
     b: float = DEFAULT_TEMPERATURE,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
 ) -> SimReport:
     """Run the constructed transformer, the engine, and the digit oracle.
 
@@ -1029,7 +980,7 @@ def simulate_and_compare(
     b = _check_temperature(b)
     if t_layers is not None:
         t_layers = _check_layers(t_layers, 0)
-    setup = _setup(graph, k, s, memory_limit)
+    setup = _setup(graph, k, s)
     engine = [Coloring(setup.space, setup.classes, 0)]
     if t_layers is None:
         engine = _refine_until_stable(graph, engine[0], variant)
@@ -1042,7 +993,7 @@ def simulate_and_compare(
     if t_layers == 0:
         record = _DriveRecord((), (setup.classes,), (), 0.0)
     else:
-        record = _drive(setup, variant, t_layers, b, memory_limit)
+        record = _drive(setup, variant, t_layers, b)
     while len(engine) <= t_layers:
         engine.append(refine_step(graph, setup.space, engine[-1], variant))
     oracle = [engine[0]]
@@ -1082,7 +1033,8 @@ def attention_error_curve(
     """
     parts = _spectral_parts(graph)
     scores = (parts.adj_part * parts.signs) @ parts.adj_part.T
-    target = weighted_indicator(graph.adjacency_matrix.astype(float)).matrix
+    adj = graph.adjacency_matrix.astype(float)
+    target = adj / adj.sum(axis=1, keepdims=True)  # no isolated nodes, so no zero row
     out = []
     for b in temperatures:
         b = _check_temperature(b)

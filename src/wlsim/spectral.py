@@ -141,6 +141,13 @@ def eigh(matrix, source: str = "adjacency") -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs, source, residual)
 
 
+def laplacian_eigh(graph: Graph, normalized: bool = False) -> SpectralDecomposition:
+    """``eigh`` of the graph's Laplacian, or of its normalized form, with the
+    matching source name."""
+    source = "normalized_laplacian" if normalized else "laplacian"
+    return eigh(laplacian(graph, normalized=normalized), source=source)
+
+
 def seeded_mlp(seed: int, index: int, d_in: int, d_hidden: int, d_out: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng([seed, index])
     return {
@@ -318,6 +325,32 @@ def spe(
     return np.asarray(rho(summed))
 
 
+def positional_encoding(
+    graph: Graph,
+    kind: str,
+    dim: int,
+    seed: int,
+    eig_count: int | None = None,
+    rank_m: int | None = None,
+    normalized: bool = False,
+    epsilon: float | None = None,
+) -> tuple[np.ndarray, int]:
+    """The seeded ``lpe`` or ``spe`` rows of a graph, with the eigenpair count.
+
+    The count and ``spe``'s rank default to n. The Laplacian is solved
+    before the weights are drawn. ``epsilon``, when given, is the step of the
+    eigenvalue perturbation (``arithmetic_epsilon``).
+    """
+    n = graph.num_nodes
+    count = eig_count_for(kind, eig_count, n)
+    dec = laplacian_eigh(graph, normalized)
+    eps = None if epsilon is None else arithmetic_epsilon(count, epsilon)
+    params = EncoderParams.seeded(seed, count, dim, epsilon=eps)
+    if kind == "lpe":
+        return lpe(dec, params), count
+    return spe(dec, params, n if rank_m is None else rank_m), count
+
+
 @dataclass(frozen=True, eq=False)
 class IdentifyingTargets:
     p_node: np.ndarray
@@ -339,9 +372,7 @@ def identifying_targets(graph: Graph, normalized: bool = False) -> IdentifyingTa
     its row maxima exactly on the neighbors. The query projections carry
     the sqrt(n) softmax-scaling compensation and, for adjacency, the sign.
     """
-    lap = laplacian(graph, normalized=normalized)
-    source = "normalized_laplacian" if normalized else "laplacian"
-    dec = eigh(lap, source=source)
+    dec = laplacian_eigh(graph, normalized)
     n = dec.n
     root = math.sqrt(n)
     scale = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
@@ -390,19 +421,12 @@ def check_identifying(
         raise ValidationError(SHAPE_MISMATCH, "projection shapes are inconsistent with the embedding")
     d_k = w_k.shape[1]
     scores = (p @ w_q) @ (p @ w_k).T / math.sqrt(d_k)
-
-    margin = math.inf
-    failed: list[int] = []
-    for i in range(n):
-        row = scores[i]
-        want = graph.neighbor_sets[i] if target == "adjacency" else frozenset((i,))
-        row_max = row.max()
-        maxima = {int(j) for j in np.nonzero(row >= row_max - _TIE_TOL)[0]}
-        others = [row[j] for j in range(n) if j not in want]
-        margin = min(margin, row_max - max(others))
-        if maxima != set(want):
-            failed.append(i)
-    return IdentifyingReport(passed=not failed, margin=float(margin), rows_failed=tuple(failed))
+    want = graph.adjacency_matrix if target == "adjacency" else np.eye(n, dtype=bool)
+    row_max = scores.max(axis=1)
+    maxima = scores >= row_max[:, None] - _TIE_TOL
+    margin = float((row_max - np.where(want, -np.inf, scores).max(axis=1)).min())
+    failed = tuple(np.flatnonzero((maxima != want).any(axis=1)).tolist())
+    return IdentifyingReport(passed=not failed, margin=margin, rows_failed=failed)
 
 
 def sign_flip(dec: SpectralDecomposition, seed: int) -> SpectralDecomposition:

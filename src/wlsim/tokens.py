@@ -20,17 +20,12 @@ from .errors import INVALID_SCHEMA, ValidationError
 from .graphs import Graph, atomic_types
 from .refine import _check_order, enumerate_tuples
 from .spectral import (
-    EncoderParams,
     _check_dim,
     _check_seed,
-    eig_count_for,
-    eigh,
     identifying_targets,
-    laplacian,
-    lpe,
+    positional_encoding,
     run_mlp,
     seeded_mlp,
-    spe,
 )
 
 PE_KINDS = ("lpe", "spe", "raw_targets")
@@ -166,13 +161,9 @@ def _pe_matrix(graph: Graph, cfg: TokenizerConfig) -> np.ndarray:
             if len({r.tobytes() for r in out}) == len({r.tobytes() for r in raw}):
                 return out
             salt += 1
-    count = eig_count_for(cfg.pe_kind, cfg.eig_count, n)
-    source = "normalized_laplacian" if cfg.normalized else "laplacian"
-    dec = eigh(laplacian(graph, normalized=cfg.normalized), source=source)
-    params = EncoderParams.seeded(cfg.seed, count, cfg.dim)
-    if cfg.pe_kind == "lpe":
-        return lpe(dec, params)
-    return spe(dec, params, cfg.rank_m if cfg.rank_m is not None else n)
+    return positional_encoding(
+        graph, cfg.pe_kind, cfg.dim, cfg.seed, cfg.eig_count, cfg.rank_m, cfg.normalized
+    )[0]
 
 
 def _node_matrix(

@@ -170,10 +170,26 @@ def test_refine_rejects_a_malformed_graph_document(tmp_path):
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
-def test_refine_rejects_a_bound_below_the_order(p3_file):
-    proc = run_cli("refine", "--graph", p3_file, "--k", "2", "--s", "1", "--variant", "kwl")
-    assert proc.returncode == 2
-    assert stderr_error(proc)["code"] == "VARIANT_MISMATCH"
+def test_refine_rejects_a_bound_below_the_order(p3_file, c6_file):
+    # On the 6-cycle 6^9 tuples exceed the size cap, yet the invalid request
+    # exits 2 before any size is checked.
+    for path, k, s in ((p3_file, "2", "1"), (c6_file, "9", "3")):
+        proc = run_cli("refine", "--graph", path, "--k", k, "--s", s, "--variant", "kwl")
+        assert proc.returncode == 2
+        assert stderr_error(proc)["code"] == "VARIANT_MISMATCH"
+
+
+def test_every_command_refuses_an_over_cap_invalid_request_with_exit_two(c6_file):
+    request = ("--k", "9", "--s", "3", "--variant", "kwl")
+    for argv in (
+        ("distinguish", "--pair", "c6_vs_2c3", *request),
+        ("simulate", "--graph", c6_file, *request),
+        ("bench", "--variants", "kwl:9:3"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert stderr_error(proc)["code"] == "VARIANT_MISMATCH"
 
 
 def test_usage_errors_arrive_as_json_on_stderr(p3_file):

@@ -983,6 +983,8 @@ BAD_INPUTS = {
     "zero_bound": ("s", 2, 0, "ks_lwl", INVALID_SCHEMA),
     "bound_above_order": ("s", 2, 3, "ks_lwl", INVALID_SCHEMA),
     "plain_rule_on_restricted_space": ("m", 2, 1, "kwl", VARIANT_MISMATCH),
+    # 3^14 candidate tuples exceed the size cap; the request is refused first.
+    "plain_rule_on_an_over_cap_space": ("m", 14, 1, "kwl", VARIANT_MISMATCH),
 }
 
 

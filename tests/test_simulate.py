@@ -31,14 +31,12 @@ from wlsim.errors import (
     SHAPE_MISMATCH,
     SPACE_MISMATCH,
     VARIANT_MISMATCH,
-    ZERO_ROW,
     LimitError,
     ValidationError,
 )
 from wlsim.graphs import Graph, builtin_pair, random_graph
 from wlsim.refine import (
     DEFAULT_MAX_ITERATIONS,
-    DEFAULT_MEMORY_LIMIT,
     VARIANTS,
     Coloring,
     TupleSpace,
@@ -62,7 +60,6 @@ from wlsim.simulate import (
     simulate_and_compare,
     softmax_rows,
     transformer_layer,
-    weighted_indicator,
 )
 
 
@@ -357,46 +354,6 @@ def test_substitution_matrix_enforces_the_memory_cap(c6):
     assert err.value.code == MEMORY_LIMIT
 
 
-# ---------------------------------------------------------- weighted_indicator
-
-
-def test_indicator_of_the_identity_is_the_identity():
-    result = weighted_indicator(np.eye(4))
-    assert np.array_equal(result.matrix, np.eye(4))
-    assert result.zero_rows == ()
-    assert result.flag is None
-
-
-def test_indicator_splits_rows_by_their_sums():
-    result = weighted_indicator(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    assert np.allclose(result.matrix, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-
-
-def test_indicator_of_the_adjacency_is_the_degree_normalized_walk(p3, c6):
-    for g in (p3, c6):
-        adj = g.adjacency_matrix.astype(float)
-        assert np.allclose(weighted_indicator(adj).matrix, degree_normalized_adjacency(g))
-
-
-def test_indicator_reports_zero_rows_without_raising():
-    result = weighted_indicator(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert result.zero_rows == (0,)
-    assert result.flag == ZERO_ROW
-    assert np.array_equal(result.matrix[0], np.zeros(2))
-
-
-def test_indicator_rejects_non_binary_entries():
-    with pytest.raises(ValidationError) as err:
-        weighted_indicator(np.array([[0.5, 1.0], [0.0, 1.0]]))
-    assert err.value.code == INVALID_SCHEMA
-
-
-def test_indicator_rejects_one_dimensional_input():
-    with pytest.raises(ValidationError) as err:
-        weighted_indicator(np.ones(3))
-    assert err.value.code == SHAPE_MISMATCH
-
-
 # ------------------------------------------------ construct_kgt_weights at k=1
 
 
@@ -562,7 +519,7 @@ HEAD_COUNTS = [
 def structured_layer(g, k, s, variant, b=DEFAULT_TEMPERATURE):
     """The first constructed layer of a run, in its structured form."""
     sim = wlsim.simulate
-    setup = sim._setup(g, k, s, DEFAULT_MEMORY_LIMIT)
+    setup = sim._setup(g, k, s)
     weights = sim._slot_weights(variant, k, g.num_nodes)
     heads = sim._head_forms(setup.parts, k, b, weights)
     return sim._StructuredLayer(setup, heads, weights, setup.classes)
@@ -907,33 +864,33 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
     its mass underflows), and the FFN multiplies either by that 0.
     """
     sim = wlsim.simulate
-    setup = sim._setup(g, k, s, DEFAULT_MEMORY_LIMIT)
+    setup = sim._setup(g, k, s)
     slots = sim._slot_weights(variant, k, g.num_nodes)
     heads = sim._head_forms(setup.parts, k, b, slots)
-    attends, _ = sim._head_attention(setup, heads, slots, DEFAULT_MEMORY_LIMIT)
+    attends, _ = sim._head_attention(setup, heads, slots)
     if s == k:
         factors, _ = sim._full_space_attention(g, setup.parts, heads, slots)
         atts_f = [functools.reduce(np.kron, f) for f in factors]
     else:
-        atts_f, _ = sim._restricted_space_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
+        atts_f, _ = sim._restricted_space_attention(setup, heads)
     rows = [substitution_target(g, k, head.j + 1, slots, setup.space).any(axis=1) for head in heads]
     x, classes = initial_tokens(g, k, s), setup.classes
     for _ in range(t_layers):
         layer = sim._StructuredLayer(setup, heads, slots, classes)
         lay = sim._KLayout(c=max(classes) + 1, k=k, n=g.num_nodes)
         trace_d = {"slack": 0.0, "classes": ()}
-        weights = layer.dense(DEFAULT_MEMORY_LIMIT, trace_d)
+        weights = layer.dense(trace_d)
         bare = dataclasses.replace(weights, ffn=None)
         combined_d, atts_d = transformer_layer(x, bare, return_attention=True)
         out_d = weights.ffn(combined_d)
         trace_f = {"slack": 0.0, "classes": ()}
-        layer.forward(attends, trace_f, DEFAULT_MEMORY_LIMIT)
+        layer.forward(attends, trace_f)
         combined_f = x.copy()
         agree = np.ones(x.shape, dtype=bool)
         for head, attend, kept in zip(heads, attends, rows):
             combined_f[:, lay.counts(head.j)] += attend(x[:, : lay.c])
             agree[~kept, lay.counts(head.j)] = False
-        out_f = sim._token_rows_k(setup, trace_f["classes"], DEFAULT_MEMORY_LIMIT)
+        out_f = sim._token_rows_k(setup, trace_f["classes"])
         yield {
             "dense": (atts_d, combined_d, out_d, trace_d),
             "structured": (atts_f, combined_f, out_f, trace_f),
@@ -987,11 +944,18 @@ def test_reported_attention_error_is_the_distance_of_the_kronecker_product(k, n,
         assert got == pytest.approx(want, rel=1e-6, abs=1e-15)
 
 
-def test_full_space_layers_enforce_the_memory_cap(p3):
+def lower_the_memory_cap(monkeypatch, cap):
+    """Set the one size cap to ``cap`` in every module that binds it."""
+    for module in (wlsim.refine, wlsim.simulate, wlsim.spectral):
+        monkeypatch.setattr(module, "DEFAULT_MEMORY_LIMIT", cap)
+
+
+def test_full_space_layers_enforce_the_memory_cap(p3, monkeypatch):
     # The dense form: the path at k = 2 has 9 tuples of width 23 (three
     # initial classes).
+    lower_the_memory_cap(monkeypatch, 100)
     with pytest.raises(LimitError) as err:
-        initial_tokens(p3, 2, memory_limit=100)
+        initial_tokens(p3, 2)
     assert err.value.code == MEMORY_LIMIT
     assert "9x23 token matrix" in err.value.message
     # One edge with two node labels at k = 2: its four tuples are four
@@ -999,17 +963,18 @@ def test_full_space_layers_enforce_the_memory_cap(p3):
     # rows) does not.
     edge = Graph(2, [(0, 1)], [0, 1])
     with pytest.raises(LimitError) as err:
-        structured_layer(edge, 2, 2, "kwl").dense(memory_limit=100)
+        structured_layer(edge, 2, 2, "kwl").dense()
     assert err.value.code == MEMORY_LIMIT
     assert "8x22 output projection" in err.value.message
     with pytest.raises(LimitError) as err:
-        construct_kgt_weights(edge, 2, "kwl", 1, memory_limit=100)
+        construct_kgt_weights(edge, 2, "kwl", 1)
     assert "8x22 output projection" in err.value.message
     # The structured forward allocates neither, only its t x (1 + k) c rows of
     # one-hot and counts: 4 x 12 for the edge, 9 x 9 for the path.
-    assert simulate_and_compare(edge, 2, 2, "kwl", memory_limit=100).all_equal
+    assert simulate_and_compare(edge, 2, 2, "kwl").all_equal
+    lower_the_memory_cap(monkeypatch, 80)
     with pytest.raises(LimitError) as err:
-        simulate_and_compare(p3, 2, 2, "kwl", memory_limit=80)
+        simulate_and_compare(p3, 2, 2, "kwl")
     assert err.value.code == MEMORY_LIMIT
     assert "9x9 FFN row" in err.value.message
 
@@ -1100,23 +1065,23 @@ def test_rows_without_a_target_stay_finite_on_a_restricted_space(p3, b):
     # substitution on the space, so their rows have no target and degree 0.
     # At b = 1000 every product on such a row underflows: the row stays 0
     # instead of NaN, and no numpy warning escapes at either temperature.
-    # Each error equals the distance from the weighted_indicator target on
-    # the rows that have one, bit for bit.
+    # Each error equals the distance from the row-normalized adjacent
+    # substitutions on the rows that have one, bit for bit.
     sim = wlsim.simulate
-    setup = sim._setup(p3, 3, 1, DEFAULT_MEMORY_LIMIT)
+    setup = sim._setup(p3, 3, 1)
     heads = sim._head_forms(setup.parts, 3, b, sim._slot_weights("ks_lwl", 3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        atts, errors = sim._restricted_space_attention(setup, heads, DEFAULT_MEMORY_LIMIT)
+        atts, errors = sim._restricted_space_attention(setup, heads)
         report = simulate_and_compare(p3, 3, 1, "ks_lwl", b=b)
     for head, att, error in zip(heads, atts, errors):
-        target = weighted_indicator(generalized_adjacency(p3, 3, head.j + 1, 1, space=setup.space))
-        kept = np.ones(len(att), dtype=bool)
-        kept[list(target.zero_rows)] = False
+        hits = generalized_adjacency(p3, 3, head.j + 1, 1, space=setup.space)
+        kept = hits.any(axis=1)
         assert np.count_nonzero(~kept) == 2
         assert np.isfinite(att).all()
         assert np.allclose(att[kept].sum(axis=1), 1.0)
-        assert error == np.linalg.norm(att[kept] - target.matrix[kept])
+        target = hits[kept] / hits[kept].sum(axis=1, keepdims=True)
+        assert error == np.linalg.norm(att[kept] - target)
         if b > DEFAULT_TEMPERATURE:
             assert not att[~kept].any()
     assert report.all_equal

@@ -482,6 +482,38 @@ def test_flat_embedding_fails_both_targets(p3):
         assert not report.passed
 
 
+def loop_identifying(p, w_q, w_k, graph, target):
+    """The row-by-row reference for ``check_identifying``."""
+    n = graph.num_nodes
+    scores = (p @ w_q) @ (p @ w_k).T / math.sqrt(w_k.shape[1])
+    margin, failed = math.inf, []
+    for i in range(n):
+        row = scores[i]
+        want = graph.neighbor_sets[i] if target == "adjacency" else frozenset((i,))
+        maxima = {int(j) for j in np.nonzero(row >= row.max() - 1e-9)[0]}
+        margin = min(margin, row.max() - max(row[j] for j in range(n) if j not in want))
+        if maxima != set(want):
+            failed.append(i)
+    return not failed, float(margin), tuple(failed)
+
+
+def test_check_identifying_matches_the_row_loop(graph_samples):
+    # Spectral targets pass, integer embeddings tie, Gaussian ones fail rows.
+    rng = np.random.default_rng(5)
+    for g in graph_samples(29, 24, 2, 20, connected=True):
+        n = g.num_nodes
+        adj = g.adjacency_matrix.astype(float)
+        embeddings = [(adj, np.eye(n), np.eye(n)), (rng.normal(size=(n, 3)), np.eye(3), np.eye(3))]
+        for normalized in (False, True):
+            t = identifying_targets(g, normalized=normalized)
+            embeddings += [(t.p_node, t.w_q_node, t.w_k_node), (t.p_adj, t.w_q_adj, t.w_k_adj)]
+        for p, w_q, w_k in embeddings:
+            for target in ("node", "adjacency"):
+                report = check_identifying(p, w_q, w_k, g, target)
+                got = (report.passed, report.margin, report.rows_failed)
+                assert got == loop_identifying(p, w_q, w_k, g, target)
+
+
 def test_check_identifying_validation(p3):
     with pytest.raises(ValidationError) as exc:
         check_identifying(np.eye(3), np.eye(3), np.eye(3), p3, "edges")
