@@ -143,14 +143,6 @@ class TupleSpace:
         return np.where(nodes < 0, -1, found).astype(np.int32)
 
     @cached_property
-    def substitution(self) -> np.ndarray:
-        """``substitute`` at every position with every node: entry
-        ``[j, i, w]`` is the index of tuple ``i`` with node ``w`` at
-        position ``j``, or -1 off the space (int32, shape ``(k, t, n)``)."""
-        every = np.broadcast_to(np.arange(self.num_nodes), (len(self.nodes), self.num_nodes))
-        return np.stack([self.substitute(j, every) for j in range(self.k)])
-
-    @cached_property
     def _plans(self) -> dict:
         """``refine_step``'s gather plan per rule, with the graph it is for."""
         return {}

@@ -18,17 +18,18 @@ one beta: (1, 0) for the local rules, which count adjacent substitutions
 only, (1, 1) for plain counting and (n + 1, 1) for the adjacency-aware rule,
 whose de-normalized count (n + 1) * adjacent + non_adjacent is injective.
 
-A layer is kept in the form the construction writes it: per head its
-position and the positional blocks of its query and key, which are the
-same in every layer, plus the slot weights and the classes its tokens carry.
-Each head's query and key read only the positional block of one tuple
-position per score slot, so on a full tuple space (s = k) its softmax is
-exactly a Kronecker product of k row-stochastic n x n factors, and on a
-restricted space that product on the space, renormalized per row.  The
-simulation applies each head to the one-hot of the classes, as k mode
-products or one t x t attention, without the token matrix or projections.
-``dense`` writes the layer out as matrices for ``transformer_layer``, the
-reference that ``construct_kgt_weights`` and the tests read.
+Every head of a run is built from two row-stochastic n x n factors, the
+same in every layer: the slot factor, the softmax of the signed adjacency
+spectrum, and the node factor, the softmax of the orthonormal Laplacian
+rows, which approaches the identity.  Head j's query and key read one
+tuple position per score slot, so on a full tuple space (s = k) its softmax
+is exactly the Kronecker product of the slot factor at position j and the
+node factor at every other position, and on a restricted space that
+product on the space, renormalized per row.  The simulation applies each
+head to the one-hot of the classes, as k mode products or one t x t
+attention, without the token matrix or projections.  ``dense`` writes a
+layer out as matrices for ``transformer_layer``, the reference that
+``construct_kgt_weights`` and the tests read.
 
 ``simulate_and_compare`` runs three implementations side by side: the
 constructed transformer, the hash-based engine, and an exact fixed-point
@@ -254,7 +255,7 @@ def generalized_adjacency(
     substituting some node ``w`` at position ``j``, with ``w`` adjacent to
     the replaced node for ``gamma = +1`` and non-adjacent (the node itself
     included, as there are no self-loops) for ``gamma = -1``.  Read from
-    the space's substitution table.
+    ``TupleSpace.substitute`` with every node.
 
     Parameters
     ----------
@@ -289,18 +290,12 @@ def generalized_adjacency(
             )
     t = len(space.nodes)
     _check_dense(t, t, "tuple adjacency")
-    hit = _substitution_hits(graph, space, j - 1, gamma)
+    every = np.broadcast_to(np.arange(space.num_nodes), (t, space.num_nodes))
+    index = space.substitute(j - 1, every)
+    hit = (graph.adjacency_matrix[space.nodes[:, j - 1]] == (gamma == 1)) & (index >= 0)
     mat = np.zeros((t, t))
-    mat[np.nonzero(hit)[0], space.substitution[j - 1][hit]] = 1.0
+    mat[np.nonzero(hit)[0], index[hit]] = 1.0
     return mat
-
-
-def _substitution_hits(graph: Graph, space: TupleSpace, j: int, gamma: int) -> np.ndarray:
-    """Entry ``[i, w]`` is true when putting node ``w`` at the 0-based
-    position ``j`` of tuple ``i`` stays on the space and ``w`` is adjacent
-    (``gamma = +1``) or non-adjacent (``gamma = -1``) to the replaced node."""
-    adjacent = graph.adjacency_matrix[space.nodes[:, j]] == (gamma == 1)
-    return adjacent & (space.substitution[j] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +324,29 @@ def _spectral_parts(graph: Graph) -> _SpectralParts:
     return _SpectralParts(node_part=dec_l.eigenvectors, adj_part=adj_part, signs=signs)
 
 
-def _round_counts(values: np.ndarray, trace: dict) -> np.ndarray:
-    """Round recovered counts, recording their largest distance from an integer."""
+def _round_counts(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Recovered counts rounded, and their largest distance from an integer."""
     rounded = np.rint(values)
-    slack = float(np.abs(values - rounded).max()) if values.size else 0.0
-    trace["slack"] = max(trace["slack"], slack)
-    return rounded
+    return rounded, float(np.abs(values - rounded).max()) if values.size else 0.0
 
 
-def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable, trace: dict) -> np.ndarray:
+def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable) -> tuple[np.ndarray, float]:
     """The designed FFN of both forwards: round each head's de-normalized
     counts, yielded one head (position) at a time by ``denormalized``, and
     number the ``[one-hot | counts_1 ... counts_k]`` rows by first occurrence
-    into read-only classes. The slot weights make the counts faithful to the variant.
+    into read-only classes, returned with the largest rounding slack. The
+    slot weights make the counts faithful to the variant.
     """
     t, c = onehot.shape
     rows = np.zeros((t, (1 + k) * c), dtype=np.int64)
     rows[:, :c] = onehot
+    slack = 0.0
     for j, values in enumerate(denormalized):
-        rows[:, (1 + j) * c : (2 + j) * c] = _round_counts(values, trace)
-    trace["classes"] = _relabel_rows([rows])[0]
-    trace["classes"].setflags(write=False)
-    return trace["classes"]
+        rows[:, (1 + j) * c : (2 + j) * c], head_slack = _round_counts(values)
+        slack = max(slack, head_slack)
+    classes = _relabel_rows([rows])[0]
+    classes.setflags(write=False)
+    return classes, slack
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +383,9 @@ class _KLayout:
 @dataclass(frozen=True, eq=False)
 class _Setup:
     """Layer-0 state of a construction: the graph, its tuple space and the
-    initial classes.  The spectral blocks and the degree block are computed
-    on first use, so a run of zero layers never builds them."""
+    initial classes.  The spectral blocks, the degree block and the
+    neighbor substitutions are computed on first use, so a run of zero
+    layers never builds them."""
 
     graph: Graph
     space: TupleSpace
@@ -399,13 +396,21 @@ class _Setup:
         return _spectral_parts(self.graph)
 
     @cached_property
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        """Per position j of a restricted space, ``TupleSpace.substitute`` at
+        the neighbors of the node at j: entry ``[i, c]`` is the tuple reached
+        through the c-th neighbor, -1 for padding and off the space."""
+        space, nbrs = self.space, self.graph.neighbor_array
+        return tuple(space.substitute(j, nbrs[space.nodes[:, j]]) for j in range(space.k))
+
+    @cached_property
     def degblock(self) -> np.ndarray:
         """The adjacent substitutions at each position: deg(u_j) on a full
         space, the ones that stay on the space on a restricted one."""
         graph, space = self.graph, self.space
         if space.s == space.k:
             return graph.adjacency_matrix.sum(axis=1)[space.nodes].astype(float)
-        hits = [_substitution_hits(graph, space, j, 1).sum(axis=1) for j in range(space.k)]
+        hits = [(index >= 0).sum(axis=1) for index in self.neighbors]
         return np.stack(hits, axis=1).astype(float)
 
 
@@ -463,51 +468,37 @@ def _query_scales(b: float, n: int, k: int, weights: tuple[float, float]) -> tup
     return slot_scale, node_scale
 
 
-@dataclass(frozen=True, eq=False)
-class _HeadForm:
-    """Head j, which attends to the substitutions at the 0-based position
-    ``j``, in the form the construction writes it.  ``query[o]`` and
-    ``key[o]`` are the 2n x n blocks that map the positional rows
-    ``positional(o)`` into score slot o; every other entry of ``w_q`` and
-    ``w_k`` is zero.  Nothing here depends on the classes, so a run builds
-    its heads once.
-    """
-
-    j: int
-    query: np.ndarray  # (k, 2n, n)
-    key: np.ndarray  # (k, 2n, n)
-
-
-def _head_forms(
+def _factors(
     parts: _SpectralParts, k: int, b: float, weights: tuple[float, float]
-) -> tuple[_HeadForm, ...]:
-    """The k heads of the construction, one per position.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The two row-stochastic n x n factors of every head's attention.
 
-    Slot j scores the signed adjacency spectrum, so its softmax approaches
-    the row-normalized alpha A + beta (J - A); every other slot scores the
-    orthonormal Laplacian rows at a larger scale, so its softmax approaches
-    the identity.
+    Head j's score slot j scores the signed adjacency spectrum, so the slot
+    factor approaches the row-normalized alpha A + beta (J - A); its other
+    slots score the orthonormal Laplacian rows at a larger scale, so the
+    node factor, built for k > 1 only, approaches the identity.
     """
     n = len(parts.signs)
     slot_scale, node_scale = _query_scales(b, n, k, weights)
-    heads = []
-    for j in range(k):
-        query, key = np.zeros((k, 2 * n, n)), np.zeros((k, 2 * n, n))
-        for o in range(k):
-            if o == j:
-                query[o, n:] = slot_scale * np.diag(parts.signs)
-                key[o, n:] = np.eye(n)
-            else:
-                query[o, :n] = node_scale * np.eye(n)
-                key[o, :n] = np.eye(n)
-        heads.append(_HeadForm(j, query, key))
-    return tuple(heads)
+    root = math.sqrt(k * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slot = (parts.adj_part * (slot_scale * parts.signs)) @ parts.adj_part.T / root
+        node = (parts.node_part * node_scale) @ parts.node_part.T / root if k > 1 else None
+    slot = softmax_rows(_finite_scores(slot))
+    return slot, None if node is None else softmax_rows(_finite_scores(node))
+
+
+def _head_factors(slot: np.ndarray, node: np.ndarray | None, k: int) -> list[list[np.ndarray]]:
+    """Head j's k factors: the slot factor at position j, the node factor at
+    every other position."""
+    return [[slot if o == j else node for o in range(k)] for j in range(k)]
 
 
 @dataclass(frozen=True, eq=False)
 class _StructuredLayer:
-    """One constructed layer: the run's heads, their slot weights and the
-    classes its tokens carry.
+    """The constructed layer of a run: its setup, slot weights and
+    temperature.  Every layer of a run has the same heads; only the classes
+    its tokens carry change, and each call takes them.
 
     ``forward`` runs it on any tuple space from the one-hot of the classes
     alone; ``dense`` writes it out as the matrices ``transformer_layer`` runs,
@@ -515,9 +506,13 @@ class _StructuredLayer:
     """
 
     setup: _Setup
-    heads: tuple[_HeadForm, ...]
     weights: tuple[float, float]
-    classes: np.ndarray
+    b: float
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The slot and the node factor (``_factors``), built once per run."""
+        return _factors(self.setup.parts, self.setup.space.k, self.b, self.weights)
 
     def denormalizer(self, degree: np.ndarray) -> np.ndarray:
         """alpha deg + beta (n - deg) per position, the mass of a row of head
@@ -525,22 +520,30 @@ class _StructuredLayer:
         alpha, beta = self.weights
         return alpha * degree + beta * (self.setup.space.num_nodes - degree)
 
-    def dense(self, trace: dict | None = None) -> LayerWeights:
+    def dense(self, classes: np.ndarray, trace: dict | None = None) -> LayerWeights:
         """The layer as dense projections, with an FFN that records its slack
-        and new classes in ``trace`` and returns the next token rows."""
-        space = self.setup.space
+        and new classes in ``trace`` and returns the next token rows.
+
+        Head j's query and key map the positional block of each position o
+        into score slot o: for o = j its adjacency rows, scaled by the slot
+        scale and the signs, for o != j its node rows, scaled by the node
+        scale.  Every other entry is zero.
+        """
+        space, signs = self.setup.space, self.setup.parts.signs
         k, n = space.k, space.num_nodes
-        lay = _KLayout(c=int(self.classes.max()) + 1, k=k, n=n)
+        lay = _KLayout(c=int(classes.max()) + 1, k=k, n=n)
         c, d = lay.c, lay.width
         _check_dense(k * c, d, "output projection")
-        trace = {"slack": 0.0, "classes": None} if trace is None else trace
-        diagonal = np.arange(k)
+        slot_scale, node_scale = _query_scales(self.b, n, k, self.weights)
+        trace = {} if trace is None else trace
+        diagonal = np.arange(n)
         heads = []
-        for head in self.heads:
+        for j in range(k):
             w_q, w_k = np.zeros((d, k * n)), np.zeros((d, k * n))
-            for w, blocks in ((w_q, head.query), (w_k, head.key)):
-                # Entry (o, :, o) is the (block of position o, score slot o) submatrix.
-                w[lay.positional(0).start :].reshape(k, 2 * n, k, n)[diagonal, :, diagonal] = blocks
+            for o in range(k):
+                rows = lay.positional(o).start + (n if o == j else 0) + diagonal
+                w_q[rows, o * n + diagonal] = slot_scale * signs if o == j else node_scale
+                w_k[rows, o * n + diagonal] = 1.0
             heads.append(AttentionHead(w_q, w_k, np.eye(d, c)))
         # Head j's attended one-hot lands in the count scratch of position j.
         w_o = np.eye(k * c, d, c)
@@ -548,27 +551,23 @@ class _StructuredLayer:
         def ffn(xt: np.ndarray) -> np.ndarray:
             z = self.denormalizer(xt[:, lay.deg0 : lay.deg0 + k])
             denormalized = (xt[:, lay.counts(j)] * z[:, [j]] for j in range(k))
-            classes = _ffn_classes(xt[:, 0:c], k, denormalized, trace)
-            return _token_rows_k(self.setup, classes)
+            trace["classes"], trace["slack"] = _ffn_classes(xt[:, 0:c], k, denormalized)
+            return _token_rows_k(self.setup, trace["classes"])
 
         return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
 
-    def forward(self, attends: Sequence[Callable], trace: dict) -> None:
-        """The layer, given each head as a map from the t x c one-hot of the
-        classes to its attended averages (``_head_attention``).
-
-        Each head's averages are de-normalized as in the dense layer and
-        handed to the FFN, which records the slack and the new classes in
-        ``trace``.
-        """
+    def forward(self, classes: np.ndarray, attends: Sequence[Callable]) -> tuple[np.ndarray, float]:
+        """The next classes and the rounding slack, given each head as a map
+        from the t x c one-hot of the classes to its attended averages
+        (``_head_attention``), de-normalized as in the dense layer."""
         t, k = len(self.setup.space.nodes), self.setup.space.k
-        c = int(self.classes.max()) + 1
+        c = int(classes.max()) + 1
         _check_dense(t, (1 + k) * c, "FFN row")
         onehot = np.zeros((t, c))
-        onehot[np.arange(t), self.classes] = 1.0
+        onehot[np.arange(t), classes] = 1.0
         z = self.denormalizer(self.setup.degblock)
         denormalized = (attend(onehot) * z[:, [j]] for j, attend in enumerate(attends))
-        _ffn_classes(onehot, k, denormalized, trace)
+        return _ffn_classes(onehot, k, denormalized)
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +580,6 @@ class _StructuredLayer:
 # softmax(score) = F_1 (x) ... (x) F_k with F_o = softmax_rows(S_o).  A
 # restricted space keeps some of those rows and columns, and its softmax is
 # the product on them, renormalized per row.
-
-
-def _position_factors(head: _HeadForm, pe: np.ndarray) -> np.ndarray:
-    """The k row-stochastic n x n factors of one head's attention, stacked."""
-    k, n = head.query.shape[0], pe.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        query, key = pe @ head.query, pe @ head.key
-        scores = query @ key.transpose(0, 2, 1) / math.sqrt(k * n)
-    return softmax_rows(_finite_scores(scores).reshape(k * n, n)).reshape(k, n, n)
 
 
 def _mode_products(factors: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -630,8 +620,8 @@ def _kron_error(factors: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _full_space_attention(
-    graph: Graph, parts: _SpectralParts, heads: Sequence[_HeadForm], weights: tuple[float, float]
-) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    setup: _Setup, slot: np.ndarray, node: np.ndarray | None, weights: tuple[float, float]
+) -> tuple[list[list[np.ndarray]], tuple[float, ...]]:
     """Each head's factors and its distance from its target.
 
     The target of head j is the row-normalized alpha A + beta (J - A) at
@@ -639,21 +629,19 @@ def _full_space_attention(
     isolated nodes, and with beta > 0 every node weighs itself.  Neither
     depends on the classes, so they hold for every layer.
     """
-    n, k = graph.num_nodes, len(heads)
+    n, k = setup.space.num_nodes, setup.space.k
     alpha, beta = weights
-    adj = graph.adjacency_matrix.astype(float)
+    adj = setup.graph.adjacency_matrix.astype(float)
     weighted = alpha * adj + beta * (1.0 - adj)
     walk = weighted / weighted.sum(axis=1, keepdims=True)
-    factors = [_position_factors(head, parts.positional) for head in heads]
-    errors = tuple(
-        _kron_error(f, np.stack([walk if o == head.j else np.eye(n) for o in range(k)]))
-        for head, f in zip(heads, factors)
-    )
-    return factors, errors
+    heads = _head_factors(slot, node, k)
+    targets = _head_factors(walk, np.eye(n), k)
+    errors = tuple(_kron_error(np.stack(f), np.stack(t)) for f, t in zip(heads, targets))
+    return heads, errors
 
 
 def _restricted_space_attention(
-    setup: _Setup, heads: Sequence[_HeadForm]
+    setup: _Setup, slot: np.ndarray, node: np.ndarray | None
 ) -> tuple[list[np.ndarray], tuple[float, ...]]:
     """Each head's t x t attention on a restricted space and its distance
     from its target, the row-normalized adjacent substitutions that stay on
@@ -670,51 +658,44 @@ def _restricted_space_attention(
     t = len(space.nodes)
     _check_dense(t, t, "attention")
     atts, errors = [], []
-    for head in heads:
+    for j, factors in enumerate(_head_factors(slot, node, space.k)):
         att = np.ones((t, t))
-        for factor, u in zip(_position_factors(head, setup.parts.positional), space.nodes.T):
+        for factor, u in zip(factors, space.nodes.T):
             att *= factor[np.ix_(u, u)]
         mass = att.sum(axis=1, keepdims=True)
         np.divide(att, mass, out=att, where=mass > 0)
         atts.append(att)
-        errors.append(_restricted_error(setup, head.j, att))
+        errors.append(_restricted_error(setup, j, att))
     return atts, tuple(errors)
 
 
 def _restricted_error(setup: _Setup, j: int, att: np.ndarray) -> float:
     """Frobenius distance of head j's attention from its target, 1/deg at its
     on-space adjacent substitutions, on the rows that have one."""
-    space = setup.space
     deg = setup.degblock[:, j]
     kept = deg > 0
-    rows, nodes = np.nonzero(_substitution_hits(setup.graph, space, j, 1))
+    index = setup.neighbors[j]
+    hit = index >= 0
+    rows = np.nonzero(hit)[0]
     diff = att[kept]
-    diff[np.cumsum(kept)[rows] - 1, space.substitution[j][rows, nodes]] -= 1.0 / deg[rows]
+    diff[np.cumsum(kept)[rows] - 1, index[hit]] -= 1.0 / deg[rows]
     return float(np.linalg.norm(diff))
 
 
 def _head_attention(
-    setup: _Setup, heads: Sequence[_HeadForm], weights: tuple[float, float]
+    setup: _Setup, slot: np.ndarray, node: np.ndarray | None, weights: tuple[float, float]
 ) -> tuple[list[Callable], tuple[float, ...]]:
     """Each head as a map from t x c values to their attended averages, and
     its attention error, built once per run: neither depends on the classes."""
     if setup.space.s == setup.space.k:
-        factors, errors = _full_space_attention(setup.graph, setup.parts, heads, weights)
-        return [partial(_mode_products, f) for f in factors], errors
-    atts, errors = _restricted_space_attention(setup, heads)
+        heads, errors = _full_space_attention(setup, slot, node, weights)
+        return [partial(_mode_products, f) for f in heads], errors
+    atts, errors = _restricted_space_attention(setup, slot, node)
     return [partial(np.matmul, att) for att in atts], errors
 
 
 # ---------------------------------------------------------------------------
 # Drivers.
-
-
-@dataclass(frozen=True, eq=False)
-class _DriveRecord:
-    layers: tuple[_StructuredLayer, ...]
-    partitions: tuple[np.ndarray, ...]
-    attention_errors: tuple[tuple[float, ...], ...]
-    slack_max: float
 
 
 def _check_temperature(b) -> float:
@@ -750,24 +731,24 @@ def _check_layers(t_layers, minimum: int) -> int:
     return t_layers
 
 
-def _drive(setup: _Setup, variant: str, t_layers: int, b: float) -> _DriveRecord:
-    space = setup.space
-    weights = _slot_weights(variant, space.k, space.num_nodes)
-    heads = _head_forms(setup.parts, space.k, b, weights)
-    attends, head_errors = _head_attention(setup, heads, weights)
-    classes = setup.classes
-    partitions = [classes]
-    layers = []
+def _drive(
+    layer: _StructuredLayer, t_layers: int
+) -> tuple[tuple[np.ndarray, ...], float, tuple[float, ...]]:
+    """The classes of ``t_layers`` structured forwards, the initial ones
+    first, with the largest rounding slack and each head's attention error."""
+    attends, head_errors = _head_attention(layer.setup, *layer.factors, layer.weights)
+    partitions = [layer.setup.classes]
     slack_max = 0.0
     for _ in range(t_layers):
-        layer = _StructuredLayer(setup, heads, weights, classes)
-        trace = {"slack": 0.0, "classes": None}
-        layer.forward(attends, trace)
-        layers.append(layer)
-        slack_max = max(slack_max, trace["slack"])
-        classes = trace["classes"]
+        classes, slack = layer.forward(partitions[-1], attends)
         partitions.append(classes)
-    return _DriveRecord(tuple(layers), tuple(partitions), (head_errors,) * t_layers, slack_max)
+        slack_max = max(slack_max, slack)
+    return tuple(partitions), slack_max, head_errors
+
+
+def _layer(setup: _Setup, variant: str, b: float) -> _StructuredLayer:
+    space = setup.space
+    return _StructuredLayer(setup, _slot_weights(variant, space.k, space.num_nodes), b)
 
 
 def initial_tokens(graph: Graph, k: int = 1, s: int | None = None) -> np.ndarray:
@@ -825,9 +806,10 @@ def construct_kgt_weights(
             "the restricted-space rule is driven through simulate_and_compare with s < k",
         )
     t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
-    layers = _drive(_setup(graph, k, k), variant, t_layers, b).layers
-    dense = tuple(layer.dense() for layer in layers)
-    return ConstructedWeights(dense, b, len(layers[0].heads), k, variant)
+    layer = _layer(_setup(graph, k, k), variant, b)
+    partitions = _drive(layer, t_layers)[0]
+    dense = tuple(layer.dense(classes) for classes in partitions[:-1])
+    return ConstructedWeights(dense, b, k, k, variant)
 
 
 def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
@@ -990,10 +972,9 @@ def simulate_and_compare(
         engine.append(engine[-1])
         t_layers = len(engine) - 1
 
-    if t_layers == 0:
-        record = _DriveRecord((), (setup.classes,), (), 0.0)
-    else:
-        record = _drive(setup, variant, t_layers, b)
+    partitions, slack_max, head_errors = (setup.classes,), 0.0, ()
+    if t_layers:
+        partitions, slack_max, head_errors = _drive(_layer(setup, variant, b), t_layers)
     while len(engine) <= t_layers:
         engine.append(refine_step(graph, setup.space, engine[-1], variant))
     oracle = [engine[0]]
@@ -1002,21 +983,20 @@ def simulate_and_compare(
     wl_partitions = tuple(c.colors for c in engine)
     oracle_partitions = tuple(c.colors for c in oracle)
 
-    triples = zip(record.partitions, wl_partitions, oracle_partitions)
+    triples = zip(partitions, wl_partitions, oracle_partitions)
     equal = tuple(np.array_equal(t, e) and np.array_equal(e, o) for t, e, o in triples)
-    flat_errors = [e for layer in record.attention_errors for e in layer]
     return SimReport(
         k=k,
         s=s,
         variant=variant,
         layers=t_layers,
-        transformer_partitions=record.partitions,
+        transformer_partitions=partitions,
         wl_partitions=wl_partitions,
         oracle_partitions=oracle_partitions,
         partition_equal_per_layer=equal,
-        attention_errors=record.attention_errors,
-        max_attention_error=max(flat_errors) if flat_errors else 0.0,
-        rounding_slack_max=record.slack_max,
+        attention_errors=(head_errors,) * t_layers,
+        max_attention_error=max(head_errors, default=0.0),
+        rounding_slack_max=slack_max,
     )
 
 

@@ -175,6 +175,11 @@ def _check_dim(out_dim: int) -> None:
         raise LimitError(MEMORY_LIMIT, message)
 
 
+def _check_rank(rank_m: int, n: int) -> None:
+    if not 1 <= rank_m <= n:
+        raise ValidationError(INVALID_SCHEMA, f"rank_m must lie in [1, {n}], got {rank_m}")
+
+
 def eig_count_for(kind: str, requested: int | None, n: int) -> int:
     """The eigenpair count of an encoder on an n-node graph, n by default.
 
@@ -310,9 +315,7 @@ def spe(
     eigenvector enters quadratically, so flipping any eigenvector sign
     leaves the output bit-identical.
     """
-    n = dec.n
-    if not 1 <= rank_m <= n:
-        raise ValidationError(INVALID_SCHEMA, f"rank_m must lie in [1, {n}], got {rank_m}")
+    _check_rank(rank_m, dec.n)
     if phi is None:
         phi_w = params.block("phi_channels")
         phi = lambda x: run_mlp(phi_w, x)
@@ -337,18 +340,23 @@ def positional_encoding(
 ) -> tuple[np.ndarray, int]:
     """The seeded ``lpe`` or ``spe`` rows of a graph, with the eigenpair count.
 
-    The count and ``spe``'s rank default to n. The Laplacian is solved
-    before the weights are drawn. ``epsilon``, when given, is the step of the
-    eigenvalue perturbation (``arithmetic_epsilon``).
+    The count and ``spe``'s rank default to n. The count, the seed, the
+    width and the rank are checked, and the weights drawn, before the
+    Laplacian is solved, so a refused request costs no eigensolve.
+    ``epsilon``, when given, is the step of the eigenvalue perturbation
+    (``arithmetic_epsilon``).
     """
     n = graph.num_nodes
     count = eig_count_for(kind, eig_count, n)
-    dec = laplacian_eigh(graph, normalized)
     eps = None if epsilon is None else arithmetic_epsilon(count, epsilon)
     params = EncoderParams.seeded(seed, count, dim, epsilon=eps)
+    rank = n if rank_m is None else rank_m
+    if kind == "spe":
+        _check_rank(rank, n)
+    dec = laplacian_eigh(graph, normalized)
     if kind == "lpe":
         return lpe(dec, params), count
-    return spe(dec, params, n if rank_m is None else rank_m), count
+    return spe(dec, params, rank), count
 
 
 @dataclass(frozen=True, eq=False)

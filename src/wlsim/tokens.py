@@ -169,15 +169,12 @@ def _pe_matrix(graph: Graph, cfg: TokenizerConfig) -> np.ndarray:
 def _node_matrix(
     graph: Graph,
     cfg: TokenizerConfig,
-    feature_fn: Callable[[int], np.ndarray] | None,
     degree_fn: Callable[[int], np.ndarray] | None,
     pe_fn: Callable[[Graph], np.ndarray] | None,
     ffn_fn: Callable[[np.ndarray], np.ndarray] | None,
 ) -> np.ndarray:
     n = graph.num_nodes
-    if feature_fn is None:
-        table = _table(cfg.seed, _STREAM_FEATURE, cfg.dim, graph.labels)
-        feature_fn = table.__getitem__
+    features = _table(cfg.seed, _STREAM_FEATURE, cfg.dim, graph.labels)
     if degree_fn is None:
         degrees = [graph.degree(v) for v in range(n)]
         table = _table(cfg.seed, _STREAM_DEGREE, cfg.dim, degrees)
@@ -190,7 +187,7 @@ def _node_matrix(
         raise ValidationError(
             INVALID_SCHEMA, f"PE rows must have shape ({n}, {cfg.dim}), got {pe_rows.shape}"
         )
-    feat = np.stack([np.asarray(feature_fn(graph.labels[v]), dtype=float) for v in range(n)])
+    feat = np.stack([features[graph.labels[v]] for v in range(n)])
     deg = np.stack([np.asarray(degree_fn(graph.degree(v)), dtype=float) for v in range(n)])
     return feat + np.asarray(ffn_fn(deg + pe_rows), dtype=float)
 
@@ -199,7 +196,6 @@ def node_tokens(
     graph: Graph,
     cfg: TokenizerConfig,
     *,
-    feature_fn: Callable[[int], np.ndarray] | None = None,
     degree_fn: Callable[[int], np.ndarray] | None = None,
     pe_fn: Callable[[Graph], np.ndarray] | None = None,
     ffn_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -213,36 +209,35 @@ def node_tokens(
     """
     if cfg.k != 1:
         raise ValidationError(INVALID_SCHEMA, f"node tokens require k = 1, got k = {cfg.k}")
-    rows = _node_matrix(graph, cfg, feature_fn, degree_fn, pe_fn, ffn_fn)
+    rows = _node_matrix(graph, cfg, degree_fn, pe_fn, ffn_fn)
     return TokenMatrix(rows=rows, k=1, s=1, dim=cfg.dim, encoder_id=cfg.pe_kind, seed=cfg.seed)
 
 
-def _edge_blocks(graph: Graph, tup: Sequence[int], cfg: TokenizerConfig) -> np.ndarray:
-    k = len(tup)
+def _edge_embedding(
+    graph: Graph, k: int, cfg: TokenizerConfig
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """``atp_embedding_from_edges`` for k-tuples of one graph, as a map from
+    a tuple, with the edge rows and the projection drawn once."""
     used_labels = sorted({graph.edge_label(u, v) for u, v in graph.edges})
-    salt = 0
-    while True:
-        # Key -1 is reserved for the same-node vector; edge labels are >= 0.
-        s_vector = _draw_row(cfg.seed, _STREAM_EDGE, salt, -1, cfg.dim)
-        label_rows = {
-            label: _draw_row(cfg.seed, _STREAM_EDGE, salt, label, cfg.dim) for label in used_labels
-        }
-        distinct = {s_vector.tobytes(), np.zeros(cfg.dim).tobytes()}
-        distinct.update(row.tobytes() for row in label_rows.values())
-        if len(distinct) == len(used_labels) + 2:
-            break
-        salt += 1
-    blocks = []
-    for i in range(1, k):
-        for j in range(i):
-            u, w = tup[i], tup[j]
-            if u == w:
-                blocks.append(s_vector)
-            elif graph.has_edge(u, w):
-                blocks.append(label_rows[graph.edge_label(u, w)])
-            else:
-                blocks.append(np.zeros(cfg.dim))
-    return np.concatenate(blocks)
+    # Key -1 is reserved for the same-node vector; edge labels are >= 0.
+    rows = _table(cfg.seed, _STREAM_EDGE, cfg.dim, [-1, *used_labels])
+    zero = np.zeros(cfg.dim)
+    proj = _draw_matrix(cfg.seed, _STREAM_EDGE_PROJECTION, k, (cfg.dim * k * (k - 1) // 2, cfg.dim))
+
+    def embed(tup: Sequence[int]) -> np.ndarray:
+        blocks = []
+        for i in range(1, k):
+            for j in range(i):
+                u, w = tup[i], tup[j]
+                if u == w:
+                    blocks.append(rows[-1])
+                elif graph.has_edge(u, w):
+                    blocks.append(rows[graph.edge_label(u, w)])
+                else:
+                    blocks.append(zero)
+        return np.concatenate(blocks) @ proj
+
+    return embed
 
 
 def atp_embedding_from_edges(graph: Graph, tup: Sequence[int], cfg: TokenizerConfig) -> np.ndarray:
@@ -257,16 +252,13 @@ def atp_embedding_from_edges(graph: Graph, tup: Sequence[int], cfg: TokenizerCon
     k = len(tup)
     if k < 2:
         raise ValidationError(INVALID_SCHEMA, f"edge-based type embedding needs k >= 2, got {k}")
-    concat = _edge_blocks(graph, tup, cfg)
-    proj = _draw_matrix(cfg.seed, _STREAM_EDGE_PROJECTION, k, (cfg.dim * k * (k - 1) // 2, cfg.dim))
-    return concat @ proj
+    return _edge_embedding(graph, k, cfg)(tup)
 
 
 def tuple_tokens(
     graph: Graph,
     cfg: TokenizerConfig,
     *,
-    feature_fn: Callable[[int], np.ndarray] | None = None,
     degree_fn: Callable[[int], np.ndarray] | None = None,
     pe_fn: Callable[[Graph], np.ndarray] | None = None,
     ffn_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -281,10 +273,11 @@ def tuple_tokens(
     if cfg.k < 2:
         raise ValidationError(INVALID_SCHEMA, f"tuple tokens require k >= 2, got k = {cfg.k}")
     space = enumerate_tuples(graph, cfg.k, cfg.s)
-    node_rows = _node_matrix(graph, cfg, feature_fn, degree_fn, pe_fn, ffn_fn)
+    node_rows = _node_matrix(graph, cfg, degree_fn, pe_fn, ffn_fn)
 
     if cfg.atp_from_edges:
-        atp_rows = [atp_embedding_from_edges(graph, tup, cfg) for tup in space.nodes.tolist()]
+        embed = _edge_embedding(graph, cfg.k, cfg)
+        atp_rows = [embed(tup) for tup in space.nodes.tolist()]
         atp_keys: list[Hashable] = [row.tobytes() for row in atp_rows]
     else:
         codes = atomic_types(graph, space.nodes).reshape(len(space.nodes), -1)

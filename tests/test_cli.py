@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -564,6 +565,37 @@ def test_pe_rejects_an_epsilon_that_overflows_with_one_error_document(p3_file, k
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+
+
+RANK_99 = ("INVALID_SCHEMA", "rank_m must lie in [1, 6], got 99")
+COUNT_99 = ("SHAPE_MISMATCH", "99 eigenpairs requested but only 6 available")
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("pe", "--kind", "spe", "--rank-m", "99"), RANK_99),
+        (("pe", "--dim", "0"), ("INVALID_SCHEMA", "eig_count and out_dim must be positive")),
+        (("pe", "--seed", "-1"), ("INVALID_SCHEMA", "seed must be a non-negative int, got -1")),
+        (("tokens", "--k", "2", "--pe", "spe", "--rank-m", "99"), RANK_99),
+        (("pe", "--eig-count", "99"), COUNT_99),
+        (("pe", "--eig-count", "99", "--seed", "-1"), COUNT_99),
+    ],
+)
+def test_bad_encoder_arguments_are_refused_before_the_eigensolve(
+    monkeypatch, capsys, c6_file, argv, error
+):
+    # In process, so the stand-in reaches the solver: each line exits 2
+    # with its own error and the Laplacian is never solved.
+    def no_eigensolve(matrix):
+        raise AssertionError("the Laplacian was solved")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    assert main([*argv, "--graph", c6_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    code, message = error
+    assert json.loads(captured.err) == {"error": {"code": code, "message": message}}
 
 
 def test_pe_rows_depend_on_the_seed(p3_file):

@@ -60,6 +60,12 @@ def index_of(space):
     return {v: i for i, v in enumerate(space.tuples)}
 
 
+def every_node(space):
+    """Every node, once per tuple: the ``(t, n)`` argument with which
+    ``TupleSpace.substitute`` gives all the substitutions at a position."""
+    return np.broadcast_to(np.arange(space.num_nodes), (len(space.nodes), space.num_nodes))
+
+
 def classic_refinement(graph):
     """Independent 1-WL oracle: dict-based, no engine code.
 
@@ -142,15 +148,15 @@ def test_restricted_space_agrees_with_component_counting(graph_samples):
 def test_substitution_table_matches_index_of(graph_samples, k, s):
     for g in graph_samples(13, 6, 2, 5):
         space = enumerate_tuples(g, k, s)
-        table = space.substitution
-        assert table.dtype == np.int32
-        assert table.shape == (k, len(space.tuples), g.num_nodes)
         rows = index_of(space)
         for j in range(k):
+            table = space.substitute(j, every_node(space))
+            assert table.dtype == np.int32
+            assert table.shape == (len(space.tuples), g.num_nodes)
             for i, tup in enumerate(space.tuples):
                 for w in range(g.num_nodes):
                     want = rows.get(tup[:j] + (w,) + tup[j + 1 :], -1)
-                    assert table[j, i, w] == want
+                    assert table[i, w] == want
 
 
 def _component_count(graph, tup):
@@ -204,15 +210,16 @@ def test_vectorized_filter_equals_component_counting(g):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_full_space_substitution_is_arithmetic(graph_samples, k):
-    # s = k: the table is i + (w - u_j) * n ** (k - 1 - j), with no position map.
+    # s = k: the substitution is i + (w - u_j) * n ** (k - 1 - j), with no
+    # position map.
     for g in graph_samples(29, 3, 2, 5):
         space = enumerate_tuples(g, k, k)
-        table = space.substitution
         rows = index_of(space)
         for j in range(k):
+            table = space.substitute(j, every_node(space))
             for i, tup in enumerate(space.tuples):
                 for w in range(g.num_nodes):
-                    assert table[j, i, w] == rows[tup[:j] + (w,) + tup[j + 1 :]]
+                    assert table[i, w] == rows[tup[:j] + (w,) + tup[j + 1 :]]
         assert "_position" not in space.__dict__
 
 
@@ -522,7 +529,7 @@ def test_refine_step_refuses_colors_outside_the_int32_range(color):
 
 
 def _reference_summary_ids(graphs, spaces, variant, color_lists):
-    """One round through the (k, t, n) substitution table: the row builder
+    """One round through every substitution at every position: the row builder
     the engine used before it sorted fibers, kept as the reference. The full
     rules gather every substitution, with the (color, adjacent) pair packed
     as ``2 * color + adjacent`` under ``delta_kwl``. The local rules keep the
@@ -537,7 +544,7 @@ def _reference_summary_ids(graphs, spaces, variant, color_lists):
         colors = np.asarray(colors, dtype=np.int32)
         blocks = [colors[:, None]]
         for j in range(space.k):
-            block = colors[space.substitution[j]]
+            block = colors[space.substitute(j, every_node(space))]
             adjacent = graph.adjacency_matrix[space.nodes[:, j]]
             if local:
                 block = np.where(adjacent, block, -1)
@@ -606,10 +613,16 @@ def test_joint_neighbor_blocks_pad_to_the_larger_degree(k):
 
 @pytest.mark.parametrize("variant, k, s", ALL_VARIANTS + (("delta_kwl", 3, 3), ("kwl", 3, 3), ("ks_lwl", 3, 2)))
 def test_engine_runs_never_build_the_substitution_table(monkeypatch, p3, c6, variant, k, s):
-    def refuse(self):
-        raise AssertionError("the engine read TupleSpace.substitution")
+    # The engine reads the neighbor substitutions only: it never asks
+    # ``substitute`` for every node at a position, the (t, n) table.
+    real = TupleSpace.substitute
 
-    monkeypatch.setattr(TupleSpace, "substitution", property(refuse))
+    def refuse_every_node(self, j, nodes):
+        if nodes.shape[1] == self.num_nodes and (nodes == np.arange(self.num_nodes)).all():
+            raise AssertionError("the engine built a substitution table of every node")
+        return real(self, j, nodes)
+
+    monkeypatch.setattr(TupleSpace, "substitute", refuse_every_node)
     refine_to_stable(c6, k, s, variant)
     distinguish(p3, c6, variant, k, s)
     distinguish(c6, c6, variant, k, s)

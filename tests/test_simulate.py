@@ -517,20 +517,21 @@ HEAD_COUNTS = [
 
 
 def structured_layer(g, k, s, variant, b=DEFAULT_TEMPERATURE):
-    """The first constructed layer of a run, in its structured form."""
+    """The constructed layer of a run, in its structured form: its setup
+    (``.setup``, whose ``.classes`` the first layer carries), slot weights
+    (``.weights``) and slot and node factors (``.factors``). Every test that
+    needs a piece of the construction builds it here."""
     sim = wlsim.simulate
-    setup = sim._setup(g, k, s)
-    weights = sim._slot_weights(variant, k, g.num_nodes)
-    heads = sim._head_forms(setup.parts, k, b, weights)
-    return sim._StructuredLayer(setup, heads, weights, setup.classes)
+    return sim._layer(sim._setup(g, k, s), variant, b)
 
 
 @pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
 def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
     structured = structured_layer(p3, k, s, variant)
-    layer = structured.dense()
-    c = max(structured.classes) + 1
-    assert len(structured.heads) == len(layer.heads) == heads
+    classes = structured.setup.classes
+    layer = structured.dense(classes)
+    c = max(classes) + 1
+    assert len(wlsim.simulate._head_factors(*structured.factors, k)) == len(layer.heads) == heads
     assert layer.w_o.shape == (heads * c, initial_tokens(p3, k, s).shape[1])
     if variant != "ks_lwl":
         cw = construct_kgt_weights(p3, k, variant, 2)
@@ -549,13 +550,14 @@ def test_dense_projections_read_each_score_slot_from_its_own_position(p3, varian
     query block of slot j is exactly zero; every other block is not."""
     sim = wlsim.simulate
     structured = structured_layer(p3, k, s, variant)
+    classes = structured.setup.classes
     n = p3.num_nodes
-    lay = sim._KLayout(c=max(structured.classes) + 1, k=k, n=n)
+    lay = sim._KLayout(c=max(classes) + 1, k=k, n=n)
     inside = np.zeros((lay.width, k * n), dtype=bool)
     for o in range(k):
         inside[lay.positional(o), o * n : (o + 1) * n] = True
     uniform = variant == "kwl" and k > 1
-    for j, head in enumerate(structured.dense().heads):
+    for j, head in enumerate(structured.dense(classes).heads):
         for w in (head.w_q, head.w_k):
             assert w.shape == inside.shape
             assert np.count_nonzero(w[~inside]) == 0
@@ -574,13 +576,31 @@ def test_plain_counting_slot_attends_uniformly(k):
     sim = wlsim.simulate
     g = random_graph(random.Random(50 + k), 7, edge_prob=0.4, connected=True)
     n = g.num_nodes
-    parts = sim._spectral_parts(g)
     for b in (0.5, DEFAULT_TEMPERATURE):
-        heads = sim._head_forms(parts, k, b, sim._slot_weights("kwl", k, n))
+        heads = sim._head_factors(*structured_layer(g, k, k, "kwl", b).factors, k)
         assert len(heads) == k
-        for head in heads:
-            factor = sim._position_factors(head, parts.positional)[head.j]
-            assert np.array_equal(factor, np.full((n, n), 1.0 / n))
+        for j, factors in enumerate(heads):
+            assert np.array_equal(factors[j], np.full((n, n), 1.0 / n))
+
+
+def test_a_run_computes_one_slot_and_one_node_softmax(monkeypatch):
+    # Every head reads the slot factor at its own position and the node
+    # factor at the others, so a run builds those two n x n softmaxes once,
+    # whatever k, and order 1 has no node factor.
+    sim = wlsim.simulate
+    calls = []
+
+    def counting(scores):
+        calls.append(np.shape(scores))
+        return softmax_rows(scores)
+
+    monkeypatch.setattr(sim, "softmax_rows", counting)
+    g = random_graph(random.Random(9), 6, edge_prob=0.5, connected=True)
+    runs = [(3, variant) for variant in ("kwl", "delta_kwl", "delta_klwl")] + [(1, "kwl")]
+    for k, variant in runs:
+        calls.clear()
+        assert simulate_and_compare(g, k, k, variant, t_layers=2).all_equal
+        assert calls == [(6, 6)] * min(k, 2), (k, variant)
 
 
 @pytest.mark.parametrize("n", [10, 16, 40, 64, 128])
@@ -588,13 +608,10 @@ def test_plain_counting_slot_attends_uniformly(k):
 def test_adjacency_aware_slot_recovers_the_weighted_count(n, density):
     # Slot j weighs a neighbor n + 1 times a non-neighbor, so Z F_j with
     # Z = (n + 1) deg + (n - deg) rounds exactly to (n + 1) A + (J - A).
-    # Only n x n arrays: the two factors of an order-2 head.
-    sim = wlsim.simulate
+    # Only n x n arrays: the slot factor of an order-2 run.
     edge_prob = density / n if density > 1 else density
     g = random_graph(random.Random(n), n, edge_prob=edge_prob, connected=True)
-    parts = sim._spectral_parts(g)
-    head = sim._head_forms(parts, 2, DEFAULT_TEMPERATURE, sim._slot_weights("delta_kwl", 2, n))[0]
-    factor = sim._position_factors(head, parts.positional)[head.j]
+    factor = structured_layer(g, 2, 2, "delta_kwl").factors[0]
     adj = g.adjacency_matrix.astype(float)
     deg = adj.sum(axis=1, keepdims=True)
     counts = ((n + 1) * deg + (n - deg)) * factor
@@ -864,33 +881,31 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
     its mass underflows), and the FFN multiplies either by that 0.
     """
     sim = wlsim.simulate
-    setup = sim._setup(g, k, s)
-    slots = sim._slot_weights(variant, k, g.num_nodes)
-    heads = sim._head_forms(setup.parts, k, b, slots)
-    attends, _ = sim._head_attention(setup, heads, slots)
+    layer = structured_layer(g, k, s, variant, b)
+    setup, slots = layer.setup, layer.weights
+    attends, _ = sim._head_attention(setup, *layer.factors, slots)
     if s == k:
-        factors, _ = sim._full_space_attention(g, setup.parts, heads, slots)
+        factors, _ = sim._full_space_attention(setup, *layer.factors, slots)
         atts_f = [functools.reduce(np.kron, f) for f in factors]
     else:
-        atts_f, _ = sim._restricted_space_attention(setup, heads)
-    rows = [substitution_target(g, k, head.j + 1, slots, setup.space).any(axis=1) for head in heads]
+        atts_f, _ = sim._restricted_space_attention(setup, *layer.factors)
+    rows = [substitution_target(g, k, j + 1, slots, setup.space).any(axis=1) for j in range(k)]
     x, classes = initial_tokens(g, k, s), setup.classes
     for _ in range(t_layers):
-        layer = sim._StructuredLayer(setup, heads, slots, classes)
         lay = sim._KLayout(c=max(classes) + 1, k=k, n=g.num_nodes)
-        trace_d = {"slack": 0.0, "classes": ()}
-        weights = layer.dense(trace_d)
+        trace_d = {}
+        weights = layer.dense(classes, trace_d)
         bare = dataclasses.replace(weights, ffn=None)
         combined_d, atts_d = transformer_layer(x, bare, return_attention=True)
         out_d = weights.ffn(combined_d)
-        trace_f = {"slack": 0.0, "classes": ()}
-        layer.forward(attends, trace_f)
+        classes_f, slack_f = layer.forward(classes, attends)
+        trace_f = {"classes": classes_f, "slack": slack_f}
         combined_f = x.copy()
         agree = np.ones(x.shape, dtype=bool)
-        for head, attend, kept in zip(heads, attends, rows):
-            combined_f[:, lay.counts(head.j)] += attend(x[:, : lay.c])
-            agree[~kept, lay.counts(head.j)] = False
-        out_f = sim._token_rows_k(setup, trace_f["classes"])
+        for j, (attend, kept) in enumerate(zip(attends, rows)):
+            combined_f[:, lay.counts(j)] += attend(x[:, : lay.c])
+            agree[~kept, lay.counts(j)] = False
+        out_f = sim._token_rows_k(setup, classes_f)
         yield {
             "dense": (atts_d, combined_d, out_d, trace_d),
             "structured": (atts_f, combined_f, out_f, trace_f),
@@ -935,8 +950,9 @@ def test_reported_attention_error_is_the_distance_of_the_kronecker_product(k, n,
     space = enumerate_tuples(g, k, k)
     report = simulate_and_compare(g, k, k, "delta_kwl", t_layers=1, b=b)
     layer = structured_layer(g, k, k, "delta_kwl", b)
-    factors, _ = sim._full_space_attention(g, sim._spectral_parts(g), layer.heads, layer.weights)
-    assert [head.j for head in layer.heads] == list(range(k))
+    slot, node = layer.factors
+    factors, _ = sim._full_space_attention(layer.setup, slot, node, layer.weights)
+    assert [[f is slot for f in head] for head in factors] == np.eye(k, dtype=bool).tolist()
     weights = slot_weights("delta_kwl", k, n)
     for j, (got, head) in enumerate(zip(report.attention_errors[0], factors), start=1):
         target = substitution_target(g, k, j, weights, space)
@@ -962,8 +978,9 @@ def test_full_space_layers_enforce_the_memory_cap(p3, monkeypatch):
     # classes, so 4 x 22 tokens fit and the 8 x 22 output projection (k c
     # rows) does not.
     edge = Graph(2, [(0, 1)], [0, 1])
+    layer = structured_layer(edge, 2, 2, "kwl")
     with pytest.raises(LimitError) as err:
-        structured_layer(edge, 2, 2, "kwl").dense()
+        layer.dense(layer.setup.classes)
     assert err.value.code == MEMORY_LIMIT
     assert "8x22 output projection" in err.value.message
     with pytest.raises(LimitError) as err:
@@ -1068,14 +1085,13 @@ def test_rows_without_a_target_stay_finite_on_a_restricted_space(p3, b):
     # Each error equals the distance from the row-normalized adjacent
     # substitutions on the rows that have one, bit for bit.
     sim = wlsim.simulate
-    setup = sim._setup(p3, 3, 1)
-    heads = sim._head_forms(setup.parts, 3, b, sim._slot_weights("ks_lwl", 3, 3))
+    layer = structured_layer(p3, 3, 1, "ks_lwl", b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        atts, errors = sim._restricted_space_attention(setup, heads)
+        atts, errors = sim._restricted_space_attention(layer.setup, *layer.factors)
         report = simulate_and_compare(p3, 3, 1, "ks_lwl", b=b)
-    for head, att, error in zip(heads, atts, errors):
-        hits = generalized_adjacency(p3, 3, head.j + 1, 1, space=setup.space)
+    for j, (att, error) in enumerate(zip(atts, errors)):
+        hits = generalized_adjacency(p3, 3, j + 1, 1, space=layer.setup.space)
         kept = hits.any(axis=1)
         assert np.count_nonzero(~kept) == 2
         assert np.isfinite(att).all()
@@ -1317,7 +1333,7 @@ def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
         raise AssertionError("the oracle reached an engine internal")
 
     monkeypatch.setattr(TupleSpace, "substitute", forbidden)
-    for name in ("_position", "substitution", "tuples"):
+    for name in ("_position", "tuples"):
         monkeypatch.setattr(TupleSpace, name, property(forbidden))
     for name in ("_summary_ids", "_gather_plans"):
         monkeypatch.setattr(wlsim.refine, name, forbidden)

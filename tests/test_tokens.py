@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from wlsim import tokens
 from wlsim.errors import INVALID_SCHEMA, ValidationError
 from wlsim.graphs import Graph, apply_permutation, atomic_types
 from wlsim.refine import enumerate_tuples, initial_coloring
@@ -236,6 +237,23 @@ def row_partition_from(keys):
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return frozenset(tuple(g) for g in groups.values())
+
+
+def test_edge_rows_are_drawn_once_per_build(monkeypatch, c6):
+    # 18, 36 and 216 tuples: the same-node row and the one edge label's row
+    # are drawn once per build, not once per tuple.
+    draws = []
+    real = tokens._draw_row
+
+    def counting(seed, stream, salt, key, dim):
+        draws.append(stream)
+        return real(seed, stream, salt, key, dim)
+
+    monkeypatch.setattr(tokens, "_draw_row", counting)
+    for k, s in ((2, 1), (2, 2), (3, 3)):
+        draws.clear()
+        tuple_tokens(c6, cfg_for(k, s=s, atp_from_edges=True))
+        assert draws.count(tokens._STREAM_EDGE) == 2, (k, s)
 
 
 def test_edge_variant_feeds_tuple_tokens(k3):
