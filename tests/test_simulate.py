@@ -608,7 +608,7 @@ def test_a_run_computes_one_slot_and_one_node_softmax(monkeypatch):
 def test_adjacency_aware_slot_recovers_the_weighted_count(n, density):
     # Slot j weighs a neighbor n + 1 times a non-neighbor, so Z F_j with
     # Z = (n + 1) deg + (n - deg) rounds exactly to (n + 1) A + (J - A).
-    # Only n x n arrays: the slot factor of an order-2 run.
+    # The slot factor of an order-2 run, which no layer uses here.
     edge_prob = density / n if density > 1 else density
     g = random_graph(random.Random(n), n, edge_prob=edge_prob, connected=True)
     factor = structured_layer(g, 2, 2, "delta_kwl").factors[0]
