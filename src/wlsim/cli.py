@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import random
@@ -74,6 +75,13 @@ def _print_error(code: str, message: str) -> None:
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
+# The types of a matrix's rows and entries that ``_dumps_matrix`` writes,
+# and the entries it hands the C encoder at once.
+_ROW_TYPES = {list, tuple}
+_NUMBER_TYPES = {int, float}
+_MATRIX_BLOCK = 4096
+
+
 @functools.cache
 def _leaf_encoder(depth: int) -> json.JSONEncoder:
     """The C encoder for a container that holds no container, with its
@@ -88,7 +96,9 @@ def _dumps(value: object, depth: int = 0) -> str:
     With ``indent`` set, the json module falls back to its pure-Python
     encoder. Here only dicts and lists that hold containers are walked in
     Python; every other container is one call to a C encoder whose item
-    separator carries the line break and the indentation.
+    separator carries the line break and the indentation, and a list of
+    non-empty lists of numbers one such call per block of rows
+    (``_dumps_matrix``).
     """
     if not isinstance(value, (dict, list, tuple)):
         return _leaf_encoder(depth).encode(value)
@@ -96,10 +106,18 @@ def _dumps(value: object, depth: int = 0) -> str:
         return "{}" if isinstance(value, dict) else "[]"
     items = value.values() if isinstance(value, dict) else value
     outer, inner = "  " * depth, "  " * (depth + 1)
-    # The distinct item types are few, so this check stays out of a Python loop.
-    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items))):
+    # The distinct item types are few, so these checks stay out of a Python loop.
+    kinds = set(map(type, items))
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
         text = _leaf_encoder(depth + 1).encode(value)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    if (
+        not isinstance(value, dict)
+        and kinds <= _ROW_TYPES
+        and all(value)
+        and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBER_TYPES
+    ):
+        return _dumps_matrix(value, depth)
     if isinstance(value, dict):
         parts = [f"{json.dumps(key)}: {_dumps(value[key], depth + 1)}" for key in sorted(value)]
         first, last = "{}"
@@ -107,6 +125,26 @@ def _dumps(value: object, depth: int = 0) -> str:
         parts = [_dumps(item, depth + 1) for item in value]
         first, last = "[]"
     return f"{first}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{last}"
+
+
+def _dumps_matrix(rows: list | tuple, depth: int) -> str:
+    """``_dumps`` of a list of non-empty lists of numbers: one C call at the
+    entries' depth per block of rows, whose separator already ends each
+    entry's line, then one replace of the row boundaries. No number's text
+    holds a bracket, so each "]," in the encoder's text ends a row.
+
+    A block holds about ``_MATRIX_BLOCK`` entries, or one row when a row is
+    longer: the C encoder keeps one string per entry until it returns, so
+    long rows, such as a refine run's colors, are written one at a time."""
+    outer, inner, deep = "  " * depth, "  " * (depth + 1), "  " * (depth + 2)
+    encode = _leaf_encoder(depth + 2).encode
+    boundary = f"\n{inner}],\n{inner}[\n{deep}"
+    step = max(1, _MATRIX_BLOCK // len(rows[0]))
+    text = boundary.join(
+        encode(rows[i : i + step])[2:-2].replace(f"],\n{deep}[", boundary)
+        for i in range(0, len(rows), step)
+    )
+    return f"[\n{inner}[\n{deep}{text}\n{inner}]\n{outer}]"
 
 
 def _emit(doc: dict | str, out: str | None = None) -> None:

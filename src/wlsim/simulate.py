@@ -657,14 +657,18 @@ def _restricted_space_attention(
     space = setup.space
     t = len(space.nodes)
     _check_dense(t, t, "attention")
-    atts, errors = [], []
-    for j, factors in enumerate(_head_factors(slot, node, space.k)):
-        att = np.ones((t, t))
-        for factor, u in zip(factors, space.nodes.T):
-            att *= factor[np.ix_(u, u)]
+    # Each position's slot and node blocks are gathered once and multiplied
+    # into every head in position order, as ``_head_factors`` assigns them.
+    atts = [np.ones((t, t)) for _ in range(space.k)]
+    for o, u in enumerate(space.nodes.T):
+        cells = np.ix_(u, u)
+        slot_block, node_block = slot[cells], node[cells]
+        for j, att in enumerate(atts):
+            att *= slot_block if j == o else node_block
+    errors = []
+    for j, att in enumerate(atts):
         mass = att.sum(axis=1, keepdims=True)
         np.divide(att, mass, out=att, where=mass > 0)
-        atts.append(att)
         errors.append(_restricted_error(setup, j, att))
     return atts, tuple(errors)
 

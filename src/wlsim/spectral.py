@@ -115,13 +115,20 @@ def _as_symmetric(matrix) -> np.ndarray:
     return m
 
 
+def _strictly_ascending(vals: np.ndarray) -> bool:
+    """Whether each eigenvalue exceeds the one before it: then ``eigh``'s
+    sort is the identity. Exact ties and values out of order are sorted."""
+    return bool(np.all(vals[1:] > vals[:-1]))
+
+
 def eigh(matrix, source: str = "adjacency") -> SpectralDecomposition:
     """Eigendecomposition by LAPACK, then put in canonical signs and order.
 
     Each eigenvector is flipped so that its first entry of magnitude above
     1e-9 is positive (a unit vector always has one). Columns are then
     ordered by eigenvalue, exact ties by their entries rounded at 1e-9,
-    compared row by row. A LAPACK failure raises ``NO_CONVERGENCE``.
+    compared row by row; a strictly ascending spectrum is already in that
+    order and is not sorted. A LAPACK failure raises ``NO_CONVERGENCE``.
     """
     m = _as_symmetric(matrix)
     try:
@@ -130,12 +137,15 @@ def eigh(matrix, source: str = "adjacency") -> SpectralDecomposition:
         raise LimitError(NO_CONVERGENCE, f"eigensolver did not converge: {exc}") from None
     cols = np.arange(m.shape[0])
     lead = np.argmax(np.abs(vecs) > _TIE_TOL, axis=0)
-    vecs = vecs * np.where(vecs[lead, cols] < 0, -1.0, 1.0)
-    # lexsort takes its primary key last: the eigenvalues, then row 0,
-    # row 1, ... of the rounded eigenvectors.
-    order = np.lexsort(np.vstack([np.round(vecs, 9)[::-1], vals]))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    # Fortran order, the layout the sort's column gather gives: later
+    # products round by layout, so an unsorted spectrum must carry it too.
+    vecs = np.multiply(vecs, np.where(vecs[lead, cols] < 0, -1.0, 1.0), order="F")
+    if not _strictly_ascending(vals):
+        # lexsort takes its primary key last: the eigenvalues, then row 0,
+        # row 1, ... of the rounded eigenvectors.
+        order = np.lexsort(np.vstack([np.round(vecs, 9)[::-1], vals]))
+        vals = vals[order]
+        vecs = vecs[:, order]
 
     residual = float(np.abs(m @ vecs - vecs * vals).max())
     return SpectralDecomposition(vals, vecs, source, residual)
@@ -218,8 +228,9 @@ class EncoderParams:
         cls, seed: int, eig_count: int, out_dim: int, epsilon: Sequence[float] | None = None
     ) -> "EncoderParams":
         _check_seed(seed)
-        if eig_count < 1 or out_dim < 1:
-            raise ValidationError(INVALID_SCHEMA, "eig_count and out_dim must be positive")
+        for name, value in (("eig_count", eig_count), ("out_dim", out_dim)):
+            if value < 1:
+                raise ValidationError(INVALID_SCHEMA, f"{name} must be positive, got {value!r}")
         _check_dim(out_dim)
         hidden = max(8, 2 * out_dim)
         if eig_count * hidden > DEFAULT_MEMORY_LIMIT:

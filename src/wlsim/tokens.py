@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import INVALID_SCHEMA, ValidationError
 from .graphs import Graph, atomic_types
-from .refine import _check_order, enumerate_tuples
+from .refine import _check_order, _relabel_rows, enumerate_tuples
 from .spectral import (
     _check_dim,
     _check_seed,
@@ -70,6 +70,12 @@ def _table(seed: int, stream: int, dim: int, keys: Iterable[Hashable]) -> dict[H
         if len(seen) == len(rows) + 1:
             return rows
         salt += 1
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids of float rows by their bytes, through their int64 view: equal ids
+    exactly where ``tobytes`` is equal."""
+    return _relabel_rows([np.ascontiguousarray(rows).view(np.int64)])[0]
 
 
 def _draw_matrix(seed: int, stream: int, salt: int, shape: tuple[int, int]) -> np.ndarray:
@@ -277,26 +283,25 @@ def tuple_tokens(
 
     if cfg.atp_from_edges:
         embed = _edge_embedding(graph, cfg.k, cfg)
-        atp_rows = [embed(tup) for tup in space.nodes.tolist()]
-        atp_keys: list[Hashable] = [row.tobytes() for row in atp_rows]
+        atp_rows = np.stack([embed(tup) for tup in space.nodes.tolist()])
+        atp_ids = _row_ids(atp_rows)
     else:
         codes = atomic_types(graph, space.nodes).reshape(len(space.nodes), -1)
-        flat_keys = list(map(tuple, codes.tolist()))
-        table = _table(cfg.seed, _STREAM_ATP, cfg.dim, flat_keys)
-        atp_rows = [table[key] for key in flat_keys]
-        atp_keys = list(flat_keys)
+        atp_ids = _relabel_rows([codes])[0]
+        # The ids number the types by first occurrence: one table row per id.
+        keys = list(map(tuple, codes[np.unique(atp_ids, return_index=True)[1]].tolist()))
+        table = _table(cfg.seed, _STREAM_ATP, cfg.dim, keys)
+        atp_rows = np.stack([table[key] for key in keys])[atp_ids]
 
     concat = node_rows[space.nodes].reshape(len(space.nodes), -1)
-    node_keys = [row.tobytes() for row in node_rows]
-    row_keys = [
-        (tuple(node_keys[v] for v in tup), atp_key)
-        for tup, atp_key in zip(space.nodes.tolist(), atp_keys)
-    ]
+    # A token's key: the id of each component's node row, then its type's id.
+    token_keys = np.column_stack([_row_ids(node_rows)[space.nodes], atp_ids])
+    distinct = _relabel_rows([token_keys])[0].max() + 1
     salt = 0
     while True:
         proj = _draw_matrix(cfg.seed, _STREAM_PROJECTION, salt, (cfg.dim * cfg.k, cfg.dim))
-        rows = concat @ proj + np.stack(atp_rows)
-        if len({r.tobytes() for r in rows}) == len(set(row_keys)):
+        rows = concat @ proj + atp_rows
+        if _row_ids(rows).max() + 1 == distinct:
             break
         salt += 1
     return TokenMatrix(rows=rows, k=cfg.k, s=cfg.s, dim=cfg.dim, encoder_id=cfg.pe_kind, seed=cfg.seed)

@@ -13,12 +13,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlsim import cli
 from wlsim.cli import SUBCOMMANDS, _build_parser, _dumps, main
 from wlsim.graphs import Graph, builtin_pair, graph_to_dict, random_graph
 
@@ -575,11 +577,16 @@ COUNT_99 = ("SHAPE_MISMATCH", "99 eigenpairs requested but only 6 available")
     "argv,error",
     [
         (("pe", "--kind", "spe", "--rank-m", "99"), RANK_99),
-        (("pe", "--dim", "0"), ("INVALID_SCHEMA", "eig_count and out_dim must be positive")),
+        (("pe", "--dim", "0"), ("INVALID_SCHEMA", "out_dim must be positive, got 0")),
         (("pe", "--seed", "-1"), ("INVALID_SCHEMA", "seed must be a non-negative int, got -1")),
         (("tokens", "--k", "2", "--pe", "spe", "--rank-m", "99"), RANK_99),
         (("pe", "--eig-count", "99"), COUNT_99),
         (("pe", "--eig-count", "99", "--seed", "-1"), COUNT_99),
+        (("pe", "--eig-count", "0"), ("INVALID_SCHEMA", "eig_count must be positive, got 0")),
+        (
+            ("pe", "--kind", "spe", "--eig-count", "0", "--dim", "0"),
+            ("INVALID_SCHEMA", "eig_count must be positive, got 0"),
+        ),
     ],
 )
 def test_bad_encoder_arguments_are_refused_before_the_eigensolve(
@@ -707,6 +714,87 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 def test_the_json_writer_matches_the_standard_library(tree):
     assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+MATRIX_NUMBERS = (
+    st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, float("nan"), float("inf"), float("-inf")])
+)
+
+
+@st.composite
+def number_matrices(draw):
+    """A t x d list of lists of ints and floats, 1 x 1, 1 x d and t x 1
+    among them."""
+    t, d = draw(st.sampled_from([(1, 1), (1, 5), (6, 1)]) | st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    row = st.lists(MATRIX_NUMBERS, min_size=d, max_size=d)
+    return draw(st.lists(row | row.map(tuple), min_size=t, max_size=t))
+
+
+def written(doc, block=cli._MATRIX_BLOCK):
+    """``_dumps(doc)``, with blocks of ``block`` entries, and the number of
+    matrices it wrote in blocks of rows."""
+    with (
+        mock.patch.object(cli, "_MATRIX_BLOCK", block),
+        mock.patch.object(cli, "_dumps_matrix", wraps=cli._dumps_matrix) as spy,
+    ):
+        text = _dumps(doc)
+    return text, spy.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(number_matrices(), st.booleans(), st.sampled_from([1, 5, cli._MATRIX_BLOCK]))
+def test_the_matrix_writer_matches_the_standard_library(matrix, nested, block):
+    # A block of 1 entry writes one row per C call, 5 entries some rows.
+    doc = {"k": 2, "rows": matrix} if nested else matrix
+    assert written(doc, block) == (json.dumps(doc, sort_keys=True, indent=2), 1)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[], [[]], [[1.5], []], [[1.5, [2]], [3]], [[1.5, {"a": 1}]], [[True, 1]], [[1, "2"]], {"a": [1, 2]}],
+)
+def test_an_empty_row_or_a_row_with_a_non_number_takes_the_general_path(doc):
+    for value in (doc, {"rows": doc}):
+        assert written(value) == (json.dumps(value, sort_keys=True, indent=2), 0)
+
+
+@pytest.fixture
+def random_file(tmp_path):
+    graph = random_graph(random.Random(5), 9, 0.35, connected=True)
+    path = tmp_path / "g9.json"
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    return str(path)
+
+
+CANONICAL_LINES = [
+    ("refine", "--graph", "{g}", "--k", "2", "--variant", "delta"),
+    ("distinguish", "--pair", "c6_vs_2c3", "--k", "2", "--variant", "delta"),
+    ("simulate", "--graph", "{g}", "--k", "2", "--s", "1", "--variant", "ks-local"),
+    ("pe", "--graph", "{g}", "--kind", "lpe"),
+    ("pe", "--graph", "{g}", "--kind", "spe", "--dim", "3"),
+    ("tokens", "--graph", "{g}", "--k", "1"),
+    ("tokens", "--graph", "{g}", "--k", "2", "--s", "1"),
+    ("tokens", "--graph", "{g}", "--k", "2", "--s", "1", "--edges-atp"),
+    ("tokens", "--graph", "{g}", "--k", "2", "--s", "1", "--pe", "raw_targets"),
+    ("verify-identifying", "--graph", "{g}"),
+    ("pair", "--name", "k33_vs_prism"),
+    ("bench", "--variants", "1wl,delta:2", "--format", "json"),
+]
+
+
+def test_the_canonical_lines_cover_every_subcommand():
+    assert {line[0] for line in CANONICAL_LINES} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("line", CANONICAL_LINES, ids=" ".join)
+def test_stdout_is_the_canonical_json_of_its_document(capsys, random_file, line):
+    # Whatever shortcut the writer takes, a real document's text must be
+    # what the standard library writes for it.
+    assert main([arg.format(g=random_file) for arg in line]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------------ parsing

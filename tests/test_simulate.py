@@ -1105,6 +1105,42 @@ def test_rows_without_a_target_stay_finite_on_a_restricted_space(p3, b):
     assert report.max_attention_error < 1e-8
 
 
+class CountingFactor(np.ndarray):
+    """An n x n factor that counts the blocks gathered from it."""
+
+    gathers = 0
+
+    def __getitem__(self, index):
+        CountingFactor.gathers += 1
+        return np.asarray(self)[index]
+
+
+@pytest.mark.parametrize("k,s", [(2, 1), (3, 1), (3, 2)])
+def test_restricted_heads_gather_each_factor_block_once(monkeypatch, k, s):
+    # Head j multiplies the slot block at position j and the node block at
+    # every other one; the 2k distinct blocks are gathered once per run, and
+    # each attention equals the per-head product, bit for bit.
+    sim = wlsim.simulate
+    g = random_graph(random.Random(9), 9, 0.3, connected=True)
+    layer = structured_layer(g, k, s, "ks_lwl")
+    slot, node = layer.factors
+    monkeypatch.setattr(CountingFactor, "gathers", 0)
+    atts, errors = sim._restricted_space_attention(
+        layer.setup, slot.view(CountingFactor), node.view(CountingFactor)
+    )
+    assert CountingFactor.gathers == 2 * k
+    t = len(layer.setup.space.nodes)
+    for j, (att, error) in enumerate(zip(atts, errors)):
+        want = np.ones((t, t))
+        for o, u in enumerate(layer.setup.space.nodes.T):
+            want *= (slot if o == j else node)[np.ix_(u, u)]
+        mass = want.sum(axis=1, keepdims=True)
+        np.divide(want, mass, out=want, where=mass > 0)
+        assert type(att) is np.ndarray
+        assert np.array_equal(att, want)
+        assert error == sim._restricted_error(layer.setup, j, want)
+
+
 @pytest.mark.parametrize("variant", ["kwl", "delta_kwl", "delta_klwl"])
 def test_order_three_transformer_replays_the_strongly_regular_pair(variant):
     # t = 16^3 = 4096 tuples: the dense t x t attention would exceed the cap.

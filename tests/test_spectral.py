@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wlsim import spectral
 from wlsim.errors import (
     INVALID_SCHEMA,
     MEMORY_LIMIT,
@@ -28,6 +29,7 @@ from wlsim.spectral import (
     identifying_targets,
     laplacian,
     lpe,
+    positional_encoding,
     sign_flip,
     spe,
 )
@@ -196,6 +198,71 @@ def test_canonical_form_breaks_exact_ties_like_the_sorted_key(monkeypatch):
         assert np.array_equal(dec.eigenvectors, want_vecs)
 
 
+def lexsort_reference(m):
+    """The canonical form as ``eigh`` computes it when every spectrum is
+    sorted: signs flipped, then a lexsort by (eigenvalue, rounded rows) and
+    a column gather."""
+    vals, vecs = np.linalg.eigh(m)
+    lead = np.argmax(np.abs(vecs) > 1e-9, axis=0)
+    vecs = vecs * np.where(vecs[lead, np.arange(len(vals))] < 0, -1.0, 1.0)
+    order = np.lexsort(np.vstack([np.round(vecs, 9)[::-1], vals]))
+    return vals[order], vecs[:, order]
+
+
+def ascending_matrices():
+    """Laplacians, normalized Laplacians and adjacencies of random graphs,
+    and random symmetric matrices, whose LAPACK spectra strictly ascend."""
+    rng = random.Random(37)
+    graphs = [random_graph(rng, n, 0.3, connected=True) for n in (5, 12, 40)]
+    matrices = [random_symmetric(rng, n) for n in (2, 7, 30)]
+    for g in graphs:
+        matrices += [laplacian(g), laplacian(g, normalized=True), g.adjacency_matrix.astype(float)]
+    return matrices
+
+
+def test_a_strictly_ascending_spectrum_skips_the_sort_and_keeps_the_layout():
+    for m in ascending_matrices():
+        vals = np.linalg.eigh(m)[0]
+        assert np.all(vals[1:] > vals[:-1])
+        want_vals, want_vecs = lexsort_reference(m)
+        dec = eigh(m)
+        assert np.array_equal(dec.eigenvalues, want_vals)
+        assert np.array_equal(dec.eigenvectors, want_vecs)
+        assert dec.eigenvectors.flags.f_contiguous == want_vecs.flags.f_contiguous
+
+
+def test_shuffled_distinct_eigenvalues_are_still_sorted(monkeypatch):
+    # Distinct values out of order have no two equal neighbours, yet only
+    # a strictly ascending spectrum may skip the sort.
+    real_eigh = np.linalg.eigh
+    m = random_symmetric(random.Random(41), 6)
+    vals, vecs = real_eigh(m)
+    perm = np.array([1, 0, 2, 3, 5, 4])
+    raw = (vals[perm], vecs[:, perm])
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: raw)
+    dec = eigh(m)
+    monkeypatch.undo()
+    want_vals, want_vecs = sorted_canonical(*raw)
+    assert np.array_equal(dec.eigenvalues, want_vals)
+    assert np.array_equal(dec.eigenvectors, want_vecs)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_encoder_rows_are_bit_equal_with_the_sort_forced(monkeypatch, normalized):
+    # The rows depend on the eigenvectors' layout through v_m @ ..., so a
+    # shortcut that handed on another layout would move their last digits.
+    rng = random.Random(43)
+    for n in (9, 40, 64):
+        graph = random_graph(rng, n, 0.2, connected=True)
+        kinds = [("lpe", None), ("spe", None), ("spe", n // 2)]
+        fast = [positional_encoding(graph, kind, 8, 3, None, rank, normalized)[0] for kind, rank in kinds]
+        monkeypatch.setattr(spectral, "_strictly_ascending", lambda vals: False)
+        forced = [positional_encoding(graph, kind, 8, 3, None, rank, normalized)[0] for kind, rank in kinds]
+        monkeypatch.undo()
+        for a, b in zip(fast, forced):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_large_random_matrix_meets_the_residual_and_orthonormality_bounds():
     m = random_symmetric(random.Random(31), 200)
     dec = eigh(m)
@@ -362,6 +429,10 @@ def test_params_validation():
     with pytest.raises(ValidationError) as exc:
         EncoderParams.seeded(0, 0, 4)
     assert exc.value.code == INVALID_SCHEMA
+    assert exc.value.message == "eig_count must be positive, got 0"
+    with pytest.raises(ValidationError) as exc:
+        EncoderParams.seeded(0, 3, -2)
+    assert exc.value.message == "out_dim must be positive, got -2"
     with pytest.raises(ValidationError) as exc:
         EncoderParams.seeded(0, 3, 4, epsilon=[0.1, 0.2])
     assert exc.value.code == SHAPE_MISMATCH

@@ -165,6 +165,51 @@ def test_stub_token_partition_equals_initial_colors(graph_samples):
         assert row_partition(tm.rows) == color_partition(init.colors)
 
 
+def test_a_projection_that_conflates_tokens_is_redrawn(monkeypatch, c6):
+    # A zero projection at salt 0 leaves only the atomic-type rows, which
+    # conflate tuples of distinct nodes; the build draws salt 1, whose rows
+    # are equal exactly where the component node rows and the type are.
+    real = tokens._draw_matrix
+    salts = []
+
+    def draw(seed, stream, salt, shape):
+        if stream == tokens._STREAM_PROJECTION:
+            salts.append(salt)
+            if salt == 0:
+                return np.zeros(shape)
+        return real(seed, stream, salt, shape)
+
+    monkeypatch.setattr(tokens, "_draw_matrix", draw)
+    for atp_from_edges in (False, True):
+        salts.clear()
+        cfg = cfg_for(2, s=1, atp_from_edges=atp_from_edges)
+        tm = tuple_tokens(c6, cfg)
+        assert salts == [0, 1]
+        nodes = node_tokens(c6, cfg_for(1)).rows
+        space = enumerate_tuples(c6, 2, 1)
+        types = atomic_types(c6, space.nodes).reshape(len(space.nodes), -1)
+        keys = [(nodes[tup].tobytes(), tuple(t)) for tup, t in zip(space.tuples, types.tolist())]
+        assert row_partition(tm.rows) == color_partition(keys)
+
+
+def test_distinct_tokens_are_counted_like_their_byte_keys(graph_samples):
+    # The re-salt check counts (node-row ids, type id) rows; on random
+    # graphs every build is injective on the byte keys it replaces.
+    for g in graph_samples(37, 6, 3, 9):
+        for k, s, edges in ((2, 1, False), (2, 2, True), (3, 1, False), (3, 1, True)):
+            cfg = cfg_for(k, s=s, atp_from_edges=edges)
+            tm = tuple_tokens(g, cfg)
+            nodes = node_tokens(g, cfg_for(1)).rows
+            space = enumerate_tuples(g, k, s)
+            if edges:
+                embed = tokens._edge_embedding(g, k, cfg)
+                types = [embed(tup).tobytes() for tup in space.tuples]
+            else:
+                types = list(map(tuple, atomic_types(g, space.nodes).reshape(len(space.nodes), -1).tolist()))
+            keys = [(nodes[list(tup)].tobytes(), t) for tup, t in zip(space.tuples, types)]
+            assert row_partition(tm.rows) == color_partition(keys)
+
+
 def test_permuted_graph_gives_permuted_rows(c6, shuffled):
     cfg = cfg_for(2)
     base = tuple_tokens(c6, cfg, pe_fn=zero_pe)
