@@ -44,7 +44,7 @@ from .graphs import (
 from .refine import DEFAULT_MAX_ITERATIONS, distinguish, refine_to_stable, run_to_dict
 from .simulate import DEFAULT_TEMPERATURE, ROUNDING_SLACK_LIMIT, simulate_and_compare
 from .spectral import check_identifying, identifying_targets, positional_encoding
-from .tokens import TokenizerConfig, node_tokens, tuple_tokens
+from .tokens import PE_KINDS, TokenizerConfig, node_tokens, tuple_tokens
 
 # Flag spellings accepted on the command line, mapped to the names the
 # refinement engine uses internally.
@@ -467,7 +467,7 @@ def _tokens_options(p: _Parser) -> None:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--pe", default="lpe", choices=("lpe", "spe", "raw_targets"))
+    p.add_argument("--pe", default="lpe", choices=PE_KINDS)
     p.add_argument("--eig-count", type=int, default=None)
     p.add_argument("--rank-m", type=int, default=None)
     p.add_argument("--normalized", action="store_true")

@@ -302,26 +302,11 @@ def generalized_adjacency(
 # Shared spectral ingredients for the weight builders.
 
 
-@dataclass(frozen=True, eq=False)
-class _SpectralParts:
-    node_part: np.ndarray  # orthonormal rows, V V^T = I
-    adj_part: np.ndarray  # V_A |lam|^(1/2); with the sign matrix recovers A
-    signs: np.ndarray
-
-    @property
-    def positional(self) -> np.ndarray:
-        """The n x 2n rows [node_part | adj_part] a position's block holds."""
-        return np.hstack([self.node_part, self.adj_part])
-
-
-def _spectral_parts(graph: Graph) -> _SpectralParts:
-    adj = graph.adjacency_matrix.astype(float)
-    dec_a = eigh(adj, source="adjacency")
+def _adjacency_part(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """V_A |lam|^(1/2) and the signs of lam, whose products recover A."""
+    dec_a = eigh(graph.adjacency_matrix.astype(float), source="adjacency")
     lam = dec_a.eigenvalues
-    signs = np.where(lam >= 0.0, 1.0, -1.0)
-    adj_part = dec_a.eigenvectors * np.sqrt(np.abs(lam))
-    dec_l = laplacian_eigh(graph)
-    return _SpectralParts(node_part=dec_l.eigenvectors, adj_part=adj_part, signs=signs)
+    return dec_a.eigenvectors * np.sqrt(np.abs(lam)), np.where(lam >= 0.0, 1.0, -1.0)
 
 
 def _round_counts(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -383,17 +368,22 @@ class _KLayout:
 @dataclass(frozen=True, eq=False)
 class _Setup:
     """Layer-0 state of a construction: the graph, its tuple space and the
-    initial classes.  The spectral blocks, the degree block and the
-    neighbor substitutions are computed on first use, so a run of zero
-    layers never builds them."""
+    initial classes.  Each spectrum, the degree block and the neighbor
+    substitutions are computed on first use, so a run of zero layers never
+    builds them, and a run that reads no node part solves no Laplacian."""
 
     graph: Graph
     space: TupleSpace
     classes: np.ndarray
 
     @cached_property
-    def parts(self) -> _SpectralParts:
-        return _spectral_parts(self.graph)
+    def node_part(self) -> np.ndarray:
+        """The orthonormal Laplacian eigenvector rows, V V^T = I."""
+        return laplacian_eigh(self.graph).eigenvectors
+
+    @cached_property
+    def adjacency_part(self) -> tuple[np.ndarray, np.ndarray]:
+        return _adjacency_part(self.graph)
 
     @cached_property
     def neighbors(self) -> tuple[np.ndarray, ...]:
@@ -422,14 +412,16 @@ def _setup(graph: Graph, k: int, s: int) -> _Setup:
 def _token_rows_k(setup: _Setup, classes: np.ndarray) -> np.ndarray:
     """Dense token rows: the one-hot of the classes, zeroed count scratch,
     the degree block and the positional blocks of every position."""
-    space, parts = setup.space, setup.parts
+    space = setup.space
     lay = _KLayout(c=int(classes.max()) + 1, k=space.k, n=space.num_nodes)
     t = len(space.nodes)
     _check_dense(t, lay.width, "token matrix")
     x = np.zeros((t, lay.width))
     x[np.arange(t), classes] = 1.0
     x[:, lay.deg0 : lay.deg0 + lay.k] = setup.degblock
-    x[:, lay.positional(0).start :] = parts.positional[space.nodes].reshape(t, -1)
+    # Each position's block holds the n x 2n rows [node_part | adj_part].
+    positional = np.hstack([setup.node_part, setup.adjacency_part[0]])
+    x[:, lay.positional(0).start :] = positional[space.nodes].reshape(t, -1)
     return x
 
 
@@ -469,7 +461,7 @@ def _query_scales(b: float, n: int, k: int, weights: tuple[float, float]) -> tup
 
 
 def _factors(
-    parts: _SpectralParts, k: int, b: float, weights: tuple[float, float]
+    setup: _Setup, b: float, weights: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The two row-stochastic n x n factors of every head's attention.
 
@@ -478,12 +470,13 @@ def _factors(
     slots score the orthonormal Laplacian rows at a larger scale, so the
     node factor, built for k > 1 only, approaches the identity.
     """
-    n = len(parts.signs)
+    k, n = setup.space.k, setup.space.num_nodes
+    adj_part, signs = setup.adjacency_part
     slot_scale, node_scale = _query_scales(b, n, k, weights)
     root = math.sqrt(k * n)
     with np.errstate(over="ignore", invalid="ignore"):
-        slot = (parts.adj_part * (slot_scale * parts.signs)) @ parts.adj_part.T / root
-        node = (parts.node_part * node_scale) @ parts.node_part.T / root if k > 1 else None
+        slot = (adj_part * (slot_scale * signs)) @ adj_part.T / root
+        node = (setup.node_part * node_scale) @ setup.node_part.T / root if k > 1 else None
     slot = softmax_rows(_finite_scores(slot))
     return slot, None if node is None else softmax_rows(_finite_scores(node))
 
@@ -512,7 +505,7 @@ class _StructuredLayer:
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The slot and the node factor (``_factors``), built once per run."""
-        return _factors(self.setup.parts, self.setup.space.k, self.b, self.weights)
+        return _factors(self.setup, self.b, self.weights)
 
     def denormalizer(self, degree: np.ndarray) -> np.ndarray:
         """alpha deg + beta (n - deg) per position, the mass of a row of head
@@ -529,7 +522,7 @@ class _StructuredLayer:
         scale and the signs, for o != j its node rows, scaled by the node
         scale.  Every other entry is zero.
         """
-        space, signs = self.setup.space, self.setup.parts.signs
+        space, signs = self.setup.space, self.setup.adjacency_part[1]
         k, n = space.k, space.num_nodes
         lay = _KLayout(c=int(classes.max()) + 1, k=k, n=n)
         c, d = lay.c, lay.width
@@ -1015,8 +1008,8 @@ def attention_error_curve(
     quantitative face of the temperature argument: a larger ``b`` sharpens
     the row maxima until only the eigenfactorization's round-off is left.
     """
-    parts = _spectral_parts(graph)
-    scores = (parts.adj_part * parts.signs) @ parts.adj_part.T
+    adj_part, signs = _adjacency_part(graph)
+    scores = (adj_part * signs) @ adj_part.T
     adj = graph.adjacency_matrix.astype(float)
     target = adj / adj.sum(axis=1, keepdims=True)  # no isolated nodes, so no zero row
     out = []

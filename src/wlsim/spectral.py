@@ -177,31 +177,72 @@ def _check_seed(seed: object) -> None:
         raise ValidationError(INVALID_SCHEMA, f"seed must be a non-negative int, got {seed!r}")
 
 
-def _check_dim(out_dim: int) -> None:
-    """Refuse, before any draw, a width whose out_dim x 2 out_dim MLP weights,
-    the largest block of the encoders and the tokenizers, exceed the cap."""
-    if out_dim * max(8, 2 * out_dim) > DEFAULT_MEMORY_LIMIT:
-        message = f"width {out_dim} exceeds the cap of {DEFAULT_MEMORY_LIMIT} weight entries"
-        raise LimitError(MEMORY_LIMIT, message)
+def _check_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(INVALID_SCHEMA, f"{name} must be an int, got {value!r}")
 
 
-def _check_rank(rank_m: int, n: int) -> None:
+def _check_rank(rank_m: object, n: int) -> None:
+    _check_int("rank_m", rank_m)
     if not 1 <= rank_m <= n:
         raise ValidationError(INVALID_SCHEMA, f"rank_m must lie in [1, {n}], got {rank_m}")
 
 
+def _check_epsilon(eig_count: int, delta: float) -> None:
+    """Refuse a step whose largest entry, l delta, is not finite, then a
+    length over the cap."""
+    if not math.isfinite(delta * eig_count):
+        raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
+    if eig_count > DEFAULT_MEMORY_LIMIT:
+        message = f"{eig_count} eigenvalue steps exceed the cap of {DEFAULT_MEMORY_LIMIT} entries"
+        raise LimitError(MEMORY_LIMIT, message)
+
+
+def _check_params(seed: object, eig_count: object, out_dim: object) -> None:
+    """Refuse, before any draw, a bad seed, count or width, and weights over
+    the cap: the out_dim x 2 out_dim MLP blocks, the largest of the encoders
+    and the tokenizers, and the count's channel blocks."""
+    _check_seed(seed)
+    for name, value in (("eig_count", eig_count), ("out_dim", out_dim)):
+        _check_int(name, value)
+        if value < 1:
+            raise ValidationError(INVALID_SCHEMA, f"{name} must be positive, got {value!r}")
+    hidden = max(8, 2 * out_dim)
+    cap = f"the cap of {DEFAULT_MEMORY_LIMIT} weight entries"
+    if out_dim * hidden > DEFAULT_MEMORY_LIMIT:
+        raise LimitError(MEMORY_LIMIT, f"width {out_dim} exceeds {cap}")
+    if eig_count * hidden > DEFAULT_MEMORY_LIMIT:
+        raise LimitError(MEMORY_LIMIT, f"{eig_count} channels of width {hidden} exceed {cap}")
+
+
 def eig_count_for(kind: str, requested: int | None, n: int) -> int:
     """The eigenpair count of an encoder on an n-node graph, n by default.
-
     ``lpe`` reads ``count`` of the n eigenpairs, so a larger count raises
-    ``ValidationError`` (``SHAPE_MISMATCH``) here, before the encoder's
-    weights or ``arithmetic_epsilon``'s steps are drawn for it. ``spe`` reads
-    ``rank_m`` eigenpairs and draws ``count`` weight channels, which
-    ``EncoderParams.seeded`` bounds.
-    """
+    ``ValidationError`` (``SHAPE_MISMATCH``). Every other kind reads it as a
+    count of weight channels, which ``EncoderParams.seeded`` bounds."""
     count = n if requested is None else requested
+    _check_int("eig_count", count)
     if kind == "lpe" and count > n:
         raise ValidationError(SHAPE_MISMATCH, f"{count} eigenpairs requested but only {n} available")
+    return count
+
+
+def check_encoder_request(
+    kind: str, n: int, dim: int, seed: int,
+    eig_count: int | None = None, rank_m: int | None = None, epsilon: float | None = None,
+) -> int:
+    """Refuse a bad encoder request on an n-node graph before anything is
+    enumerated, drawn or solved, and return its eigenpair count. Every value
+    given is checked, whatever ``kind`` reads it; the first fault in this
+    order is raised: the count (``eig_count_for``), the epsilon step, the
+    seed, the count's and the width's sign, the weight caps, the rank (1…n).
+    """
+    count = eig_count_for(kind, eig_count, n)
+    if epsilon is not None:
+        _check_epsilon(count, epsilon)
+    _check_params(seed, count, dim)
+    if rank_m is not None:
+        _check_rank(rank_m, n)
     return count
 
 
@@ -227,18 +268,8 @@ class EncoderParams:
     def seeded(
         cls, seed: int, eig_count: int, out_dim: int, epsilon: Sequence[float] | None = None
     ) -> "EncoderParams":
-        _check_seed(seed)
-        for name, value in (("eig_count", eig_count), ("out_dim", out_dim)):
-            if value < 1:
-                raise ValidationError(INVALID_SCHEMA, f"{name} must be positive, got {value!r}")
-        _check_dim(out_dim)
+        _check_params(seed, eig_count, out_dim)
         hidden = max(8, 2 * out_dim)
-        if eig_count * hidden > DEFAULT_MEMORY_LIMIT:
-            message = (
-                f"{eig_count} channels of width {hidden} exceed the cap of "
-                f"{DEFAULT_MEMORY_LIMIT} weight entries"
-            )
-            raise LimitError(MEMORY_LIMIT, message)
         eps = np.zeros(eig_count) if epsilon is None else np.asarray(epsilon, dtype=float)
         if eps.shape != (eig_count,):
             raise ValidationError(SHAPE_MISMATCH, f"epsilon must have length {eig_count}")
@@ -270,11 +301,7 @@ def arithmetic_epsilon(eig_count: int, delta: float) -> np.ndarray:
     be finite; the largest one, l delta, is checked before the array exists,
     and so is the length, against the cap (``LimitError``).
     """
-    if not math.isfinite(delta * eig_count):
-        raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
-    if eig_count > DEFAULT_MEMORY_LIMIT:
-        message = f"{eig_count} eigenvalue steps exceed the cap of {DEFAULT_MEMORY_LIMIT} entries"
-        raise LimitError(MEMORY_LIMIT, message)
+    _check_epsilon(eig_count, delta)
     return delta * np.arange(1, eig_count + 1, dtype=float)
 
 
@@ -351,23 +378,19 @@ def positional_encoding(
 ) -> tuple[np.ndarray, int]:
     """The seeded ``lpe`` or ``spe`` rows of a graph, with the eigenpair count.
 
-    The count and ``spe``'s rank default to n. The count, the seed, the
-    width and the rank are checked, and the weights drawn, before the
-    Laplacian is solved, so a refused request costs no eigensolve.
-    ``epsilon``, when given, is the step of the eigenvalue perturbation
-    (``arithmetic_epsilon``).
+    The count and ``spe``'s rank default to n. The whole request is checked
+    (``check_encoder_request``), and the weights drawn, before the Laplacian
+    is solved, so a refused request costs no eigensolve. ``epsilon``, when
+    given, is the step of the eigenvalue perturbation (``arithmetic_epsilon``).
     """
     n = graph.num_nodes
-    count = eig_count_for(kind, eig_count, n)
+    count = check_encoder_request(kind, n, dim, seed, eig_count, rank_m, epsilon)
     eps = None if epsilon is None else arithmetic_epsilon(count, epsilon)
     params = EncoderParams.seeded(seed, count, dim, epsilon=eps)
-    rank = n if rank_m is None else rank_m
-    if kind == "spe":
-        _check_rank(rank, n)
     dec = laplacian_eigh(graph, normalized)
     if kind == "lpe":
         return lpe(dec, params), count
-    return spe(dec, params, rank), count
+    return spe(dec, params, n if rank_m is None else rank_m), count
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +420,7 @@ def identifying_targets(graph: Graph, normalized: bool = False) -> IdentifyingTa
     scale = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
     p_adj = dec.eigenvectors * scale
     if normalized:
-        deg = np.array([graph.degree(v) for v in range(n)], dtype=float)
+        deg = graph.adjacency_matrix.sum(axis=1).astype(float)
         p_adj = np.sqrt(deg)[:, None] * p_adj
     eye = np.eye(n)
     return IdentifyingTargets(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .errors import INVALID_SCHEMA, ValidationError
 from .graphs import Graph, atomic_types
 from .refine import _check_order, _relabel_rows, enumerate_tuples
 from .spectral import (
-    _check_dim,
-    _check_seed,
+    check_encoder_request,
     identifying_targets,
     positional_encoding,
     run_mlp,
@@ -41,41 +40,37 @@ _STREAM_EDGE_PROJECTION = 107
 _STREAM_RAW_PE = 108
 
 
-def _encode_index(key: Hashable) -> tuple[int, ...]:
-    """Flatten an index into non-negative ints for seeding (zigzag for sign)."""
-    if isinstance(key, tuple):
-        out: list[int] = []
-        for part in key:
-            out.extend(_encode_index(part))
-        return tuple(out)
-    if not isinstance(key, int) or isinstance(key, bool):
-        raise ValidationError(INVALID_SCHEMA, f"table index must be an int, got {key!r}")
-    return (2 * key,) if key >= 0 else (-2 * key - 1,)
-
-
 def _draw_row(seed: int, stream: int, salt: int, key: Hashable, dim: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, stream, salt, *_encode_index(key)])
+    """The row of an int key, or of a flat tuple of ints, seeded by the key's
+    ints zigzagged to non-negative ones."""
+    ints = key if isinstance(key, tuple) else (key,)
+    zigzag = [2 * x if x >= 0 else -2 * x - 1 for x in ints]
+    rng = np.random.default_rng([seed, stream, salt, *zigzag])
     return rng.normal(0.0, 1.0 / math.sqrt(dim), dim)
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Ids of float or int64 rows by their bytes, through their int64 view:
+    equal ids exactly where ``tobytes`` is equal."""
+    return _relabel_rows([np.ascontiguousarray(rows).view(np.int64)])[0]
+
+
+def _distinct(rows: np.ndarray) -> int:
+    """The number of distinct rows, by their bytes."""
+    return int(_row_ids(rows).max()) + 1
 
 
 def _table(seed: int, stream: int, dim: int, keys: Iterable[Hashable]) -> dict[Hashable, np.ndarray]:
     """Deterministic embedding rows for the used keys, re-salted until the
-    rows are pairwise distinct (and nonzero) on that key set."""
-    used = sorted(set(keys), key=_encode_index)
+    rows are pairwise distinct (and nonzero) on that key set. A row depends
+    on the key alone, so the keys' order changes nothing."""
+    used = set(keys)
     salt = 0
     while True:
         rows = {key: _draw_row(seed, stream, salt, key, dim) for key in used}
-        seen = {row.tobytes() for row in rows.values()}
-        seen.add(np.zeros(dim).tobytes())
-        if len(seen) == len(rows) + 1:
+        if _distinct(np.stack([np.zeros(dim), *rows.values()])) == len(rows) + 1:
             return rows
         salt += 1
-
-
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """Ids of float rows by their bytes, through their int64 view: equal ids
-    exactly where ``tobytes`` is equal."""
-    return _relabel_rows([np.ascontiguousarray(rows).view(np.int64)])[0]
 
 
 def _draw_matrix(seed: int, stream: int, salt: int, shape: tuple[int, int]) -> np.ndarray:
@@ -87,9 +82,11 @@ def _draw_matrix(seed: int, stream: int, salt: int, shape: tuple[int, int]) -> n
 class TokenizerConfig:
     """Shape and seeding choices for one tokenizer.
 
-    ``eig_count`` and ``rank_m`` default to the graph order at call time;
-    ``normalized`` selects the degree-normalized Laplacian as the spectral
-    source. ``atp_from_edges`` switches the atomic-type embedding from the
+    ``eig_count`` and ``rank_m`` default to the graph order at call time.
+    Every build checks them, ``dim`` and ``seed`` (``check_encoder_request``)
+    before anything is drawn, whatever ``pe_kind`` reads. ``normalized``
+    selects the degree-normalized Laplacian as the spectral source.
+    ``atp_from_edges`` switches the atomic-type embedding from the
     type-matrix table to the concatenated edge-embedding construction.
     """
 
@@ -105,16 +102,8 @@ class TokenizerConfig:
 
     def __post_init__(self) -> None:
         _check_order(self.k, self.s)
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(INVALID_SCHEMA, f"dim must be a positive int, got {self.dim!r}")
-        _check_dim(self.dim)
         if self.pe_kind not in PE_KINDS:
             raise ValidationError(INVALID_SCHEMA, f"pe_kind must be one of {PE_KINDS}, got {self.pe_kind!r}")
-        _check_seed(self.seed)
-        for name in ("eig_count", "rank_m"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-                raise ValidationError(INVALID_SCHEMA, f"{name} must be a positive int or None, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +146,7 @@ def _pe_matrix(graph: Graph, cfg: TokenizerConfig) -> np.ndarray:
     if cfg.pe_kind == "raw_targets":
         targets = identifying_targets(graph, normalized=cfg.normalized)
         raw = np.concatenate([targets.p_node, targets.p_adj], axis=1)
+        distinct = _distinct(raw)
         salt = 0
         while True:
             proj = np.random.default_rng([cfg.seed, _STREAM_RAW_PE, salt, n]).normal(
@@ -164,7 +154,7 @@ def _pe_matrix(graph: Graph, cfg: TokenizerConfig) -> np.ndarray:
             )
             out = raw @ proj
             # The projection must not conflate rows the raw embedding separates.
-            if len({r.tobytes() for r in out}) == len({r.tobytes() for r in raw}):
+            if _distinct(out) == distinct:
                 return out
             salt += 1
     return positional_encoding(
@@ -180,9 +170,9 @@ def _node_matrix(
     ffn_fn: Callable[[np.ndarray], np.ndarray] | None,
 ) -> np.ndarray:
     n = graph.num_nodes
+    degrees = graph.adjacency_matrix.sum(axis=1).tolist()
     features = _table(cfg.seed, _STREAM_FEATURE, cfg.dim, graph.labels)
     if degree_fn is None:
-        degrees = [graph.degree(v) for v in range(n)]
         table = _table(cfg.seed, _STREAM_DEGREE, cfg.dim, degrees)
         degree_fn = table.__getitem__
     if ffn_fn is None:
@@ -193,8 +183,8 @@ def _node_matrix(
         raise ValidationError(
             INVALID_SCHEMA, f"PE rows must have shape ({n}, {cfg.dim}), got {pe_rows.shape}"
         )
-    feat = np.stack([features[graph.labels[v]] for v in range(n)])
-    deg = np.stack([np.asarray(degree_fn(graph.degree(v)), dtype=float) for v in range(n)])
+    feat = np.stack([features[label] for label in graph.labels])
+    deg = np.stack([np.asarray(degree_fn(d), dtype=float) for d in degrees])
     return feat + np.asarray(ffn_fn(deg + pe_rows), dtype=float)
 
 
@@ -215,50 +205,39 @@ def node_tokens(
     """
     if cfg.k != 1:
         raise ValidationError(INVALID_SCHEMA, f"node tokens require k = 1, got k = {cfg.k}")
+    check_encoder_request(cfg.pe_kind, graph.num_nodes, cfg.dim, cfg.seed, cfg.eig_count, cfg.rank_m)
     rows = _node_matrix(graph, cfg, degree_fn, pe_fn, ffn_fn)
     return TokenMatrix(rows=rows, k=1, s=1, dim=cfg.dim, encoder_id=cfg.pe_kind, seed=cfg.seed)
 
 
-def _edge_embedding(
-    graph: Graph, k: int, cfg: TokenizerConfig
-) -> Callable[[Sequence[int]], np.ndarray]:
-    """``atp_embedding_from_edges`` for k-tuples of one graph, as a map from
-    a tuple, with the edge rows and the projection drawn once."""
-    used_labels = sorted({graph.edge_label(u, v) for u, v in graph.edges})
-    # Key -1 is reserved for the same-node vector; edge labels are >= 0.
-    rows = _table(cfg.seed, _STREAM_EDGE, cfg.dim, [-1, *used_labels])
-    zero = np.zeros(cfg.dim)
-    proj = _draw_matrix(cfg.seed, _STREAM_EDGE_PROJECTION, k, (cfg.dim * k * (k - 1) // 2, cfg.dim))
-
-    def embed(tup: Sequence[int]) -> np.ndarray:
-        blocks = []
-        for i in range(1, k):
-            for j in range(i):
-                u, w = tup[i], tup[j]
-                if u == w:
-                    blocks.append(rows[-1])
-                elif graph.has_edge(u, w):
-                    blocks.append(rows[graph.edge_label(u, w)])
-                else:
-                    blocks.append(zero)
-        return np.concatenate(blocks) @ proj
-
-    return embed
-
-
-def atp_embedding_from_edges(graph: Graph, tup: Sequence[int], cfg: TokenizerConfig) -> np.ndarray:
-    """Atomic-type embedding assembled from per-pair edge embeddings.
+def _edge_rows(graph: Graph, nodes: np.ndarray, cfg: TokenizerConfig) -> np.ndarray:
+    """Atomic-type embeddings assembled from per-pair edge embeddings, one
+    row per row of the ``(t, k)`` node array, k >= 2.
 
     For every strict position pair (i, j), i > j, one block of width d:
     a dedicated vector when the two entries are the same node, the edge-label
     embedding when they share an edge, and zero otherwise. The diagonal
     pairs are omitted because they would always carry the same-node vector.
-    The concatenation is projected down to width d.
+    The concatenation is projected down to width d, once per distinct row
+    of blocks, and gathered per tuple.
     """
-    k = len(tup)
-    if k < 2:
-        raise ValidationError(INVALID_SCHEMA, f"edge-based type embedding needs k >= 2, got {k}")
-    return _edge_embedding(graph, k, cfg)(tup)
+    k = nodes.shape[1]
+    labels = {(u, v): graph.edge_label(u, v) for u, v in graph.edges}
+    # Key -1 is reserved for the same-node vector; edge labels are >= 0.
+    table = _table(cfg.seed, _STREAM_EDGE, cfg.dim, [-1, *labels.values()])
+    blocks = np.stack([np.zeros(cfg.dim), *table.values()])
+    block_of = {key: i for i, key in enumerate(table, 1)}
+    # pair_block[u, w]: the block of the pair (u, w), 0 (zero) off the edges.
+    pair_block = np.zeros((graph.num_nodes,) * 2, dtype=np.int64)
+    np.fill_diagonal(pair_block, block_of[-1])
+    for (u, v), label in labels.items():
+        pair_block[u, v] = pair_block[v, u] = block_of[label]
+    pairs = [(i, j) for i in range(1, k) for j in range(i)]
+    keys = np.stack([pair_block[nodes[:, i], nodes[:, j]] for i, j in pairs], axis=1)
+    ids = _relabel_rows([keys])[0]
+    proj = _draw_matrix(cfg.seed, _STREAM_EDGE_PROJECTION, k, (cfg.dim * keys.shape[1], cfg.dim))
+    firsts = np.unique(ids, return_index=True)[1]
+    return np.stack([blocks[keys[i]].reshape(-1) @ proj for i in firsts])[ids]
 
 
 def tuple_tokens(
@@ -278,12 +257,12 @@ def tuple_tokens(
     """
     if cfg.k < 2:
         raise ValidationError(INVALID_SCHEMA, f"tuple tokens require k >= 2, got k = {cfg.k}")
+    check_encoder_request(cfg.pe_kind, graph.num_nodes, cfg.dim, cfg.seed, cfg.eig_count, cfg.rank_m)
     space = enumerate_tuples(graph, cfg.k, cfg.s)
     node_rows = _node_matrix(graph, cfg, degree_fn, pe_fn, ffn_fn)
 
     if cfg.atp_from_edges:
-        embed = _edge_embedding(graph, cfg.k, cfg)
-        atp_rows = np.stack([embed(tup) for tup in space.nodes.tolist()])
+        atp_rows = _edge_rows(graph, space.nodes, cfg)
         atp_ids = _row_ids(atp_rows)
     else:
         codes = atomic_types(graph, space.nodes).reshape(len(space.nodes), -1)
@@ -296,12 +275,12 @@ def tuple_tokens(
     concat = node_rows[space.nodes].reshape(len(space.nodes), -1)
     # A token's key: the id of each component's node row, then its type's id.
     token_keys = np.column_stack([_row_ids(node_rows)[space.nodes], atp_ids])
-    distinct = _relabel_rows([token_keys])[0].max() + 1
+    distinct = _distinct(token_keys)
     salt = 0
     while True:
         proj = _draw_matrix(cfg.seed, _STREAM_PROJECTION, salt, (cfg.dim * cfg.k, cfg.dim))
         rows = concat @ proj + atp_rows
-        if _row_ids(rows).max() + 1 == distinct:
+        if _distinct(rows) == distinct:
             break
         salt += 1
     return TokenMatrix(rows=rows, k=cfg.k, s=cfg.s, dim=cfg.dim, encoder_id=cfg.pe_kind, seed=cfg.seed)

@@ -571,6 +571,7 @@ def test_pe_rejects_an_epsilon_that_overflows_with_one_error_document(p3_file, k
 
 RANK_99 = ("INVALID_SCHEMA", "rank_m must lie in [1, 6], got 99")
 COUNT_99 = ("SHAPE_MISMATCH", "99 eigenpairs requested but only 6 available")
+RANK_0 = ("INVALID_SCHEMA", "rank_m must lie in [1, 6], got 0")
 
 
 @pytest.mark.parametrize(
@@ -587,6 +588,25 @@ COUNT_99 = ("SHAPE_MISMATCH", "99 eigenpairs requested but only 6 available")
             ("pe", "--kind", "spe", "--eig-count", "0", "--dim", "0"),
             ("INVALID_SCHEMA", "eig_count must be positive, got 0"),
         ),
+        # The tokens twin of each pe line: one check, one verdict.
+        (("tokens", "--pe", "spe", "--rank-m", "99"), RANK_99),
+        (("tokens", "--dim", "0"), ("INVALID_SCHEMA", "out_dim must be positive, got 0")),
+        (("tokens", "--seed", "-1"), ("INVALID_SCHEMA", "seed must be a non-negative int, got -1")),
+        (("tokens", "--eig-count", "99"), COUNT_99),
+        (("tokens", "--eig-count", "99", "--seed", "-1"), COUNT_99),
+        (("tokens", "--eig-count", "0"), ("INVALID_SCHEMA", "eig_count must be positive, got 0")),
+        (
+            ("tokens", "--pe", "spe", "--eig-count", "0", "--dim", "0"),
+            ("INVALID_SCHEMA", "eig_count must be positive, got 0"),
+        ),
+        # A rank outside 1..n is refused whatever kind reads it.
+        (("pe", "--kind", "lpe", "--rank-m", "0"), RANK_0),
+        (("tokens", "--pe", "lpe", "--rank-m", "0"), RANK_0),
+        (("tokens", "--pe", "spe", "--rank-m", "0"), RANK_0),
+        (("pe", "--kind", "lpe", "--rank-m", "99"), RANK_99),
+        (("tokens", "--pe", "lpe", "--rank-m", "99"), RANK_99),
+        (("tokens", "--pe", "raw_targets", "--rank-m", "99"), RANK_99),
+        (("tokens", "--k", "2", "--pe", "raw_targets", "--rank-m", "0"), RANK_0),
     ],
 )
 def test_bad_encoder_arguments_are_refused_before_the_eigensolve(

@@ -603,6 +603,32 @@ def test_a_run_computes_one_slot_and_one_node_softmax(monkeypatch):
         assert calls == [(6, 6)] * min(k, 2), (k, variant)
 
 
+def test_a_run_solves_only_the_spectra_it_reads(monkeypatch):
+    # The slot factor reads the adjacency spectrum and the node factor, at
+    # k > 1 only, the Laplacian's; the error curve reads the adjacency's.
+    # The dense tokens hold both.
+    sim = wlsim.simulate
+    solved = []
+    real = np.linalg.eigh
+
+    def counting(matrix):
+        solved.append("laplacian" if np.any(np.diag(matrix)) else "adjacency")
+        return real(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    g = random_graph(random.Random(9), 6, edge_prob=0.5, connected=True)
+    for k, s, variant in ((1, 1, "kwl"), (2, 2, "kwl"), (2, 2, "delta_kwl"), (2, 1, "ks_lwl")):
+        solved.clear()
+        assert simulate_and_compare(g, k, s, variant, t_layers=2).all_equal
+        assert sorted(solved) == ["adjacency"] + ["laplacian"] * (k > 1), (k, s, variant)
+    solved.clear()
+    attention_error_curve(g)
+    assert solved == ["adjacency"]
+    solved.clear()
+    sim.initial_tokens(g, 1)
+    assert sorted(solved) == ["adjacency", "laplacian"]
+
+
 @pytest.mark.parametrize("n", [10, 16, 40, 64, 128])
 @pytest.mark.parametrize("density", [3.0, 0.3])
 def test_adjacency_aware_slot_recovers_the_weighted_count(n, density):

@@ -2,18 +2,20 @@
 embeddings, and the width rule for reusing one layer stack across orders."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlsim import tokens
 from wlsim.errors import INVALID_SCHEMA, ValidationError
-from wlsim.graphs import Graph, apply_permutation, atomic_types
+from wlsim.graphs import Graph, apply_permutation, atomic_types, random_graph
 from wlsim.refine import enumerate_tuples, initial_coloring
 from wlsim.tokens import (
     TokenizerConfig,
     TokenMatrix,
-    atp_embedding_from_edges,
     node_tokens,
     token_count,
     tuple_tokens,
@@ -112,6 +114,22 @@ def test_pe_kind_is_validated():
     assert exc.value.code == INVALID_SCHEMA
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("dim", 0), ("dim", True), ("seed", -1), ("seed", 1.0), ("eig_count", 0),
+     ("eig_count", 2.0), ("rank_m", 0), ("rank_m", 4), ("rank_m", False)],
+)
+@pytest.mark.parametrize("pe_kind", ["lpe", "spe", "raw_targets"])
+def test_every_build_checks_every_encoder_flag(p3, field, value, pe_kind):
+    # The config takes any value; each build refuses it before a draw,
+    # whatever kind reads the flag (the rank must lie in 1..3 here).
+    for k, build in ((1, node_tokens), (2, tuple_tokens)):
+        cfg = cfg_for(k, pe_kind=pe_kind, **{field: value})
+        with pytest.raises(ValidationError) as exc:
+            build(p3, cfg)
+        assert exc.value.code == INVALID_SCHEMA
+
+
 @pytest.mark.parametrize("pe_kind", ["lpe", "spe", "raw_targets"])
 def test_every_pe_kind_produces_rows(p3, pe_kind):
     tm = node_tokens(p3, cfg_for(1, pe_kind=pe_kind))
@@ -202,8 +220,7 @@ def test_distinct_tokens_are_counted_like_their_byte_keys(graph_samples):
             nodes = node_tokens(g, cfg_for(1)).rows
             space = enumerate_tuples(g, k, s)
             if edges:
-                embed = tokens._edge_embedding(g, k, cfg)
-                types = [embed(tup).tobytes() for tup in space.tuples]
+                types = [edge_row(g, tup, cfg).tobytes() for tup in space.tuples]
             else:
                 types = list(map(tuple, atomic_types(g, space.nodes).reshape(len(space.nodes), -1).tolist()))
             keys = [(nodes[list(tup)].tobytes(), t) for tup, t in zip(space.tuples, types)]
@@ -238,18 +255,76 @@ def test_to_dict_round_trips_shape(p3):
 # ------------------------------------------------- edge-built atomic types
 
 
+def per_tuple_edge_embedding(graph, k, cfg):
+    """The edge-built atomic-type embedding of k-tuples of one graph, one
+    tuple at a time: for every strict position pair (i, j), i > j, the
+    same-node row, the edge-label row or zero, concatenated and projected
+    to width d. The rows and the projection are drawn once."""
+    used_labels = sorted({graph.edge_label(u, v) for u, v in graph.edges})
+    rows = tokens._table(cfg.seed, tokens._STREAM_EDGE, cfg.dim, [-1, *used_labels])
+    zero = np.zeros(cfg.dim)
+    shape = (cfg.dim * k * (k - 1) // 2, cfg.dim)
+    proj = tokens._draw_matrix(cfg.seed, tokens._STREAM_EDGE_PROJECTION, k, shape)
+
+    def embed(tup):
+        blocks = []
+        for i in range(1, k):
+            for j in range(i):
+                u, w = tup[i], tup[j]
+                if u == w:
+                    blocks.append(rows[-1])
+                elif graph.has_edge(u, w):
+                    blocks.append(rows[graph.edge_label(u, w)])
+                else:
+                    blocks.append(zero)
+        return np.concatenate(blocks) @ proj
+
+    return embed
+
+
+def edge_row(graph, tup, cfg):
+    """The batch construction's row of one tuple, from a one-row array."""
+    return tokens._edge_rows(graph, np.array([tup], dtype=np.int64), cfg)[0]
+
+
+EDGE_LABELS = st.sampled_from([0, 1, 7, 2**70, 2**70 + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_edge_rows_equal_the_per_tuple_construction(graph_seed, n, k, seed, data):
+    g = random_graph(random.Random(graph_seed), n, edge_prob=0.5)
+    labels = data.draw(st.lists(EDGE_LABELS, min_size=g.num_edges, max_size=g.num_edges))
+    g = Graph(n, g.edges, edge_labels=tuple(labels))
+    cfg = cfg_for(k, seed=seed)
+    s = data.draw(st.integers(1, k))
+    nodes = enumerate_tuples(g, k, s).nodes
+    embed = per_tuple_edge_embedding(g, k, cfg)
+    want = np.stack([embed(tup) for tup in nodes.tolist()])
+    got = tokens._edge_rows(g, nodes, cfg)
+    # Bit for bit: the same bytes, -0.0 and all.
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_repeated_node_tuple_uses_the_same_node_vector(k3):
     cfg = cfg_for(2)
-    row_aa = atp_embedding_from_edges(k3, (0, 0), cfg)
-    row_bb = atp_embedding_from_edges(k3, (1, 1), cfg)
+    row_aa = edge_row(k3, (0, 0), cfg)
+    row_bb = edge_row(k3, (1, 1), cfg)
     assert row_aa.shape == (6,)
     assert np.array_equal(row_aa, row_bb)
 
 
 def test_edge_and_non_edge_blocks_differ(p3):
     cfg = cfg_for(2)
-    adjacent = atp_embedding_from_edges(p3, (0, 1), cfg)
-    apart = atp_embedding_from_edges(p3, (0, 2), cfg)
+    adjacent = edge_row(p3, (0, 1), cfg)
+    apart = edge_row(p3, (0, 2), cfg)
     assert np.array_equal(apart, np.zeros(6))
     assert not np.array_equal(adjacent, apart)
 
@@ -257,8 +332,8 @@ def test_edge_and_non_edge_blocks_differ(p3):
 def test_edge_labels_separate_embeddings():
     g = Graph(3, [(0, 1), (1, 2)], edge_labels=(0, 1))
     cfg = cfg_for(2)
-    first = atp_embedding_from_edges(g, (0, 1), cfg)
-    second = atp_embedding_from_edges(g, (1, 2), cfg)
+    first = edge_row(g, (0, 1), cfg)
+    second = edge_row(g, (1, 2), cfg)
     assert not np.array_equal(first, second)
 
 
@@ -271,7 +346,7 @@ def test_edge_variant_matches_atomic_type_partition(graph_samples):
     for g in graph_samples(37, 5, 2, 5):
         cfg = cfg_for(2, atp_from_edges=True)
         space = enumerate_tuples(g, 2, 2)
-        keys = [atp_embedding_from_edges(g, tup, cfg).tobytes() for tup in space.tuples]
+        keys = [edge_row(g, tup, cfg).tobytes() for tup in space.tuples]
         types = [atomic_type_entries(g, tup) for tup in space.tuples]
         # equal embeddings exactly where the atomic types agree
         assert row_partition_from(keys) == row_partition_from(types)
