@@ -43,7 +43,7 @@ from .graphs import (
 )
 from .refine import DEFAULT_MAX_ITERATIONS, distinguish, refine_to_stable, run_to_dict
 from .simulate import DEFAULT_TEMPERATURE, ROUNDING_SLACK_LIMIT, simulate_and_compare
-from .spectral import check_identifying, identifying_targets, positional_encoding
+from .spectral import ENCODER_KINDS, check_identifying, identifying_targets, positional_encoding
 from .tokens import PE_KINDS, TokenizerConfig, node_tokens, tuple_tokens
 
 # Flag spellings accepted on the command line, mapped to the names the
@@ -446,7 +446,7 @@ def _simulate_options(p: _Parser) -> None:
 def _pe_options(p: _Parser) -> None:
     _seed_option(p)
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", default="lpe", choices=("lpe", "spe"))
+    p.add_argument("--kind", default="lpe", choices=ENCODER_KINDS)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--eig-count", type=int, default=None)
     p.add_argument("--rank-m", type=int, default=None)

@@ -4,8 +4,9 @@ isomorphism oracle, and built-in non-isomorphic test pairs.
 Graphs here are undirected, node-labeled, without self-loops and without
 isolated nodes. Node indexing is 0-based and index order is the fixed node
 ordering that every downstream enumeration relies on. Validation is plain
-Python; the cached adjacency and neighbor arrays and :func:`atomic_types`
-are the numpy views that the tuple engine gathers from.
+Python; the cached adjacency, pair-type and neighbor arrays are the numpy
+views that the tuple engine gathers from, and :func:`atomic_types` reads
+the pair types at every position pair of a node array.
 """
 
 from __future__ import annotations
@@ -161,6 +162,15 @@ class Graph:
         return adj
 
     @cached_property
+    def pair_types(self) -> np.ndarray:
+        """Read-only ``(n, n)`` int8 atomic type of every node pair: 2 for the
+        same node, 1 for adjacent nodes, 3 otherwise."""
+        types = np.where(self.adjacency_matrix, 1, 3).astype(np.int8)
+        np.fill_diagonal(types, 2)
+        types.setflags(write=False)
+        return types
+
+    @cached_property
     def neighbor_array(self) -> np.ndarray:
         """Read-only ``(n, max degree)`` sorted neighbor lists, padded with -1."""
         width = max(len(nb) for nb in self.neighbor_sets)
@@ -211,12 +221,12 @@ def atomic_types(graph: Graph, nodes: np.ndarray) -> np.ndarray:
 
     A type depends only on which positions coincide and which are adjacent,
     never on the node identities themselves, which is what makes it a sound
-    initial color for tuple refinement.
+    initial color for tuple refinement. Entry ``[r, i, j]`` is
+    ``graph.pair_types`` at the nodes of row r at positions i and j.
     """
-    u, v = nodes[:, :, None], nodes[:, None, :]
-    if nodes.shape[1] == 1:  # no pair of positions: skip the n x n adjacency
-        return np.full(u.shape, 2, dtype=np.int8)
-    return np.where(u == v, 2, np.where(graph.adjacency_matrix[u, v], 1, 3)).astype(np.int8)
+    if nodes.shape[1] == 1:  # no pair of positions: skip the n x n matrix
+        return np.full((len(nodes), 1, 1), 2, dtype=np.int8)
+    return graph.pair_types[nodes[:, :, None], nodes[:, None, :]]
 
 
 def apply_permutation(graph: Graph, perm: Sequence[int]) -> Graph:

@@ -31,11 +31,15 @@ fix its (color, adjacent) multiset. The local rules read those neighbor
 blocks only. A full space takes the block at position j along axis j of
 the color grid, at the graph's neighbor table; a restricted space plans,
 once per run, which tuples each block reads (``TupleSpace.substitute``).
-A round writes each tuple's row in place, sorts its blocks and numbers the
-rows by first occurrence in enumeration order, so two runs over the same
-input produce identical arrays and a repeated partition shows up as a
-repeated array. A run to stable also ends at a discrete coloring, which is
-its own next round.
+The initial row of a tuple is the label id of each position, then the
+pair type of each position pair (``Graph.pair_types``), one flat gather
+per pair. A round writes each tuple's row in place, sorts its blocks and
+numbers the rows by first occurrence in enumeration order, so two runs
+over the same input produce identical arrays and a repeated partition
+shows up as a repeated array. A run to stable also ends at a discrete
+coloring, which is its own next round. A joint run (``distinguish``) ends
+without that round when g's coloring is discrete and a graph isomorphism
+carries it onto h's, tuple by tuple: the round would rebuild both.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .errors import (
     LimitError,
     ValidationError,
 )
-from .graphs import Graph, atomic_types
+from .graphs import Graph
 
 VARIANTS = ("kwl", "delta_kwl", "delta_klwl", "ks_lwl")
 
@@ -350,15 +354,20 @@ def _sorted_ids(arrays: Sequence[np.ndarray]) -> list[np.ndarray] | None:
 
 
 def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[np.ndarray]:
-    """Initial ids through one table. A tuple's row is the label id of each
-    position, then the upper triangle of its (symmetric) atomic type."""
+    """Initial ids through one table. A tuple's int32 row is the label id of
+    each position, then the upper triangle of its (symmetric) atomic type:
+    for each position pair i < j in row-major order, one flat gather of the
+    graph's pair types (``Graph.pair_types``) at the two nodes."""
     label_ids = _dense_relabel([graph.labels for graph in graphs])
     row_arrays = []
     for graph, space, labels in zip(graphs, spaces, label_ids):
-        above = np.triu_indices(space.k, 1)
-        types = atomic_types(graph, space.nodes)[:, above[0], above[1]]
-        labels = np.asarray(labels, dtype=np.int32)[space.nodes]
-        row_arrays.append(np.hstack([labels, types.astype(np.int32)]))
+        k, n, nodes = space.k, space.num_nodes, space.nodes
+        rows = np.empty((len(nodes), k + k * (k - 1) // 2), dtype=np.int32)
+        rows[:, :k] = np.asarray(labels, dtype=np.int32)[nodes]
+        # At k = 1 there is no pair, and no n x n matrix is built.
+        for col, (i, j) in enumerate(zip(*np.triu_indices(k, 1)), start=k):
+            rows[:, col] = graph.pair_types.ravel()[nodes[:, i] * n + nodes[:, j]]
+        row_arrays.append(rows)
     return _relabel_rows(row_arrays)
 
 
@@ -528,6 +537,41 @@ def _is_discrete(colors: np.ndarray) -> bool:
     return colors.max() + 1 == len(colors) and np.array_equal(colors, np.arange(len(colors)))
 
 
+def _exhibits_isomorphism(
+    g: Graph, h: Graph, space_g: TupleSpace, space_h: TupleSpace, colors_h: np.ndarray
+) -> bool:
+    """True when g's discrete coloring (its colors are its rows) is carried
+    onto h's, which holds the same colors (equal histograms), by a graph
+    isomorphism: the node map pi that sends v to the node whose diagonal
+    tuple (pi(v), ..., pi(v)) of h has the color of (v, ..., v) in g is a
+    bijection that preserves adjacency, and every tuple v of g has the
+    color of the tuple pi(v) of h.
+
+    Every round reads a tuple's color, the colors of the tuples reached
+    by substitution and whether the substituted nodes are adjacent, so pi
+    carries the next round's row of each tuple of g onto that of its image,
+    and the next round reproduces both colorings."""
+    k, n = space_g.k, space_g.num_nodes
+    diagonal = np.arange(n) * sum(space_g.strides)
+    if space_g.s < k:  # a diagonal tuple induces one component, so it is kept
+        diagonal = space_g._position[diagonal]
+    row_of = np.empty(len(colors_h), dtype=np.int64)
+    row_of[colors_h] = np.arange(len(colors_h))
+    images = space_h.nodes[row_of[diagonal]]
+    pi = images[:, 0]
+    if not (images == pi[:, None]).all():
+        return False
+    # pi preserves adjacency when it maps g's edges onto h's, whose keys
+    # u * n + v (u < v) ascend. No n x n matrix is built.
+    key = np.array([n, 1], dtype=np.int64)
+    ends = np.sort(pi[np.array(g.edges, dtype=np.int64)], axis=1)
+    if not np.array_equal(np.sort(ends @ key), np.array(h.edges, dtype=np.int64) @ key):
+        return False
+    flat = pi[space_g.nodes] @ np.array(space_h.strides, dtype=np.int64)
+    rows = flat if space_h.s == k else space_h._position[flat]
+    return np.array_equal(rows, row_of)
+
+
 def distinguish(
     g: Graph,
     h: Graph,
@@ -541,7 +585,11 @@ def distinguish(
     Both graphs are refined in lockstep through one shared relabel table
     (initial round included), which makes their color histograms directly
     comparable. The run stops at the first iteration whose histograms
-    differ, or once the joint partition stops changing.
+    differ, or once the joint partition stops changing. A round that would
+    reproduce both colorings is not computed when g's coloring is discrete
+    and an isomorphism carries it onto h's (``_exhibits_isomorphism``), so
+    the verdict, its iteration and the cap's refusal are those of the run
+    that computes it.
     """
     _check_request(k, s, variant)
     _check_max_iterations(max_iterations)
@@ -557,6 +605,8 @@ def distinguish(
             raise LimitError(
                 ITERATION_LIMIT, f"no joint stable partition within {max_iterations} rounds"
             )
+        if _is_discrete(colors_g) and _exhibits_isomorphism(g, h, space_g, space_h, colors_h):
+            return DistinguishResult(False, None)
         if plans is None:
             plans = _gather_plans([g, h], [space_g, space_h], variant)
         next_g, next_h = _summary_ids(plans, [colors_g, colors_h])

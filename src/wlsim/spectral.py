@@ -30,6 +30,7 @@ from .graphs import Graph
 from .refine import DEFAULT_MEMORY_LIMIT
 
 SOURCES = ("laplacian", "normalized_laplacian", "adjacency")
+ENCODER_KINDS = ("lpe", "spe")
 
 _ORTHO_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
@@ -378,11 +379,16 @@ def positional_encoding(
 ) -> tuple[np.ndarray, int]:
     """The seeded ``lpe`` or ``spe`` rows of a graph, with the eigenpair count.
 
-    The count and ``spe``'s rank default to n. The whole request is checked
+    The count and ``spe``'s rank default to n. Any other kind is refused
+    first (INVALID_SCHEMA); then the whole request is checked
     (``check_encoder_request``), and the weights drawn, before the Laplacian
     is solved, so a refused request costs no eigensolve. ``epsilon``, when
     given, is the step of the eigenvalue perturbation (``arithmetic_epsilon``).
     """
+    if kind not in ENCODER_KINDS:
+        raise ValidationError(
+            INVALID_SCHEMA, f"unknown encoder {kind!r}, expected one of {', '.join(ENCODER_KINDS)}"
+        )
     n = graph.num_nodes
     count = check_encoder_request(kind, n, dim, seed, eig_count, rank_m, epsilon)
     eps = None if epsilon is None else arithmetic_epsilon(count, epsilon)

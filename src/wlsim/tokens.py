@@ -20,6 +20,7 @@ from .errors import INVALID_SCHEMA, ValidationError
 from .graphs import Graph, atomic_types
 from .refine import _check_order, _relabel_rows, enumerate_tuples
 from .spectral import (
+    ENCODER_KINDS,
     check_encoder_request,
     identifying_targets,
     positional_encoding,
@@ -27,7 +28,7 @@ from .spectral import (
     seeded_mlp,
 )
 
-PE_KINDS = ("lpe", "spe", "raw_targets")
+PE_KINDS = (*ENCODER_KINDS, "raw_targets")
 
 # Disjoint sub-stream tags so every parameter block has its own seed lane.
 _STREAM_FEATURE = 101

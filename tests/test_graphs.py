@@ -175,11 +175,14 @@ def test_atomic_types_match_the_pairwise_definition(graph_samples):
 
 def test_adjacency_arrays_match_the_neighbor_sets(graph_samples):
     for g in graph_samples(19, 6, 2, 7):
-        adj, nbrs = g.adjacency_matrix, g.neighbor_array
-        assert not adj.flags.writeable and not nbrs.flags.writeable
+        adj, nbrs, types = g.adjacency_matrix, g.neighbor_array, g.pair_types
+        assert not adj.flags.writeable and not nbrs.flags.writeable and not types.flags.writeable
         assert nbrs.shape == (g.num_nodes, max(map(len, g.neighbor_sets)))
+        assert types.dtype == np.int8
         for v in range(g.num_nodes):
             assert set(np.flatnonzero(adj[v]).tolist()) == g.neighbor_sets[v]
+            want = [2 if u == v else 1 if u in g.neighbor_sets[v] else 3 for u in range(g.num_nodes)]
+            assert types[v].tolist() == want
             pad = nbrs.shape[1] - len(g.neighbor_sets[v])
             assert nbrs[v].tolist() == sorted(g.neighbor_sets[v]) + [-1] * pad
 

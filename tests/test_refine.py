@@ -23,7 +23,7 @@ from wlsim.errors import (
     LimitError,
     ValidationError,
 )
-from wlsim.graphs import Graph, apply_permutation, builtin_pair, random_graph
+from wlsim.graphs import Graph, apply_permutation, atomic_types, builtin_pair, random_graph
 from wlsim.refine import (
     SORT_ROWS,
     VARIANTS,
@@ -852,6 +852,149 @@ def test_oracle_and_engine_agree_on_random_pairs(graph_samples):
             continue
         want, _ = joint_histogram_oracle(g, h, 2)
         assert distinguish(g, h, "kwl", 2, 2).distinguished is want
+
+
+def reference_distinguish(g, h, variant, k, s, max_iterations=refine.DEFAULT_MAX_ITERATIONS):
+    """The joint loop without the isomorphism stop: every run ends on a
+    round whose histograms differ or that reproduces both colorings.
+    Returns the result and the number of rounds computed."""
+    spaces = [enumerate_tuples(g, k, s), enumerate_tuples(h, k, s)]
+    colors = _initial_ids([g, h], spaces)
+    plans = _gather_plans([g, h], spaces, variant)
+    for iteration in itertools.count():
+        if not np.array_equal(np.bincount(colors[0]), np.bincount(colors[1])):
+            return refine.DistinguishResult(True, iteration), iteration
+        if iteration >= max_iterations:
+            raise LimitError(
+                ITERATION_LIMIT, f"no joint stable partition within {max_iterations} rounds"
+            )
+        nxt = _summary_ids(plans, colors)
+        if all(map(np.array_equal, nxt, colors)):
+            return refine.DistinguishResult(False, None), iteration + 1
+        colors = nxt
+
+
+def outcome(run):
+    """A run's result, or its LimitError's code and message."""
+    try:
+        return run()
+    except LimitError as exc:
+        return exc.code, exc.message
+
+
+@st.composite
+def joint_pairs(draw):
+    """A rule, its order and bound, and two graphs on n nodes: g and a
+    relabelled copy of g, or of g with one edge moved, or another graph."""
+    k = draw(st.integers(1, 3))
+    variant = draw(st.sampled_from(VARIANTS))
+    s = draw(st.integers(1, k)) if variant == "ks_lwl" else k
+    n = draw(st.integers(3, {1: 9, 2: 7, 3: 6}[k]))
+    g = draw(labelled_graphs(n))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["copy", "moved", "other"]))
+    if kind == "other":
+        return variant, k, s, g, draw(labelled_graphs(n))
+    edges = list(g.edges)
+    if kind == "moved":
+        absent = [e for e in itertools.combinations(range(n), 2) if e not in g.edges]
+        if absent:
+            edges[rng.randrange(len(edges))] = rng.choice(absent)
+        if len({v for e in edges for v in e}) < n:
+            edges = list(g.edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return variant, k, s, g, apply_permutation(Graph(n, edges, g.labels), perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=joint_pairs())
+def test_the_isomorphism_stop_keeps_every_verdict_and_every_cap(case):
+    # At every cap from 0 to one past the rounds the reference computes,
+    # distinguish returns the reference's result or raises its refusal.
+    variant, k, s, g, h = case
+    _, rounds = reference_distinguish(g, h, variant, k, s)
+    for cap in range(rounds + 2):
+        want = outcome(lambda: reference_distinguish(g, h, variant, k, s, cap)[0])
+        assert outcome(partial(distinguish, g, h, variant, k, s, cap)) == want, cap
+
+
+@pytest.mark.parametrize("variant", ["delta_kwl", "kwl"])
+def test_a_relabelled_asymmetric_pair_ends_without_a_confirming_round(monkeypatch, variant):
+    # The 12-node graph has no automorphism, so its second joint round is
+    # discrete and matched through the relabelling: the third round, which
+    # would reproduce it, is not computed.
+    g = random_graph(random.Random(0), 12, 0.45, connected=True)
+    perm = list(range(12))
+    random.Random(1).shuffle(perm)
+    h = apply_permutation(g, perm)
+    assert reference_distinguish(g, h, variant, 3, 3) == (refine.DistinguishResult(False, None), 3)
+    rounds = []
+    summary = refine._summary_ids
+    monkeypatch.setattr(refine, "_summary_ids", lambda *args: rounds.append(1) or summary(*args))
+    assert distinguish(g, h, variant, 3, 3) == refine.DistinguishResult(False, None)
+    assert len(rounds) == 2
+
+
+def _carried_colors(space_g, space_h, pi):
+    """h's colors that the node map ``pi`` carries from g's discrete
+    coloring: the tuple pi(v) of h gets v's row in g."""
+    colors = np.full(len(space_h.nodes), -1, dtype=np.int64)
+    rows = {tup: i for i, tup in enumerate(space_h.tuples)}
+    for i, tup in enumerate(space_g.tuples):
+        colors[rows[tuple(pi[v] for v in tup)]] = i
+    return colors
+
+
+@pytest.mark.parametrize("k, s", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 2)])
+def test_the_stop_needs_both_an_adjacency_isomorphism_and_matched_colors(k, s):
+    # Hand-built discrete colorings, not refinement rounds: the stop fires
+    # when pi is an isomorphism that carries every color, and not when pi
+    # breaks an edge or one pair of tuples swaps colors.
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    pi = [3, 0, 4, 1, 2]
+    h = apply_permutation(g, pi)
+    other = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    space_g, space_h, space_o = (enumerate_tuples(x, k, s) for x in (g, h, other))
+    carried = _carried_colors(space_g, space_h, pi)
+    assert refine._exhibits_isomorphism(g, h, space_g, space_h, carried)
+    if s == k:
+        # Same tuples, different edges: the colors match, the adjacency does not.
+        broken = _carried_colors(space_g, space_o, pi)
+        assert not refine._exhibits_isomorphism(g, other, space_g, space_o, broken)
+    if k > 1:
+        # Two tuples off the diagonal swap colors: pi is unchanged.
+        diagonal = {i for i, tup in enumerate(space_h.tuples) if len(set(tup)) == 1}
+        a, b = [i for i in range(len(carried)) if i not in diagonal][:2]
+        swapped = carried.copy()
+        swapped[[a, b]] = swapped[[b, a]]
+        assert not refine._exhibits_isomorphism(g, h, space_g, space_h, swapped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), joint=st.booleans())
+def test_initial_rows_equal_the_atomic_type_rows_id_for_id(data, k, joint):
+    # The reference writes each row as the label ids, then the upper
+    # triangle of ``atomic_types``, and numbers the rows through one table.
+    n = data.draw(st.integers(2, {1: 9, 2: 7, 3: 6, 4: 5}[k]))
+    s = data.draw(st.integers(1, k))
+    labels = st.sampled_from([0, 1, 2, 2**63, 2**70])
+    graphs = [
+        Graph(n, g.edges, data.draw(st.lists(labels, min_size=n, max_size=n)))
+        for g in (data.draw(labelled_graphs(n)) for _ in range(1 + joint))
+    ]
+    spaces = [enumerate_tuples(g, k, s) for g in graphs]
+    above = np.triu_indices(k, 1)
+    rows = [
+        np.hstack(
+            [
+                np.asarray(ids, dtype=np.int32)[space.nodes],
+                atomic_types(g, space.nodes)[:, above[0], above[1]].astype(np.int32),
+            ]
+        )
+        for g, space, ids in zip(graphs, spaces, _dense_relabel([g.labels for g in graphs]))
+    ]
+    assert [ids.tolist() for ids in _initial_ids(graphs, spaces)] == _bytes_ids(rows)
 
 
 # -------------------------------------------------------------- run_to_dict

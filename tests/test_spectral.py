@@ -458,6 +458,22 @@ def test_an_eigenpair_count_is_checked_against_the_graph_order():
         assert exc.value.message == f"{count} eigenpairs requested but only 5 available"
 
 
+@pytest.mark.parametrize("kind", ["fourier", "raw_targets", "LPE", ""])
+def test_an_unknown_encoder_kind_is_refused_before_the_request_is_checked(monkeypatch, c6, kind):
+    # "fourier" used to return exactly the spe rows. The kind is refused
+    # before the count (10^12 would be a MEMORY_LIMIT), the draw or the solve.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unknown kind reached the request check, the draw or the solve")
+
+    for name in ("check_encoder_request", "laplacian_eigh"):
+        monkeypatch.setattr(spectral, name, refuse)
+    monkeypatch.setattr(EncoderParams, "seeded", refuse)
+    with pytest.raises(ValidationError) as exc:
+        positional_encoding(c6, kind, 4, 0, eig_count=10**12)
+    assert exc.value.code == INVALID_SCHEMA
+    assert exc.value.message == f"unknown encoder {kind!r}, expected one of lpe, spe"
+
+
 def test_params_reject_a_negative_seed_and_a_non_finite_epsilon():
     for seed in (-1, 1.0, True):
         with pytest.raises(ValidationError) as exc:
