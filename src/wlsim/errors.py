@@ -38,7 +38,6 @@ SPACE_MISMATCH = "SPACE_MISMATCH"
 VARIANT_MISMATCH = "VARIANT_MISMATCH"
 SHAPE_MISMATCH = "SHAPE_MISMATCH"
 DIGIT_OVERFLOW = "DIGIT_OVERFLOW"
-BASE_MISMATCH = "BASE_MISMATCH"
 FILE_NOT_FOUND = "FILE_NOT_FOUND"
 # Any other operating-system error on reading an input or writing an output.
 IO_ERROR = "IO_ERROR"

@@ -202,7 +202,7 @@ class Graph:
     def edge_label(self, u: int, v: int) -> int:
         """Label of the edge {u, v}, defaulting to 0 when no labels were given."""
         if not self.has_edge(u, v):
-            raise ValueError(f"no edge between {u} and {v}")
+            raise ValidationError(INVALID_SCHEMA, f"no edge between {u} and {v}")
         key = (u, v) if u < v else (v, u)
         return self._edge_label_map.get(key, 0)
 
@@ -423,7 +423,7 @@ def random_graph(
     label_count: int = 1,
     connected: bool = False,
 ) -> Graph:
-    """Sample a valid random graph (used by tests and the benchmark runner).
+    """Sample a valid random graph (used by tests).
 
     Isolated nodes are repaired by attaching them to a random other node, so
     every draw satisfies the model invariants. With ``connected=True`` a

@@ -7,12 +7,19 @@ canonical form: fixed signs, and ties ordered by the eigenvector entries.
 Inside a degenerate eigenspace the basis is whatever LAPACK returns, so it
 is reproducible on one machine and BLAS build, not across them; the SPE
 encoder does not depend on it. All arithmetic is float64.
+
+Each encoder is two maps, phi then rho, that the caller passes in: ``lpe``
+sums phi over (eigenvector component, eigenvalue) pairs, ``spe`` weights
+eigenvector channels by phi of the eigenvalues, and rho maps the per-node
+sums to rows. ``encoder_maps`` draws the seeded pair an encoder kind reads,
+and ``positional_encoding`` runs the whole request on a graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -216,11 +223,18 @@ def _check_params(seed: object, eig_count: object, out_dim: object) -> None:
         raise LimitError(MEMORY_LIMIT, f"{eig_count} channels of width {hidden} exceed {cap}")
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ENCODER_KINDS:
+        raise ValidationError(
+            INVALID_SCHEMA, f"unknown encoder {kind!r}, expected one of {', '.join(ENCODER_KINDS)}"
+        )
+
+
 def eig_count_for(kind: str, requested: int | None, n: int) -> int:
     """The eigenpair count of an encoder on an n-node graph, n by default.
     ``lpe`` reads ``count`` of the n eigenpairs, so a larger count raises
     ``ValidationError`` (``SHAPE_MISMATCH``). Every other kind reads it as a
-    count of weight channels, which ``EncoderParams.seeded`` bounds."""
+    count of weight channels, which ``encoder_maps`` bounds."""
     count = n if requested is None else requested
     _check_int("eig_count", count)
     if kind == "lpe" and count > n:
@@ -247,53 +261,6 @@ def check_encoder_request(
     return count
 
 
-@dataclass(frozen=True, eq=False)
-class EncoderParams:
-    """Deterministic stand-in for trained encoder weights.
-
-    Two MLP pairs are drawn from the seed: a pairwise map and an output head
-    for the eigenpair encoder, and an eigenvalue channel map plus output
-    head for the basis-invariant encoder. The same seed always reproduces
-    byte-identical blocks. ``epsilon`` perturbs the eigenvalues fed to the
-    pairwise map and defaults to zero, which keeps the encoder a plain
-    DeepSet over (component, eigenvalue) pairs.
-    """
-
-    seed: int
-    eig_count: int
-    out_dim: int
-    epsilon: np.ndarray
-    weights: dict[str, np.ndarray] = field(repr=False)
-
-    @classmethod
-    def seeded(
-        cls, seed: int, eig_count: int, out_dim: int, epsilon: Sequence[float] | None = None
-    ) -> "EncoderParams":
-        _check_params(seed, eig_count, out_dim)
-        hidden = max(8, 2 * out_dim)
-        eps = np.zeros(eig_count) if epsilon is None else np.asarray(epsilon, dtype=float)
-        if eps.shape != (eig_count,):
-            raise ValidationError(SHAPE_MISMATCH, f"epsilon must have length {eig_count}")
-        if not np.isfinite(eps).all():
-            raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
-        weights: dict[str, np.ndarray] = {}
-        blocks = {
-            "phi": (2, hidden, out_dim),
-            "rho": (out_dim, hidden, out_dim),
-            "phi_channels": (1, hidden, eig_count),
-            "rho_sum": (eig_count, hidden, out_dim),
-        }
-        for index, (name, (d_in, d_hidden, d_out)) in enumerate(blocks.items()):
-            for key, arr in seeded_mlp(seed, index, d_in, d_hidden, d_out).items():
-                arr.setflags(write=False)
-                weights[f"{name}.{key}"] = arr
-        eps.setflags(write=False)
-        return cls(seed=seed, eig_count=eig_count, out_dim=out_dim, epsilon=eps, weights=weights)
-
-    def block(self, name: str) -> dict[str, np.ndarray]:
-        return {k.split(".", 1)[1]: v for k, v in self.weights.items() if k.startswith(name + ".")}
-
-
 def arithmetic_epsilon(eig_count: int, delta: float) -> np.ndarray:
     """Perturbation vector (delta, 2 delta, ..., l delta) that separates
     repeated eigenvalues whenever delta is below the smallest nonzero gap.
@@ -306,29 +273,51 @@ def arithmetic_epsilon(eig_count: int, delta: float) -> np.ndarray:
     return delta * np.arange(1, eig_count + 1, dtype=float)
 
 
+def encoder_maps(
+    kind: str, seed: int, eig_count: int, out_dim: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The seeded phi and rho of an encoder kind, the reproducible stand-in
+    for trained weights: one MLP each, of hidden width max(8, 2 out_dim),
+    from the kind's two lanes of the seed (``lpe`` 0 and 1, ``spe`` 2 and
+    3). The seed, count, width and weight caps are checked before a draw."""
+    _check_kind(kind)
+    _check_params(seed, eig_count, out_dim)
+    hidden = max(8, 2 * out_dim)
+    if kind == "lpe":
+        lanes = ((0, 2, out_dim), (1, out_dim, out_dim))
+    else:
+        lanes = ((2, 1, eig_count), (3, eig_count, out_dim))
+    phi, rho = (
+        partial(run_mlp, seeded_mlp(seed, lane, d_in, hidden, d_out)) for lane, d_in, d_out in lanes
+    )
+    return phi, rho
+
+
 def lpe(
     dec: SpectralDecomposition,
-    params: EncoderParams,
-    phi: Callable[[np.ndarray], np.ndarray] | None = None,
-    rho: Callable[[np.ndarray], np.ndarray] | None = None,
+    phi: Callable[[np.ndarray], np.ndarray],
+    rho: Callable[[np.ndarray], np.ndarray],
+    eig_count: int | None = None,
+    epsilon: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Eigenpair DeepSet encoder: per node, sum phi over the used
-    (component, perturbed eigenvalue) pairs, then apply the output head.
+    """Eigenpair DeepSet encoder: per node, sum phi over the first
+    ``eig_count`` (component, perturbed eigenvalue) pairs, n by default,
+    then apply rho.
 
-    ``phi`` maps a batch of pairs (rows of shape 2) to feature rows;
-    ``rho`` maps the per-node sums to output rows. Both default to the
-    seeded MLPs in ``params``; tests pass stubs through these hooks.
+    ``phi`` maps a batch of pairs (rows of shape 2) to feature rows; ``rho``
+    maps the per-node sums to output rows. ``epsilon``, one finite entry per
+    pair, is added to the eigenvalues; without it a zero vector is added,
+    which turns a -0.0 eigenvalue into 0.0 as a perturbation would.
     """
     n = dec.n
-    l = eig_count_for("lpe", params.eig_count, n)
-    if phi is None:
-        phi_w = params.block("phi")
-        phi = lambda x: run_mlp(phi_w, x)
-    if rho is None:
-        rho_w = params.block("rho")
-        rho = lambda x: run_mlp(rho_w, x)
+    l = eig_count_for("lpe", eig_count, n)
+    eps = np.zeros(l) if epsilon is None else np.asarray(epsilon, dtype=float)
+    if eps.shape != (l,):
+        raise ValidationError(SHAPE_MISMATCH, f"epsilon must have length {l}")
+    if not np.isfinite(eps).all():
+        raise ValidationError(INVALID_SCHEMA, "epsilon must be finite")
     comps = dec.eigenvectors[:, :l]
-    lams = dec.eigenvalues[:l] + params.epsilon
+    lams = dec.eigenvalues[:l] + eps
     pairs = np.stack(
         [comps.reshape(-1), np.broadcast_to(lams, (n, l)).reshape(-1)], axis=1
     )
@@ -339,28 +328,21 @@ def lpe(
 
 def spe(
     dec: SpectralDecomposition,
-    params: EncoderParams,
+    phi: Callable[[np.ndarray], np.ndarray],
+    rho: Callable[[np.ndarray], np.ndarray],
     rank_m: int,
-    phi: Callable[[np.ndarray], np.ndarray] | None = None,
-    rho: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Basis-invariant spectral encoder.
 
     Each channel ell has one n x n matrix, V_m diag(c_ell) V_m^T, where the
-    channel weights c_ell come from an elementwise map over the ``rank_m``
-    smallest eigenvalues. Each node's row is summed over the partner axis
-    and passed through the output head. The sum is taken in factored form,
+    channel weights c_ell are phi of the ``rank_m`` smallest eigenvalues
+    (each a row of shape 1). Each node's row is summed over the partner axis
+    and passed through rho. The sum is taken in factored form,
     V_m (c_ell * V_m^T 1), so no n x n x m tensor is built. Every
     eigenvector enters quadratically, so flipping any eigenvector sign
     leaves the output bit-identical.
     """
     _check_rank(rank_m, dec.n)
-    if phi is None:
-        phi_w = params.block("phi_channels")
-        phi = lambda x: run_mlp(phi_w, x)
-    if rho is None:
-        rho_w = params.block("rho_sum")
-        rho = lambda x: run_mlp(rho_w, x)
     v_m = dec.eigenvectors[:, :rank_m]
     channel_weights = np.asarray(phi(dec.eigenvalues[:rank_m, None]))
     summed = v_m @ (channel_weights * v_m.sum(axis=0)[:, None])
@@ -381,22 +363,20 @@ def positional_encoding(
 
     The count and ``spe``'s rank default to n. Any other kind is refused
     first (INVALID_SCHEMA); then the whole request is checked
-    (``check_encoder_request``), and the weights drawn, before the Laplacian
-    is solved, so a refused request costs no eigensolve. ``epsilon``, when
-    given, is the step of the eigenvalue perturbation (``arithmetic_epsilon``).
+    (``check_encoder_request``), and the kind's two maps drawn
+    (``encoder_maps``), before the Laplacian is solved, so a refused request
+    costs no eigensolve. ``epsilon``, when given, is the step of the
+    eigenvalue perturbation (``arithmetic_epsilon``).
     """
-    if kind not in ENCODER_KINDS:
-        raise ValidationError(
-            INVALID_SCHEMA, f"unknown encoder {kind!r}, expected one of {', '.join(ENCODER_KINDS)}"
-        )
+    _check_kind(kind)
     n = graph.num_nodes
     count = check_encoder_request(kind, n, dim, seed, eig_count, rank_m, epsilon)
-    eps = None if epsilon is None else arithmetic_epsilon(count, epsilon)
-    params = EncoderParams.seeded(seed, count, dim, epsilon=eps)
+    phi, rho = encoder_maps(kind, seed, count, dim)
     dec = laplacian_eigh(graph, normalized)
     if kind == "lpe":
-        return lpe(dec, params), count
-    return spe(dec, params, n if rank_m is None else rank_m), count
+        eps = None if epsilon is None else arithmetic_epsilon(count, epsilon)
+        return lpe(dec, phi, rho, count, eps), count
+    return spe(dec, phi, rho, n if rank_m is None else rank_m), count
 
 
 @dataclass(frozen=True, eq=False)

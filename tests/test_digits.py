@@ -8,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wlsim.digits import DigitVector, _count, _vector, encode_multiset, encode_rows
-from wlsim.errors import BASE_MISMATCH, DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
+from wlsim.errors import DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
 
 
 # Code arithmetic that only these tests use: the code of one element, the
 # digit-wise sum and the shift. The package codes a multiset in one pass
 # (``encode_multiset``, ``encode_rows``); this is the algebra behind that pass.
+
+# The error code of a sum of two codes in different bases.
+BASE_MISMATCH = "BASE_MISMATCH"
 
 
 def code_of(position: int, base: int) -> DigitVector:

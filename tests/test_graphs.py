@@ -142,6 +142,14 @@ def test_atomic_type_of_nonadjacent_pair(p3):
     assert atomic_type(p3, (0, 2)).entries == ((2, 3), (3, 2))
 
 
+def test_a_missing_edge_has_no_label(p3):
+    assert p3.edge_label(1, 0) == 0
+    with pytest.raises(ValidationError) as exc:
+        p3.edge_label(0, 2)
+    assert exc.value.code == INVALID_SCHEMA
+    assert exc.value.message == "no edge between 0 and 2"
+
+
 def test_atomic_type_index_check(p3):
     with pytest.raises(ValidationError) as exc:
         atomic_type(p3, (0, 3))

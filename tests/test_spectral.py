@@ -21,15 +21,17 @@ from wlsim.errors import (
 )
 from wlsim.graphs import Graph, builtin_pair, random_graph
 from wlsim.spectral import (
-    EncoderParams,
     arithmetic_epsilon,
     check_identifying,
     eig_count_for,
     eigh,
+    encoder_maps,
     identifying_targets,
     laplacian,
     lpe,
     positional_encoding,
+    run_mlp,
+    seeded_mlp,
     sign_flip,
     spe,
 )
@@ -283,10 +285,8 @@ def test_eigh_is_deterministic():
 
 def test_lpe_stub_reduces_to_component_sums(p3):
     dec = eigh(laplacian(p3), source="laplacian")
-    params = EncoderParams.seeded(0, 3, 4)
     out = lpe(
         dec,
-        params,
         phi=lambda pairs: pairs[:, :1],
         rho=lambda rows: rows,
     )
@@ -295,27 +295,27 @@ def test_lpe_stub_reduces_to_component_sums(p3):
 
 def test_lpe_ignores_eigenpair_input_order(c6):
     dec = eigh(laplacian(c6), source="laplacian")
-    params = EncoderParams.seeded(3, 6, 5)
-    base = lpe(dec, params)
+    maps = encoder_maps("lpe", 3, 6, 5)
+    base = lpe(dec, *maps)
     rng = random.Random(11)
     for _ in range(5):
         perm = list(range(6))
         rng.shuffle(perm)
         shuffled_dec = RawPairs(dec.eigenvalues[perm], dec.eigenvectors[:, perm])
-        assert np.allclose(lpe(shuffled_dec, params), base, atol=1e-12)
+        assert np.allclose(lpe(shuffled_dec, *maps), base, atol=1e-12)
 
 
 def test_lpe_checks_available_pairs(p3):
     dec = eigh(laplacian(p3), source="laplacian")
     with pytest.raises(ValidationError) as exc:
-        lpe(dec, EncoderParams.seeded(0, 5, 4))
+        lpe(dec, *encoder_maps("lpe", 0, 5, 4), eig_count=5)
     assert exc.value.code == SHAPE_MISMATCH
 
 
 def test_lpe_is_seed_deterministic(p3):
     dec = eigh(laplacian(p3), source="laplacian")
-    a = lpe(dec, EncoderParams.seeded(9, 3, 6))
-    b = lpe(dec, EncoderParams.seeded(9, 3, 6))
+    a = lpe(dec, *encoder_maps("lpe", 9, 3, 6))
+    b = lpe(dec, *encoder_maps("lpe", 9, 3, 6))
     assert np.array_equal(a, b)
 
 
@@ -324,13 +324,11 @@ def test_lpe_is_seed_deterministic(p3):
 
 def test_spe_stub_reduces_to_projector_row_sums(p3):
     dec = eigh(laplacian(p3), source="laplacian")
-    params = EncoderParams.seeded(0, 3, 4)
     out = spe(
         dec,
-        params,
-        rank_m=3,
         phi=lambda lams: np.ones((lams.shape[0], 1)),
         rho=lambda rows: rows,
+        rank_m=3,
     )
     # with all channel weights one and full rank, V V^T = I, so each row sum is 1
     assert np.allclose(out, np.ones((3, 1)), atol=1e-10)
@@ -339,9 +337,9 @@ def test_spe_stub_reduces_to_projector_row_sums(p3):
 def test_spe_is_sign_flip_invariant(graph_samples):
     for i, g in enumerate(graph_samples(13, 6, 2, 7)):
         dec = eigh(laplacian(g), source="laplacian")
-        params = EncoderParams.seeded(i, g.num_nodes, 5)
-        base = spe(dec, params, rank_m=g.num_nodes)
-        flipped = spe(sign_flip(dec, seed=i), params, rank_m=g.num_nodes)
+        maps = encoder_maps("spe", i, g.num_nodes, 5)
+        base = spe(dec, *maps, rank_m=g.num_nodes)
+        flipped = spe(sign_flip(dec, seed=i), *maps, rank_m=g.num_nodes)
         assert np.array_equal(base, flipped)
 
 
@@ -354,10 +352,9 @@ def test_spe_matches_the_projector_tensor():
             weights = rng.normal(size=(rank_m, 4))
             got = spe(
                 dec,
-                EncoderParams.seeded(0, 4, 4),
-                rank_m,
                 phi=lambda lams: weights,
                 rho=lambda rows: rows,
+                rank_m=rank_m,
             )
             v_m = dec.eigenvectors[:, :rank_m]
             want = np.einsum("ve,el,ue->vul", v_m, weights, v_m).sum(axis=1)
@@ -371,21 +368,21 @@ def test_spe_truncation_drops_high_channels():
     # symmetric matrix has no such degeneracy.
     m = random_symmetric(random.Random(19), 6)
     dec = eigh(m, source="adjacency")
-    params = EncoderParams.seeded(1, 6, 4)
-    full = spe(dec, params, rank_m=6)
-    truncated = spe(dec, params, rank_m=2)
+    maps = encoder_maps("spe", 1, 6, 4)
+    full = spe(dec, *maps, rank_m=6)
+    truncated = spe(dec, *maps, rank_m=2)
     assert full.shape == truncated.shape == (6, 4)
     assert not np.allclose(full, truncated)
 
 
 def test_spe_rank_bounds(p3):
     dec = eigh(laplacian(p3), source="laplacian")
-    params = EncoderParams.seeded(0, 3, 4)
+    maps = encoder_maps("spe", 0, 3, 4)
     with pytest.raises(ValidationError) as exc:
-        spe(dec, params, rank_m=0)
+        spe(dec, *maps, rank_m=0)
     assert exc.value.code == INVALID_SCHEMA
     with pytest.raises(ValidationError):
-        spe(dec, params, rank_m=4)
+        spe(dec, *maps, rank_m=4)
 
 
 # ------------------------------------------------------------- sign_flip
@@ -413,37 +410,95 @@ def test_sign_flip_actually_flips(p3):
     assert np.allclose(np.abs(flipped.eigenvectors), np.abs(dec.eigenvectors))
 
 
-# --------------------------------------------------------- encoder params
+# ----------------------------------------------------------- encoder maps
 
 
 def test_seeded_params_are_reproducible():
-    a = EncoderParams.seeded(42, 4, 8)
-    b = EncoderParams.seeded(42, 4, 8)
-    assert a.weights.keys() == b.weights.keys()
-    for key in a.weights:
-        assert np.array_equal(a.weights[key], b.weights[key])
-    assert np.array_equal(a.epsilon, np.zeros(4))
+    for kind in ("lpe", "spe"):
+        a = encoder_maps(kind, 42, 4, 8)
+        b = encoder_maps(kind, 42, 4, 8)
+        for map_a, map_b in zip(a, b):
+            weights_a, weights_b = map_a.args[0], map_b.args[0]
+            assert weights_a.keys() == weights_b.keys()
+            for key in weights_a:
+                assert np.array_equal(weights_a[key], weights_b[key])
 
 
-def test_params_validation():
+def test_params_validation(p3):
     with pytest.raises(ValidationError) as exc:
-        EncoderParams.seeded(0, 0, 4)
+        encoder_maps("lpe", 0, 0, 4)
     assert exc.value.code == INVALID_SCHEMA
     assert exc.value.message == "eig_count must be positive, got 0"
     with pytest.raises(ValidationError) as exc:
-        EncoderParams.seeded(0, 3, -2)
+        encoder_maps("lpe", 0, 3, -2)
     assert exc.value.message == "out_dim must be positive, got -2"
+    dec = eigh(laplacian(p3), source="laplacian")
     with pytest.raises(ValidationError) as exc:
-        EncoderParams.seeded(0, 3, 4, epsilon=[0.1, 0.2])
+        lpe(dec, *encoder_maps("lpe", 0, 3, 4), epsilon=[0.1, 0.2])
     assert exc.value.code == SHAPE_MISMATCH
     # A width whose weight blocks exceed the entry cap is refused before a draw.
     with pytest.raises(LimitError) as exc:
-        EncoderParams.seeded(0, 3, 10**12)
+        encoder_maps("lpe", 0, 3, 10**12)
     assert exc.value.code == MEMORY_LIMIT
-    # So is a channel count whose phi_channels and rho_sum blocks exceed it.
-    with pytest.raises(LimitError) as exc:
-        EncoderParams.seeded(0, 10**12, 4)
-    assert exc.value.code == MEMORY_LIMIT
+    # So is a channel count whose spe channel blocks exceed it, for either kind.
+    for kind in ("lpe", "spe"):
+        with pytest.raises(LimitError) as exc:
+            encoder_maps(kind, 0, 10**12, 4)
+        assert exc.value.code == MEMORY_LIMIT
+
+
+def reference_rows(graph, kind, dim, seed, eig_count, rank_m, normalized, epsilon):
+    """The encoder rows written out from ``seeded_mlp``, ``run_mlp`` and the
+    encoders' formulas: lanes 0 and 1 for lpe, 2 and 3 for spe, and a zero
+    perturbation when no epsilon is given."""
+    n = graph.num_nodes
+    count = n if eig_count is None else eig_count
+    hidden = max(8, 2 * dim)
+    dec = eigh(laplacian(graph, normalized), source="laplacian")
+    if kind == "lpe":
+        phi = seeded_mlp(seed, 0, 2, hidden, dim)
+        rho = seeded_mlp(seed, 1, dim, hidden, dim)
+        eps = np.zeros(count) if epsilon is None else epsilon * np.arange(1, count + 1, dtype=float)
+        lams = dec.eigenvalues[:count] + eps
+        pairs = np.stack(
+            [dec.eigenvectors[:, :count].reshape(-1), np.broadcast_to(lams, (n, count)).reshape(-1)],
+            axis=1,
+        )
+        return run_mlp(rho, run_mlp(phi, pairs).reshape(n, count, -1).sum(axis=1))
+    phi = seeded_mlp(seed, 2, 1, hidden, count)
+    rho = seeded_mlp(seed, 3, count, hidden, dim)
+    v_m = dec.eigenvectors[:, : n if rank_m is None else rank_m]
+    channel_weights = run_mlp(phi, dec.eigenvalues[: v_m.shape[1], None])
+    return run_mlp(rho, v_m @ (channel_weights * v_m.sum(axis=0)[:, None]))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_request_draws_only_the_two_maps_its_kind_reads(monkeypatch, normalized):
+    lanes = []
+
+    def recording(seed, index, *shape):
+        lanes.append(index)
+        return seeded_mlp(seed, index, *shape)
+
+    monkeypatch.setattr(spectral, "seeded_mlp", recording)
+    rng = random.Random(29)
+    for n in (3, 7, 12):
+        graph = random_graph(rng, n, 0.4, connected=True)
+        requests = [
+            ("lpe", None, None, None),
+            ("lpe", None, None, 0.01),
+            ("lpe", n - 1, None, None),
+            ("lpe", n - 2, None, 0.003),
+            ("spe", None, None, None),
+            ("spe", None, n - 1, None),
+            ("spe", n + 2, 1, None),
+        ]
+        for kind, eig_count, rank_m, epsilon in requests:
+            lanes.clear()
+            rows, _ = positional_encoding(graph, kind, 5, 7, eig_count, rank_m, normalized, epsilon)
+            assert lanes == ([0, 1] if kind == "lpe" else [2, 3])
+            want = reference_rows(graph, kind, 5, 7, eig_count, rank_m, normalized, epsilon)
+            assert rows.tobytes() == want.tobytes()
 
 
 def test_an_eigenpair_count_is_checked_against_the_graph_order():
@@ -465,23 +520,23 @@ def test_an_unknown_encoder_kind_is_refused_before_the_request_is_checked(monkey
     def refuse(*args, **kwargs):
         raise AssertionError("an unknown kind reached the request check, the draw or the solve")
 
-    for name in ("check_encoder_request", "laplacian_eigh"):
+    for name in ("check_encoder_request", "encoder_maps", "laplacian_eigh"):
         monkeypatch.setattr(spectral, name, refuse)
-    monkeypatch.setattr(EncoderParams, "seeded", refuse)
     with pytest.raises(ValidationError) as exc:
         positional_encoding(c6, kind, 4, 0, eig_count=10**12)
     assert exc.value.code == INVALID_SCHEMA
     assert exc.value.message == f"unknown encoder {kind!r}, expected one of lpe, spe"
 
 
-def test_params_reject_a_negative_seed_and_a_non_finite_epsilon():
+def test_params_reject_a_negative_seed_and_a_non_finite_epsilon(p3):
     for seed in (-1, 1.0, True):
         with pytest.raises(ValidationError) as exc:
-            EncoderParams.seeded(seed, 3, 4)
+            encoder_maps("lpe", seed, 3, 4)
         assert exc.value.code == INVALID_SCHEMA
+    dec = eigh(laplacian(p3), source="laplacian")
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError) as exc:
-            EncoderParams.seeded(0, 3, 4, epsilon=[0.1, bad, 0.3])
+            lpe(dec, *encoder_maps("lpe", 0, 3, 4), epsilon=[0.1, bad, 0.3])
         assert exc.value.code == INVALID_SCHEMA
 
 
