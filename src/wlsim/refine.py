@@ -148,7 +148,9 @@ class TupleSpace:
 
     @cached_property
     def _plans(self) -> dict:
-        """``refine_step``'s gather plan per rule, with the graph it is for."""
+        """Each implementation's per-run plan, with the graph it is for:
+        ``refine_step``'s gather plan under the rule's name, and the digit
+        oracle's plan (``simulate._oracle_plan``) under ``("oracle", rule)``."""
         return {}
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,6 +103,7 @@ ROUNDING_SLACK_LIMIT = 0.4
 
 # Tuples per block of the digit oracle. A block's depth rows then hold at
 # most ORACLE_BLOCK * (1 + k * n) int64 entries, 4 MB at k = 3, n = 40.
+# Its plan holds 9 bytes per depth of the space, as much again as the keys.
 ORACLE_BLOCK = 1 << 12
 
 
@@ -309,29 +310,31 @@ def _adjacency_part(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return dec_a.eigenvectors * np.sqrt(np.abs(lam)), np.where(lam >= 0.0, 1.0, -1.0)
 
 
-def _round_counts(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Recovered counts rounded, and their largest distance from an integer."""
-    rounded = np.rint(values)
-    return rounded, float(np.abs(values - rounded).max()) if values.size else 0.0
+def _number_chunk(ids: np.ndarray, heads: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
+    """One numbering step of the designed FFN, shared by both forwards.
 
-
-def _ffn_classes(onehot: np.ndarray, k: int, denormalized: Iterable) -> tuple[np.ndarray, float]:
-    """The designed FFN of both forwards: round each head's de-normalized
-    counts, yielded one head (position) at a time by ``denormalized``, and
-    number the ``[one-hot | counts_1 ... counts_k]`` rows by first occurrence
-    into read-only classes, returned with the largest rounding slack. The
-    slot weights make the counts faithful to the variant.
+    ``heads`` holds each head's de-normalized counts on one chunk of class
+    columns, t x chunk apiece; they are rounded, and overwritten with their
+    distance from the rounding, from which the slack is read.  The int32
+    rows ``[ids | counts of head 1 | ... | counts of head k]`` are numbered
+    by first occurrence into read-only ids, returned with the largest slack.
+    Ids that number a prefix of a row stand for that prefix, so the chunks
+    taken in turn, each numbered with the ids of those before it, give the
+    ids of the whole row.  The slot weights make the counts faithful to the
+    variant.
     """
-    t, c = onehot.shape
-    rows = np.zeros((t, (1 + k) * c), dtype=np.int64)
-    rows[:, :c] = onehot
+    width = heads[0].shape[1]
+    rows = np.empty((len(ids), 1 + len(heads) * width), dtype=np.int32)
+    rows[:, 0] = ids
     slack = 0.0
-    for j, values in enumerate(denormalized):
-        rows[:, (1 + j) * c : (2 + j) * c], head_slack = _round_counts(values)
-        slack = max(slack, head_slack)
-    classes = _relabel_rows([rows])[0]
-    classes.setflags(write=False)
-    return classes, slack
+    for j, values in enumerate(heads):
+        rounded = np.rint(values)
+        rows[:, 1 + j * width : 1 + (j + 1) * width] = rounded
+        values -= rounded
+        slack = max(slack, float(np.abs(values, out=values).max()))
+    ids = _relabel_rows([rows])[0]
+    ids.setflags(write=False)
+    return ids, slack
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +516,12 @@ class _StructuredLayer:
         alpha, beta = self.weights
         return alpha * degree + beta * (self.setup.space.num_nodes - degree)
 
+    @cached_property
+    def denormalizers(self) -> tuple[np.ndarray, ...]:
+        """Each head's de-normalizer column, t x 1, built once per run."""
+        z = self.denormalizer(self.setup.degblock)
+        return tuple(z[:, [j]] for j in range(self.setup.space.k))
+
     def dense(self, classes: np.ndarray, trace: dict | None = None) -> LayerWeights:
         """The layer as dense projections, with an FFN that records its slack
         and new classes in ``trace`` and returns the next token rows.
@@ -543,24 +552,45 @@ class _StructuredLayer:
 
         def ffn(xt: np.ndarray) -> np.ndarray:
             z = self.denormalizer(xt[:, lay.deg0 : lay.deg0 + k])
-            denormalized = (xt[:, lay.counts(j)] * z[:, [j]] for j in range(k))
-            trace["classes"], trace["slack"] = _ffn_classes(xt[:, 0:c], k, denormalized)
+            heads = [xt[:, lay.counts(j)] * z[:, [j]] for j in range(k)]
+            # The one-hot is a function of the class id, which numbers alike.
+            ids = xt[:, 0:c].argmax(axis=1)
+            trace["classes"], trace["slack"] = _number_chunk(ids, heads)
             return _token_rows_k(self.setup, trace["classes"])
 
         return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
 
     def forward(self, classes: np.ndarray, attends: Sequence[Callable]) -> tuple[np.ndarray, float]:
         """The next classes and the rounding slack, given each head as a map
-        from the t x c one-hot of the classes to its attended averages
-        (``_head_attention``), de-normalized as in the dense layer."""
+        from t x c values to their attended averages (``_head_attention``),
+        de-normalized as in the dense layer.
+
+        The heads run on the one-hot of the classes a chunk of class columns
+        at a time, each chunk numbered (``_number_chunk``) with the ids of
+        those before it, so the ids equal those of the whole t x (1 + k) c
+        row of one-hot and counts.  A chunk is as wide as
+        ``DEFAULT_MEMORY_LIMIT`` allows t x (1 + k) entries per column, so
+        every layer that fits under the cap whole runs as one chunk.
+        """
         t, k = len(self.setup.space.nodes), self.setup.space.k
+        _check_dense(t, 1 + k, "FFN class column")
+        chunk = DEFAULT_MEMORY_LIMIT // (t * (1 + k))
         c = int(classes.max()) + 1
-        _check_dense(t, (1 + k) * c, "FFN row")
-        onehot = np.zeros((t, c))
-        onehot[np.arange(t), classes] = 1.0
-        z = self.denormalizer(self.setup.degblock)
-        denormalized = (attend(onehot) * z[:, [j]] for j, attend in enumerate(attends))
-        return _ffn_classes(onehot, k, denormalized)
+        ids, slack = classes, 0.0
+        for start in range(0, c, chunk):
+            width = min(chunk, c - start)
+            column = classes - start
+            rows = np.flatnonzero((column >= 0) & (column < width))
+            onehot = np.zeros((t, width))
+            onehot[rows, column[rows]] = 1.0
+            heads = []
+            for attend, z in zip(attends, self.denormalizers):
+                values = attend(onehot)
+                values *= z
+                heads.append(values)
+            ids, chunk_slack = _number_chunk(ids, heads)
+            slack = max(slack, chunk_slack)
+        return ids, slack
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +839,54 @@ def construct_kgt_weights(
     return ConstructedWeights(dense, b, k, k, variant)
 
 
+def _oracle_plan(
+    space: TupleSpace, graph: Graph, variant: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every round of the digit oracle reads on one space and graph, as
+    three whole-space arrays of ``1 + k * n`` columns, one per depth of a
+    tuple's code: the int32 row of the tuple it reads (the tuple itself, then
+    one per position and node), its int32 depth base (the offset of its
+    position and group, plus 1) and whether the rule counts it.
+
+    The substituted tuple is found by the row-major flat index, ``i - u_j *
+    n^(k-1-j) + w * n^(k-1-j)``, which is the row on a full space and is
+    looked up among the space's sorted flat indices on a restricted one,
+    where a tuple off the space is not counted.  The plan is built
+    ``ORACLE_BLOCK`` tuples at a time.
+    """
+    k, n, t = space.k, graph.num_nodes, len(space.nodes)
+    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    flat = space.nodes @ strides
+    local = _is_local(variant, k)
+    index = np.empty((t, 1 + k * n), dtype=np.int32)
+    base = np.empty((t, 1 + k * n), dtype=np.int32)
+    valid = np.ones((t, 1 + k * n), dtype=bool)
+    # A tuple of color c counts at depth c + 1.
+    index[:, 0], base[:, 0] = np.arange(t), 1
+    for start in range(0, t, ORACLE_BLOCK):
+        rows = slice(start, start + ORACLE_BLOCK)
+        nodes = space.nodes[rows]
+        for j in range(k):
+            block = (rows, slice(1 + j * n, 1 + (j + 1) * n))
+            moved = (flat[rows] - nodes[:, j] * strides[j])[:, None]
+            moved = moved + np.arange(n) * strides[j]
+            if space.s < k:
+                row = np.minimum(np.searchsorted(flat, moved), t - 1)
+                valid[block] = flat[row] == moved
+                moved = row
+            index[block] = moved
+            # A substituted tuple counts at its color's depth past the offset
+            # of its position and group.
+            if variant == "delta_kwl":
+                adjacent = graph.adjacency_matrix[nodes[:, j]]
+                base[block] = np.where(adjacent, t * (2 * j + 1) + 1, t * (2 * j + 2) + 1)
+            else:
+                base[block] = t * (j + 1) + 1
+                if local:
+                    valid[block] &= graph.adjacency_matrix[nodes[:, j]]
+    return index, base, valid
+
+
 def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
     """One refinement round computed with exact base-m digit arithmetic.
 
@@ -819,14 +897,14 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     distinguishes them.  A tuple's code is the multiset of its depths: its
     own color's, then one per substitution that the rule counts.
 
-    The tuples are coded ``ORACLE_BLOCK`` at a time.  A block's depths form
-    one row of ``1 + k * n`` entries per tuple, one per position and node,
-    with the substitutions the rule skips masked.  The substituted tuple is
-    found by the row-major flat index, ``i - u_j * n^(k-1-j) + w *
-    n^(k-1-j)``, which is the row on a full space and is looked up among the
-    space's sorted flat indices on a restricted one.  ``encode_rows`` turns
-    each row into a code key, and the keys of all blocks, in one array, are
-    numbered through one table.
+    Which tuple each depth reads and at which offset depends on the space,
+    the graph and the rule only (``_oracle_plan``), so it is kept on the
+    space, with the graph it is for, and the rounds of one run plan once.
+    A round then gathers the colors and adds the depth bases
+    ``ORACLE_BLOCK`` tuples at a time, in rows of ``1 + k * n`` depths with
+    the substitutions the rule skips masked.  ``encode_rows`` turns each row
+    into a code key, and the keys of all blocks, in one array, are numbered
+    through one table.
 
     Parameters
     ----------
@@ -853,40 +931,17 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             SPACE_MISMATCH,
             f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
         )
-    n, t = graph.num_nodes, len(space.nodes)
+    planned = space._plans.get(("oracle", variant))
+    if planned is None or planned[0] is not graph:
+        planned = space._plans[("oracle", variant)] = (graph, _oracle_plan(space, graph, variant))
+    index, base, valid = planned[1]
     cols = colors.colors
-    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    flat = space.nodes @ strides
-    local = _is_local(variant, k)
-
-    def depth_rows(start: int, stop: int) -> np.ndarray:
-        # A tuple of color c counts at depth c + 1; a substituted tuple counts
-        # at its color's depth past the offset of its position and group.
-        nodes = space.nodes[start:stop]
-        depths = np.empty((len(nodes), 1 + k * n), dtype=np.int64)
-        valid = np.ones(depths.shape, dtype=bool)
-        depths[:, 0] = cols[start:stop] + 1
-        for j in range(k):
-            block = slice(1 + j * n, 1 + (j + 1) * n)
-            moved = (flat[start:stop] - nodes[:, j] * strides[j])[:, None]
-            moved = moved + np.arange(n) * strides[j]
-            if space.s < k:
-                row = np.minimum(np.searchsorted(flat, moved), t - 1)
-                valid[:, block] = flat[row] == moved
-                moved = row
-            if variant == "delta_kwl":
-                adjacent = graph.adjacency_matrix[nodes[:, j]]
-                offset = np.where(adjacent, t * (2 * j + 1), t * (2 * j + 2))
-            else:
-                offset = t * (j + 1)
-                if local:
-                    valid[:, block] &= graph.adjacency_matrix[nodes[:, j]]
-            depths[:, block] = offset + cols[moved] + 1
-        return encode_rows(depths, valid, n + 1)
-
-    keys = np.empty((t, 1 + k * n), dtype=np.int64)
-    for i in range(0, t, ORACLE_BLOCK):
-        keys[i : i + ORACLE_BLOCK] = depth_rows(i, min(i + ORACLE_BLOCK, t))
+    keys = np.empty(index.shape, dtype=np.int64)
+    for start in range(0, len(keys), ORACLE_BLOCK):
+        rows = slice(start, start + ORACLE_BLOCK)
+        depths = cols[index[rows]]
+        depths += base[rows]
+        keys[rows] = encode_rows(depths, valid[rows], graph.num_nodes + 1)
     ids = _relabel_rows([keys])[0]
     return Coloring(space, ids, colors.iteration + 1)
 

@@ -5,7 +5,8 @@ embeddings over a restricted tuple space, and atomic-type embeddings.
 deterministically per index so no table is ever materialized beyond the
 indices actually used. Injectivity on the used index set is asserted after
 every build and the draw is re-salted on collision, so equal rows always
-mean equal inputs.
+mean equal inputs. A build that finds no injective draw in ``MAX_SALTS``
+salts raises ``LimitError`` (``ITERATION_LIMIT``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .errors import INVALID_SCHEMA, ValidationError
+from .errors import INVALID_SCHEMA, ITERATION_LIMIT, LimitError, ValidationError
 from .graphs import Graph, atomic_types
 from .refine import _check_order, _relabel_rows, enumerate_tuples
 from .spectral import (
@@ -40,6 +41,9 @@ _STREAM_EDGE = 106
 _STREAM_EDGE_PROJECTION = 107
 _STREAM_RAW_PE = 108
 
+# Salts a build draws, from 0 up, before it gives up on distinct rows.
+MAX_SALTS = 1 << 15
+
 
 def _draw_row(seed: int, stream: int, salt: int, key: Hashable, dim: int) -> np.ndarray:
     """The row of an int key, or of a flat tuple of ints, seeded by the key's
@@ -61,17 +65,30 @@ def _distinct(rows: np.ndarray) -> int:
     return int(_row_ids(rows).max()) + 1
 
 
+def _salted(draw: Callable[[int], np.ndarray], distinct: int, loop: str) -> np.ndarray:
+    """``draw(salt)`` at the first salt from 0 up whose rows are ``distinct``
+    distinct ones; ``LimitError`` (``ITERATION_LIMIT``) naming ``loop`` when
+    no salt below ``MAX_SALTS`` gives them."""
+    for salt in range(MAX_SALTS):
+        rows = draw(salt)
+        if _distinct(rows) == distinct:
+            return rows
+    raise LimitError(
+        ITERATION_LIMIT, f"{loop} drew no {distinct} distinct rows in {MAX_SALTS} salts"
+    )
+
+
 def _table(seed: int, stream: int, dim: int, keys: Iterable[Hashable]) -> dict[Hashable, np.ndarray]:
     """Deterministic embedding rows for the used keys, re-salted until the
     rows are pairwise distinct (and nonzero) on that key set. A row depends
     on the key alone, so the keys' order changes nothing."""
     used = set(keys)
-    salt = 0
-    while True:
-        rows = {key: _draw_row(seed, stream, salt, key, dim) for key in used}
-        if _distinct(np.stack([np.zeros(dim), *rows.values()])) == len(rows) + 1:
-            return rows
-        salt += 1
+
+    def draw(salt: int) -> np.ndarray:
+        return np.stack([np.zeros(dim), *(_draw_row(seed, stream, salt, key, dim) for key in used)])
+
+    rows = _salted(draw, len(used) + 1, "the embedding table")
+    return dict(zip(used, rows[1:]))
 
 
 def _draw_matrix(seed: int, stream: int, salt: int, shape: tuple[int, int]) -> np.ndarray:
@@ -147,17 +164,13 @@ def _pe_matrix(graph: Graph, cfg: TokenizerConfig) -> np.ndarray:
     if cfg.pe_kind == "raw_targets":
         targets = identifying_targets(graph, normalized=cfg.normalized)
         raw = np.concatenate([targets.p_node, targets.p_adj], axis=1)
-        distinct = _distinct(raw)
-        salt = 0
-        while True:
-            proj = np.random.default_rng([cfg.seed, _STREAM_RAW_PE, salt, n]).normal(
-                0.0, 1.0 / math.sqrt(2 * n), (2 * n, cfg.dim)
-            )
-            out = raw @ proj
-            # The projection must not conflate rows the raw embedding separates.
-            if _distinct(out) == distinct:
-                return out
-            salt += 1
+
+        def draw(salt: int) -> np.ndarray:
+            rng = np.random.default_rng([cfg.seed, _STREAM_RAW_PE, salt, n])
+            return raw @ rng.normal(0.0, 1.0 / math.sqrt(2 * n), (2 * n, cfg.dim))
+
+        # The projection must not conflate rows the raw embedding separates.
+        return _salted(draw, _distinct(raw), "the raw_targets projection")
     return positional_encoding(
         graph, cfg.pe_kind, cfg.dim, cfg.seed, cfg.eig_count, cfg.rank_m, cfg.normalized
     )[0]
@@ -276,14 +289,12 @@ def tuple_tokens(
     concat = node_rows[space.nodes].reshape(len(space.nodes), -1)
     # A token's key: the id of each component's node row, then its type's id.
     token_keys = np.column_stack([_row_ids(node_rows)[space.nodes], atp_ids])
-    distinct = _distinct(token_keys)
-    salt = 0
-    while True:
+
+    def draw(salt: int) -> np.ndarray:
         proj = _draw_matrix(cfg.seed, _STREAM_PROJECTION, salt, (cfg.dim * cfg.k, cfg.dim))
-        rows = concat @ proj + atp_rows
-        if _distinct(rows) == distinct:
-            break
-        salt += 1
+        return concat @ proj + atp_rows
+
+    rows = _salted(draw, _distinct(token_keys), "the tuple-token projection")
     return TokenMatrix(rows=rows, k=cfg.k, s=cfg.s, dim=cfg.dim, encoder_id=cfg.pe_kind, seed=cfg.seed)
 
 

@@ -993,6 +993,7 @@ def lower_the_memory_cap(monkeypatch, cap):
 
 
 def test_full_space_layers_enforce_the_memory_cap(p3, monkeypatch):
+    whole = simulate_and_compare(p3, 2, 2, "kwl")
     # The dense form: the path at k = 2 has 9 tuples of width 23 (three
     # initial classes).
     lower_the_memory_cap(monkeypatch, 100)
@@ -1012,14 +1013,26 @@ def test_full_space_layers_enforce_the_memory_cap(p3, monkeypatch):
     with pytest.raises(LimitError) as err:
         construct_kgt_weights(edge, 2, "kwl", 1)
     assert "8x22 output projection" in err.value.message
-    # The structured forward allocates neither, only its t x (1 + k) c rows of
-    # one-hot and counts: 4 x 12 for the edge, 9 x 9 for the path.
+    # The structured forward allocates neither.  Its FFN takes the class
+    # columns in chunks of t x (1 + k) entries each: at a cap of 80 the
+    # path's 9 tuples run in chunks of two classes, with the ids and the
+    # verdicts of the default cap, under which every layer is one chunk.
     assert simulate_and_compare(edge, 2, 2, "kwl").all_equal
     lower_the_memory_cap(monkeypatch, 80)
+    chunked = simulate_and_compare(p3, 2, 2, "kwl")
+    assert chunked.all_equal
+    assert max(whole.transformer_partitions[-1]) + 1 > 2
+    for field in ("transformer_partitions", "wl_partitions", "oracle_partitions"):
+        for got, want in zip(getattr(chunked, field), getattr(whole, field), strict=True):
+            assert np.array_equal(got, want), field
+    assert chunked.attention_errors == whole.attention_errors
+    assert chunked.rounding_slack_max == pytest.approx(whole.rounding_slack_max, rel=0, abs=1e-12)
+    # Below a single class column, t (1 + k) = 27 entries, it is refused.
+    lower_the_memory_cap(monkeypatch, 26)
     with pytest.raises(LimitError) as err:
         simulate_and_compare(p3, 2, 2, "kwl")
     assert err.value.code == MEMORY_LIMIT
-    assert "9x9 FFN row" in err.value.message
+    assert err.value.message == "dense 9x3 FFN class column exceeds the cap of 26"
 
 
 class DenseBuilt(Exception):
@@ -1080,6 +1093,40 @@ def test_twenty_nodes_at_order_two_pass_at_the_default_cap():
     assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
     assert max(report.transformer_partitions[-1]) + 1 == 400
     assert peak < 48_000_000
+
+
+def test_sixteen_nodes_at_order_three_pass_at_the_default_cap():
+    # The 4096 x 11540 row of one-hot and counts refused this run at the
+    # default cap; lifted, it peaked at 1.08 GB.  The FFN takes its class
+    # columns in chunks of t x (1 + k) entries each.
+    g = random_graph(random.Random(16), 16, 3 / 16, connected=True)
+    g.adjacency_matrix
+    tracemalloc.start()
+    try:
+        report = simulate_and_compare(g, 3, 3, "delta_kwl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_equal
+    assert report.max_attention_error < 1e-8
+    assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+    assert max(report.transformer_partitions[-1]) + 1 == 4096
+    assert peak < 64_000_000
+
+
+@pytest.mark.parametrize(
+    "n,k,s,variant", [(10, 3, 3, "kwl"), (12, 3, 3, "kwl"), (24, 3, 1, "ks_lwl"), (40, 2, 2, "delta_kwl")]
+)
+def test_runs_over_the_ffn_row_cap_pass_in_class_chunks(n, k, s, variant):
+    # Each was refused for its t x (1 + k) c row of one-hot and counts.
+    g = random_graph(random.Random(n), n, 3 / n, connected=True)
+    t = len(enumerate_tuples(g, k, s).nodes)
+    report = simulate_and_compare(g, k, s, variant)
+    # The classes that the last layer reads.
+    c = max(report.transformer_partitions[-2]) + 1
+    assert t * (1 + k) * c > wlsim.refine.DEFAULT_MEMORY_LIMIT
+    assert report.all_equal
+    assert report.rounding_slack_max < ROUNDING_SLACK_LIMIT
 
 
 @pytest.mark.parametrize("n,classes", [(8, 356), (12, 624)])
@@ -1310,6 +1357,36 @@ def every_rule(max_k=3):
                 yield k, s, variant
 
 
+def construction_rules():
+    """(k, s, variant) for every rule the construction runs at k = 1..3,
+    s < k included."""
+    return [rule for rule in every_rule() if rule[0] > 1 or rule[2] == "kwl"]
+
+
+@pytest.mark.parametrize("k,s,variant", construction_rules())
+def test_chunked_forward_equals_the_single_chunk_forward(monkeypatch, k, s, variant):
+    """The FFN numbers each chunk of class columns with the ids of those
+    before it, so chunks of 1, 2 and 3 classes give the ids of one chunk.
+    The slack agrees to round-off: BLAS may sum a narrower product in
+    another order (``DECISIONS.md`` §26)."""
+    g = random_graph(random.Random(2), 7, edge_prob=0.5, connected=True)
+    layer = structured_layer(g, k, s, variant)
+    attends = wlsim.simulate._head_attention(layer.setup, *layer.factors, layer.weights)[0]
+    t = len(layer.setup.space.nodes)
+    classes = layer.setup.classes
+    for _ in range(3):
+        want = layer.forward(classes, attends)
+        for chunk in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                mp.setattr(wlsim.simulate, "DEFAULT_MEMORY_LIMIT", t * (1 + k) * chunk)
+                got = layer.forward(classes, attends)
+            assert np.array_equal(got[0], want[0]), chunk
+            assert not got[0].flags.writeable
+            assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), chunk
+        classes = want[0]
+    assert max(classes) + 1 > 3
+
+
 @st.composite
 def oracle_graphs(draw):
     """A labeled connected graph or a graph of two connected parts."""
@@ -1402,6 +1479,46 @@ def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
     for (k, s, variant), colors in starts.items():
         got = gnn_reference_step(colors, g, k, variant)
         assert same_coloring(got, want[(k, s, variant)]), (k, s, variant)
+
+
+def count_oracle_plans(monkeypatch):
+    """Replace ``_oracle_plan`` by a stand-in that logs (graph, variant) per
+    call; returns the log."""
+    sim, calls = wlsim.simulate, []
+    build = sim._oracle_plan
+
+    def counted(space, graph, variant):
+        calls.append((graph, variant))
+        return build(space, graph, variant)
+
+    monkeypatch.setattr(sim, "_oracle_plan", counted)
+    return calls
+
+
+def test_a_run_plans_its_oracle_once(monkeypatch):
+    calls = count_oracle_plans(monkeypatch)
+    g = random_graph(random.Random(3), 7, edge_prob=0.4, connected=True)
+    for k, s, variant in construction_rules():
+        calls.clear()
+        report = simulate_and_compare(g, k, s, variant)
+        assert report.all_equal, (k, s, variant)
+        assert report.layers >= 2
+        assert calls == [(g, variant)], (k, s, variant)
+
+
+def test_a_different_graph_on_an_equal_space_replans_the_oracle(monkeypatch, c6):
+    calls = count_oracle_plans(monkeypatch)
+    h = Graph(6, list(c6.edges) + [(0, 3)])
+    for k in (1, 2, 3):
+        space = enumerate_tuples(c6, k, k)
+        assert space == enumerate_tuples(h, k, k)
+        colors = initial_coloring(c6, space)
+        for variant in ("kwl",) if k == 1 else ("kwl", "delta_kwl", "delta_klwl"):
+            calls.clear()
+            for graph in (c6, h, h, c6):
+                got = gnn_reference_step(colors, graph, k, variant)
+                assert same_coloring(got, loop_digit_step(colors, graph, k, variant))
+            assert calls == [(c6, variant), (h, variant), (c6, variant)]
 
 
 def test_oracle_round_memory_is_bounded_by_its_blocks():

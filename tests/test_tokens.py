@@ -2,6 +2,7 @@
 embeddings, and the width rule for reusing one layer stack across orders."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlsim import tokens
-from wlsim.errors import INVALID_SCHEMA, ValidationError
+from wlsim.errors import INVALID_SCHEMA, ITERATION_LIMIT, LimitError, ValidationError
 from wlsim.graphs import Graph, apply_permutation, atomic_types, random_graph
 from wlsim.refine import enumerate_tuples, initial_coloring
 from wlsim.tokens import (
@@ -208,6 +209,47 @@ def test_a_projection_that_conflates_tokens_is_redrawn(monkeypatch, c6):
         types = atomic_types(c6, space.nodes).reshape(len(space.nodes), -1)
         keys = [(nodes[tup].tobytes(), tuple(t)) for tup, t in zip(space.tuples, types.tolist())]
         assert row_partition(tm.rows) == color_partition(keys)
+
+
+def stub_table(seed, stream, dim, keys):
+    """Distinct nonzero rows without a draw: the i-th key's row is i + 1."""
+    return {key: np.full(dim, i + 1.0) for i, key in enumerate(dict.fromkeys(keys))}
+
+
+RE_SALTED_BUILDS = {
+    "the embedding table": lambda g: node_tokens(g, cfg_for(1)),
+    "the raw_targets projection": lambda g: node_tokens(g, cfg_for(1, pe_kind="raw_targets")),
+    "the tuple-token projection": lambda g: tuple_tokens(g, cfg_for(2, s=1)),
+}
+
+
+@pytest.mark.parametrize("loop", list(RE_SALTED_BUILDS))
+def test_every_re_salted_build_stops_at_the_salt_bound(monkeypatch, p3, loop):
+    """With ``_distinct`` reporting a collision on every draw, each build
+    raises ITERATION_LIMIT, naming its loop, after ``MAX_SALTS`` draws.
+    The stand-in returns NaN, a count equal to no count, and fails once it
+    is called more often than the bound allows, so an unbounded loop fails
+    here instead of running forever. Every build but the table's own gets
+    its tables from ``stub_table``, so its own loop is the one that runs."""
+    monkeypatch.setattr(tokens, "MAX_SALTS", 5)
+    calls = []
+
+    def always_a_collision(rows):
+        calls.append(len(rows))
+        assert len(calls) <= 6, "re-salted past the bound"
+        return math.nan
+
+    monkeypatch.setattr(tokens, "_distinct", always_a_collision)
+    if loop != "the embedding table":
+        monkeypatch.setattr(tokens, "_table", stub_table)
+    with pytest.raises(LimitError) as err:
+        RE_SALTED_BUILDS[loop](p3)
+    assert err.value.code == ITERATION_LIMIT
+    assert err.value.message.startswith(loop)
+    assert err.value.message.endswith("in 5 salts")
+    # The table checks its draws against a known count; the projections
+    # count their keys first.
+    assert len(calls) == 5 + (loop != "the embedding table")
 
 
 def test_distinct_tokens_are_counted_like_their_byte_keys(graph_samples):
