@@ -236,7 +236,12 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
     specs = [s.strip() for s in args.variants.split(",") if s.strip()]
     if not specs:
         raise ValidationError(INVALID_SCHEMA, "empty --variants list")
-    panel = [(spec, *_parse_bench_spec(spec)) for spec in specs]
+    panel = []
+    for i, spec in enumerate(specs):
+        panel.append((spec, *_parse_bench_spec(spec)))
+        if spec in specs[:i]:
+            # The totals are keyed by spec, so a repeat would count its rows twice.
+            raise ValidationError(INVALID_SCHEMA, f"bench spec {spec!r} is repeated")
 
     rng = random.Random(args.seed)
     cases: list[tuple[str, Graph, Graph, bool]] = []

@@ -43,7 +43,6 @@ FILE_NOT_FOUND = "FILE_NOT_FOUND"
 IO_ERROR = "IO_ERROR"
 
 # Limit codes
-SIZE_LIMIT = "SIZE_LIMIT"
 MEMORY_LIMIT = "MEMORY_LIMIT"
 ITERATION_LIMIT = "ITERATION_LIMIT"
 NO_CONVERGENCE = "NO_CONVERGENCE"

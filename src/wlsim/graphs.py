@@ -1,5 +1,5 @@
-"""Graph data model: validation, permutations, atomic types, a brute-force
-isomorphism oracle, and built-in non-isomorphic test pairs.
+"""Graph data model: validation, permutations, atomic types, JSON loading,
+and built-in non-isomorphic test pairs.
 
 Graphs here are undirected, node-labeled, without self-loops and without
 isolated nodes. Node indexing is 0-based and index order is the fixed node
@@ -11,11 +11,10 @@ the pair types at every position pair of a node array.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,14 +25,9 @@ from .errors import (
     NODE_INDEX_OUT_OF_RANGE,
     NON_BIJECTIVE,
     SELF_LOOP,
-    SIZE_LIMIT,
     UNKNOWN_PAIR,
-    LimitError,
     ValidationError,
 )
-
-#: Hard cap for the exhaustive isomorphism search (factorial blow-up).
-BRUTE_FORCE_MAX_NODES = 9
 
 _GRAPH_KEYS = {"num_nodes", "edges", "labels", "edge_labels"}
 
@@ -248,60 +242,6 @@ def apply_permutation(graph: Graph, perm: Sequence[int]) -> Graph:
     return Graph(n, tuple(new_edges), tuple(new_labels), graph.edge_labels)
 
 
-def are_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
-    """Exhaustive isomorphism test, the ground truth for soundness checks.
-
-    Searches over bijections with degree and label pruning, so it is exact
-    but only usable for small graphs.
-
-    Raises
-    ------
-    LimitError
-        With code ``SIZE_LIMIT`` when either graph has more than
-        ``BRUTE_FORCE_MAX_NODES`` nodes.
-    """
-    if g.num_nodes > BRUTE_FORCE_MAX_NODES or h.num_nodes > BRUTE_FORCE_MAX_NODES:
-        raise LimitError(
-            SIZE_LIMIT,
-            f"brute-force search is capped at {BRUTE_FORCE_MAX_NODES} nodes",
-        )
-    n = g.num_nodes
-    if n != h.num_nodes or g.num_edges != h.num_edges:
-        return False
-    sig_g = sorted((g.labels[v], g.degree(v)) for v in range(n))
-    sig_h = sorted((h.labels[v], h.degree(v)) for v in range(n))
-    if sig_g != sig_h:
-        return False
-
-    def mark(graph: Graph, u: int, v: int) -> int | None:
-        if v in graph.neighbor_sets[u]:
-            return graph.edge_label(u, v)
-        return None
-
-    # Most-constrained-first: mapping high-degree nodes early prunes fastest.
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for w in range(n):
-            if used[w] or g.labels[v] != h.labels[w] or g.degree(v) != h.degree(w):
-                continue
-            if all(mark(g, v, u) == mark(h, w, image[u]) for u in order[:idx]):
-                image[v] = w
-                used[w] = True
-                if extend(idx + 1):
-                    return True
-                image[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
 # The 16-node pair below is stored as explicit edge lists so that a slip in
 # some on-the-fly construction can never silently change what the expressivity
 # tests exercise. Both lists come from the standard definitions (tests
@@ -394,12 +334,16 @@ def load_graph(text: str) -> Graph:
     ``labels`` and ``edge_labels`` arrays; anything else is rejected with
     code ``INVALID_SCHEMA``, and the structural rules (no self-loops, no
     isolated nodes, no duplicate edges, indices in range) each fail with
-    their own code.
+    their own code. Text the parser cannot take is ``INVALID_SCHEMA`` too:
+    nesting beyond the interpreter's recursion limit, or an integer of more
+    digits than ``int`` converts.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(INVALID_SCHEMA, f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(INVALID_SCHEMA, f"JSON the parser cannot take: {exc}") from exc
     return graph_from_dict(doc)
 
 
@@ -415,42 +359,3 @@ def graph_to_dict(graph: Graph) -> dict:
         doc["edge_labels"] = list(graph.edge_labels)
     return doc
 
-
-def random_graph(
-    rng,
-    num_nodes: int,
-    edge_prob: float = 0.5,
-    label_count: int = 1,
-    connected: bool = False,
-) -> Graph:
-    """Sample a valid random graph (used by tests).
-
-    Isolated nodes are repaired by attaching them to a random other node, so
-    every draw satisfies the model invariants. With ``connected=True`` a
-    random spanning tree is merged in first.
-    """
-    if num_nodes < 2:
-        raise ValidationError(INVALID_SCHEMA, "need at least two nodes for a valid graph")
-    edges = {
-        (u, v)
-        for u, v in itertools.combinations(range(num_nodes), 2)
-        if rng.random() < edge_prob
-    }
-    if connected:
-        nodes = list(range(num_nodes))
-        rng.shuffle(nodes)
-        for a, b in zip(nodes, nodes[1:]):
-            edges.add((min(a, b), max(a, b)))
-    else:
-        degree = [0] * num_nodes
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        for v in range(num_nodes):
-            if degree[v] == 0:
-                w = rng.choice([u for u in range(num_nodes) if u != v])
-                edges.add((min(v, w), max(v, w)))
-                degree[v] += 1
-                degree[w] += 1
-    labels = tuple(rng.randrange(label_count) for _ in range(num_nodes))
-    return Graph(num_nodes, tuple(sorted(edges)), labels)

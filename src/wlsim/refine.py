@@ -105,9 +105,6 @@ class TupleSpace:
             and np.array_equal(self.nodes, other.nodes)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.k, self.s, self.num_nodes, self.nodes.tobytes()))
-
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         """The tuples as Python tuples. Only the benchmark's tracer reads them

@@ -145,16 +145,15 @@ class ConstructedWeights:
 
     layers: tuple[LayerWeights, ...]
     temperature: float
-    head_count: int
     k: int
     variant: str
 
+    @property
+    def head_count(self) -> int:
+        """Heads per layer: one weighted substitution slot per position, k."""
+        return self.k
+
     def __post_init__(self) -> None:
-        if self.head_count != self.k:
-            raise ValidationError(
-                INVALID_SCHEMA,
-                f"k={self.k} construction uses {self.k} heads, got {self.head_count}",
-            )
         for i, layer in enumerate(self.layers):
             if len(layer.heads) != self.head_count:
                 raise ValidationError(
@@ -836,7 +835,7 @@ def construct_kgt_weights(
     layer = _layer(_setup(graph, k, k), variant, b)
     partitions = _drive(layer, t_layers)[0]
     dense = tuple(layer.dense(classes) for classes in partitions[:-1])
-    return ConstructedWeights(dense, b, k, k, variant)
+    return ConstructedWeights(dense, b, k, variant)
 
 
 def _oracle_plan(

@@ -455,20 +455,3 @@ def check_identifying(
     margin = float((row_max - np.where(want, -np.inf, scores).max(axis=1)).min())
     failed = tuple(np.flatnonzero((maxima != want).any(axis=1)).tolist())
     return IdentifyingReport(passed=not failed, margin=margin, rows_failed=failed)
-
-
-def sign_flip(dec: SpectralDecomposition, seed: int) -> SpectralDecomposition:
-    """Multiply each eigenvector by an independent uniform sign.
-
-    Models the data augmentation that forces encoders to be sign-invariant.
-    Residual and orthonormality are untouched, but the canonical sign
-    convention of ``eigh`` is deliberately not preserved.
-    """
-    rng = np.random.default_rng(seed)
-    flips = rng.integers(0, 2, size=dec.n) * 2 - 1
-    return SpectralDecomposition(
-        dec.eigenvalues.copy(),
-        dec.eigenvectors * flips.astype(float),
-        dec.source,
-        dec.residual,
-    )

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from wlsim.graphs import Graph, random_graph
+from graph_helpers import random_graph
+from wlsim.graphs import Graph
 
 
 @pytest.fixture

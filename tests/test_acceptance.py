@@ -17,13 +17,9 @@ import numpy as np
 import pytest
 
 from wlsim.digits import encode_multiset
-from wlsim.errors import SIZE_LIMIT, LimitError
-from wlsim.graphs import (
-    apply_permutation,
-    are_isomorphic_bruteforce,
-    builtin_pair,
-    random_graph,
-)
+from graph_helpers import SIZE_LIMIT, are_isomorphic_bruteforce, random_graph, sign_flip
+from wlsim.errors import LimitError
+from wlsim.graphs import apply_permutation, builtin_pair
 from wlsim.refine import distinguish, enumerate_tuples, initial_coloring, refine_step, refine_to_stable
 from wlsim.simulate import (
     ROUNDING_SLACK_LIMIT,
@@ -38,7 +34,6 @@ from wlsim.spectral import (
     identifying_targets,
     laplacian,
     lpe,
-    sign_flip,
     spe,
 )
 from wlsim.tokens import token_count

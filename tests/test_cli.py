@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import random_graph
 from wlsim import cli
 from wlsim.cli import SUBCOMMANDS, _build_parser, _dumps, main
-from wlsim.graphs import Graph, builtin_pair, graph_to_dict, random_graph
+from wlsim.graphs import Graph, builtin_pair, graph_to_dict
 
 
 def run_cli(*args):
@@ -170,6 +171,20 @@ def test_refine_rejects_a_malformed_graph_document(tmp_path):
     path.write_text(json.dumps({"num_nodes": 2}))
     proc = run_cli("refine", "--graph", str(path), "--k", "1", "--variant", "kwl")
     assert proc.returncode == 2
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"num_nodes": 2, "edges": [[0, 1]], "labels": [0, %s]}' % ("9" * 5000)],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_a_graph_file_beyond_the_json_parsers_limits_is_invalid_input(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    proc = run_cli("refine", "--graph", str(path), "--k", "1", "--variant", "kwl")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
@@ -375,6 +390,14 @@ def test_bench_rejects_malformed_panel_entries():
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
     proc = run_cli("bench", "--variants", "1wl:2")
     assert proc.returncode == 2
+
+
+def test_bench_refuses_a_repeated_panel_entry():
+    # The totals are keyed by spec: a repeat would count its pairs twice.
+    proc = run_cli("bench", "--variants", "delta:2,delta:2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
 # ----------------------------------------------------------------- simulate

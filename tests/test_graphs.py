@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import SIZE_LIMIT, are_isomorphic_bruteforce, random_graph
 from wlsim.errors import (
     DUPLICATE_EDGE,
     INVALID_SCHEMA,
@@ -19,7 +20,6 @@ from wlsim.errors import (
     NODE_INDEX_OUT_OF_RANGE,
     NON_BIJECTIVE,
     SELF_LOOP,
-    SIZE_LIMIT,
     UNKNOWN_PAIR,
     ValidationError,
 )
@@ -27,12 +27,10 @@ from wlsim.graphs import (
     BUILTIN_PAIR_NAMES,
     Graph,
     apply_permutation,
-    are_isomorphic_bruteforce,
     atomic_types,
     builtin_pair,
     graph_to_dict,
     load_graph,
-    random_graph,
 )
 
 
@@ -88,6 +86,34 @@ def test_load_rejections_carry_distinct_codes(doc, code):
     with pytest.raises(ValidationError) as exc:
         load_graph(doc)
     assert exc.value.code == code
+
+
+def test_text_beyond_the_parsers_limits_is_a_schema_error():
+    # Deeper than the interpreter's recursion limit, and more digits than
+    # int() converts: both are valid JSON that json.loads cannot take.
+    for text in ("[" * 200_000, '{"num_nodes": 2, "edges": [[0, 1]], "labels": [0, %s]}' % ("9" * 5000)):
+        with pytest.raises(ValidationError) as exc:
+            load_graph(text)
+        assert exc.value.code == INVALID_SCHEMA
+    g = load_graph('{"num_nodes": 2, "edges": [[0, 1]], "labels": [0, %s]}' % ("9" * 4000))
+    assert g.labels == (0, int("9" * 4000))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["num_nodes", "edges", "labels", "edge_labels", "x"]), inner),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _JSON_VALUES.map(json.dumps)))
+def test_load_graph_returns_a_graph_or_a_validation_error(text):
+    try:
+        assert isinstance(load_graph(text), Graph)
+    except ValidationError:
+        pass
 
 
 def test_isolated_node_is_named_before_anything_of_size_n_is_built():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import random_graph
 import wlsim.refine
 import wlsim.simulate
 from wlsim.digits import encode_multiset
@@ -34,7 +35,7 @@ from wlsim.errors import (
     LimitError,
     ValidationError,
 )
-from wlsim.graphs import Graph, builtin_pair, random_graph
+from wlsim.graphs import Graph, builtin_pair
 from wlsim.refine import (
     DEFAULT_MAX_ITERATIONS,
     VARIANTS,
@@ -493,10 +494,7 @@ def test_order_k_construction_validates_variant_and_order(p3):
 def test_head_count_contract_is_enforced_at_construction():
     layer = LayerWeights(heads=(AttentionHead(np.eye(1), np.eye(1), np.eye(1)),), w_o=np.eye(1))
     with pytest.raises(ValidationError) as err:
-        ConstructedWeights(layers=(layer,), temperature=60.0, head_count=1, k=2, variant="kwl")
-    assert err.value.code == INVALID_SCHEMA
-    with pytest.raises(ValidationError) as err:
-        ConstructedWeights(layers=(layer, layer), temperature=60.0, head_count=2, k=2, variant="kwl")
+        ConstructedWeights(layers=(layer, layer), temperature=60.0, k=2, variant="kwl")
     assert err.value.code == INVALID_SCHEMA
 
 

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from graph_helpers import random_graph, sign_flip
 from wlsim import spectral
 from wlsim.errors import (
     INVALID_SCHEMA,
@@ -19,7 +20,7 @@ from wlsim.errors import (
     LimitError,
     ValidationError,
 )
-from wlsim.graphs import Graph, builtin_pair, random_graph
+from wlsim.graphs import Graph, builtin_pair
 from wlsim.spectral import (
     arithmetic_epsilon,
     check_identifying,
@@ -32,7 +33,6 @@ from wlsim.spectral import (
     positional_encoding,
     run_mlp,
     seeded_mlp,
-    sign_flip,
     spe,
 )
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import random_graph
 from wlsim import tokens
 from wlsim.errors import INVALID_SCHEMA, ITERATION_LIMIT, LimitError, ValidationError
-from wlsim.graphs import Graph, apply_permutation, atomic_types, random_graph
+from wlsim.graphs import Graph, apply_permutation, atomic_types
 from wlsim.refine import enumerate_tuples, initial_coloring
 from wlsim.tokens import (
     TokenizerConfig,
