@@ -26,6 +26,8 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     FILE_NOT_FOUND,
     INVALID_SCHEMA,
@@ -81,6 +83,10 @@ _ROW_TYPES = {list, tuple}
 _NUMBER_TYPES = {int, float}
 _MATRIX_BLOCK = 4096
 
+# The entries of an integer array that ``_int_text`` writes at once: its
+# grid takes a few dozen bytes per entry, whatever the array's length.
+_INT_CHUNK = 4096
+
 
 @functools.cache
 def _leaf_encoder(depth: int) -> json.JSONEncoder:
@@ -91,15 +97,25 @@ def _leaf_encoder(depth: int) -> json.JSONEncoder:
 
 def _dumps(value: object, depth: int = 0) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
-    documents whose dict keys are strings, as every document here is.
+    documents whose dict keys are strings, as every document here is, and
+    in which each 1-D integer ``ndarray`` stands for its ``tolist()``.
 
     With ``indent`` set, the json module falls back to its pure-Python
     encoder. Here only dicts and lists that hold containers are walked in
-    Python; every other container is one call to a C encoder whose item
-    separator carries the line break and the indentation, and a list of
-    non-empty lists of numbers one such call per block of rows
-    (``_dumps_matrix``).
+    Python; a 1-D integer array is written by ``_int_text``, a list of
+    non-empty lists of numbers by one C call per block of rows
+    (``_dumps_matrix``), and every other container by one call to a C
+    encoder whose item separator carries the line break and the
+    indentation. Any other array, of bools, floats or more than one
+    dimension, reaches that encoder and raises its ``TypeError``, as
+    ``json.dumps`` does.
     """
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
+        if not len(value):
+            return "[]"
+        outer, inner = "  " * depth, "  " * (depth + 1)
+        text = _int_text(value, f",\n{inner}")
+        return f"[\n{inner}{text}\n{outer}]"
     if not isinstance(value, (dict, list, tuple)):
         return _leaf_encoder(depth).encode(value)
     if not value:
@@ -108,7 +124,7 @@ def _dumps(value: object, depth: int = 0) -> str:
     outer, inner = "  " * depth, "  " * (depth + 1)
     # The distinct item types are few, so these checks stay out of a Python loop.
     kinds = set(map(type, items))
-    if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+    if not any(issubclass(kind, (dict, list, tuple, np.ndarray)) for kind in kinds):
         text = _leaf_encoder(depth + 1).encode(value)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
     if (
@@ -128,14 +144,15 @@ def _dumps(value: object, depth: int = 0) -> str:
 
 
 def _dumps_matrix(rows: list | tuple, depth: int) -> str:
-    """``_dumps`` of a list of non-empty lists of numbers: one C call at the
-    entries' depth per block of rows, whose separator already ends each
-    entry's line, then one replace of the row boundaries. No number's text
-    holds a bracket, so each "]," in the encoder's text ends a row.
+    """``_dumps`` of a list of non-empty lists of numbers, such as the rows
+    of ``pe`` and ``tokens``: one C call at the entries' depth per block of
+    rows, whose separator already ends each entry's line, then one replace
+    of the row boundaries. No number's text holds a bracket, so each "],"
+    in the encoder's text ends a row.
 
     A block holds about ``_MATRIX_BLOCK`` entries, or one row when a row is
     longer: the C encoder keeps one string per entry until it returns, so
-    long rows, such as a refine run's colors, are written one at a time."""
+    long rows are written one at a time."""
     outer, inner, deep = "  " * depth, "  " * (depth + 1), "  " * (depth + 2)
     encode = _leaf_encoder(depth + 2).encode
     boundary = f"\n{inner}],\n{inner}[\n{deep}"
@@ -145,6 +162,52 @@ def _dumps_matrix(rows: list | tuple, depth: int) -> str:
         for i in range(0, len(rows), step)
     )
     return f"[\n{inner}[\n{deep}{text}\n{inner}]\n{outer}]"
+
+
+def _int_text(values: np.ndarray, sep: str) -> str:
+    """``sep.join(map(str, values.tolist()))`` for a non-empty 1-D integer
+    array of any width and an ASCII ``sep``, written without a Python int
+    per entry.
+
+    Each chunk of ``_INT_CHUNK`` entries becomes a uint8 grid with one
+    column per entry: a sign row, the decimal digits right-aligned in as
+    many rows as the chunk's largest magnitude has, and the separator's
+    rows. The digits come from repeated floor division, in int32 when the
+    magnitudes fit; leading zeros become NUL bytes by one comparison with a
+    power of ten per row. The transposed grid's bytes, with every NUL
+    deleted, are the chunk's text, each entry followed by ``sep``.
+    """
+    sep_rows = np.frombuffer(sep.encode("ascii"), np.uint8)[:, None]
+    parts = []
+    for start in range(0, len(values), _INT_CHUNK):
+        chunk = values[start : start + _INT_CHUNK]
+        if chunk.dtype.kind == "i":
+            wide = chunk.astype(np.int64, copy=False)
+            negative = wide < 0
+            # In two's complement the absolute value of int64's minimum
+            # wraps to itself, which reads as 2**63 in uint64.
+            magnitude = np.abs(wide).view(np.uint64)
+        else:
+            negative = False
+            magnitude = chunk.astype(np.uint64, copy=False)
+        top = int(magnitude.max())
+        digits = len(str(top))
+        if top < 2**31:
+            magnitude = magnitude.astype(np.int32)
+        grid = np.empty((1 + digits + len(sep_rows), len(chunk)), np.uint8)
+        grid[0] = np.multiply(negative, ord("-"), dtype=np.uint8)
+        rest = magnitude
+        for row in range(digits, 0, -1):
+            quotient = rest // 10
+            grid[row] = rest - quotient * 10
+            rest = quotient
+        grid[1 : 1 + digits] += ord("0")
+        powers = np.array([10**e for e in range(digits - 1, 0, -1)], magnitude.dtype)
+        grid[1:digits] *= magnitude >= powers[:, None]
+        grid[1 + digits :] = sep_rows
+        parts.append(grid.T.tobytes().translate(None, b"\0").decode("ascii"))
+    parts[-1] = parts[-1][: -len(sep)]
+    return "".join(parts)
 
 
 def _emit(doc: dict | str, out: str | None = None) -> None:

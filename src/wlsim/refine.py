@@ -616,13 +616,22 @@ def distinguish(
 
 
 def run_to_dict(colorings: Sequence[Coloring], variant: str) -> dict:
-    """JSON-ready view of a refinement run."""
+    """The document of a refinement run, as ``refine`` writes it.
+
+    ``colors_per_iteration`` holds each round's ``Coloring.colors`` and
+    ``histograms`` the class sizes of each round: read-only int64 arrays,
+    not lists, which the CLI's JSON writer writes as the lists of their
+    entries without a Python int per entry.
+    """
     space = colorings[0].space
+    histograms = [np.bincount(c.colors) for c in colorings]
+    for histogram in histograms:
+        histogram.setflags(write=False)
     return {
         "k": space.k,
         "s": space.s,
         "variant": variant,
         "iterations": len(colorings),
-        "colors_per_iteration": [c.colors.tolist() for c in colorings],
-        "histograms": [np.bincount(c.colors).tolist() for c in colorings],
+        "colors_per_iteration": [c.colors for c in colorings],
+        "histograms": histograms,
     }

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from graph_helpers import random_graph
 from wlsim import cli
-from wlsim.cli import SUBCOMMANDS, _build_parser, _dumps, main
+from wlsim.cli import SUBCOMMANDS, VARIANT_NAMES, _build_parser, _dumps, main
 from wlsim.graphs import Graph, builtin_pair, graph_to_dict
+from wlsim.refine import DEFAULT_MAX_ITERATIONS, refine_to_stable, run_to_dict
 
 
 def run_cli(*args):
@@ -801,6 +802,161 @@ def test_the_matrix_writer_matches_the_standard_library(matrix, nested, block):
 def test_an_empty_row_or_a_row_with_a_non_number_takes_the_general_path(doc):
     for value in (doc, {"rows": doc}):
         assert written(value) == (json.dumps(value, sort_keys=True, indent=2), 0)
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+# Around the edges of the integer writer's chunks, and short arrays.
+CHUNK_LENGTHS = [cli._INT_CHUNK - 1, cli._INT_CHUNK, cli._INT_CHUNK + 1]
+
+
+def as_lists(tree):
+    """``tree`` with every array replaced by its ``tolist()``: the document
+    ``json.dumps`` should write for it."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {key: as_lists(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [as_lists(item) for item in tree]
+    return tree
+
+
+def spread(dtype, length, rng):
+    """``length`` random entries of ``dtype`` whose magnitudes spread over
+    every digit count, with the type's minimum and maximum among them."""
+    info = np.iinfo(dtype)
+    values = rng.integers(info.min, info.max, length, dtype=dtype, endpoint=True)
+    values >>= rng.integers(0, info.bits, length).astype(dtype)
+    values[rng.permutation(length)[:2]] = [info.min, info.max][: min(2, length)]
+    return values
+
+
+@st.composite
+def int_arrays(draw):
+    """A 1-D integer array of any width: a few drawn entries, then a seeded
+    tail that may take it across a chunk boundary; read-only or not, and
+    now and then a strided view."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    head = draw(st.lists(st.integers(info.min, info.max), max_size=6))
+    length = draw(st.sampled_from([0, 0, 1, 30, *CHUNK_LENGTHS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.concatenate([np.array(head, dtype), spread(dtype, length, rng)])
+    values = values[:: draw(st.sampled_from([1, 1, 2, -1]))]
+    if draw(st.booleans()):
+        values.setflags(write=False)
+    return values
+
+
+INT_ARRAY_TREES = st.recursive(
+    int_arrays() | JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INT_ARRAY_TREES)
+def test_the_json_writer_writes_an_integer_array_as_its_list(tree):
+    assert _dumps(tree) == json.dumps(as_lists(tree), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda t: np.dtype(t).name)
+@pytest.mark.parametrize("length", [0, 1, 2, *CHUNK_LENGTHS])
+def test_every_integer_width_is_written_at_its_extremes_and_chunk_edges(dtype, length):
+    values = spread(dtype, length, np.random.default_rng(length))
+    values.setflags(write=False)
+    for doc in (values, [values], {"a": [1, {"b": [values, values[:1]]}]}):
+        assert _dumps(doc) == json.dumps(as_lists(doc), sort_keys=True, indent=2)
+    info = np.iinfo(dtype)
+    extremes = np.array([info.min, info.max, 0], dtype)
+    assert _dumps(extremes) == "[\n  %d,\n  %d,\n  0\n]" % (info.min, info.max)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([True, False]),
+        np.array([0.5, 2.0]),
+        np.zeros(2, np.float32),
+        np.array([1 + 2j]),
+        np.array(["a"]),
+        np.array([1, "a"], dtype=object),
+        np.arange(4).reshape(2, 2),
+        np.array(7),
+        np.zeros((0, 3), np.int64),
+    ],
+    ids=["bool", "float64", "float32", "complex", "str", "object", "2-D", "0-D", "empty-2-D"],
+)
+def test_every_other_array_is_refused_as_the_standard_library_refuses_it(array):
+    # Only 1-D integer arrays have one text that every caller agrees on;
+    # any other array raises the TypeError json.dumps raises for it.
+    for doc in (array, {"a": [1, array]}, [np.arange(3), array]):
+        with pytest.raises(TypeError) as ours:
+            _dumps(doc)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, sort_keys=True, indent=2)
+        assert str(ours.value) == str(theirs.value)
+
+
+def refine_document(graph, k, s, variant):
+    """The text ``refine`` should write: the standard library's, for the
+    run with its arrays as lists."""
+    run = refine_to_stable(graph, k, s, variant, max_iterations=DEFAULT_MAX_ITERATIONS)
+    return json.dumps(as_lists(run_to_dict(run, variant)), sort_keys=True, indent=2) + "\n"
+
+
+def relabelled_circulant():
+    n, jumps = 10, (1, 3)
+    perm = random.Random(3).sample(range(n), n)
+    edges = {tuple(sorted((perm[i], perm[(i + j) % n]))) for i in range(n) for j in jumps}
+    return Graph(n, tuple(sorted(edges)))
+
+
+REFINE_GRAPHS = {
+    "p3": lambda: Graph(3, [(0, 1), (1, 2)]),
+    "circulant": relabelled_circulant,
+    "random12": lambda: random_graph(random.Random(12), 12, 0.3, connected=True),
+}
+
+REFINE_RULES = [(v, k, k) for v in ("kwl", "delta", "delta-local") for k in (1, 2, 3)] + [
+    ("ks-local", k, s) for k in (1, 2, 3) for s in range(1, k + 1)
+]
+
+
+def refine_texts(capsys, path, tmp_path, variant, k, s):
+    """``refine``'s stdout, and the file it writes under ``--out``."""
+    line = ["refine", "--graph", path, "--k", str(k), "--s", str(s), "--variant", variant]
+    out = tmp_path / "run.json"
+    assert main(line) == 0
+    stdout = capsys.readouterr().out
+    assert main([*line, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    return stdout, out.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_GRAPHS))
+def test_refine_writes_the_standard_library_text_for_every_rule(name, capsys, tmp_path):
+    graph = REFINE_GRAPHS[name]()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    for variant, k, s in REFINE_RULES:
+        want = refine_document(graph, k, s, VARIANT_NAMES[variant])
+        got = refine_texts(capsys, str(path), tmp_path, variant, k, s)
+        assert got == (want, want), (variant, k, s)
+
+
+def test_refine_text_crosses_a_chunk_boundary(capsys, tmp_path):
+    graph = random_graph(random.Random(20), 20, 0.2, connected=True)
+    path = tmp_path / "g20.json"
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    run = refine_to_stable(graph, 3, 3, "kwl")
+    assert len(run[0].colors) == 8000 > cli._INT_CHUNK
+    want = refine_document(graph, 3, 3, "kwl")
+    assert refine_texts(capsys, str(path), tmp_path, "kwl", 3, 3) == (want, want)
 
 
 @pytest.fixture

@@ -1003,7 +1003,14 @@ def test_initial_rows_equal_the_atomic_type_rows_id_for_id(data, k, joint):
 def test_run_serialization_shape(p3):
     run = refine_to_stable(p3, 1, 1, "kwl")
     doc = run_to_dict(run, "kwl")
-    assert doc == {
+    arrays = doc["colors_per_iteration"] + doc["histograms"]
+    assert all(a.dtype == np.int64 and a.ndim == 1 and not a.flags.writeable for a in arrays)
+    as_lists = {
+        **doc,
+        "colors_per_iteration": [a.tolist() for a in doc["colors_per_iteration"]],
+        "histograms": [a.tolist() for a in doc["histograms"]],
+    }
+    assert as_lists == {
         "k": 1,
         "s": 1,
         "variant": "kwl",
