@@ -23,6 +23,7 @@ import math
 import random
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -414,19 +415,7 @@ def cmd_verify_identifying(args: argparse.Namespace) -> int:
     targets = identifying_targets(graph, normalized=args.normalized)
     node = check_identifying(targets.p_node, targets.w_q_node, targets.w_k_node, graph, "node")
     adj = check_identifying(targets.p_adj, targets.w_q_adj, targets.w_k_adj, graph, "adjacency")
-    doc = {
-        "node": {
-            "passed": node.passed,
-            "margin": node.margin,
-            "rows_failed": list(node.rows_failed),
-        },
-        "adjacency": {
-            "passed": adj.passed,
-            "margin": adj.margin,
-            "rows_failed": list(adj.rows_failed),
-        },
-        "pass": node.passed and adj.passed,
-    }
+    doc = {"node": asdict(node), "adjacency": asdict(adj), "pass": node.passed and adj.passed}
     _emit(doc)
     return 0 if doc["pass"] else 1
 

@@ -231,10 +231,13 @@ def enumerate_tuples(graph: Graph, k: int, s: int) -> TupleSpace:
     """
     _check_order(k, s)
     n = graph.num_nodes
-    if n**k > DEFAULT_MEMORY_LIMIT:
+    # A graph has at least two nodes, so past the cap's bit length n^k is
+    # over the cap, and it is neither computed nor written out.
+    huge = k > DEFAULT_MEMORY_LIMIT.bit_length()
+    if huge or n**k > DEFAULT_MEMORY_LIMIT:
+        size = f"{n}^{k}" if huge else f"{n}^{k} = {n ** k}"
         raise LimitError(
-            MEMORY_LIMIT,
-            f"tuple space of size {n}^{k} = {n ** k} exceeds the cap of {DEFAULT_MEMORY_LIMIT}",
+            MEMORY_LIMIT, f"tuple space of size {size} exceeds the cap of {DEFAULT_MEMORY_LIMIT}"
         )
     if s == k:
         # Every tuple on at most k distinct nodes induces at most k components.

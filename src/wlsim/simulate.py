@@ -462,27 +462,6 @@ def _query_scales(b: float, n: int, k: int, weights: tuple[float, float]) -> tup
     return slot_scale, node_scale
 
 
-def _factors(
-    setup: _Setup, b: float, weights: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The two row-stochastic n x n factors of every head's attention.
-
-    Head j's score slot j scores the signed adjacency spectrum, so the slot
-    factor approaches the row-normalized alpha A + beta (J - A); its other
-    slots score the orthonormal Laplacian rows at a larger scale, so the
-    node factor, built for k > 1 only, approaches the identity.
-    """
-    k, n = setup.space.k, setup.space.num_nodes
-    adj_part, signs = setup.adjacency_part
-    slot_scale, node_scale = _query_scales(b, n, k, weights)
-    root = math.sqrt(k * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slot = (adj_part * (slot_scale * signs)) @ adj_part.T / root
-        node = (setup.node_part * node_scale) @ setup.node_part.T / root if k > 1 else None
-    slot = softmax_rows(_finite_scores(slot))
-    return slot, None if node is None else softmax_rows(_finite_scores(node))
-
-
 def _head_factors(slot: np.ndarray, node: np.ndarray | None, k: int) -> list[list[np.ndarray]]:
     """Head j's k factors: the slot factor at position j, the node factor at
     every other position."""
@@ -491,23 +470,67 @@ def _head_factors(slot: np.ndarray, node: np.ndarray | None, k: int) -> list[lis
 
 @dataclass(frozen=True, eq=False)
 class _StructuredLayer:
-    """The constructed layer of a run: its setup, slot weights and
-    temperature.  Every layer of a run has the same heads; only the classes
-    its tokens carry change, and each call takes them.
+    """The constructed layer of a run: its setup, rule and temperature, and
+    what they fix once per run: the slot weights, the two factors and the
+    heads.  Every layer of a run has the same heads; only the classes its
+    tokens carry change, and each call takes them.
 
-    ``forward`` runs it on any tuple space from the one-hot of the classes
-    alone; ``dense`` writes it out as the matrices ``transformer_layer`` runs,
-    the reference that ``construct_kgt_weights`` returns.
+    ``run`` drives ``forward`` from the initial classes; ``forward`` runs the
+    layer on any tuple space from the one-hot of the classes alone; ``dense``
+    writes it out as the matrices ``transformer_layer`` runs, the reference
+    that ``construct_kgt_weights`` returns.
     """
 
     setup: _Setup
-    weights: tuple[float, float]
+    variant: str
     b: float
 
     @cached_property
+    def weights(self) -> tuple[float, float]:
+        """The rule's slot weights (alpha, beta), ``_slot_weights``."""
+        space = self.setup.space
+        return _slot_weights(self.variant, space.k, space.num_nodes)
+
+    @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The slot and the node factor (``_factors``), built once per run."""
-        return _factors(self.setup, self.b, self.weights)
+        """The two row-stochastic n x n factors of every head's attention.
+
+        Head j's score slot j scores the signed adjacency spectrum, so the
+        slot factor approaches the row-normalized alpha A + beta (J - A); its
+        other slots score the orthonormal Laplacian rows at a larger scale,
+        so the node factor, built for k > 1 only, approaches the identity.
+        """
+        setup = self.setup
+        k, n = setup.space.k, setup.space.num_nodes
+        adj_part, signs = setup.adjacency_part
+        slot_scale, node_scale = _query_scales(self.b, n, k, self.weights)
+        root = math.sqrt(k * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slot = (adj_part * (slot_scale * signs)) @ adj_part.T / root
+            node = (setup.node_part * node_scale) @ setup.node_part.T / root if k > 1 else None
+        slot = softmax_rows(_finite_scores(slot))
+        return slot, None if node is None else softmax_rows(_finite_scores(node))
+
+    @cached_property
+    def heads(self) -> tuple[list[Callable], tuple[float, ...]]:
+        """Each head as a map from t x c values to their attended averages,
+        and its attention error: neither depends on the classes."""
+        if self.setup.space.s == self.setup.space.k:
+            heads, errors = _full_space_attention(self.setup, *self.factors, self.weights)
+            return [partial(_mode_products, f) for f in heads], errors
+        atts, errors = _restricted_space_attention(self.setup, *self.factors)
+        return [partial(np.matmul, att) for att in atts], errors
+
+    def run(self, t_layers: int) -> tuple[tuple[np.ndarray, ...], float]:
+        """The classes of ``t_layers`` forwards, the initial ones first, and
+        the largest rounding slack.  A run of zero layers builds no head."""
+        partitions = [self.setup.classes]
+        slack_max = 0.0
+        for _ in range(t_layers):
+            classes, slack = self.forward(partitions[-1])
+            partitions.append(classes)
+            slack_max = max(slack_max, slack)
+        return tuple(partitions), slack_max
 
     def denormalizer(self, degree: np.ndarray) -> np.ndarray:
         """alpha deg + beta (n - deg) per position, the mass of a row of head
@@ -559,10 +582,9 @@ class _StructuredLayer:
 
         return LayerWeights(heads=tuple(heads), w_o=w_o, ffn=ffn)
 
-    def forward(self, classes: np.ndarray, attends: Sequence[Callable]) -> tuple[np.ndarray, float]:
-        """The next classes and the rounding slack, given each head as a map
-        from t x c values to their attended averages (``_head_attention``),
-        de-normalized as in the dense layer.
+    def forward(self, classes: np.ndarray) -> tuple[np.ndarray, float]:
+        """The next classes and the rounding slack, with each head's attended
+        averages (``heads``) de-normalized as in the dense layer.
 
         The heads run on the one-hot of the classes a chunk of class columns
         at a time, each chunk numbered (``_number_chunk``) with the ids of
@@ -571,6 +593,7 @@ class _StructuredLayer:
         ``DEFAULT_MEMORY_LIMIT`` allows t x (1 + k) entries per column, so
         every layer that fits under the cap whole runs as one chunk.
         """
+        attends, _ = self.heads
         t, k = len(self.setup.space.nodes), self.setup.space.k
         _check_dense(t, 1 + k, "FFN class column")
         chunk = DEFAULT_MEMORY_LIMIT // (t * (1 + k))
@@ -708,18 +731,6 @@ def _restricted_error(setup: _Setup, j: int, att: np.ndarray) -> float:
     return float(np.linalg.norm(diff))
 
 
-def _head_attention(
-    setup: _Setup, slot: np.ndarray, node: np.ndarray | None, weights: tuple[float, float]
-) -> tuple[list[Callable], tuple[float, ...]]:
-    """Each head as a map from t x c values to their attended averages, and
-    its attention error, built once per run: neither depends on the classes."""
-    if setup.space.s == setup.space.k:
-        heads, errors = _full_space_attention(setup, slot, node, weights)
-        return [partial(_mode_products, f) for f in heads], errors
-    atts, errors = _restricted_space_attention(setup, slot, node)
-    return [partial(np.matmul, att) for att in atts], errors
-
-
 # ---------------------------------------------------------------------------
 # Drivers.
 
@@ -755,26 +766,6 @@ def _check_layers(t_layers, minimum: int) -> int:
             f"layer count {t_layers} exceeds the cap of {DEFAULT_MAX_ITERATIONS} rounds",
         )
     return t_layers
-
-
-def _drive(
-    layer: _StructuredLayer, t_layers: int
-) -> tuple[tuple[np.ndarray, ...], float, tuple[float, ...]]:
-    """The classes of ``t_layers`` structured forwards, the initial ones
-    first, with the largest rounding slack and each head's attention error."""
-    attends, head_errors = _head_attention(layer.setup, *layer.factors, layer.weights)
-    partitions = [layer.setup.classes]
-    slack_max = 0.0
-    for _ in range(t_layers):
-        classes, slack = layer.forward(partitions[-1], attends)
-        partitions.append(classes)
-        slack_max = max(slack_max, slack)
-    return tuple(partitions), slack_max, head_errors
-
-
-def _layer(setup: _Setup, variant: str, b: float) -> _StructuredLayer:
-    space = setup.space
-    return _StructuredLayer(setup, _slot_weights(variant, space.k, space.num_nodes), b)
 
 
 def initial_tokens(graph: Graph, k: int = 1, s: int | None = None) -> np.ndarray:
@@ -832,8 +823,8 @@ def construct_kgt_weights(
             "the restricted-space rule is driven through simulate_and_compare with s < k",
         )
     t_layers, b = _check_layers(t_layers, 1), _check_temperature(b)
-    layer = _layer(_setup(graph, k, k), variant, b)
-    partitions = _drive(layer, t_layers)[0]
+    layer = _StructuredLayer(_setup(graph, k, k), variant, b)
+    partitions = layer.run(t_layers)[0]
     dense = tuple(layer.dense(classes) for classes in partitions[:-1])
     return ConstructedWeights(dense, b, k, variant)
 
@@ -947,7 +938,12 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
-    """Side-by-side record of the three implementations; partitions are read-only int64 arrays."""
+    """Side-by-side record of the three implementations.
+
+    Partitions are read-only int64 arrays.  ``head_errors`` holds each head's
+    attention error, the same in every layer, and is empty for a run of zero
+    layers.
+    """
 
     k: int
     s: int
@@ -957,7 +953,7 @@ class SimReport:
     wl_partitions: tuple[np.ndarray, ...]
     oracle_partitions: tuple[np.ndarray, ...]
     partition_equal_per_layer: tuple[bool, ...]
-    attention_errors: tuple[tuple[float, ...], ...]
+    head_errors: tuple[float, ...]
     max_attention_error: float
     rounding_slack_max: float
 
@@ -1023,9 +1019,9 @@ def simulate_and_compare(
         engine.append(engine[-1])
         t_layers = len(engine) - 1
 
-    partitions, slack_max, head_errors = (setup.classes,), 0.0, ()
-    if t_layers:
-        partitions, slack_max, head_errors = _drive(_layer(setup, variant, b), t_layers)
+    layer = _StructuredLayer(setup, variant, b)
+    partitions, slack_max = layer.run(t_layers)
+    head_errors = layer.heads[1] if t_layers else ()
     while len(engine) <= t_layers:
         engine.append(refine_step(graph, setup.space, engine[-1], variant))
     oracle = [engine[0]]
@@ -1045,7 +1041,7 @@ def simulate_and_compare(
         wl_partitions=wl_partitions,
         oracle_partitions=oracle_partitions,
         partition_equal_per_layer=equal,
-        attention_errors=(head_errors,) * t_layers,
+        head_errors=head_errors,
         max_attention_error=max(head_errors, default=0.0),
         rounding_slack_max=slack_max,
     )

@@ -27,12 +27,23 @@ from wlsim.graphs import Graph, builtin_pair, graph_to_dict
 from wlsim.refine import DEFAULT_MAX_ITERATIONS, refine_to_stable, run_to_dict
 
 
+# The subprocesses import the package from where these tests import it, so
+# an uninstalled checkout runs them as it runs the rest of the suite.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "wlsim.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=CLI_ENV,
     )
 
 
@@ -103,7 +114,7 @@ def test_output_to_a_full_device_is_one_error(p3_file):
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "wlsim.cli", *argv],
-                stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=300, env=CLI_ENV,
             )
         assert proc.returncode == 2
         assert stderr_error(proc)["code"] == "IO_ERROR"
@@ -237,6 +248,26 @@ def test_limit_breaches_exit_with_code_three(c6_file, p3_file):
     proc = run_cli("refine", "--graph", p3_file, "--k", "1", "--variant", "kwl", "--max-iter", "0")
     assert proc.returncode == 3
     assert stderr_error(proc)["code"] == "ITERATION_LIMIT"
+
+
+@pytest.mark.parametrize("k", [9013, 10**6])
+def test_a_huge_order_is_refused_at_once(capsys, p3_file, k):
+    # In process, as a caller of main sees it: n^k is neither built nor
+    # written out, so every subcommand that enumerates tuples exits 3.
+    lines = (
+        ("refine", "--graph", p3_file, "--k", str(k), "--variant", "kwl"),
+        ("distinguish", "--pair", "c6_vs_2c3", "--k", str(k), "--variant", "kwl"),
+        ("simulate", "--graph", p3_file, "--k", str(k)),
+        ("tokens", "--graph", p3_file, "--k", str(k), "--s", "1"),
+        ("bench", "--variants", f"kwl:{k}"),
+    )
+    for argv in lines:
+        assert main(list(argv)) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        n = 6 if argv[0] in ("distinguish", "bench") else 3
+        message = f"tuple space of size {n}^{k} exceeds the cap of 2000000"
+        assert json.loads(captured.err) == {"error": {"code": "MEMORY_LIMIT", "message": message}}
 
 
 @pytest.mark.parametrize(

@@ -291,6 +291,19 @@ def test_tuple_space_memory_cap(c6):
     assert exc.value.code == MEMORY_LIMIT
 
 
+def test_an_order_past_the_cap_bit_length_is_refused_without_n_to_the_k(p3):
+    # Up to the cap's bit length, 21, the refusal writes n^k out; past it
+    # every graph (n >= 2) is over the cap, and n^k is not computed.
+    with pytest.raises(LimitError) as exc:
+        enumerate_tuples(p3, 21, 21)
+    assert exc.value.message == "tuple space of size 3^21 = 10460353203 exceeds the cap of 2000000"
+    for k, s in ((22, 22), (10**6, 1), (10**8, 10**8)):
+        with pytest.raises(LimitError) as exc:
+            enumerate_tuples(p3, k, s)
+        assert exc.value.code == MEMORY_LIMIT
+        assert exc.value.message == f"tuple space of size 3^{k} exceeds the cap of 2000000"
+
+
 @pytest.mark.parametrize("k,s", [(0, 0), (2, 3), (1, 0)])
 def test_order_bounds_are_validated(p3, k, s):
     with pytest.raises(ValidationError) as exc:

@@ -517,10 +517,11 @@ HEAD_COUNTS = [
 def structured_layer(g, k, s, variant, b=DEFAULT_TEMPERATURE):
     """The constructed layer of a run, in its structured form: its setup
     (``.setup``, whose ``.classes`` the first layer carries), slot weights
-    (``.weights``) and slot and node factors (``.factors``). Every test that
-    needs a piece of the construction builds it here."""
+    (``.weights``), slot and node factors (``.factors``) and heads
+    (``.heads``). Every test that needs a piece of the construction builds
+    it here."""
     sim = wlsim.simulate
-    return sim._layer(sim._setup(g, k, s), variant, b)
+    return sim._StructuredLayer(sim._setup(g, k, s), variant, b)
 
 
 @pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
@@ -537,7 +538,7 @@ def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
         assert all(len(layer.heads) == heads for layer in cw.layers)
     report = simulate_and_compare(p3, k, s, variant, t_layers=2)
     assert report.all_equal
-    assert [len(errors) for errors in report.attention_errors] == [heads, heads]
+    assert len(report.head_errors) == heads
 
 
 @pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
@@ -599,6 +600,41 @@ def test_a_run_computes_one_slot_and_one_node_softmax(monkeypatch):
         calls.clear()
         assert simulate_and_compare(g, k, k, variant, t_layers=2).all_equal
         assert calls == [(6, 6)] * min(k, 2), (k, variant)
+
+
+@pytest.mark.parametrize("variant,k,s,heads", HEAD_COUNTS)
+def test_a_multi_layer_run_builds_its_factors_and_heads_once(monkeypatch, variant, k, s, heads):
+    # The layer's factors and heads are the same in every layer, so three
+    # layers build them once; zero layers build neither and solve no
+    # eigenproblem.
+    sim = wlsim.simulate
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("softmax_rows", "_full_space_attention", "_restricted_space_attention"):
+        monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
+    g = random_graph(random.Random(12), 6, edge_prob=0.5, connected=True)
+    report = simulate_and_compare(g, k, s, variant, t_layers=3)
+    assert report.all_equal
+    assert len(report.head_errors) == heads
+    attention = "_full_space_attention" if s == k else "_restricted_space_attention"
+    assert sorted(calls) == sorted(["softmax_rows"] * min(k, 2) + [attention])
+
+    def no_eigensolve(*args):
+        raise AssertionError("an eigenproblem was solved")
+
+    monkeypatch.setattr(sim, "eigh", no_eigensolve)
+    monkeypatch.setattr(sim, "laplacian_eigh", no_eigensolve)
+    calls.clear()
+    report = simulate_and_compare(g, k, s, variant, t_layers=0)
+    assert report.all_equal and report.head_errors == ()
+    assert calls == []
 
 
 def test_a_run_solves_only_the_spectra_it_reads(monkeypatch):
@@ -768,7 +804,7 @@ def test_zero_layer_report_compares_only_the_shared_start(p3):
     assert report.layers == 0
     assert report.partition_equal_per_layer == (True,)
     assert report.all_equal
-    assert report.attention_errors == ()
+    assert report.head_errors == ()
     assert report.max_attention_error == 0.0
     assert report.rounding_slack_max == 0.0
     # The shared start is the atomic-type coloring, which is blind to
@@ -876,7 +912,7 @@ def test_simulation_is_deterministic(k3):
     assert [p.tolist() for p in first.transformer_partitions] == [
         p.tolist() for p in second.transformer_partitions
     ]
-    assert first.attention_errors == second.attention_errors
+    assert first.head_errors == second.head_errors
     assert first.max_attention_error == second.max_attention_error
 
 
@@ -907,7 +943,7 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
     sim = wlsim.simulate
     layer = structured_layer(g, k, s, variant, b)
     setup, slots = layer.setup, layer.weights
-    attends, _ = sim._head_attention(setup, *layer.factors, slots)
+    attends, _ = layer.heads
     if s == k:
         factors, _ = sim._full_space_attention(setup, *layer.factors, slots)
         atts_f = [functools.reduce(np.kron, f) for f in factors]
@@ -922,7 +958,7 @@ def lockstep_forwards(g, k, s, variant, b, t_layers):
         bare = dataclasses.replace(weights, ffn=None)
         combined_d, atts_d = transformer_layer(x, bare, return_attention=True)
         out_d = weights.ffn(combined_d)
-        classes_f, slack_f = layer.forward(classes, attends)
+        classes_f, slack_f = layer.forward(classes)
         trace_f = {"classes": classes_f, "slack": slack_f}
         combined_f = x.copy()
         agree = np.ones(x.shape, dtype=bool)
@@ -978,7 +1014,7 @@ def test_reported_attention_error_is_the_distance_of_the_kronecker_product(k, n,
     factors, _ = sim._full_space_attention(layer.setup, slot, node, layer.weights)
     assert [[f is slot for f in head] for head in factors] == np.eye(k, dtype=bool).tolist()
     weights = slot_weights("delta_kwl", k, n)
-    for j, (got, head) in enumerate(zip(report.attention_errors[0], factors), start=1):
+    for j, (got, head) in enumerate(zip(report.head_errors, factors), start=1):
         target = substitution_target(g, k, j, weights, space)
         want = np.linalg.norm(functools.reduce(np.kron, head) - target)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-15)
@@ -1023,7 +1059,7 @@ def test_full_space_layers_enforce_the_memory_cap(p3, monkeypatch):
     for field in ("transformer_partitions", "wl_partitions", "oracle_partitions"):
         for got, want in zip(getattr(chunked, field), getattr(whole, field), strict=True):
             assert np.array_equal(got, want), field
-    assert chunked.attention_errors == whole.attention_errors
+    assert chunked.head_errors == whole.head_errors
     assert chunked.rounding_slack_max == pytest.approx(whole.rounding_slack_max, rel=0, abs=1e-12)
     # Below a single class column, t (1 + k) = 27 entries, it is refused.
     lower_the_memory_cap(monkeypatch, 26)
@@ -1067,12 +1103,15 @@ def test_full_spaces_never_write_a_layer_out(monkeypatch):
 )
 def test_full_space_layers_report_one_attention_error_tuple(k, variant):
     # The attentions and the targets are the same in every layer, on the
-    # full space and on every restricted one (ks_lwl, s < k).
+    # full space and on every restricted one (ks_lwl, s < k), so a run of
+    # several layers reports one error per head, whose largest is the maximum.
     g = random_graph(random.Random(31), 7, edge_prob=0.4, connected=True)
     for s in range(1, k) if variant == "ks_lwl" else (k,):
         report = simulate_and_compare(g, k, s, variant)
         assert report.layers >= 2
-        assert all(errors == report.attention_errors[0] for errors in report.attention_errors)
+        assert len(report.head_errors) == k
+        assert all(isinstance(error, float) for error in report.head_errors)
+        assert report.max_attention_error == max(report.head_errors)
 
 
 def test_twenty_nodes_at_order_two_pass_at_the_default_cap():
@@ -1172,7 +1211,7 @@ def test_rows_without_a_target_stay_finite_on_a_restricted_space(p3, b):
         if b > DEFAULT_TEMPERATURE:
             assert not att[~kept].any()
     assert report.all_equal
-    assert report.attention_errors[0] == errors
+    assert report.head_errors == errors
     assert report.max_attention_error < 1e-8
 
 
@@ -1369,15 +1408,14 @@ def test_chunked_forward_equals_the_single_chunk_forward(monkeypatch, k, s, vari
     another order (``DECISIONS.md`` §26)."""
     g = random_graph(random.Random(2), 7, edge_prob=0.5, connected=True)
     layer = structured_layer(g, k, s, variant)
-    attends = wlsim.simulate._head_attention(layer.setup, *layer.factors, layer.weights)[0]
     t = len(layer.setup.space.nodes)
     classes = layer.setup.classes
     for _ in range(3):
-        want = layer.forward(classes, attends)
+        want = layer.forward(classes)
         for chunk in (1, 2, 3):
             with monkeypatch.context() as mp:
                 mp.setattr(wlsim.simulate, "DEFAULT_MEMORY_LIMIT", t * (1 + k) * chunk)
-                got = layer.forward(classes, attends)
+                got = layer.forward(classes)
             assert np.array_equal(got[0], want[0]), chunk
             assert not got[0].flags.writeable
             assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12), chunk
