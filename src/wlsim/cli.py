@@ -46,7 +46,13 @@ from .graphs import (
 )
 from .refine import DEFAULT_MAX_ITERATIONS, distinguish, refine_to_stable, run_to_dict
 from .simulate import DEFAULT_TEMPERATURE, ROUNDING_SLACK_LIMIT, simulate_and_compare
-from .spectral import ENCODER_KINDS, check_identifying, identifying_targets, positional_encoding
+from .spectral import (
+    ENCODER_KINDS,
+    _check_seed,
+    check_identifying,
+    identifying_targets,
+    positional_encoding,
+)
 from .tokens import PE_KINDS, TokenizerConfig, node_tokens, tuple_tokens
 
 # Flag spellings accepted on the command line, mapped to the names the
@@ -96,10 +102,12 @@ def _leaf_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
 
 
-def _dumps(value: object, depth: int = 0) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
-    documents whose dict keys are strings, as every document here is, and
-    in which each 1-D integer ``ndarray`` stands for its ``tolist()``.
+def _dumps(value: object, out: list[str], depth: int = 0) -> None:
+    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)``,
+    byte for byte, to ``out`` in pieces, for documents whose dict keys are
+    strings, as every document here is, and in which each 1-D integer
+    ``ndarray`` stands for its ``tolist()``. The pieces are never joined
+    here, so a large document is not copied on its way up.
 
     With ``indent`` set, the json module falls back to its pure-Python
     encoder. Here only dicts and lists that hold containers are walked in
@@ -113,38 +121,50 @@ def _dumps(value: object, depth: int = 0) -> str:
     """
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
         if not len(value):
-            return "[]"
+            out.append("[]")
+            return
         outer, inner = "  " * depth, "  " * (depth + 1)
-        text = _int_text(value, f",\n{inner}")
-        return f"[\n{inner}{text}\n{outer}]"
+        out.append(f"[\n{inner}")
+        _int_text(value, f",\n{inner}", out)
+        out.append(f"\n{outer}]")
+        return
     if not isinstance(value, (dict, list, tuple)):
-        return _leaf_encoder(depth).encode(value)
+        out.append(_leaf_encoder(depth).encode(value))
+        return
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
     items = value.values() if isinstance(value, dict) else value
     outer, inner = "  " * depth, "  " * (depth + 1)
     # The distinct item types are few, so these checks stay out of a Python loop.
     kinds = set(map(type, items))
     if not any(issubclass(kind, (dict, list, tuple, np.ndarray)) for kind in kinds):
         text = _leaf_encoder(depth + 1).encode(value)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+        out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}")
+        return
     if (
         not isinstance(value, dict)
         and kinds <= _ROW_TYPES
         and all(value)
         and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBER_TYPES
     ):
-        return _dumps_matrix(value, depth)
+        _dumps_matrix(value, depth, out)
+        return
     if isinstance(value, dict):
-        parts = [f"{json.dumps(key)}: {_dumps(value[key], depth + 1)}" for key in sorted(value)]
-        first, last = "{}"
-    else:
-        parts = [_dumps(item, depth + 1) for item in value]
-        first, last = "[]"
-    return f"{first}\n{inner}" + f",\n{inner}".join(parts) + f"\n{outer}{last}"
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append(f"{',' if i else ''}\n{inner}{json.dumps(key)}: ")
+            _dumps(value[key], out, depth + 1)
+        out.append(f"\n{outer}}}")
+        return
+    out.append("[")
+    for i, item in enumerate(value):
+        out.append(f",\n{inner}" if i else f"\n{inner}")
+        _dumps(item, out, depth + 1)
+    out.append(f"\n{outer}]")
 
 
-def _dumps_matrix(rows: list | tuple, depth: int) -> str:
+def _dumps_matrix(rows: list | tuple, depth: int, out: list[str]) -> None:
     """``_dumps`` of a list of non-empty lists of numbers, such as the rows
     of ``pe`` and ``tokens``: one C call at the entries' depth per block of
     rows, whose separator already ends each entry's line, then one replace
@@ -158,17 +178,18 @@ def _dumps_matrix(rows: list | tuple, depth: int) -> str:
     encode = _leaf_encoder(depth + 2).encode
     boundary = f"\n{inner}],\n{inner}[\n{deep}"
     step = max(1, _MATRIX_BLOCK // len(rows[0]))
-    text = boundary.join(
-        encode(rows[i : i + step])[2:-2].replace(f"],\n{deep}[", boundary)
-        for i in range(0, len(rows), step)
-    )
-    return f"[\n{inner}[\n{deep}{text}\n{inner}]\n{outer}]"
+    out.append(f"[\n{inner}[\n{deep}")
+    for i in range(0, len(rows), step):
+        if i:
+            out.append(boundary)
+        out.append(encode(rows[i : i + step])[2:-2].replace(f"],\n{deep}[", boundary))
+    out.append(f"\n{inner}]\n{outer}]")
 
 
-def _int_text(values: np.ndarray, sep: str) -> str:
-    """``sep.join(map(str, values.tolist()))`` for a non-empty 1-D integer
-    array of any width and an ASCII ``sep``, written without a Python int
-    per entry.
+def _int_text(values: np.ndarray, sep: str, out: list[str]) -> None:
+    """Append ``sep.join(map(str, values.tolist()))`` to ``out``, one piece
+    per chunk, for a non-empty 1-D integer array of any width and an ASCII
+    ``sep``, written without a Python int per entry.
 
     Each chunk of ``_INT_CHUNK`` entries becomes a uint8 grid with one
     column per entry: a sign row, the decimal digits right-aligned in as
@@ -179,7 +200,6 @@ def _int_text(values: np.ndarray, sep: str) -> str:
     deleted, are the chunk's text, each entry followed by ``sep``.
     """
     sep_rows = np.frombuffer(sep.encode("ascii"), np.uint8)[:, None]
-    parts = []
     for start in range(0, len(values), _INT_CHUNK):
         chunk = values[start : start + _INT_CHUNK]
         if chunk.dtype.kind == "i":
@@ -206,20 +226,26 @@ def _int_text(values: np.ndarray, sep: str) -> str:
         powers = np.array([10**e for e in range(digits - 1, 0, -1)], magnitude.dtype)
         grid[1:digits] *= magnitude >= powers[:, None]
         grid[1 + digits :] = sep_rows
-        parts.append(grid.T.tobytes().translate(None, b"\0").decode("ascii"))
-    parts[-1] = parts[-1][: -len(sep)]
-    return "".join(parts)
+        out.append(grid.T.tobytes().translate(None, b"\0").decode("ascii"))
+    out[-1] = out[-1][: -len(sep)]
 
 
 def _emit(doc: dict | str, out: str | None = None) -> None:
-    """Write a document, or text as it is, to stdout or to ``out``."""
-    text = doc if isinstance(doc, str) else _dumps(doc) + "\n"
+    """Write a document, or text as it is, to stdout or to ``out``: the
+    document's pieces and then a newline, with no joined copy."""
+    if isinstance(doc, str):
+        pieces = [doc]
+    else:
+        pieces = []
+        _dumps(doc, pieces)
+        pieces.append("\n")
     try:
         if out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
         else:
-            Path(out).write_text(text)
+            with Path(out).open("w") as file:
+                file.writelines(pieces)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise ValidationError(FILE_NOT_FOUND, f"cannot write a file at {out}") from None
     except OSError as exc:
@@ -307,6 +333,7 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
             # The totals are keyed by spec, so a repeat would count its rows twice.
             raise ValidationError(INVALID_SCHEMA, f"bench spec {spec!r} is repeated")
 
+    _check_seed(args.seed)
     rng = random.Random(args.seed)
     cases: list[tuple[str, Graph, Graph, bool]] = []
     for name in BUILTIN_PAIR_NAMES:

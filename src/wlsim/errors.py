@@ -37,7 +37,6 @@ NON_SYMMETRIC = "NON_SYMMETRIC"
 SPACE_MISMATCH = "SPACE_MISMATCH"
 VARIANT_MISMATCH = "VARIANT_MISMATCH"
 SHAPE_MISMATCH = "SHAPE_MISMATCH"
-DIGIT_OVERFLOW = "DIGIT_OVERFLOW"
 FILE_NOT_FOUND = "FILE_NOT_FOUND"
 # Any other operating-system error on reading an input or writing an output.
 IO_ERROR = "IO_ERROR"

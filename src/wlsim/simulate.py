@@ -49,7 +49,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .digits import encode_rows
 from .errors import (
     INVALID_SCHEMA,
     ITERATION_LIMIT,
@@ -103,7 +102,7 @@ ROUNDING_SLACK_LIMIT = 0.4
 
 # Tuples per block of the digit oracle. A block's depth rows then hold at
 # most ORACLE_BLOCK * (1 + k * n) int64 entries, 4 MB at k = 3, n = 40.
-# Its plan holds 9 bytes per depth of the space, as much again as the keys.
+# Its plan holds 8 bytes per depth of the space, as many as the keys.
 ORACLE_BLOCK = 1 << 12
 
 
@@ -829,14 +828,12 @@ def construct_kgt_weights(
     return ConstructedWeights(dense, b, k, variant)
 
 
-def _oracle_plan(
-    space: TupleSpace, graph: Graph, variant: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """What every round of the digit oracle reads on one space and graph, as
-    three whole-space arrays of ``1 + k * n`` columns, one per depth of a
-    tuple's code: the int32 row of the tuple it reads (the tuple itself, then
-    one per position and node), its int32 depth base (the offset of its
-    position and group, plus 1) and whether the rule counts it.
+    two whole-space int32 arrays of ``1 + k * n`` columns, one per depth of a
+    tuple's code: the row of the tuple it reads (the tuple itself, then one
+    per position and node) and its depth base (the offset of its position
+    and group, plus 1), which is 0 where the rule does not count the depth.
 
     The substituted tuple is found by the row-major flat index, ``i - u_j *
     n^(k-1-j) + w * n^(k-1-j)``, which is the row on a full space and is
@@ -850,7 +847,6 @@ def _oracle_plan(
     local = _is_local(variant, k)
     index = np.empty((t, 1 + k * n), dtype=np.int32)
     base = np.empty((t, 1 + k * n), dtype=np.int32)
-    valid = np.ones((t, 1 + k * n), dtype=bool)
     # A tuple of color c counts at depth c + 1.
     index[:, 0], base[:, 0] = np.arange(t), 1
     for start in range(0, t, ORACLE_BLOCK):
@@ -860,21 +856,40 @@ def _oracle_plan(
             block = (rows, slice(1 + j * n, 1 + (j + 1) * n))
             moved = (flat[rows] - nodes[:, j] * strides[j])[:, None]
             moved = moved + np.arange(n) * strides[j]
+            counted = True
             if space.s < k:
                 row = np.minimum(np.searchsorted(flat, moved), t - 1)
-                valid[block] = flat[row] == moved
+                counted = flat[row] == moved
                 moved = row
             index[block] = moved
             # A substituted tuple counts at its color's depth past the offset
             # of its position and group.
             if variant == "delta_kwl":
                 adjacent = graph.adjacency_matrix[nodes[:, j]]
-                base[block] = np.where(adjacent, t * (2 * j + 1) + 1, t * (2 * j + 2) + 1)
+                offset = np.where(adjacent, t * (2 * j + 1) + 1, t * (2 * j + 2) + 1)
             else:
-                base[block] = t * (j + 1) + 1
+                offset = t * (j + 1) + 1
                 if local:
-                    valid[block] &= graph.adjacency_matrix[nodes[:, j]]
-    return index, base, valid
+                    counted = counted & graph.adjacency_matrix[nodes[:, j]]
+            base[block] = np.where(counted, offset, 0)
+    return index, base
+
+
+def _row_keys(colors: np.ndarray, index: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """A key per row of a block of the oracle's plan: the row's counted
+    depths, each a color plus its base, in ascending order after one 0 per
+    depth that the rule skips (base 0).
+
+    Counted depths are at least 1, so two rows of one width have equal keys
+    exactly when they count the same multiset of depths.  With colors in
+    0..t-1 the depth groups are disjoint and no depth is counted more than n
+    times, below the base n + 1, so equal keys are equal codes.
+    """
+    keys = colors[index]
+    keys += base
+    keys[base == 0] = 0
+    keys.sort(axis=1)
+    return keys
 
 
 def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
@@ -885,16 +900,19 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     Per-position contributions are shifted into disjoint digit ranges, the
     adjacent and non-adjacent groups into separate ranges when the variant
     distinguishes them.  A tuple's code is the multiset of its depths: its
-    own color's, then one per substitution that the rule counts.
+    own color's, then one per substitution that the rule counts.  Colors
+    outside 0..t-1, for t tuples, would move a depth into another range or
+    below the first, so they raise INVALID_SCHEMA; within it no digit
+    reaches the base.
 
     Which tuple each depth reads and at which offset depends on the space,
     the graph and the rule only (``_oracle_plan``), so it is kept on the
     space, with the graph it is for, and the rounds of one run plan once.
     A round then gathers the colors and adds the depth bases
-    ``ORACLE_BLOCK`` tuples at a time, in rows of ``1 + k * n`` depths with
-    the substitutions the rule skips masked.  ``encode_rows`` turns each row
-    into a code key, and the keys of all blocks, in one array, are numbered
-    through one table.
+    ``ORACLE_BLOCK`` tuples at a time, in rows of ``1 + k * n`` depths.
+    ``_row_keys`` sorts each row, the depths the rule skips as 0, into a
+    key equal exactly when the codes are, and the keys of all blocks, in
+    one array, are numbered through one table.
 
     Parameters
     ----------
@@ -921,17 +939,17 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
             SPACE_MISMATCH,
             f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
         )
+    cols, t = colors.colors, len(space.nodes)
+    if not 0 <= cols.min() <= cols.max() < t:
+        raise ValidationError(INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
     planned = space._plans.get(("oracle", variant))
     if planned is None or planned[0] is not graph:
         planned = space._plans[("oracle", variant)] = (graph, _oracle_plan(space, graph, variant))
-    index, base, valid = planned[1]
-    cols = colors.colors
+    index, base = planned[1]
     keys = np.empty(index.shape, dtype=np.int64)
-    for start in range(0, len(keys), ORACLE_BLOCK):
+    for start in range(0, t, ORACLE_BLOCK):
         rows = slice(start, start + ORACLE_BLOCK)
-        depths = cols[index[rows]]
-        depths += base[rows]
-        keys[rows] = encode_rows(depths, valid[rows], graph.num_nodes + 1)
+        keys[rows] = _row_keys(cols, index[rows], base[rows])
     ids = _relabel_rows([keys])[0]
     return Coloring(space, ids, colors.iteration + 1)
 

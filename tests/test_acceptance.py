@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from wlsim.digits import encode_multiset
+from digit_codes import encode_multiset
 from graph_helpers import SIZE_LIMIT, are_isomorphic_bruteforce, random_graph, sign_flip
 from wlsim.errors import LimitError
 from wlsim.graphs import apply_permutation, builtin_pair

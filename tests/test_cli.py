@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from graph_helpers import random_graph
 from wlsim import cli
-from wlsim.cli import SUBCOMMANDS, VARIANT_NAMES, _build_parser, _dumps, main
+from wlsim.cli import SUBCOMMANDS, VARIANT_NAMES, _build_parser, main
 from wlsim.graphs import Graph, builtin_pair, graph_to_dict
 from wlsim.refine import DEFAULT_MAX_ITERATIONS, refine_to_stable, run_to_dict
 
@@ -45,6 +45,13 @@ def run_cli(*args):
         timeout=300,
         env=CLI_ENV,
     )
+
+
+def dumps(value):
+    """The text the CLI's JSON writer writes for ``value``: its pieces, joined."""
+    pieces = []
+    cli._dumps(value, pieces)
+    return "".join(pieces)
 
 
 def stderr_error(proc):
@@ -432,6 +439,18 @@ def test_bench_refuses_a_repeated_panel_entry():
     assert stderr_error(proc)["code"] == "INVALID_SCHEMA"
 
 
+def test_bench_refuses_a_negative_seed_as_pe_and_tokens_do():
+    # random.Random(-5) draws seed 5's stream, so -5 would rerun seed 5's
+    # permutations while printing "seed": -5.
+    proc = run_cli("bench", "--variants", "1wl", "--seed", "-5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert stderr_error(proc) == {
+        "code": "INVALID_SCHEMA",
+        "message": "seed must be a non-negative int, got -5",
+    }
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -788,7 +807,7 @@ JSON_TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_TREES)
 def test_the_json_writer_matches_the_standard_library(tree):
-    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 MATRIX_NUMBERS = (
@@ -808,13 +827,13 @@ def number_matrices(draw):
 
 
 def written(doc, block=cli._MATRIX_BLOCK):
-    """``_dumps(doc)``, with blocks of ``block`` entries, and the number of
+    """``dumps(doc)``, with blocks of ``block`` entries, and the number of
     matrices it wrote in blocks of rows."""
     with (
         mock.patch.object(cli, "_MATRIX_BLOCK", block),
         mock.patch.object(cli, "_dumps_matrix", wraps=cli._dumps_matrix) as spy,
     ):
-        text = _dumps(doc)
+        text = dumps(doc)
     return text, spy.call_count
 
 
@@ -892,7 +911,7 @@ INT_ARRAY_TREES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(INT_ARRAY_TREES)
 def test_the_json_writer_writes_an_integer_array_as_its_list(tree):
-    assert _dumps(tree) == json.dumps(as_lists(tree), sort_keys=True, indent=2)
+    assert dumps(tree) == json.dumps(as_lists(tree), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda t: np.dtype(t).name)
@@ -901,10 +920,10 @@ def test_every_integer_width_is_written_at_its_extremes_and_chunk_edges(dtype, l
     values = spread(dtype, length, np.random.default_rng(length))
     values.setflags(write=False)
     for doc in (values, [values], {"a": [1, {"b": [values, values[:1]]}]}):
-        assert _dumps(doc) == json.dumps(as_lists(doc), sort_keys=True, indent=2)
+        assert dumps(doc) == json.dumps(as_lists(doc), sort_keys=True, indent=2)
     info = np.iinfo(dtype)
     extremes = np.array([info.min, info.max, 0], dtype)
-    assert _dumps(extremes) == "[\n  %d,\n  %d,\n  0\n]" % (info.min, info.max)
+    assert dumps(extremes) == "[\n  %d,\n  %d,\n  0\n]" % (info.min, info.max)
 
 
 @pytest.mark.parametrize(
@@ -927,7 +946,7 @@ def test_every_other_array_is_refused_as_the_standard_library_refuses_it(array):
     # any other array raises the TypeError json.dumps raises for it.
     for doc in (array, {"a": [1, array]}, [np.arange(3), array]):
         with pytest.raises(TypeError) as ours:
-            _dumps(doc)
+            dumps(doc)
         with pytest.raises(TypeError) as theirs:
             json.dumps(doc, sort_keys=True, indent=2)
         assert str(ours.value) == str(theirs.value)
@@ -1116,3 +1135,20 @@ def test_main_reads_the_process_arguments_by_default(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["wlsim", "pair", "--name", "c6_vs_2c3"])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["name"] == "c6_vs_2c3"
+
+
+# ----------------------------------------------------------------- package
+
+
+def test_the_cli_loads_exactly_the_package_modules():
+    """``import wlsim.cli`` loads every module under ``src/wlsim`` and no
+    other ``wlsim`` module, so a module that only tests use cannot stay in
+    the package unnoticed, nor one be missing from it."""
+    package = Path(cli.__file__).parent
+    want = {"wlsim"} | {f"wlsim.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"}
+    script = "import sys, wlsim.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'wlsim'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == want

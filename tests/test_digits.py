@@ -1,4 +1,5 @@
-"""Exact base-m counting vectors: arithmetic, encoding, and injectivity."""
+"""Exact base-m counting vectors: arithmetic, encoding, and injectivity,
+and the digit oracle's row keys checked against the codes."""
 
 import itertools
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wlsim.digits import DigitVector, _count, _vector, encode_multiset, encode_rows
-from wlsim.errors import DIGIT_OVERFLOW, INVALID_SCHEMA, ValidationError
+from digit_codes import DIGIT_OVERFLOW, DigitVector, _count, _vector, encode_multiset
+from wlsim.errors import INVALID_SCHEMA, ValidationError
+from wlsim.simulate import _row_keys
 
 
 # Code arithmetic that only these tests use: the code of one element, the
-# digit-wise sum and the shift. The package codes a multiset in one pass
-# (``encode_multiset``, ``encode_rows``); this is the algebra behind that pass.
+# digit-wise sum and the shift. ``encode_multiset`` codes a multiset in one
+# pass; this is the algebra behind that pass.
 
 # The error code of a sum of two codes in different bases.
 BASE_MISMATCH = "BASE_MISMATCH"
@@ -252,55 +254,38 @@ def test_encode_equals_the_fold_of_single_codes(base, positions):
 
 
 @st.composite
-def depth_rows(draw):
-    """A base and a (rows, width) block of depths with a validity mask; the
-    depths run from -1 to 4 so that invalid depths and overflows both occur."""
-    base = draw(st.integers(2, 4))
+def plan_blocks(draw):
+    """Colors in 0..t-1 and a (rows, width) block of an oracle plan: the row
+    each depth reads and its base, 0 for a depth that the rule skips."""
+    t = draw(st.integers(1, 4))
     rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    cells = st.tuples(st.integers(-1, 4), st.booleans())
+    colors = np.array(draw(st.lists(st.integers(0, t - 1), min_size=t, max_size=t)), np.int64)
+    cells = st.tuples(st.integers(0, t - 1), st.integers(0, 4))
     block = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=rows, max_size=rows))
-    depths = np.array([[d for d, _ in row] for row in block], dtype=np.int64)
-    valid = np.array([[v for _, v in row] for row in block], dtype=bool)
-    return base, depths, valid
+    index = np.array([[i for i, _ in row] for row in block], dtype=np.int32)
+    base = np.array([[b for _, b in row] for row in block], dtype=np.int32)
+    return colors, index, base
 
 
-@given(depth_rows())
-def test_encode_rows_keys_are_equal_exactly_when_codes_are(case):
-    base, depths, valid = case
-    outcomes = []
-    for row, mask in zip(depths.tolist(), valid.tolist()):
-        try:
-            outcomes.append(encode_multiset([d for d, v in zip(row, mask) if v], base))
-        except ValidationError as exc:
-            outcomes.append(exc)
-    refused = [o for o in outcomes if isinstance(o, ValidationError)]
-    if refused:
-        # The first row that encode_multiset refuses decides the error.
-        with pytest.raises(ValidationError) as err:
-            encode_rows(depths, valid, base)
-        assert (err.value.code, str(err.value)) == (refused[0].code, str(refused[0]))
-        return
-    keys = encode_rows(depths, valid, base)
-    assert keys.shape == depths.shape
-    for (a, ka), (b, kb) in itertools.combinations(zip(outcomes, keys.tolist()), 2):
+@given(plan_blocks())
+def test_row_keys_are_equal_exactly_when_codes_are(case):
+    """No depth is counted more often than a row is wide, so in base width + 1
+    every row has a code, and two keys are equal exactly when the codes of
+    the counted depths are."""
+    colors, index, base = case
+    depths = (colors[index] + base).tolist()
+    codes = [
+        encode_multiset([d for d, b in zip(row, bases) if b], index.shape[1] + 1)
+        for row, bases in zip(depths, base.tolist())
+    ]
+    keys = _row_keys(colors, index, base)
+    assert keys.shape == index.shape
+    for (a, ka), (b, kb) in itertools.combinations(zip(codes, keys.tolist()), 2):
         assert (ka == kb) == (a == b)
 
 
-def test_encode_rows_counts_a_run_that_reaches_the_base():
-    depths = np.array([[2, 5, 2, 2], [2, 5, 2, 2]])
-    ok = np.array([[True, True, True, False], [True, True, True, True]])
-    assert encode_rows(depths[:1], ok[:1], 3).tolist() == [[0, 2, 2, 5]]
-    with pytest.raises(ValidationError) as err:
-        encode_rows(depths, ok, 3)
-    assert err.value.code == DIGIT_OVERFLOW
-
-
-def test_encode_rows_ignores_invalid_depths_and_refuses_valid_ones_below_one():
-    depths = np.array([[0, 1, -3]])
-    assert encode_rows(depths, np.array([[False, True, False]]), 2).tolist() == [[0, 0, 1]]
-    with pytest.raises(ValidationError) as err:
-        encode_rows(depths, np.array([[False, True, True]]), 2)
-    assert err.value.code == INVALID_SCHEMA
-    with pytest.raises(ValidationError) as err:
-        encode_rows(depths, np.ones((1, 3), dtype=bool), 1)
-    assert err.value.code == INVALID_SCHEMA
+def test_row_keys_sort_the_counted_depths_after_a_zero_per_skipped_one():
+    colors = np.array([2, 0, 1], dtype=np.int64)
+    index = np.array([[0, 1, 2, 1]], dtype=np.int32)
+    base = np.array([[1, 0, 4, 4]], dtype=np.int32)
+    assert _row_keys(colors, index, base).tolist() == [[0, 3, 4, 5]]

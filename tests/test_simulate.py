@@ -20,12 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digit_codes import encode_multiset
 from graph_helpers import random_graph
 import wlsim.refine
 import wlsim.simulate
-from wlsim.digits import encode_multiset
 from wlsim.errors import (
-    DIGIT_OVERFLOW,
     INVALID_SCHEMA,
     ITERATION_LIMIT,
     MEMORY_LIMIT,
@@ -1457,40 +1456,23 @@ def test_block_oracle_equals_the_per_tuple_loop(g, seed, block):
                     colors = got
 
 
-def _overflow_coloring(space, variant):
-    """Colors under which tuple (a, 0) of an order-2 space on a complete
-    graph counts 2n - 2 substitutions at one depth: the adjacent tuples
-    (w, 0) sit one position range above the adjacent tuples (a, w)."""
-    shift = 2 * len(space.nodes) if variant == "delta_kwl" else len(space.nodes)
-    return Coloring(space, tuple(shift if b == 0 else 0 for _, b in space.tuples), 0)
-
-
-@pytest.mark.parametrize("k,s,variant", [(2, 2, v) for v in VARIANTS] + [(2, 1, "ks_lwl")])
-def test_block_oracle_overflows_where_the_loop_does(k, s, variant):
-    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
-    colors = _overflow_coloring(enumerate_tuples(k4, k, s), variant)
-    messages = []
-    for step in (loop_digit_step, gnn_reference_step):
-        with pytest.raises(ValidationError) as err:
-            step(colors, k4, k, variant)
-        assert err.value.code == DIGIT_OVERFLOW, step
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-
-
 @pytest.mark.parametrize("k,s,variant", list(every_rule()))
-def test_block_oracle_refuses_negative_colors_where_the_loop_does(p3, k, s, variant):
-    space = enumerate_tuples(p3, k, s)
+def test_oracle_refuses_colors_outside_the_tuple_range(k, s, variant):
+    """A color outside 0..t-1 would move a depth under the first range or
+    into the next one: on P4 at k = 2 under ``delta_kwl`` and
+    ``delta_klwl``, the coloring below with a color of t once gave a
+    partition that the engine does not give. Such a coloring is refused,
+    and one whose largest color is t - 1 is not."""
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    space = enumerate_tuples(p4, k, s)
     t = len(space.nodes)
-    for bad in (-1, -t - 2):
-        colors = Coloring(space, tuple(bad if i == t // 2 else i % 2 for i in range(t)), 0)
-        messages = []
-        for step in (loop_digit_step, gnn_reference_step):
-            with pytest.raises(ValidationError) as err:
-                step(colors, p3, k, variant)
-            assert err.value.code == INVALID_SCHEMA, step
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+    for bad in (-1, t, 2 * t):
+        colors = Coloring(space, tuple(bad if i == t // 2 else 0 for i in range(t)), 0)
+        with pytest.raises(ValidationError) as err:
+            gnn_reference_step(colors, p4, k, variant)
+        assert (err.value.code, str(err.value)) == (INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
+    top = Coloring(space, tuple(t - 1 if i == t // 2 else 0 for i in range(t)), 0)
+    assert same_coloring(gnn_reference_step(top, p4, k, variant), loop_digit_step(top, p4, k, variant))
 
 
 def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
