@@ -1475,6 +1475,24 @@ def test_oracle_refuses_colors_outside_the_tuple_range(k, s, variant):
     assert same_coloring(gnn_reference_step(top, p4, k, variant), loop_digit_step(top, p4, k, variant))
 
 
+@pytest.mark.parametrize("k,s,variant", list(every_rule()))
+def test_block_oracle_refuses_negative_colors_where_the_loop_does(p3, k, s, variant):
+    """A negative color puts a depth below 1 for the loop's
+    ``encode_multiset``, and lies outside 0..t-1 for the oracle: both refuse
+    it as a schema error, each with its own message."""
+    space = enumerate_tuples(p3, k, s)
+    t = len(space.nodes)
+    for bad in (-1, -t - 2):
+        colors = Coloring(space, tuple(bad if i == t // 2 else i % 2 for i in range(t)), 0)
+        with pytest.raises(ValidationError) as loop_err:
+            loop_digit_step(colors, p3, k, variant)
+        assert loop_err.value.code == INVALID_SCHEMA
+        assert str(loop_err.value).startswith("position must be >= 1, got ")
+        with pytest.raises(ValidationError) as err:
+            gnn_reference_step(colors, p3, k, variant)
+        assert (err.value.code, str(err.value)) == (INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
+
+
 def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
     """The oracle finds substituted tuples by its own arithmetic: it never
     asks the space or the engine for substitutions, fibers or gather plans,
