@@ -14,8 +14,8 @@ except for the wall-clock column of the bench table.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import importlib.util
 import io
 import itertools
 import json
@@ -23,6 +23,7 @@ import math
 import random
 import sys
 import time
+import types
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -45,15 +46,32 @@ from .graphs import (
     load_graph,
 )
 from .refine import DEFAULT_MAX_ITERATIONS, distinguish, refine_to_stable, run_to_dict
-from .simulate import DEFAULT_TEMPERATURE, ROUNDING_SLACK_LIMIT, simulate_and_compare
-from .spectral import (
-    ENCODER_KINDS,
-    _check_seed,
-    check_identifying,
-    identifying_targets,
-    positional_encoding,
-)
-from .tokens import PE_KINDS, TokenizerConfig, node_tokens, tuple_tokens
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """The package module ``name``, registered in ``sys.modules`` and on the
+    package at once but executed on its first attribute read, by the
+    standard library's ``LazyLoader``. A module already imported is returned
+    as it is.
+
+    ``refine``, ``distinguish`` and ``pair`` read none of the three modules
+    below, so a process that runs one of them never compiles or executes
+    them. Nothing at module level here reads a name from one."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+spectral = _lazy_module("spectral")
+simulate = _lazy_module("simulate")
+tokens = _lazy_module("tokens")
 
 # Flag spellings accepted on the command line, mapped to the names the
 # refinement engine uses internally.
@@ -333,7 +351,7 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
             # The totals are keyed by spec, so a repeat would count its rows twice.
             raise ValidationError(INVALID_SCHEMA, f"bench spec {spec!r} is repeated")
 
-    _check_seed(args.seed)
+    spectral._check_seed(args.seed)
     rng = random.Random(args.seed)
     cases: list[tuple[str, Graph, Graph, bool]] = []
     for name in BUILTIN_PAIR_NAMES:
@@ -368,6 +386,8 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
 def cmd_bench(args: argparse.Namespace) -> int:
     rows, specs = _bench_rows(args)
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(BENCH_COLUMNS)
@@ -407,14 +427,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     variant = VARIANT_NAMES[args.variant]
     s = _resolve_s(args.k, args.s)
-    report = simulate_and_compare(
+    report = simulate.simulate_and_compare(
         graph, args.k, s, variant, t_layers=args.layers, b=args.b
     )
     doc = report.to_dict()
     doc["pass"] = bool(
         report.all_equal
         and report.max_attention_error <= args.tol
-        and report.rounding_slack_max < ROUNDING_SLACK_LIMIT
+        and report.rounding_slack_max < simulate.ROUNDING_SLACK_LIMIT
     )
     _emit(doc)
     return 0 if doc["pass"] else 1
@@ -422,7 +442,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_pe(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    rows, count = positional_encoding(
+    rows, count = spectral.positional_encoding(
         graph, args.kind, args.dim, args.seed, args.eig_count, args.rank_m, args.normalized, args.epsilon
     )
     _emit(
@@ -439,9 +459,9 @@ def cmd_pe(args: argparse.Namespace) -> int:
 
 def cmd_verify_identifying(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    targets = identifying_targets(graph, normalized=args.normalized)
-    node = check_identifying(targets.p_node, targets.w_q_node, targets.w_k_node, graph, "node")
-    adj = check_identifying(targets.p_adj, targets.w_q_adj, targets.w_k_adj, graph, "adjacency")
+    targets = spectral.identifying_targets(graph, normalized=args.normalized)
+    node = spectral.check_identifying(targets.p_node, targets.w_q_node, targets.w_k_node, graph, "node")
+    adj = spectral.check_identifying(targets.p_adj, targets.w_q_adj, targets.w_k_adj, graph, "adjacency")
     doc = {"node": asdict(node), "adjacency": asdict(adj), "pass": node.passed and adj.passed}
     _emit(doc)
     return 0 if doc["pass"] else 1
@@ -450,7 +470,7 @@ def cmd_verify_identifying(args: argparse.Namespace) -> int:
 def cmd_tokens(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     s = _resolve_s(args.k, args.s)
-    cfg = TokenizerConfig(
+    cfg = tokens.TokenizerConfig(
         k=args.k,
         s=s,
         dim=args.dim,
@@ -461,7 +481,7 @@ def cmd_tokens(args: argparse.Namespace) -> int:
         normalized=args.normalized,
         atp_from_edges=args.edges_atp,
     )
-    tm = node_tokens(graph, cfg) if args.k == 1 else tuple_tokens(graph, cfg)
+    tm = tokens.node_tokens(graph, cfg) if args.k == 1 else tokens.tuple_tokens(graph, cfg)
     doc = tm.to_dict()
     doc["token_count"] = tm.num_rows
     _emit(doc)
@@ -521,7 +541,7 @@ def _simulate_options(p: _Parser) -> None:
         "--layers", type=int, default=None, help="rounds to replay, defaults to the stable count"
     )
     p.add_argument(
-        "--b", type=float, default=DEFAULT_TEMPERATURE, help="attention inverse temperature"
+        "--b", type=float, default=simulate.DEFAULT_TEMPERATURE, help="attention inverse temperature"
     )
     p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
     p.set_defaults(func=cmd_simulate)
@@ -530,7 +550,7 @@ def _simulate_options(p: _Parser) -> None:
 def _pe_options(p: _Parser) -> None:
     _seed_option(p)
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", default="lpe", choices=ENCODER_KINDS)
+    p.add_argument("--kind", default="lpe", choices=spectral.ENCODER_KINDS)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--eig-count", type=int, default=None)
     p.add_argument("--rank-m", type=int, default=None)
@@ -551,7 +571,7 @@ def _tokens_options(p: _Parser) -> None:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--pe", default="lpe", choices=PE_KINDS)
+    p.add_argument("--pe", default="lpe", choices=tokens.PE_KINDS)
     p.add_argument("--eig-count", type=int, default=None)
     p.add_argument("--rank-m", type=int, default=None)
     p.add_argument("--normalized", action="store_true")

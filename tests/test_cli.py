@@ -1141,7 +1141,7 @@ def test_main_reads_the_process_arguments_by_default(monkeypatch, capsys):
 
 
 def test_the_cli_loads_exactly_the_package_modules():
-    """``import wlsim.cli`` loads every module under ``src/wlsim`` and no
+    """``import wlsim.cli`` registers every module under ``src/wlsim`` and no
     other ``wlsim`` module, so a module that only tests use cannot stay in
     the package unnoticed, nor one be missing from it."""
     package = Path(cli.__file__).parent
@@ -1152,3 +1152,73 @@ def test_the_cli_loads_exactly_the_package_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == want
+
+
+# The modules ``wlsim.cli`` registers without executing them.
+LAZY_MODULES = ("spectral", "simulate", "tokens")
+
+
+def executed_after(argv):
+    """The lazy modules a fresh process has executed after ``import
+    wlsim.cli`` and, unless ``argv`` is None, one ``main(argv)``. A module
+    not yet executed is not a plain module: its type says so without
+    reading an attribute, which would execute it."""
+    script = f"""
+import contextlib, io, sys, types, wlsim.cli
+if {argv!r} is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            wlsim.cli.main({argv!r})
+        except SystemExit:
+            pass
+print(*(n for n in {LAZY_MODULES!r} if type(sys.modules["wlsim." + n]) is types.ModuleType))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (None, set()),
+        (["refine", "--graph", "{graph}", "--k", "2", "--variant", "kwl"], set()),
+        (["distinguish", "--pair", "c6_vs_2c3", "--k", "1", "--variant", "kwl"], set()),
+        (["pair", "--name", "c6_vs_2c3"], set()),
+        (["pe", "--graph", "{graph}", "--dim", "2"], {"spectral"}),
+        (["verify-identifying", "--graph", "{graph}"], {"spectral"}),
+        (["simulate", "--graph", "{graph}"], {"spectral", "simulate"}),
+        (["tokens", "--graph", "{graph}", "--dim", "2"], {"spectral", "tokens"}),
+        (["--help"], set(LAZY_MODULES)),
+    ],
+    ids=lambda value: (
+        "import" if value is None else value[0] if isinstance(value, list) else "+".join(sorted(value)) or "none"
+    ),
+)
+def test_a_subcommand_executes_only_the_modules_it_reads(p3_file, argv, want):
+    if argv is not None:
+        argv = [p3_file if arg == "{graph}" else arg for arg in argv]
+    assert executed_after(argv) == want
+
+
+def test_a_lazy_module_is_the_one_a_plain_import_gives():
+    """The CLI's binding, ``sys.modules`` and the package attribute hold one
+    module object, and an attribute read through ``sys.modules``, as a
+    tracer that wraps the package's functions does, gives the function a
+    plain import gives."""
+    script = """
+import sys, types, wlsim, wlsim.cli as cli
+module = sys.modules["wlsim.simulate"]
+assert type(module) is not types.ModuleType
+assert cli.simulate is module and wlsim.simulate is module
+looked_up = getattr(module, "simulate_and_compare")
+from wlsim.simulate import simulate_and_compare
+assert looked_up is simulate_and_compare
+assert type(module) is types.ModuleType and sys.modules["wlsim.simulate"] is module
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
