@@ -40,6 +40,7 @@ from .errors import (
 from .graphs import (
     BUILTIN_PAIR_NAMES,
     Graph,
+    _check_seed,
     apply_permutation,
     builtin_pair,
     graph_to_dict,
@@ -351,7 +352,7 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
             # The totals are keyed by spec, so a repeat would count its rows twice.
             raise ValidationError(INVALID_SCHEMA, f"bench spec {spec!r} is repeated")
 
-    spectral._check_seed(args.seed)
+    _check_seed(args.seed)
     rng = random.Random(args.seed)
     cases: list[tuple[str, Graph, Graph, bool]] = []
     for name in BUILTIN_PAIR_NAMES:

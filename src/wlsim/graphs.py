@@ -41,6 +41,11 @@ def _natural(value: object, what: str) -> int:
     return value
 
 
+def _check_seed(seed: object) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(INVALID_SCHEMA, f"seed must be a non-negative int, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected node-labeled graph.

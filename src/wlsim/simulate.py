@@ -32,12 +32,13 @@ layer out as matrices for ``transformer_layer``, the reference that
 ``construct_kgt_weights`` and the tests read.
 
 ``simulate_and_compare`` runs three implementations side by side: the
-constructed transformer, the hash-based engine, and an exact fixed-point
-digit encoding (``gnn_reference_step``) that aggregates neighbor colors with
-base-``m`` arithmetic.  The three never share intermediate state, only the
-final lookup that numbers each round's keys by first occurrence
-(``refine._relabel_rows``); agreement of their partitions at every
-iteration is the point of the exercise.
+constructed transformer, the hash-based engine, and an exact digit oracle
+(``gnn_reference_step``), which reads the colors through its own int32 plan
+of substitutions into keys equal exactly when the base-``m`` fixed-point
+codes of the neighbor-color multisets are.  The three never share
+intermediate state, only the final lookup that numbers each round's keys
+by first occurrence (``refine._relabel_rows``); agreement of their
+partitions at every iteration is the point of the exercise.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ __all__ = [
     "construct_kgt_weights",
     "gnn_reference_step",
     "simulate_and_compare",
-    "attention_error_curve",
 ]
 
 DEFAULT_TEMPERATURE = 60.0
@@ -100,9 +100,9 @@ DEFAULT_TEMPERATURE = 60.0
 # attention approximation is tight enough to be read back exactly.
 ROUNDING_SLACK_LIMIT = 0.4
 
-# Tuples per block of the digit oracle. A block's depth rows then hold at
-# most ORACLE_BLOCK * (1 + k * n) int64 entries, 4 MB at k = 3, n = 40.
-# Its plan holds 8 bytes per depth of the space, as many as the keys.
+# Tuples per block of the digit oracle's plan build, which bounds its int64
+# flat-index scratch at ORACLE_BLOCK * n entries per position, 1.3 MB at
+# n = 40. The plan and each round's keys hold 4 bytes per depth each.
 ORACLE_BLOCK = 1 << 12
 
 
@@ -828,32 +828,30 @@ def construct_kgt_weights(
     return ConstructedWeights(dense, b, k, variant)
 
 
-def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """What every round of the digit oracle reads on one space and graph, as
-    two whole-space int32 arrays of ``1 + k * n`` columns, one per depth of a
-    tuple's code: the row of the tuple it reads (the tuple itself, then one
-    per position and node) and its depth base (the offset of its position
-    and group, plus 1), which is 0 where the rule does not count the depth.
+def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> np.ndarray:
+    """What every round of the digit oracle reads on one space and graph: one
+    whole-space int32 array of ``1 + k * n`` columns.  Column 0 is the
+    tuple's own row.  Column ``1 + j * n + w`` is the row of the tuple with
+    node w at position j, plus t under ``delta_kwl`` when w is adjacent to
+    the node it replaces, or -1 where the rule does not count the
+    substitution (a non-neighbor under a local rule, a tuple off a
+    restricted space).
 
     The substituted tuple is found by the row-major flat index, ``i - u_j *
     n^(k-1-j) + w * n^(k-1-j)``, which is the row on a full space and is
-    looked up among the space's sorted flat indices on a restricted one,
-    where a tuple off the space is not counted.  The plan is built
-    ``ORACLE_BLOCK`` tuples at a time.
+    looked up among the space's sorted flat indices on a restricted one.
+    The plan is built ``ORACLE_BLOCK`` tuples at a time.
     """
     k, n, t = space.k, graph.num_nodes, len(space.nodes)
     strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     flat = space.nodes @ strides
     local = _is_local(variant, k)
-    index = np.empty((t, 1 + k * n), dtype=np.int32)
-    base = np.empty((t, 1 + k * n), dtype=np.int32)
-    # A tuple of color c counts at depth c + 1.
-    index[:, 0], base[:, 0] = np.arange(t), 1
+    plan = np.empty((t, 1 + k * n), dtype=np.int32)
+    plan[:, 0] = np.arange(t)
     for start in range(0, t, ORACLE_BLOCK):
         rows = slice(start, start + ORACLE_BLOCK)
         nodes = space.nodes[rows]
         for j in range(k):
-            block = (rows, slice(1 + j * n, 1 + (j + 1) * n))
             moved = (flat[rows] - nodes[:, j] * strides[j])[:, None]
             moved = moved + np.arange(n) * strides[j]
             counted = True
@@ -861,34 +859,27 @@ def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> tuple[np.ndar
                 row = np.minimum(np.searchsorted(flat, moved), t - 1)
                 counted = flat[row] == moved
                 moved = row
-            index[block] = moved
-            # A substituted tuple counts at its color's depth past the offset
-            # of its position and group.
             if variant == "delta_kwl":
-                adjacent = graph.adjacency_matrix[nodes[:, j]]
-                offset = np.where(adjacent, t * (2 * j + 1) + 1, t * (2 * j + 2) + 1)
-            else:
-                offset = t * (j + 1) + 1
-                if local:
-                    counted = counted & graph.adjacency_matrix[nodes[:, j]]
-            base[block] = np.where(counted, offset, 0)
-    return index, base
+                moved = moved + t * graph.adjacency_matrix[nodes[:, j]]
+            elif local:
+                counted = counted & graph.adjacency_matrix[nodes[:, j]]
+            plan[rows, 1 + j * n : 1 + (j + 1) * n] = np.where(counted, moved, -1)
+    return plan
 
 
-def _row_keys(colors: np.ndarray, index: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """A key per row of a block of the oracle's plan: the row's counted
-    depths, each a color plus its base, in ascending order after one 0 per
-    depth that the rule skips (base 0).
+def _row_keys(colors: np.ndarray, plan: np.ndarray, k: int) -> np.ndarray:
+    """The oracle's int32 key per row of its plan: the row's own color, then
+    each position's n-wide block of read colors, ascending.
 
-    Counted depths are at least 1, so two rows of one width have equal keys
-    exactly when they count the same multiset of depths.  With colors in
-    0..t-1 the depth groups are disjoint and no depth is counted more than n
-    times, below the base n + 1, so equal keys are equal codes.
+    A plan entry of i < t reads color i, one of t + i reads it shifted into
+    the adjacent group t..2t-1, and -1 reads -1, a skipped substitution, so
+    with colors in 0..t-1 two blocks are equal exactly when they count the
+    same colors in each group and skip as many nodes.
     """
-    keys = colors[index]
-    keys += base
-    keys[base == 0] = 0
-    keys.sort(axis=1)
+    ext = np.concatenate((colors, colors + len(colors), [-1])).astype(np.int32)
+    keys = ext[plan]
+    # The blocks are a view of the keys, so they sort in place.
+    keys[:, 1:].reshape(len(keys), k, -1).sort(axis=2)
     return keys
 
 
@@ -897,22 +888,20 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
 
     Every color is coded as a fixed-point digit vector ``m^-(c+1)`` with
     ``m = n + 1``, so digit-wise sums count multisets without collision.
-    Per-position contributions are shifted into disjoint digit ranges, the
-    adjacent and non-adjacent groups into separate ranges when the variant
-    distinguishes them.  A tuple's code is the multiset of its depths: its
-    own color's, then one per substitution that the rule counts.  Colors
-    outside 0..t-1, for t tuples, would move a depth into another range or
-    below the first, so they raise INVALID_SCHEMA; within it no digit
-    reaches the base.
+    Per-position contributions sit in disjoint digit ranges, the adjacent
+    and non-adjacent groups in separate ranges when the variant
+    distinguishes them.  A tuple's code is its own color's depth, then one
+    depth per substitution that the rule counts.  Colors outside 0..t-1,
+    for t tuples, would move a depth into another range or below the first,
+    so they raise INVALID_SCHEMA.
 
-    Which tuple each depth reads and at which offset depends on the space,
-    the graph and the rule only (``_oracle_plan``), so it is kept on the
-    space, with the graph it is for, and the rounds of one run plan once.
-    A round then gathers the colors and adds the depth bases
-    ``ORACLE_BLOCK`` tuples at a time, in rows of ``1 + k * n`` depths.
-    ``_row_keys`` sorts each row, the depths the rule skips as 0, into a
-    key equal exactly when the codes are, and the keys of all blocks, in
-    one array, are numbered through one table.
+    The oracle never forms the code: each position's substitutions have n columns
+    of their own in the oracle's plan (``_oracle_plan``), which depends on
+    the space, the graph and the rule only, so it is kept on the space,
+    with the graph it is for, and the rounds of one run plan once.  A round
+    gathers the colors through the plan and sorts each position's block
+    (``_row_keys``), a key equal exactly when the codes are, and numbers
+    the keys through one table.
 
     Parameters
     ----------
@@ -945,12 +934,7 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     planned = space._plans.get(("oracle", variant))
     if planned is None or planned[0] is not graph:
         planned = space._plans[("oracle", variant)] = (graph, _oracle_plan(space, graph, variant))
-    index, base = planned[1]
-    keys = np.empty(index.shape, dtype=np.int64)
-    for start in range(0, t, ORACLE_BLOCK):
-        rows = slice(start, start + ORACLE_BLOCK)
-        keys[rows] = _row_keys(cols, index[rows], base[rows])
-    ids = _relabel_rows([keys])[0]
+    ids = _relabel_rows([_row_keys(cols, planned[1], k)])[0]
     return Coloring(space, ids, colors.iteration + 1)
 
 
@@ -1063,25 +1047,3 @@ def simulate_and_compare(
         max_attention_error=max(head_errors, default=0.0),
         rounding_slack_max=slack_max,
     )
-
-
-def attention_error_curve(
-    graph: Graph, temperatures: Sequence[float] = (20.0, 40.0, 60.0)
-) -> tuple[float, ...]:
-    """Frobenius distance of adjacency-shaped attention from its target.
-
-    Uses one fixed eigenfactorization of the adjacency matrix and sweeps the
-    softmax temperature, returning the distance of ``softmax(b * scores)``
-    from the degree-normalized adjacency for each ``b``.  The curve is the
-    quantitative face of the temperature argument: a larger ``b`` sharpens
-    the row maxima until only the eigenfactorization's round-off is left.
-    """
-    adj_part, signs = _adjacency_part(graph)
-    scores = (adj_part * signs) @ adj_part.T
-    adj = graph.adjacency_matrix.astype(float)
-    target = adj / adj.sum(axis=1, keepdims=True)  # no isolated nodes, so no zero row
-    out = []
-    for b in temperatures:
-        b = _check_temperature(b)
-        out.append(float(np.linalg.norm(softmax_rows(b * scores) - target)))
-    return tuple(out)

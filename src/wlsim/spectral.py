@@ -33,7 +33,7 @@ from .errors import (
     LimitError,
     ValidationError,
 )
-from .graphs import Graph
+from .graphs import Graph, _check_seed
 from .refine import DEFAULT_MEMORY_LIMIT
 
 SOURCES = ("laplacian", "normalized_laplacian", "adjacency")
@@ -178,11 +178,6 @@ def seeded_mlp(seed: int, index: int, d_in: int, d_hidden: int, d_out: int) -> d
 
 def run_mlp(weights: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     return np.tanh(x @ weights["w1"] + weights["b1"]) @ weights["w2"] + weights["b2"]
-
-
-def _check_seed(seed: object) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(INVALID_SCHEMA, f"seed must be a non-negative int, got {seed!r}")
 
 
 def _check_int(name: str, value: object) -> None:

@@ -1,5 +1,6 @@
 """Test-only graph helpers: a seeded random-graph sampler, a brute-force
-isomorphism oracle and a random sign flip of eigenvectors.
+isomorphism oracle, a random sign flip of eigenvectors and the attention
+error curve over temperatures.
 
 No subcommand, benchmark job or reference path of the package calls these,
 so they live beside the tests that do. The module name is one that no
@@ -10,11 +11,13 @@ their modules are imported by bare name.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
 from wlsim.errors import INVALID_SCHEMA, LimitError, ValidationError
 from wlsim.graphs import Graph
+from wlsim.simulate import _adjacency_part, _check_temperature, softmax_rows
 from wlsim.spectral import SpectralDecomposition
 
 #: Hard cap for the exhaustive isomorphism search (factorial blow-up).
@@ -133,3 +136,25 @@ def sign_flip(dec: SpectralDecomposition, seed: int) -> SpectralDecomposition:
         dec.source,
         dec.residual,
     )
+
+
+def attention_error_curve(
+    graph: Graph, temperatures: Sequence[float] = (20.0, 40.0, 60.0)
+) -> tuple[float, ...]:
+    """Frobenius distance of adjacency-shaped attention from its target.
+
+    Uses one fixed eigenfactorization of the adjacency matrix and sweeps the
+    softmax temperature, returning the distance of ``softmax(b * scores)``
+    from the degree-normalized adjacency for each ``b``.  The curve is the
+    quantitative face of the temperature argument: a larger ``b`` sharpens
+    the row maxima until only the eigenfactorization's round-off is left.
+    """
+    adj_part, signs = _adjacency_part(graph)
+    scores = (adj_part * signs) @ adj_part.T
+    adj = graph.adjacency_matrix.astype(float)
+    target = adj / adj.sum(axis=1, keepdims=True)  # no isolated nodes, so no zero row
+    out = []
+    for b in temperatures:
+        b = _check_temperature(b)
+        out.append(float(np.linalg.norm(softmax_rows(b * scores) - target)))
+    return tuple(out)

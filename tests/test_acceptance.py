@@ -17,13 +17,18 @@ import numpy as np
 import pytest
 
 from digit_codes import encode_multiset
-from graph_helpers import SIZE_LIMIT, are_isomorphic_bruteforce, random_graph, sign_flip
+from graph_helpers import (
+    SIZE_LIMIT,
+    are_isomorphic_bruteforce,
+    attention_error_curve,
+    random_graph,
+    sign_flip,
+)
 from wlsim.errors import LimitError
 from wlsim.graphs import apply_permutation, builtin_pair
 from wlsim.refine import distinguish, enumerate_tuples, initial_coloring, refine_step, refine_to_stable
 from wlsim.simulate import (
     ROUNDING_SLACK_LIMIT,
-    attention_error_curve,
     gnn_reference_step,
     simulate_and_compare,
 )

@@ -1187,6 +1187,7 @@ print(*(n for n in {LAZY_MODULES!r} if type(sys.modules["wlsim." + n]) is types.
         (["refine", "--graph", "{graph}", "--k", "2", "--variant", "kwl"], set()),
         (["distinguish", "--pair", "c6_vs_2c3", "--k", "1", "--variant", "kwl"], set()),
         (["pair", "--name", "c6_vs_2c3"], set()),
+        (["bench", "--variants", "1wl"], set()),
         (["pe", "--graph", "{graph}", "--dim", "2"], {"spectral"}),
         (["verify-identifying", "--graph", "{graph}"], {"spectral"}),
         (["simulate", "--graph", "{graph}"], {"spectral", "simulate"}),

@@ -254,38 +254,53 @@ def test_encode_equals_the_fold_of_single_codes(base, positions):
 
 
 @st.composite
-def plan_blocks(draw):
-    """Colors in 0..t-1 and a (rows, width) block of an oracle plan: the row
-    each depth reads and its base, 0 for a depth that the rule skips."""
-    t = draw(st.integers(1, 4))
-    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def plan_rows(draw):
+    """Colors in 0..t-1, an order k, a width n and rows of an oracle plan:
+    the own row, then k blocks of n entries in -1..2t-1, where t + i reads
+    color i in the adjacent group and -1 is a skipped substitution."""
+    t, k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     colors = np.array(draw(st.lists(st.integers(0, t - 1), min_size=t, max_size=t)), np.int64)
-    cells = st.tuples(st.integers(0, t - 1), st.integers(0, 4))
-    block = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=rows, max_size=rows))
-    index = np.array([[i for i, _ in row] for row in block], dtype=np.int32)
-    base = np.array([[b for _, b in row] for row in block], dtype=np.int32)
-    return colors, index, base
+    row = st.tuples(
+        st.integers(0, t - 1), st.lists(st.integers(-1, 2 * t - 1), min_size=k * n, max_size=k * n)
+    )
+    rows = [[own, *subs] for own, subs in draw(st.lists(row, min_size=1, max_size=6))]
+    # A row with each block permuted has the same code; add some.
+    for own, *subs in list(rows):
+        if draw(st.booleans()):
+            blocks = [subs[j * n : (j + 1) * n] for j in range(k)]
+            rows.append([own, *(b[i] for b in blocks for i in draw(st.permutations(range(n))))])
+    return colors, np.array(rows, dtype=np.int32), k
 
 
-@given(plan_blocks())
+def depth_code(colors, plan_row, k):
+    """The row's digit code in the depth layout of the code under
+    ``delta_kwl``: the own color c at depth c + 1, and at position j a color
+    c at depth t (2j + 1) + c + 1 in the adjacent group and t (2j + 2) + c
+    + 1 otherwise, with the skipped substitutions left out. No depth is
+    counted more often than a row is wide, so base 1 + (1 + k n) never
+    overflows."""
+    t, n = len(colors), (len(plan_row) - 1) // k
+    depths = [int(colors[plan_row[0]]) + 1]
+    for column, entry in enumerate(plan_row[1:]):
+        if entry >= 0:
+            group = 2 * (column // n) + (1 if entry >= t else 2)
+            depths.append(t * group + int(colors[entry % t]) + 1)
+    return encode_multiset(depths, 1 + len(plan_row))
+
+
+@given(plan_rows())
 def test_row_keys_are_equal_exactly_when_codes_are(case):
-    """No depth is counted more often than a row is wide, so in base width + 1
-    every row has a code, and two keys are equal exactly when the codes of
-    the counted depths are."""
-    colors, index, base = case
-    depths = (colors[index] + base).tolist()
-    codes = [
-        encode_multiset([d for d, b in zip(row, bases) if b], index.shape[1] + 1)
-        for row, bases in zip(depths, base.tolist())
-    ]
-    keys = _row_keys(colors, index, base)
-    assert keys.shape == index.shape
+    colors, plan, k = case
+    codes = [depth_code(colors, row, k) for row in plan.tolist()]
+    keys = _row_keys(colors, plan, k)
+    assert keys.dtype == np.int32 and keys.shape == plan.shape
     for (a, ka), (b, kb) in itertools.combinations(zip(codes, keys.tolist()), 2):
         assert (ka == kb) == (a == b)
 
 
-def test_row_keys_sort_the_counted_depths_after_a_zero_per_skipped_one():
+def test_row_keys_sort_each_block_with_skips_first_and_groups_apart():
+    """Color 1 read adjacent (plan entry t + 2) and read non-adjacent (entry
+    2) land in different groups, and a skipped node (-1) sorts first."""
     colors = np.array([2, 0, 1], dtype=np.int64)
-    index = np.array([[0, 1, 2, 1]], dtype=np.int32)
-    base = np.array([[1, 0, 4, 4]], dtype=np.int32)
-    assert _row_keys(colors, index, base).tolist() == [[0, 3, 4, 5]]
+    plan = np.array([[0, 5, -1, 2, 2, 1, -1]], dtype=np.int32)
+    assert _row_keys(colors, plan, 2).tolist() == [[2, -1, 1, 4, -1, 0, 1]]

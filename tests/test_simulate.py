@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digit_codes import encode_multiset
-from graph_helpers import random_graph
+from graph_helpers import attention_error_curve, random_graph
 import wlsim.refine
 import wlsim.simulate
 from wlsim.errors import (
@@ -52,7 +52,6 @@ from wlsim.simulate import (
     AttentionHead,
     ConstructedWeights,
     LayerWeights,
-    attention_error_curve,
     construct_kgt_weights,
     generalized_adjacency,
     gnn_reference_step,
@@ -1496,13 +1495,17 @@ def test_block_oracle_refuses_negative_colors_where_the_loop_does(p3, k, s, vari
 def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
     """The oracle finds substituted tuples by its own arithmetic: it never
     asks the space or the engine for substitutions, fibers or gather plans,
-    nor walks the tuples in Python."""
+    nor walks the tuples in Python, on full and restricted spaces, in the
+    round that plans and in the round that reuses the plan."""
     g = Graph(6, list(c6.edges) + [(0, 3)], [0, 1, 0, 1, 0, 0])
     starts = {
         (k, s, variant): initial_coloring(g, enumerate_tuples(g, k, s))
         for k, s, variant in every_rule()
     }
-    want = {key: loop_digit_step(c, g, key[0], key[2]) for key, c in starts.items()}
+    want = {}
+    for (k, s, variant), c in starts.items():
+        first = loop_digit_step(c, g, k, variant)
+        want[(k, s, variant)] = (first, loop_digit_step(first, g, k, variant))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached an engine internal")
@@ -1513,8 +1516,19 @@ def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
     for name in ("_summary_ids", "_gather_plans"):
         monkeypatch.setattr(wlsim.refine, name, forbidden)
     for (k, s, variant), colors in starts.items():
-        got = gnn_reference_step(colors, g, k, variant)
-        assert same_coloring(got, want[(k, s, variant)]), (k, s, variant)
+        for expected in want[(k, s, variant)]:
+            colors = gnn_reference_step(colors, g, k, variant)
+            assert same_coloring(colors, expected), (k, s, variant)
+
+
+@pytest.mark.parametrize("k,s,variant", list(every_rule()))
+def test_the_oracle_plan_is_one_int32_array(c6, k, s, variant):
+    """One C-contiguous int32 array of ``1 + k * n`` columns per tuple, and
+    no second array beside it."""
+    space = enumerate_tuples(c6, k, s)
+    plan = wlsim.simulate._oracle_plan(space, c6, variant)
+    assert type(plan) is np.ndarray and plan.dtype == np.int32 and plan.flags.c_contiguous
+    assert plan.shape == (len(space.nodes), 1 + k * c6.num_nodes)
 
 
 def count_oracle_plans(monkeypatch):
@@ -1559,7 +1573,8 @@ def test_a_different_graph_on_an_equal_space_replans_the_oracle(monkeypatch, c6)
 
 def test_oracle_round_memory_is_bounded_by_its_blocks():
     # k = 3, n = 20: t = 8000 tuples of 61 depths.  The per-tuple loop
-    # peaked at about 47 MB here; the blocks and the keys take about 10 MB.
+    # peaked at about 47 MB here; the plan and the int32 keys take about
+    # 4.5 MB.
     g = random_graph(random.Random(20), 20, 3 / 20, connected=True)
     space = enumerate_tuples(g, 3, 3)
     colors = refine_step(g, space, initial_coloring(g, space), "kwl")
