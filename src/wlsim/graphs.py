@@ -179,39 +179,6 @@ class Graph:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def _edge_label_map(self) -> dict[tuple[int, int], int]:
-        if self.edge_labels is None:
-            return {}
-        return dict(zip(self.edges, self.edge_labels))
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self.neighbor_sets[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self.neighbor_sets[u]
-
-    def edge_label(self, u: int, v: int) -> int:
-        """Label of the edge {u, v}, defaulting to 0 when no labels were given."""
-        if not self.has_edge(u, v):
-            raise ValidationError(INVALID_SCHEMA, f"no edge between {u} and {v}")
-        key = (u, v) if u < v else (v, u)
-        return self._edge_label_map.get(key, 0)
-
-    def _check_node(self, v: int) -> None:
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.num_nodes:
-            raise ValidationError(
-                NODE_INDEX_OUT_OF_RANGE,
-                f"node index {v!r} outside [0, {self.num_nodes})",
-            )
-
 
 def atomic_types(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     """Atomic types of the rows of a ``(t, k)`` node array, as ``(t, k, k)``

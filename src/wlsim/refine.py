@@ -206,6 +206,13 @@ def _check_request(k: object, s: object, variant: str) -> None:
         )
 
 
+def _check_space(graph: Graph, space: TupleSpace) -> None:
+    """Refuse a space built over another node count than the graph's."""
+    if space.num_nodes != graph.num_nodes:
+        message = f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}"
+        raise ValidationError(SPACE_MISMATCH, message)
+
+
 def _is_local(variant: str, k: int) -> bool:
     """True for the rules that count adjacent substitutions only:
     ``delta_klwl``, ``ks_lwl`` and, at k = 1, ``kwl``."""
@@ -470,6 +477,7 @@ def _summary_ids(plans: Sequence[_Plan], color_lists: Sequence[Sequence[int]]) -
 
 def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
     """Color tuples by atomic type and label sequence, with canonical ids."""
+    _check_space(graph, space)
     return Coloring(space, _initial_ids([graph], [space])[0], 0)
 
 
@@ -481,6 +489,7 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     0..``INT32_MAX`` raise INVALID_SCHEMA.
     """
     _check_request(space.k, space.s, variant)
+    _check_space(graph, space)
     if coloring.space != space:
         raise ValidationError(SPACE_MISMATCH, "coloring was built for a different tuple space")
     # A round reads -1 as padding and colors as int32, so a color outside

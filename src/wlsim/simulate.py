@@ -68,6 +68,7 @@ from .refine import (
     TupleSpace,
     _check_order,
     _check_request,
+    _check_space,
     _is_local,
     _refine_until_stable,
     _relabel_rows,
@@ -147,17 +148,12 @@ class ConstructedWeights:
     k: int
     variant: str
 
-    @property
-    def head_count(self) -> int:
-        """Heads per layer: one weighted substitution slot per position, k."""
-        return self.k
-
     def __post_init__(self) -> None:
+        # One weighted substitution slot per position: k heads per layer.
         for i, layer in enumerate(self.layers):
-            if len(layer.heads) != self.head_count:
+            if len(layer.heads) != self.k:
                 raise ValidationError(
-                    INVALID_SCHEMA,
-                    f"layer {i} has {len(layer.heads)} heads, expected {self.head_count}",
+                    INVALID_SCHEMA, f"layer {i} has {len(layer.heads)} heads, expected {self.k}"
                 )
 
 
@@ -282,11 +278,7 @@ def generalized_adjacency(
     else:
         if space.k != k:
             raise ValidationError(SPACE_MISMATCH, f"space has order {space.k}, expected {k}")
-        if space.num_nodes != graph.num_nodes:
-            raise ValidationError(
-                SPACE_MISMATCH,
-                f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
-            )
+        _check_space(graph, space)
     t = len(space.nodes)
     _check_dense(t, t, "tuple adjacency")
     every = np.broadcast_to(np.arange(space.num_nodes), (t, space.num_nodes))
@@ -883,7 +875,7 @@ def _row_keys(colors: np.ndarray, plan: np.ndarray, k: int) -> np.ndarray:
     return keys
 
 
-def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> Coloring:
+def gnn_reference_step(colors: Coloring, graph: Graph, variant: str) -> Coloring:
     """One refinement round computed with exact base-m digit arithmetic.
 
     Every color is coded as a fixed-point digit vector ``m^-(c+1)`` with
@@ -906,10 +898,9 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     Parameters
     ----------
     colors : Coloring
-        Current coloring; its space fixes the tuple ordering.
+        Current coloring; its space fixes the order and the tuple ordering.
     graph : Graph
-    k : int
-        Must match the space's order.
+        Must have the node count the space was built over.
     variant : str
         Any of the engine's refinement rules.
 
@@ -918,23 +909,16 @@ def gnn_reference_step(colors: Coloring, graph: Graph, k: int, variant: str) -> 
     Coloring
         The refined coloring with ``iteration`` advanced by one.
     """
-    _check_order(k, k)
     space = colors.space
     _check_request(space.k, space.s, variant)
-    if space.k != k:
-        raise ValidationError(SPACE_MISMATCH, f"coloring has order {space.k}, expected {k}")
-    if space.num_nodes != graph.num_nodes:
-        raise ValidationError(
-            SPACE_MISMATCH,
-            f"coloring was built over {space.num_nodes} nodes, graph has {graph.num_nodes}",
-        )
+    _check_space(graph, space)
     cols, t = colors.colors, len(space.nodes)
     if not 0 <= cols.min() <= cols.max() < t:
         raise ValidationError(INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
     planned = space._plans.get(("oracle", variant))
     if planned is None or planned[0] is not graph:
         planned = space._plans[("oracle", variant)] = (graph, _oracle_plan(space, graph, variant))
-    ids = _relabel_rows([_row_keys(cols, planned[1], k)])[0]
+    ids = _relabel_rows([_row_keys(cols, planned[1], space.k)])[0]
     return Coloring(space, ids, colors.iteration + 1)
 
 
@@ -1028,7 +1012,7 @@ def simulate_and_compare(
         engine.append(refine_step(graph, setup.space, engine[-1], variant))
     oracle = [engine[0]]
     for _ in range(t_layers):
-        oracle.append(gnn_reference_step(oracle[-1], graph, k, variant))
+        oracle.append(gnn_reference_step(oracle[-1], graph, variant))
     wl_partitions = tuple(c.colors for c in engine)
     oracle_partitions = tuple(c.colors for c in oracle)
 

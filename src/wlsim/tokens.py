@@ -236,7 +236,7 @@ def _edge_rows(graph: Graph, nodes: np.ndarray, cfg: TokenizerConfig) -> np.ndar
     of blocks, and gathered per tuple.
     """
     k = nodes.shape[1]
-    labels = {(u, v): graph.edge_label(u, v) for u, v in graph.edges}
+    labels = dict(zip(graph.edges, graph.edge_labels or [0] * len(graph.edges)))
     # Key -1 is reserved for the same-node vector; edge labels are >= 0.
     table = _table(cfg.seed, _STREAM_EDGE, cfg.dim, [-1, *labels.values()])
     blocks = np.stack([np.zeros(cfg.dim), *table.values()])
@@ -296,8 +296,3 @@ def tuple_tokens(
 
     rows = _salted(draw, _distinct(token_keys), "the tuple-token projection")
     return TokenMatrix(rows=rows, k=cfg.k, s=cfg.s, dim=cfg.dim, encoder_id=cfg.pe_kind, seed=cfg.seed)
-
-
-def token_count(graph: Graph, k: int, s: int) -> int:
-    """Number of tuples the (k, s)-restricted tokenizer emits."""
-    return len(enumerate_tuples(graph, k, s).nodes)

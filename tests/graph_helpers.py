@@ -85,20 +85,21 @@ def are_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
             f"brute-force search is capped at {BRUTE_FORCE_MAX_NODES} nodes",
         )
     n = g.num_nodes
-    if n != h.num_nodes or g.num_edges != h.num_edges:
+    if n != h.num_nodes or len(g.edges) != len(h.edges):
         return False
-    sig_g = sorted((g.labels[v], g.degree(v)) for v in range(n))
-    sig_h = sorted((h.labels[v], h.degree(v)) for v in range(n))
-    if sig_g != sig_h:
+    deg_g = [len(nb) for nb in g.neighbor_sets]
+    deg_h = [len(nb) for nb in h.neighbor_sets]
+    if sorted(zip(g.labels, deg_g)) != sorted(zip(h.labels, deg_h)):
         return False
+    marks_g, marks_h = (
+        dict(zip(graph.edges, graph.edge_labels or [0] * len(graph.edges))) for graph in (g, h)
+    )
 
-    def mark(graph: Graph, u: int, v: int) -> int | None:
-        if v in graph.neighbor_sets[u]:
-            return graph.edge_label(u, v)
-        return None
+    def mark(marks: dict, u: int, v: int) -> int | None:
+        return marks.get((u, v) if u < v else (v, u))
 
     # Most-constrained-first: mapping high-degree nodes early prunes fastest.
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(n), key=lambda v: (-deg_g[v], v))
     image = [-1] * n
     used = [False] * n
 
@@ -107,9 +108,9 @@ def are_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
             return True
         v = order[idx]
         for w in range(n):
-            if used[w] or g.labels[v] != h.labels[w] or g.degree(v) != h.degree(w):
+            if used[w] or g.labels[v] != h.labels[w] or deg_g[v] != deg_h[w]:
                 continue
-            if all(mark(g, v, u) == mark(h, w, image[u]) for u in order[:idx]):
+            if all(mark(marks_g, v, u) == mark(marks_h, w, image[u]) for u in order[:idx]):
                 image[v] = w
                 used[w] = True
                 if extend(idx + 1):

@@ -260,7 +260,7 @@ def test_restricted_space_filter_runs_in_blocks_at_the_cap():
     degrees = [len(nb) for nb in g.neighbor_sets]
     triangles = sum(len(g.neighbor_sets[u] & g.neighbor_sets[v]) for u, v in g.edges) // 3
     triples = sum(d * (d - 1) // 2 for d in degrees) - 2 * triangles
-    assert len(space.nodes) == g.num_nodes + 6 * g.num_edges + 6 * triples
+    assert len(space.nodes) == g.num_nodes + 6 * len(g.edges) + 6 * triples
     rng = random.Random(3)
     for i in rng.sample(range(len(space.nodes)), 200):
         assert _component_count(g, tuple(space.nodes[i].tolist())) == 1
@@ -761,7 +761,7 @@ def joint_histogram_oracle(g, h, k):
                 (
                     tuple(graph.labels[v] for v in tup),
                     tuple(
-                        2 if tup[i] == tup[j] else 1 if graph.has_edge(tup[i], tup[j]) else 3
+                        2 if tup[i] == tup[j] else 1 if tup[j] in graph.neighbor_sets[tup[i]] else 3
                         for i in range(k)
                         for j in range(k)
                     ),
@@ -1147,8 +1147,8 @@ ENTRY_POINTS = {
     "generalized_adjacency": ("k", lambda g, k, s, v: partial(generalized_adjacency, g, k, 1, 1)),
     "construct_kgt_weights": ("kv", lambda g, k, s, v: partial(construct_kgt_weights, g, k, v, 1)),
     "gnn_reference_step": (
-        "kvm",
-        lambda g, k, s, v: partial(gnn_reference_step, _restricted_coloring(g, s), g, k, v),
+        "vm",
+        lambda g, k, s, v: partial(gnn_reference_step, _restricted_coloring(g, s), g, v),
     ),
 }
 

@@ -294,8 +294,8 @@ def test_row_sums_are_degree_and_codegree_of_the_anchored_node(k):
             plus = generalized_adjacency(g, k, j, 1, space=space).sum(axis=1)
             minus = generalized_adjacency(g, k, j, -1, space=space).sum(axis=1)
             for i, tup in enumerate(space.tuples):
-                assert plus[i] == g.degree(tup[j - 1])
-                assert minus[i] == n - g.degree(tup[j - 1])
+                assert plus[i] == len(g.neighbor_sets[tup[j - 1]])
+                assert minus[i] == n - len(g.neighbor_sets[tup[j - 1]])
 
 
 def test_both_signs_together_cover_every_substitution_once(k3):
@@ -360,7 +360,6 @@ def test_order_one_construction_has_one_head_per_layer(p3):
     cw = construct_kgt_weights(p3, 1, "kwl", 3, b=40.0)
     assert isinstance(cw, ConstructedWeights)
     assert cw.k == 1
-    assert cw.head_count == 1
     assert cw.temperature == 40.0
     assert len(cw.layers) == 3
     assert all(len(layer.heads) == 1 for layer in cw.layers)
@@ -419,7 +418,6 @@ def test_order_one_construction_validates_its_arguments(p3):
 
 def test_order_two_construction_uses_one_head_per_position(k3):
     cw = construct_kgt_weights(k3, 2, "kwl", 2)
-    assert cw.head_count == 2
     assert cw.k == 2
     assert len(cw.layers) == 2
     assert all(len(layer.heads) == 2 for layer in cw.layers)
@@ -532,7 +530,7 @@ def test_each_rule_builds_only_the_heads_it_reads(p3, variant, k, s, heads):
     assert layer.w_o.shape == (heads * c, initial_tokens(p3, k, s).shape[1])
     if variant != "ks_lwl":
         cw = construct_kgt_weights(p3, k, variant, 2)
-        assert cw.head_count == heads
+        assert cw.k == heads
         assert all(len(layer.heads) == heads for layer in cw.layers)
     report = simulate_and_compare(p3, k, s, variant, t_layers=2)
     assert report.all_equal
@@ -697,7 +695,7 @@ def test_no_tuple_space_runs_the_dense_layer(monkeypatch, p3):
     for variant, k, s, _ in HEAD_COUNTS:
         assert simulate_and_compare(p3, k, s, variant, t_layers=2).all_equal
     assert calls == []
-    assert construct_kgt_weights(p3, 1, "kwl", 2).head_count == 1
+    assert construct_kgt_weights(p3, 1, "kwl", 2).k == 1
     assert calls == ["dense", "dense"]
 
 
@@ -785,7 +783,7 @@ def test_partitions_are_read_only_int64_arrays_at_every_leg(c6, k, s, variant):
     start = initial_coloring(c6, space)
     assert frozen(start.colors)
     assert frozen(refine_step(c6, space, start, variant).colors)
-    assert frozen(gnn_reference_step(start, c6, k, variant).colors)
+    assert frozen(gnn_reference_step(start, c6, variant).colors)
     report = simulate_and_compare(c6, k, s, variant)
     # The transformer's partitions past the first are the FFN's classes.
     for partitions in (
@@ -1268,7 +1266,7 @@ def test_order_three_transformer_replays_the_strongly_regular_pair(variant):
 def test_digit_step_fixes_the_stable_coloring(p3, c6):
     for g, k, s, variant in ((p3, 1, 1, "kwl"), (c6, 2, 2, "delta_kwl")):
         stable = refine_to_stable(g, k, s, variant)[-1]
-        again = gnn_reference_step(stable, g, k, variant)
+        again = gnn_reference_step(stable, g, variant)
         assert canon(again.colors) == canon(stable.colors)
         assert again.iteration == stable.iteration + 1
 
@@ -1276,12 +1274,12 @@ def test_digit_step_fixes_the_stable_coloring(p3, c6):
 def test_digit_step_matches_the_engine_on_hand_graphs(p3, k3):
     space1 = enumerate_tuples(p3, 1, 1)
     start1 = initial_coloring(p3, space1)
-    assert canon(gnn_reference_step(start1, p3, 1, "kwl").colors) == canon(
+    assert canon(gnn_reference_step(start1, p3, "kwl").colors) == canon(
         refine_step(p3, space1, start1, "kwl").colors
     )
     space2 = enumerate_tuples(k3, 2, 2)
     start2 = initial_coloring(k3, space2)
-    assert canon(gnn_reference_step(start2, k3, 2, "kwl").colors) == canon(
+    assert canon(gnn_reference_step(start2, k3, "kwl").colors) == canon(
         refine_step(k3, space2, start2, "kwl").colors
     )
 
@@ -1308,7 +1306,7 @@ def test_digit_step_stays_in_lockstep_with_the_engine(variant, k, s):
         engine = oracle = initial_coloring(g, space)
         for _ in range(3):
             engine = refine_step(g, space, engine, variant)
-            oracle = gnn_reference_step(oracle, g, k, variant)
+            oracle = gnn_reference_step(oracle, g, variant)
             assert canon(oracle.colors) == canon(engine.colors)
 
 
@@ -1316,10 +1314,7 @@ def test_digit_step_validates_space_and_variant(p3, single_edge):
     space = enumerate_tuples(p3, 2, 2)
     start = initial_coloring(p3, space)
     with pytest.raises(ValidationError) as err:
-        gnn_reference_step(start, p3, 1, "kwl")
-    assert err.value.code == SPACE_MISMATCH
-    with pytest.raises(ValidationError) as err:
-        gnn_reference_step(start, single_edge, 2, "kwl")
+        gnn_reference_step(start, single_edge, "kwl")
     assert err.value.code == SPACE_MISMATCH
 
 
@@ -1330,17 +1325,17 @@ def test_digit_step_agrees_with_the_engine_on_sampled_graphs(seed):
     g = random_graph(rng, rng.randint(2, 6), edge_prob=rng.uniform(0.2, 0.9))
     space = enumerate_tuples(g, 1, 1)
     colors = initial_coloring(g, space)
-    assert canon(gnn_reference_step(colors, g, 1, "kwl").colors) == canon(
+    assert canon(gnn_reference_step(colors, g, "kwl").colors) == canon(
         refine_step(g, space, colors, "kwl").colors
     )
 
 
-def loop_digit_step(colors, graph, k, variant):
+def loop_digit_step(colors, graph, variant):
     """The digit oracle as one ``encode_multiset`` per tuple, walking the
     tuples and substitutions in Python: the reference that the block-wise
     ``gnn_reference_step`` must equal id for id."""
     space = colors.space
-    n = graph.num_nodes
+    k, n = space.k, graph.num_nodes
     big_n = len(space.nodes)
     nbs = graph.neighbor_sets
     cols = colors.colors
@@ -1449,8 +1444,8 @@ def test_block_oracle_equals_the_per_tuple_loop(g, seed, block):
             shuffled = Coloring(space, tuple(rng.randrange(palette) for _ in range(t)), 0)
             for colors in (initial_coloring(g, space), shuffled):
                 for _ in range(2):
-                    want = loop_digit_step(colors, g, k, variant)
-                    got = gnn_reference_step(colors, g, k, variant)
+                    want = loop_digit_step(colors, g, variant)
+                    got = gnn_reference_step(colors, g, variant)
                     assert same_coloring(got, want), (k, s, variant, block)
                     colors = got
 
@@ -1468,10 +1463,10 @@ def test_oracle_refuses_colors_outside_the_tuple_range(k, s, variant):
     for bad in (-1, t, 2 * t):
         colors = Coloring(space, tuple(bad if i == t // 2 else 0 for i in range(t)), 0)
         with pytest.raises(ValidationError) as err:
-            gnn_reference_step(colors, p4, k, variant)
+            gnn_reference_step(colors, p4, variant)
         assert (err.value.code, str(err.value)) == (INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
     top = Coloring(space, tuple(t - 1 if i == t // 2 else 0 for i in range(t)), 0)
-    assert same_coloring(gnn_reference_step(top, p4, k, variant), loop_digit_step(top, p4, k, variant))
+    assert same_coloring(gnn_reference_step(top, p4, variant), loop_digit_step(top, p4, variant))
 
 
 @pytest.mark.parametrize("k,s,variant", list(every_rule()))
@@ -1484,12 +1479,35 @@ def test_block_oracle_refuses_negative_colors_where_the_loop_does(p3, k, s, vari
     for bad in (-1, -t - 2):
         colors = Coloring(space, tuple(bad if i == t // 2 else i % 2 for i in range(t)), 0)
         with pytest.raises(ValidationError) as loop_err:
-            loop_digit_step(colors, p3, k, variant)
+            loop_digit_step(colors, p3, variant)
         assert loop_err.value.code == INVALID_SCHEMA
         assert str(loop_err.value).startswith("position must be >= 1, got ")
         with pytest.raises(ValidationError) as err:
-            gnn_reference_step(colors, p3, k, variant)
+            gnn_reference_step(colors, p3, variant)
         assert (err.value.code, str(err.value)) == (INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
+
+
+@pytest.mark.parametrize("k,s,variant", list(every_rule()))
+def test_a_space_over_another_node_count_is_refused_everywhere(p3, c6, k, s, variant):
+    """A space of C6 handed over with P3 once gave a bare IndexError
+    (``initial_coloring``), a bare ValueError or IndexError, or colors
+    (``refine_step``). Each entry point that takes a graph and a space
+    refuses the pair by one check, with one message."""
+    space = enumerate_tuples(c6, k, s)
+    start = initial_coloring(c6, space)
+    calls = (
+        functools.partial(initial_coloring, p3, space),
+        functools.partial(refine_step, p3, space, start, variant),
+        functools.partial(gnn_reference_step, start, p3, variant),
+        functools.partial(generalized_adjacency, p3, k, 1, 1, space=space),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (
+            SPACE_MISMATCH,
+            "space was built over 6 nodes, graph has 3",
+        ), call.func.__name__
 
 
 def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
@@ -1504,8 +1522,8 @@ def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
     }
     want = {}
     for (k, s, variant), c in starts.items():
-        first = loop_digit_step(c, g, k, variant)
-        want[(k, s, variant)] = (first, loop_digit_step(first, g, k, variant))
+        first = loop_digit_step(c, g, variant)
+        want[(k, s, variant)] = (first, loop_digit_step(first, g, variant))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached an engine internal")
@@ -1517,7 +1535,7 @@ def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
         monkeypatch.setattr(wlsim.refine, name, forbidden)
     for (k, s, variant), colors in starts.items():
         for expected in want[(k, s, variant)]:
-            colors = gnn_reference_step(colors, g, k, variant)
+            colors = gnn_reference_step(colors, g, variant)
             assert same_coloring(colors, expected), (k, s, variant)
 
 
@@ -1566,12 +1584,12 @@ def test_a_different_graph_on_an_equal_space_replans_the_oracle(monkeypatch, c6)
         for variant in ("kwl",) if k == 1 else ("kwl", "delta_kwl", "delta_klwl"):
             calls.clear()
             for graph in (c6, h, h, c6):
-                got = gnn_reference_step(colors, graph, k, variant)
-                assert same_coloring(got, loop_digit_step(colors, graph, k, variant))
+                got = gnn_reference_step(colors, graph, variant)
+                assert same_coloring(got, loop_digit_step(colors, graph, variant))
             assert calls == [(c6, variant), (h, variant), (c6, variant)]
 
 
-def test_oracle_round_memory_is_bounded_by_its_blocks():
+def test_oracle_round_memory_is_bounded():
     # k = 3, n = 20: t = 8000 tuples of 61 depths.  The per-tuple loop
     # peaked at about 47 MB here; the plan and the int32 keys take about
     # 4.5 MB.
@@ -1581,7 +1599,7 @@ def test_oracle_round_memory_is_bounded_by_its_blocks():
     g.adjacency_matrix  # cached on the graph, not part of the round
     tracemalloc.start()
     try:
-        out = gnn_reference_step(colors, g, 3, "kwl")
+        out = gnn_reference_step(colors, g, "kwl")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1619,7 +1637,7 @@ def test_digit_step_agrees_with_the_engine_at_the_edges_of_the_model(g):
                 engine = oracle = initial_coloring(g, space)
                 while True:
                     nxt = refine_step(g, space, engine, variant)
-                    oracle = gnn_reference_step(oracle, g, k, variant)
+                    oracle = gnn_reference_step(oracle, g, variant)
                     assert np.array_equal(oracle.colors, nxt.colors), (k, s, variant)
                     if np.array_equal(nxt.colors, engine.colors):
                         break

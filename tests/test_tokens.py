@@ -19,7 +19,6 @@ from wlsim.tokens import (
     TokenizerConfig,
     TokenMatrix,
     node_tokens,
-    token_count,
     tuple_tokens,
 )
 
@@ -303,8 +302,8 @@ def per_tuple_edge_embedding(graph, k, cfg):
     tuple at a time: for every strict position pair (i, j), i > j, the
     same-node row, the edge-label row or zero, concatenated and projected
     to width d. The rows and the projection are drawn once."""
-    used_labels = sorted({graph.edge_label(u, v) for u, v in graph.edges})
-    rows = tokens._table(cfg.seed, tokens._STREAM_EDGE, cfg.dim, [-1, *used_labels])
+    labels = dict(zip(graph.edges, graph.edge_labels or [0] * len(graph.edges)))
+    rows = tokens._table(cfg.seed, tokens._STREAM_EDGE, cfg.dim, [-1, *sorted(set(labels.values()))])
     zero = np.zeros(cfg.dim)
     shape = (cfg.dim * k * (k - 1) // 2, cfg.dim)
     proj = tokens._draw_matrix(cfg.seed, tokens._STREAM_EDGE_PROJECTION, k, shape)
@@ -313,11 +312,11 @@ def per_tuple_edge_embedding(graph, k, cfg):
         blocks = []
         for i in range(1, k):
             for j in range(i):
-                u, w = tup[i], tup[j]
+                u, w = sorted((tup[i], tup[j]))
                 if u == w:
                     blocks.append(rows[-1])
-                elif graph.has_edge(u, w):
-                    blocks.append(rows[graph.edge_label(u, w)])
+                elif (u, w) in labels:
+                    blocks.append(rows[labels[u, w]])
                 else:
                     blocks.append(zero)
         return np.concatenate(blocks) @ proj
@@ -343,7 +342,7 @@ EDGE_LABELS = st.sampled_from([0, 1, 7, 2**70, 2**70 + 1])
 )
 def test_edge_rows_equal_the_per_tuple_construction(graph_seed, n, k, seed, data):
     g = random_graph(random.Random(graph_seed), n, edge_prob=0.5)
-    labels = data.draw(st.lists(EDGE_LABELS, min_size=g.num_edges, max_size=g.num_edges))
+    labels = data.draw(st.lists(EDGE_LABELS, min_size=len(g.edges), max_size=len(g.edges)))
     g = Graph(n, g.edges, edge_labels=tuple(labels))
     cfg = cfg_for(k, seed=seed)
     s = data.draw(st.integers(1, k))
@@ -428,15 +427,15 @@ def test_edge_variant_feeds_tuple_tokens(k3):
 
 
 def test_known_counts(k3, p3, c6):
-    assert token_count(k3, 2, 1) == 9
-    assert token_count(p3, 2, 1) == 7
-    assert token_count(c6, 1, 1) == 6
+    assert len(enumerate_tuples(k3, 2, 1).nodes) == 9
+    assert len(enumerate_tuples(p3, 2, 1).nodes) == 7
+    assert len(enumerate_tuples(c6, 1, 1).nodes) == 6
 
 
 def test_restricted_pair_count_is_nodes_plus_ordered_edges(graph_samples):
     for g in graph_samples(41, 30, 2, 8):
         m = len(g.edges)
-        assert token_count(g, 2, 1) == g.num_nodes + 2 * m
+        assert len(enumerate_tuples(g, 2, 1).nodes) == g.num_nodes + 2 * m
 
 
 def test_count_matches_brute_force_component_bound(graph_samples):
@@ -463,7 +462,7 @@ def test_count_matches_brute_force_component_bound(graph_samples):
             for tup in itertools.product(range(g.num_nodes), repeat=2)
             if components(g, tup) <= 1
         )
-        assert token_count(g, 2, 1) == want
+        assert len(enumerate_tuples(g, 2, 1).nodes) == want
 
 
 # ----------------------------------------------------------- order transfer
