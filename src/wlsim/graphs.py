@@ -188,8 +188,13 @@ def atomic_types(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     A type depends only on which positions coincide and which are adjacent,
     never on the node identities themselves, which is what makes it a sound
     initial color for tuple refinement. Entry ``[r, i, j]`` is
-    ``graph.pair_types`` at the nodes of row r at positions i and j.
+    ``graph.pair_types`` at the nodes of row r at positions i and j. A node
+    outside ``[0, num_nodes)`` raises NODE_INDEX_OUT_OF_RANGE.
     """
+    outside = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
+    if len(outside):
+        message = f"node {outside[0]} is outside [0, {graph.num_nodes})"
+        raise ValidationError(NODE_INDEX_OUT_OF_RANGE, message)
     if nodes.shape[1] == 1:  # no pair of positions: skip the n x n matrix
         return np.full((len(nodes), 1, 1), 2, dtype=np.int8)
     return graph.pair_types[nodes[:, :, None], nodes[:, None, :]]

@@ -83,27 +83,29 @@ HASH_BLOCK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class TupleSpace:
-    """Enumerated tuple domain of one graph.
+    """Enumerated tuple domain of ``graph``, the one graph it belongs to.
 
     ``nodes`` is the read-only ``(t, k)`` int64 array of the tuples. For
     s = k these are all ``num_nodes ** k`` tuples in row-major order, so a
     tuple's row is its flat index; for s < k only the tuples whose induced
     subgraph has at most ``s`` connected components survive, in the same
-    relative order. Two spaces are equal when k, s, n and the tuples are.
+    relative order. Two spaces are equal when their graph, k and s are.
     """
 
+    graph: Graph
     k: int
     s: int
-    num_nodes: int
     nodes: np.ndarray
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TupleSpace):
             return NotImplemented
-        return self is other or (
-            (self.k, self.s, self.num_nodes) == (other.k, other.s, other.num_nodes)
-            and np.array_equal(self.nodes, other.nodes)
-        )
+        # A tuple compares its entries by identity first, so one graph is not walked.
+        return (self.graph, self.k, self.s) == (other.graph, other.k, other.s)
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.num_nodes
 
     @cached_property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -145,9 +147,8 @@ class TupleSpace:
 
     @cached_property
     def _plans(self) -> dict:
-        """Each implementation's per-run plan, with the graph it is for:
-        ``refine_step``'s gather plan under the rule's name, and the digit
-        oracle's plan (``simulate._oracle_plan``) under ``("oracle", rule)``."""
+        """Per-run plans: ``refine_step``'s under the rule's name, the digit
+        oracle's (``simulate._oracle_plan``) under ``("oracle", rule)``."""
         return {}
 
 
@@ -207,9 +208,11 @@ def _check_request(k: object, s: object, variant: str) -> None:
 
 
 def _check_space(graph: Graph, space: TupleSpace) -> None:
-    """Refuse a space built over another node count than the graph's."""
-    if space.num_nodes != graph.num_nodes:
-        message = f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}"
+    """Refuse a space enumerated from another graph than ``graph``."""
+    if space.graph is not graph and space.graph != graph:
+        message = "space was enumerated from another graph"
+        if space.num_nodes != graph.num_nodes:
+            message = f"space was built over {space.num_nodes} nodes, graph has {graph.num_nodes}"
         raise ValidationError(SPACE_MISMATCH, message)
 
 
@@ -258,7 +261,7 @@ def enumerate_tuples(graph: Graph, k: int, s: int) -> TupleSpace:
             ]
         )
     nodes.setflags(write=False)
-    return TupleSpace(k=k, s=s, num_nodes=n, nodes=nodes)
+    return TupleSpace(graph=graph, k=k, s=s, nodes=nodes)
 
 
 def _connected_rows(graph: Graph, start: int, stop: int, k: int, s: int) -> np.ndarray:
@@ -362,15 +365,15 @@ def _sorted_ids(arrays: Sequence[np.ndarray]) -> list[np.ndarray] | None:
     return [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _initial_ids(graphs: Sequence[Graph], spaces: Sequence[TupleSpace]) -> list[np.ndarray]:
+def _initial_ids(spaces: Sequence[TupleSpace]) -> list[np.ndarray]:
     """Initial ids through one table. A tuple's int32 row is the label id of
     each position, then the upper triangle of its (symmetric) atomic type:
     for each position pair i < j in row-major order, one flat gather of the
     graph's pair types (``Graph.pair_types``) at the two nodes."""
-    label_ids = _dense_relabel([graph.labels for graph in graphs])
+    label_ids = _dense_relabel([space.graph.labels for space in spaces])
     row_arrays = []
-    for graph, space, labels in zip(graphs, spaces, label_ids):
-        k, n, nodes = space.k, space.num_nodes, space.nodes
+    for space, labels in zip(spaces, label_ids):
+        graph, k, n, nodes = space.graph, space.k, space.num_nodes, space.nodes
         rows = np.empty((len(nodes), k + k * (k - 1) // 2), dtype=np.int32)
         rows[:, :k] = np.asarray(labels, dtype=np.int32)[nodes]
         # At k = 1 there is no pair, and no n x n matrix is built.
@@ -398,9 +401,7 @@ class _Plan(NamedTuple):
     index: Sequence[np.ndarray]
 
 
-def _gather_plans(
-    graphs: Sequence[Graph], spaces: Sequence[TupleSpace], variant: str
-) -> list[_Plan]:
+def _gather_plans(spaces: Sequence[TupleSpace], variant: str) -> list[_Plan]:
     """What a round reads, per graph. Every rule but ``kwl`` at k > 1 reads,
     at each position j, the colors of the tuples reached by putting a
     neighbor of the replaced node at j, padded with -1 up to the largest
@@ -412,12 +413,12 @@ def _gather_plans(
     local = _is_local(variant, k)
     width = 0
     if local or variant == "delta_kwl":
-        width = max(graph.neighbor_array.shape[1] for graph in graphs)
+        width = max(space.graph.neighbor_array.shape[1] for space in spaces)
     plans = []
-    for graph, space in zip(graphs, spaces):
+    for space in spaces:
         table, index = None, []
         if width:
-            nbrs = graph.neighbor_array
+            nbrs = space.graph.neighbor_array
             nbrs = np.pad(nbrs, ((0, 0), (0, width - nbrs.shape[1])), constant_values=-1)
             if space.s == k:
                 table = np.where(nbrs < 0, space.num_nodes, nbrs)
@@ -478,15 +479,14 @@ def _summary_ids(plans: Sequence[_Plan], color_lists: Sequence[Sequence[int]]) -
 def initial_coloring(graph: Graph, space: TupleSpace) -> Coloring:
     """Color tuples by atomic type and label sequence, with canonical ids."""
     _check_space(graph, space)
-    return Coloring(space, _initial_ids([graph], [space])[0], 0)
+    return Coloring(space, _initial_ids([space])[0], 0)
 
 
 def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: str) -> Coloring:
     """One refinement round under the chosen rule.
 
-    The gather plan is kept on the space per rule, with the graph it was
-    built for, so the rounds of one run plan once. Colors outside
-    0..``INT32_MAX`` raise INVALID_SCHEMA.
+    The gather plan is kept on the space per rule, so the rounds of one run
+    plan once. Colors outside 0..``INT32_MAX`` raise INVALID_SCHEMA.
     """
     _check_request(space.k, space.s, variant)
     _check_space(graph, space)
@@ -496,10 +496,10 @@ def refine_step(graph: Graph, space: TupleSpace, coloring: Coloring, variant: st
     # that range would be merged with the padding or with another color.
     if not 0 <= coloring.colors.min() <= coloring.colors.max() <= INT32_MAX:
         raise ValidationError(INVALID_SCHEMA, f"colors must lie in 0..{INT32_MAX}")
-    planned = space._plans.get(variant)
-    if planned is None or planned[0] is not graph:
-        planned = space._plans[variant] = (graph, _gather_plans([graph], [space], variant)[0])
-    ids = _summary_ids([planned[1]], [coloring.colors])[0]
+    plan = space._plans.get(variant)
+    if plan is None:
+        plan = space._plans[variant] = _gather_plans([space], variant)[0]
+    ids = _summary_ids([plan], [coloring.colors])[0]
     return Coloring(space, ids, coloring.iteration + 1)
 
 
@@ -521,18 +521,18 @@ def refine_to_stable(
     _check_request(k, s, variant)
     _check_max_iterations(max_iterations)
     space = enumerate_tuples(graph, k, s)
-    return _refine_until_stable(graph, initial_coloring(graph, space), variant, max_iterations)
+    return _refine_until_stable(initial_coloring(graph, space), variant, max_iterations)
 
 
 def _refine_until_stable(
-    graph: Graph, start: Coloring, variant: str, max_iterations: int = DEFAULT_MAX_ITERATIONS
+    start: Coloring, variant: str, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> list[Coloring]:
     """``refine_to_stable`` from a coloring already built on its space."""
     out = [start]
     for _ in range(max_iterations):
         if _is_discrete(out[-1].colors):
             return out
-        nxt = refine_step(graph, start.space, out[-1], variant)
+        nxt = refine_step(start.space.graph, start.space, out[-1], variant)
         if np.array_equal(nxt.colors, out[-1].colors):
             return out
         out.append(nxt)
@@ -548,21 +548,20 @@ def _is_discrete(colors: np.ndarray) -> bool:
     return colors.max() + 1 == len(colors) and np.array_equal(colors, np.arange(len(colors)))
 
 
-def _exhibits_isomorphism(
-    g: Graph, h: Graph, space_g: TupleSpace, space_h: TupleSpace, colors_h: np.ndarray
-) -> bool:
-    """True when g's discrete coloring (its colors are its rows) is carried
-    onto h's, which holds the same colors (equal histograms), by a graph
-    isomorphism: the node map pi that sends v to the node whose diagonal
-    tuple (pi(v), ..., pi(v)) of h has the color of (v, ..., v) in g is a
-    bijection that preserves adjacency, and every tuple v of g has the
-    color of the tuple pi(v) of h.
+def _exhibits_isomorphism(space_g: TupleSpace, space_h: TupleSpace, colors_h: np.ndarray) -> bool:
+    """True when the discrete coloring of the graph g of ``space_g`` (its
+    colors are its rows) is carried onto that of the graph h of ``space_h``,
+    which holds the same colors (equal histograms), by a graph isomorphism:
+    the node map pi that sends v to the node whose diagonal tuple (pi(v),
+    ..., pi(v)) of h has the color of (v, ..., v) in g is a bijection that
+    preserves adjacency, and every tuple v of g has the color of the tuple
+    pi(v) of h.
 
     Every round reads a tuple's color, the colors of the tuples reached
     by substitution and whether the substituted nodes are adjacent, so pi
     carries the next round's row of each tuple of g onto that of its image,
     and the next round reproduces both colorings."""
-    k, n = space_g.k, space_g.num_nodes
+    g, h, k, n = space_g.graph, space_h.graph, space_g.k, space_g.num_nodes
     diagonal = np.arange(n) * sum(space_g.strides)
     if space_g.s < k:  # a diagonal tuple induces one component, so it is kept
         diagonal = space_g._position[diagonal]
@@ -604,9 +603,8 @@ def distinguish(
     """
     _check_request(k, s, variant)
     _check_max_iterations(max_iterations)
-    space_g = enumerate_tuples(g, k, s)
-    space_h = enumerate_tuples(h, k, s)
-    colors_g, colors_h = _initial_ids([g, h], [space_g, space_h])
+    space_g, space_h = (enumerate_tuples(graph, k, s) for graph in (g, h))
+    colors_g, colors_h = _initial_ids([space_g, space_h])
     plans = None
     iteration = 0
     while True:
@@ -616,10 +614,10 @@ def distinguish(
             raise LimitError(
                 ITERATION_LIMIT, f"no joint stable partition within {max_iterations} rounds"
             )
-        if _is_discrete(colors_g) and _exhibits_isomorphism(g, h, space_g, space_h, colors_h):
+        if _is_discrete(colors_g) and _exhibits_isomorphism(space_g, space_h, colors_h):
             return DistinguishResult(False, None)
         if plans is None:
-            plans = _gather_plans([g, h], [space_g, space_h], variant)
+            plans = _gather_plans([space_g, space_h], variant)
         next_g, next_h = _summary_ids(plans, [colors_g, colors_h])
         if np.array_equal(next_g, colors_g) and np.array_equal(next_h, colors_h):
             return DistinguishResult(False, None)

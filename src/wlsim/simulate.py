@@ -275,10 +275,9 @@ def generalized_adjacency(
         raise ValidationError(INVALID_SCHEMA, f"gamma must be +1 or -1, got {gamma!r}")
     if space is None:
         space = enumerate_tuples(graph, k, k)
-    else:
-        if space.k != k:
-            raise ValidationError(SPACE_MISMATCH, f"space has order {space.k}, expected {k}")
-        _check_space(graph, space)
+    elif space.k != k:
+        raise ValidationError(SPACE_MISMATCH, f"space has order {space.k}, expected {k}")
+    _check_space(graph, space)
     t = len(space.nodes)
     _check_dense(t, t, "tuple adjacency")
     every = np.broadcast_to(np.arange(space.num_nodes), (t, space.num_nodes))
@@ -360,46 +359,45 @@ class _KLayout:
 
 @dataclass(frozen=True, eq=False)
 class _Setup:
-    """Layer-0 state of a construction: the graph, its tuple space and the
-    initial classes.  Each spectrum, the degree block and the neighbor
-    substitutions are computed on first use, so a run of zero layers never
-    builds them, and a run that reads no node part solves no Laplacian."""
+    """Layer-0 state of a construction: a tuple space (which holds its
+    graph) and the initial classes.  Each spectrum, the degree block and the
+    neighbor substitutions are computed on first use, so a run of zero layers
+    never builds them, and one that reads no node part solves no Laplacian."""
 
-    graph: Graph
     space: TupleSpace
     classes: np.ndarray
 
     @cached_property
     def node_part(self) -> np.ndarray:
         """The orthonormal Laplacian eigenvector rows, V V^T = I."""
-        return laplacian_eigh(self.graph).eigenvectors
+        return laplacian_eigh(self.space.graph).eigenvectors
 
     @cached_property
     def adjacency_part(self) -> tuple[np.ndarray, np.ndarray]:
-        return _adjacency_part(self.graph)
+        return _adjacency_part(self.space.graph)
 
     @cached_property
     def neighbors(self) -> tuple[np.ndarray, ...]:
         """Per position j of a restricted space, ``TupleSpace.substitute`` at
         the neighbors of the node at j: entry ``[i, c]`` is the tuple reached
         through the c-th neighbor, -1 for padding and off the space."""
-        space, nbrs = self.space, self.graph.neighbor_array
+        space, nbrs = self.space, self.space.graph.neighbor_array
         return tuple(space.substitute(j, nbrs[space.nodes[:, j]]) for j in range(space.k))
 
     @cached_property
     def degblock(self) -> np.ndarray:
         """The adjacent substitutions at each position: deg(u_j) on a full
         space, the ones that stay on the space on a restricted one."""
-        graph, space = self.graph, self.space
+        space = self.space
         if space.s == space.k:
-            return graph.adjacency_matrix.sum(axis=1)[space.nodes].astype(float)
+            return space.graph.adjacency_matrix.sum(axis=1)[space.nodes].astype(float)
         hits = [(index >= 0).sum(axis=1) for index in self.neighbors]
         return np.stack(hits, axis=1).astype(float)
 
 
 def _setup(graph: Graph, k: int, s: int) -> _Setup:
     space = enumerate_tuples(graph, k, s)
-    return _Setup(graph, space, initial_coloring(graph, space).colors)
+    return _Setup(space, initial_coloring(graph, space).colors)
 
 
 def _token_rows_k(setup: _Setup, classes: np.ndarray) -> np.ndarray:
@@ -667,7 +665,7 @@ def _full_space_attention(
     """
     n, k = setup.space.num_nodes, setup.space.k
     alpha, beta = weights
-    adj = setup.graph.adjacency_matrix.astype(float)
+    adj = setup.space.graph.adjacency_matrix.astype(float)
     weighted = alpha * adj + beta * (1.0 - adj)
     walk = weighted / weighted.sum(axis=1, keepdims=True)
     heads = _head_factors(slot, node, k)
@@ -820,8 +818,8 @@ def construct_kgt_weights(
     return ConstructedWeights(dense, b, k, variant)
 
 
-def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> np.ndarray:
-    """What every round of the digit oracle reads on one space and graph: one
+def _oracle_plan(space: TupleSpace, variant: str) -> np.ndarray:
+    """What every round of the digit oracle reads on one space: one
     whole-space int32 array of ``1 + k * n`` columns.  Column 0 is the
     tuple's own row.  Column ``1 + j * n + w`` is the row of the tuple with
     node w at position j, plus t under ``delta_kwl`` when w is adjacent to
@@ -834,7 +832,7 @@ def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> np.ndarray:
     looked up among the space's sorted flat indices on a restricted one.
     The plan is built ``ORACLE_BLOCK`` tuples at a time.
     """
-    k, n, t = space.k, graph.num_nodes, len(space.nodes)
+    adjacency, k, n, t = space.graph.adjacency_matrix, space.k, space.num_nodes, len(space.nodes)
     strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     flat = space.nodes @ strides
     local = _is_local(variant, k)
@@ -852,9 +850,9 @@ def _oracle_plan(space: TupleSpace, graph: Graph, variant: str) -> np.ndarray:
                 counted = flat[row] == moved
                 moved = row
             if variant == "delta_kwl":
-                moved = moved + t * graph.adjacency_matrix[nodes[:, j]]
+                moved = moved + t * adjacency[nodes[:, j]]
             elif local:
-                counted = counted & graph.adjacency_matrix[nodes[:, j]]
+                counted = counted & adjacency[nodes[:, j]]
             plan[rows, 1 + j * n : 1 + (j + 1) * n] = np.where(counted, moved, -1)
     return plan
 
@@ -889,18 +887,17 @@ def gnn_reference_step(colors: Coloring, graph: Graph, variant: str) -> Coloring
 
     The oracle never forms the code: each position's substitutions have n columns
     of their own in the oracle's plan (``_oracle_plan``), which depends on
-    the space, the graph and the rule only, so it is kept on the space,
-    with the graph it is for, and the rounds of one run plan once.  A round
-    gathers the colors through the plan and sorts each position's block
-    (``_row_keys``), a key equal exactly when the codes are, and numbers
-    the keys through one table.
+    the space and the rule only, so it is kept on the space, and the rounds
+    of one run plan once.  A round gathers the colors through the plan and
+    sorts each position's block (``_row_keys``), a key equal exactly when
+    the codes are, and numbers the keys through one table.
 
     Parameters
     ----------
     colors : Coloring
         Current coloring; its space fixes the order and the tuple ordering.
     graph : Graph
-        Must have the node count the space was built over.
+        Must be the graph the space was enumerated from, or equal to it.
     variant : str
         Any of the engine's refinement rules.
 
@@ -915,10 +912,10 @@ def gnn_reference_step(colors: Coloring, graph: Graph, variant: str) -> Coloring
     cols, t = colors.colors, len(space.nodes)
     if not 0 <= cols.min() <= cols.max() < t:
         raise ValidationError(INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
-    planned = space._plans.get(("oracle", variant))
-    if planned is None or planned[0] is not graph:
-        planned = space._plans[("oracle", variant)] = (graph, _oracle_plan(space, graph, variant))
-    ids = _relabel_rows([_row_keys(cols, planned[1], space.k)])[0]
+    plan = space._plans.get(("oracle", variant))
+    if plan is None:
+        plan = space._plans[("oracle", variant)] = _oracle_plan(space, variant)
+    ids = _relabel_rows([_row_keys(cols, plan, space.k)])[0]
     return Coloring(space, ids, colors.iteration + 1)
 
 
@@ -998,7 +995,7 @@ def simulate_and_compare(
     setup = _setup(graph, k, s)
     engine = [Coloring(setup.space, setup.classes, 0)]
     if t_layers is None:
-        engine = _refine_until_stable(graph, engine[0], variant)
+        engine = _refine_until_stable(engine[0], variant)
         # The run stopped at a discrete coloring or at the first round that
         # repeated the last one, so the round past the fixed point is that
         # coloring again.

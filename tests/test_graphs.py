@@ -191,6 +191,21 @@ def test_atomic_types_match_the_pairwise_definition(graph_samples):
                 assert code == want
 
 
+@pytest.mark.parametrize(
+    "nodes, bad", [([[0, 3]], 3), ([[3]], 3), ([[-1, 0]], -1), ([[0, 1], [2, 7]], 7)]
+)
+def test_atomic_types_refuse_a_node_outside_the_graph(p3, nodes, bad):
+    """A node past the last one once raised a bare IndexError, -1 read the
+    last node's pair types and k = 1 read nothing at all; each is refused
+    with the first node outside the graph."""
+    with pytest.raises(ValidationError) as err:
+        atomic_types(p3, np.array(nodes, dtype=np.int64))
+    assert (err.value.code, str(err.value)) == (
+        NODE_INDEX_OUT_OF_RANGE,
+        f"node {bad} is outside [0, 3)",
+    )
+
+
 def test_adjacency_arrays_match_the_neighbor_sets(graph_samples):
     for g in graph_samples(19, 6, 2, 7):
         adj, nbrs, types = g.adjacency_matrix, g.neighbor_array, g.pair_types

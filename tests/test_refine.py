@@ -392,7 +392,7 @@ def test_a_coloring_that_does_not_fit_its_space_is_refused(c6, colors):
 
 def test_a_coloring_holds_one_read_only_int64_array(c6):
     space = enumerate_tuples(c6, 2, 2)
-    ids = _initial_ids([c6], [space])[0]
+    ids = _initial_ids([space])[0]
     assert Coloring(space, ids, 0).colors is ids
     # Negative colors are the digit oracle's to refuse, not the coloring's.
     listed = Coloring(space, [-1] * 36, 0).colors
@@ -591,8 +591,8 @@ def _assert_rounds_equal_the_reference(graphs, spaces, noise):
     # space: the engine's ids equal the reference's, through one table for
     # all the graphs.
     for variant in VARIANTS:
-        plans = _gather_plans(graphs, spaces, variant)
-        colors = _initial_ids(graphs, spaces)
+        plans = _gather_plans(spaces, variant)
+        colors = _initial_ids(spaces)
         for _ in range(4):
             ids = [graph_ids.tolist() for graph_ids in _summary_ids(plans, colors)]
             assert ids == _reference_summary_ids(graphs, spaces, variant, colors), variant
@@ -872,8 +872,8 @@ def reference_distinguish(g, h, variant, k, s, max_iterations=refine.DEFAULT_MAX
     round whose histograms differ or that reproduces both colorings.
     Returns the result and the number of rounds computed."""
     spaces = [enumerate_tuples(g, k, s), enumerate_tuples(h, k, s)]
-    colors = _initial_ids([g, h], spaces)
-    plans = _gather_plans([g, h], spaces, variant)
+    colors = _initial_ids(spaces)
+    plans = _gather_plans(spaces, variant)
     for iteration in itertools.count():
         if not np.array_equal(np.bincount(colors[0]), np.bincount(colors[1])):
             return refine.DistinguishResult(True, iteration), iteration
@@ -970,18 +970,18 @@ def test_the_stop_needs_both_an_adjacency_isomorphism_and_matched_colors(k, s):
     other = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     space_g, space_h, space_o = (enumerate_tuples(x, k, s) for x in (g, h, other))
     carried = _carried_colors(space_g, space_h, pi)
-    assert refine._exhibits_isomorphism(g, h, space_g, space_h, carried)
+    assert refine._exhibits_isomorphism(space_g, space_h, carried)
     if s == k:
         # Same tuples, different edges: the colors match, the adjacency does not.
         broken = _carried_colors(space_g, space_o, pi)
-        assert not refine._exhibits_isomorphism(g, other, space_g, space_o, broken)
+        assert not refine._exhibits_isomorphism(space_g, space_o, broken)
     if k > 1:
         # Two tuples off the diagonal swap colors: pi is unchanged.
         diagonal = {i for i, tup in enumerate(space_h.tuples) if len(set(tup)) == 1}
         a, b = [i for i in range(len(carried)) if i not in diagonal][:2]
         swapped = carried.copy()
         swapped[[a, b]] = swapped[[b, a]]
-        assert not refine._exhibits_isomorphism(g, h, space_g, space_h, swapped)
+        assert not refine._exhibits_isomorphism(space_g, space_h, swapped)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1007,7 +1007,7 @@ def test_initial_rows_equal_the_atomic_type_rows_id_for_id(data, k, joint):
         )
         for g, space, ids in zip(graphs, spaces, _dense_relabel([g.labels for g in graphs]))
     ]
-    assert [ids.tolist() for ids in _initial_ids(graphs, spaces)] == _bytes_ids(rows)
+    assert [ids.tolist() for ids in _initial_ids(spaces)] == _bytes_ids(rows)
 
 
 # -------------------------------------------------------------- run_to_dict

@@ -1487,6 +1487,17 @@ def test_block_oracle_refuses_negative_colors_where_the_loop_does(p3, k, s, vari
         assert (err.value.code, str(err.value)) == (INVALID_SCHEMA, f"colors must lie in 0..{t - 1}")
 
 
+def space_entry_points(graph, space, start, variant):
+    """The four entry points that take a graph and a space, as calls on
+    ``graph``, ``space`` and the coloring ``start`` of that space."""
+    return (
+        functools.partial(initial_coloring, graph, space),
+        functools.partial(refine_step, graph, space, start, variant),
+        functools.partial(gnn_reference_step, start, graph, variant),
+        functools.partial(generalized_adjacency, graph, space.k, 1, 1, space=space),
+    )
+
+
 @pytest.mark.parametrize("k,s,variant", list(every_rule()))
 def test_a_space_over_another_node_count_is_refused_everywhere(p3, c6, k, s, variant):
     """A space of C6 handed over with P3 once gave a bare IndexError
@@ -1495,19 +1506,44 @@ def test_a_space_over_another_node_count_is_refused_everywhere(p3, c6, k, s, var
     refuses the pair by one check, with one message."""
     space = enumerate_tuples(c6, k, s)
     start = initial_coloring(c6, space)
-    calls = (
-        functools.partial(initial_coloring, p3, space),
-        functools.partial(refine_step, p3, space, start, variant),
-        functools.partial(gnn_reference_step, start, p3, variant),
-        functools.partial(generalized_adjacency, p3, k, 1, 1, space=space),
-    )
-    for call in calls:
+    for call in space_entry_points(p3, space, start, variant):
         with pytest.raises(ValidationError) as err:
             call()
         assert (err.value.code, str(err.value)) == (
             SPACE_MISMATCH,
             "space was built over 6 nodes, graph has 3",
         ), call.func.__name__
+
+
+@pytest.mark.parametrize("k,s,variant", list(every_rule()))
+def test_a_space_from_another_graph_of_the_same_order_is_refused_everywhere(c6, k, s, variant):
+    """A space belongs to the graph it was enumerated from. A full space of
+    C6 handed over with C6 plus a chord, or a restricted one with P6 (once
+    colored over C6's tuples without a refusal), is refused by each entry
+    point that takes a graph and a space; an equal copy of C6 is accepted
+    and gives what C6 gives."""
+    space = enumerate_tuples(c6, k, s)
+    start = initial_coloring(c6, space)
+    if s == k:
+        other = Graph(6, list(c6.edges) + [(0, 3)])
+    else:
+        other = Graph(6, [(i, i + 1) for i in range(5)])
+    for call in space_entry_points(other, space, start, variant):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (
+            SPACE_MISMATCH,
+            "space was enumerated from another graph",
+        ), call.func.__name__
+    copy = Graph(6, c6.edges)
+    assert copy is not c6 and copy == c6
+    references = space_entry_points(c6, space, start, variant)
+    for call, reference in zip(space_entry_points(copy, space, start, variant), references):
+        got, want = call(), reference()
+        if isinstance(want, Coloring):
+            assert same_coloring(got, want), call.func.__name__
+        else:
+            assert np.array_equal(got, want), call.func.__name__
 
 
 def test_oracle_reaches_no_engine_internals(monkeypatch, c6):
@@ -1544,20 +1580,20 @@ def test_the_oracle_plan_is_one_int32_array(c6, k, s, variant):
     """One C-contiguous int32 array of ``1 + k * n`` columns per tuple, and
     no second array beside it."""
     space = enumerate_tuples(c6, k, s)
-    plan = wlsim.simulate._oracle_plan(space, c6, variant)
+    plan = wlsim.simulate._oracle_plan(space, variant)
     assert type(plan) is np.ndarray and plan.dtype == np.int32 and plan.flags.c_contiguous
     assert plan.shape == (len(space.nodes), 1 + k * c6.num_nodes)
 
 
 def count_oracle_plans(monkeypatch):
-    """Replace ``_oracle_plan`` by a stand-in that logs (graph, variant) per
-    call; returns the log."""
+    """Replace ``_oracle_plan`` by a stand-in that logs (the space's graph,
+    variant) per call; returns the log."""
     sim, calls = wlsim.simulate, []
     build = sim._oracle_plan
 
-    def counted(space, graph, variant):
-        calls.append((graph, variant))
-        return build(space, graph, variant)
+    def counted(space, variant):
+        calls.append((space.graph, variant))
+        return build(space, variant)
 
     monkeypatch.setattr(sim, "_oracle_plan", counted)
     return calls
@@ -1572,21 +1608,6 @@ def test_a_run_plans_its_oracle_once(monkeypatch):
         assert report.all_equal, (k, s, variant)
         assert report.layers >= 2
         assert calls == [(g, variant)], (k, s, variant)
-
-
-def test_a_different_graph_on_an_equal_space_replans_the_oracle(monkeypatch, c6):
-    calls = count_oracle_plans(monkeypatch)
-    h = Graph(6, list(c6.edges) + [(0, 3)])
-    for k in (1, 2, 3):
-        space = enumerate_tuples(c6, k, k)
-        assert space == enumerate_tuples(h, k, k)
-        colors = initial_coloring(c6, space)
-        for variant in ("kwl",) if k == 1 else ("kwl", "delta_kwl", "delta_klwl"):
-            calls.clear()
-            for graph in (c6, h, h, c6):
-                got = gnn_reference_step(colors, graph, variant)
-                assert same_coloring(got, loop_digit_step(colors, graph, variant))
-            assert calls == [(c6, variant), (h, variant), (c6, variant)]
 
 
 def test_oracle_round_memory_is_bounded():
